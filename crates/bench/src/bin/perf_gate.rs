@@ -9,14 +9,12 @@
 //!     [--out BENCH_pr.json] [--max-drop-pct 20]
 //! ```
 //!
-//! Records are joined by `name`, and besides throughput the gate also
-//! floors every [`qecool_bench::perf::gate::GATED_EXTRAS`] metric the
-//! baseline record carries (`ingest_rounds_per_sec`; configuration
-//! echoes like `sessions_per_core` ride along uncompared). Metrics in
-//! [`qecool_bench::perf::gate::ABS_FLOOR_EXTRAS`] are floored at a
-//! fixed constant instead of the baseline value — that is how the
-//! telemetry-overhead criterion (`telemetry_throughput_ratio` ≥ 0.90)
-//! is enforced.
+//! Records are joined by `name`. Throughput is floored relative to the
+//! baseline; metrics in [`qecool_bench::perf::gate::ABS_FLOOR_EXTRAS`]
+//! that the baseline record carries are floored at a fixed constant —
+//! that is how the telemetry-overhead criterion
+//! (`telemetry_throughput_ratio` ≥ 0.90) is enforced. Every other extra
+//! rides along uncompared.
 //! A candidate with no baseline entry is reported and passes (new
 //! benchmarks should not need a lockstep baseline update); a **baseline
 //! entry with no candidate fails** — a benchmark vanishing from the run

@@ -1,7 +1,6 @@
 //! Throughput/latency benchmark of the sharded multi-tenant decoding
 //! fabric: many concurrent syndrome-stream sessions decoded under the
-//! SFQ cycle budget, spread over N service shards fed by lock-free
-//! ingest rings.
+//! SFQ cycle budget, spread over N service shards.
 //!
 //! Each session models one logical qubit: its own patch, its own seeded
 //! noise stream (any `--noise` family of the
@@ -12,11 +11,11 @@
 //! `--record FILE` writes the live run to such a file; replaying it
 //! reproduces the session digest byte for byte (the recording bakes
 //! the correction feedback in). Every
-//! benchmark round batch-pushes one detection round per session through
-//! the rings, pumps the shards' worker pools, polls corrections and
+//! benchmark round batch-pushes one detection round per session into
+//! the shards, pumps the shards' worker pools, polls corrections and
 //! applies them — the steady-state serving loop. Reported: wall-clock
-//! throughput (rounds/s across all sessions), ring-ingest rate,
-//! session density per worker, decode-cycle latency against the
+//! throughput (rounds/s across all sessions), session density per
+//! worker, decode-cycle latency against the
 //! per-round budget, per-shard ingest accounting, and a per-session
 //! report digest — the digest is a pure function of every session's
 //! correction stream and close report, so `--shards 4` and `--shards 1`
@@ -69,7 +68,6 @@ use qecool_bench::{
 use qecool_obs::{Snapshot, TelemetryHandle};
 use qecool_sfq::budget::{CycleBudget, CycleHistogram};
 use qecool_sim::campaign::derive_seed;
-use qecool_sim::ring::IngestRing;
 use qecool_sim::service::{DecodeService, ServiceBackend, ServiceConfig, SessionId, WindowConfig};
 use qecool_sim::shard::{ShardStats, ShardedDecodeService, ShardedServiceConfig};
 use qecool_surface_code::{
@@ -450,38 +448,11 @@ impl Digest {
     }
 }
 
-/// Measures ring-ingest throughput over a dedicated window: a private
-/// ring of the fabric's geometry, alternately filled by one producer and
-/// drained, clocked over a fixed wall-time budget (millions of rounds)
-/// so timer overhead and scheduler noise amortise away. Timing the
-/// serving loop's few thousand pushes with per-batch `Instant` pairs
-/// made the gated `ingest_rounds_per_sec` metric a ~1 ms measurement
-/// that flaked on shared CI runners. Deliberately telemetry-free: it
-/// measures the ring itself, not the instrumented serving path.
-fn measure_ingest_rate(tag: SessionId, width: usize, ring_capacity: usize) -> f64 {
-    let ring = IngestRing::new(ring_capacity, width);
-    let round = DetectionRound::zeros(width);
-    let window = Duration::from_millis(200);
-    let start = Instant::now();
-    let mut pushed = 0u64;
-    loop {
-        // Fill a whole ring, drain it, check the clock once per lap.
-        while ring.try_push(tag, &round).is_ok() {
-            pushed += 1;
-        }
-        while ring.pop_with(|_, _| ()).is_some() {}
-        if start.elapsed() >= window {
-            break;
-        }
-    }
-    pushed as f64 / start.elapsed().as_secs_f64()
-}
-
 /// Everything one serving run produces — the headline measurements, the
 /// latency aggregates, the per-shard ingest accounting and (when
 /// telemetry was enabled) a metrics snapshot taken after the serving
 /// loop but *before* the sessions closed, so it shows the steady
-/// serving state (`qecool_sessions_open` > 0, worker/ring counters hot).
+/// serving state (`qecool_sessions_open` > 0, worker/shard counters hot).
 struct ServeOutcome {
     elapsed: Duration,
     throughput: f64,
@@ -526,7 +497,7 @@ fn serve(opts: &BenchOptions, telemetry: TelemetryHandle) -> ServeOutcome {
     // simulation (optionally recorded) or packed-file replay.
     let mut feed = SessionFeed::open(opts, &lattice);
     // One round buffer per session so a whole benchmark round can go
-    // through the batched ring-ingest path in one call.
+    // through the batched ingest path in one call.
     let mut rounds: Vec<DetectionRound> = (0..opts.sessions)
         .map(|_| DetectionRound::zeros(lattice.num_ancillas()))
         .collect();
@@ -536,8 +507,8 @@ fn serve(opts: &BenchOptions, telemetry: TelemetryHandle) -> ServeOutcome {
     let mut total_corrections = 0u64;
     for _ in 0..opts.rounds {
         feed.fill_rounds(&mut rounds);
-        // Ring ingest is fire-and-forget: an overflowed session's rounds
-        // drain into drop accounting and surface in its close report.
+        // Ingest is fire-and-forget: an overflowed session's rounds go
+        // to drop accounting and surface in its close report.
         service.push_rounds(ids.iter().copied().zip(rounds.iter()));
         service.pump();
         for s in 0..opts.sessions {
@@ -616,11 +587,12 @@ fn serve(opts: &BenchOptions, telemetry: TelemetryHandle) -> ServeOutcome {
         mean_util: mean_util_acc / opts.sessions as f64,
         overruns,
         max_cycles,
-        p99_cycles: hist.percentile(0.99),
+        // Bucket edges can overshoot; a p99 is never above the max.
+        p99_cycles: hist.percentile(0.99).min(max_cycles),
         committed_rounds,
         total_lag_rounds,
         max_lag_rounds,
-        p99_lag_rounds: lag_hist.percentile(0.99),
+        p99_lag_rounds: lag_hist.percentile(0.99).min(max_lag_rounds),
         overflowed,
         digest: fabric_digest.0,
         per_shard: (0..service.num_shards())
@@ -745,32 +717,20 @@ fn main() {
         }
     );
 
-    // Gated ingest metric, measured on a dedicated ring over a fixed
-    // window (not inside the serving loop, where it would be a ~1 ms
-    // timer-noise-dominated sample). The tag id is arbitrary: the ring
-    // never resolves it.
-    let lattice = match Lattice::new(opts.d) {
-        Ok(l) => l,
-        Err(e) => usage_error(&format!("--d: {e}")),
-    };
-    // Ids are crate-internal; mint one from a throwaway solo service —
-    // which also hands us the backend's commit hint (cadence + whether
-    // the decode-cycle figures come from a real cycle model).
-    let (tag, hint) = {
+    // The backend's commit hint (cadence + whether the decode-cycle
+    // figures come from a real cycle model), from a throwaway solo
+    // service.
+    let hint = {
         let budget = CycleBudget::at_clock(opts.ghz * 1e9);
         let mut config = ServiceConfig::new(opts.d, opts.backend, budget).with_threads(1);
         if let Some((w, s)) = opts.window_override() {
             config = config.with_window(WindowConfig::new(w, s));
         }
-        let mut solo = DecodeService::new(config).expect("distance validated above");
-        let hint = solo.commit_hint();
-        (solo.open_session(), hint)
+        match DecodeService::new(config) {
+            Ok(solo) => solo.commit_hint(),
+            Err(e) => usage_error(&format!("--d: {e}")),
+        }
     };
-    let ingest_rounds_per_sec = measure_ingest_rate(
-        tag,
-        lattice.num_ancillas(),
-        qecool_sim::shard::DEFAULT_RING_CAPACITY,
-    );
 
     // Periodic emitter: re-render the live registry to the metrics
     // target(s) while the serving loop runs.
@@ -830,13 +790,9 @@ fn main() {
         "throughput (rounds/s)",
         &format!("{:.0}", outcome.throughput),
     ]);
-    table.row([
-        "ingest rate (rounds/s)",
-        &format!("{ingest_rounds_per_sec:.0}"),
-    ]);
     table.row(["sessions/core", &format!("{sessions_per_core:.2}")]);
     table.row(["pump workers", &outcome.pump_workers.to_string()]);
-    table.row(["ring stalls", &stats.stalls.to_string()]);
+    table.row(["shard stalls", &stats.stalls.to_string()]);
     table.row(["rounds dropped", &stats.dropped.to_string()]);
     table.row([
         "corrections emitted",
@@ -904,23 +860,14 @@ fn main() {
     println!("{}", table.render());
 
     // Per-shard ingest accounting: where the rounds went, shard by
-    // shard — the capacity planner's view of ring pressure.
-    let mut shard_table = TextTable::new([
-        "shard",
-        "enqueued",
-        "drained",
-        "stalls",
-        "dropped",
-        "backpressure",
-    ]);
+    // shard — the capacity planner's view of lock pressure.
+    let mut shard_table = TextTable::new(["shard", "enqueued", "stalls", "dropped"]);
     for (i, s) in outcome.per_shard.iter().enumerate() {
         shard_table.row([
             i.to_string(),
             s.enqueued.to_string(),
-            s.drained.to_string(),
             s.stalls.to_string(),
             s.dropped.to_string(),
-            s.backpressure.to_string(),
         ]);
     }
     println!("{}", shard_table.render());
@@ -974,7 +921,6 @@ fn main() {
             .with("commit_lag_p99_rounds", outcome.p99_lag_rounds as f64)
             .with("commit_lag_max_rounds", outcome.max_lag_rounds as f64)
             .with("commit_lag_mean_rounds", mean_lag)
-            .with("ingest_rounds_per_sec", ingest_rounds_per_sec)
             .with("telemetry_throughput_ratio", telemetry_ratio)
             .with_tag("noise_family", noise_family)
             .with_tag("noise_params", noise_params);

@@ -681,20 +681,8 @@ pub mod perf {
     pub mod gate {
         use super::BenchRecord;
 
-        /// Extra metrics the gate compares (floor semantics, like
-        /// throughput) whenever the **baseline** record carries them.
-        /// Adding a key here + a baseline value turns a bench extra into
-        /// a gated metric; candidates must then keep emitting it.
-        ///
-        /// Only *measured* quantities belong here. Configuration echoes
-        /// like `sessions_per_core` (sessions ÷ worker budget — pure
-        /// flag arithmetic that "regresses" only when bench flags
-        /// change, and depends on the runner's core count under
-        /// `--threads 0`) stay informational extras.
-        pub const GATED_EXTRAS: &[&str] = &["ingest_rounds_per_sec"];
-
         /// Extra metrics gated against an **absolute** floor instead of
-        /// the baseline's measured value. For ratio-shaped metrics the
+        /// a baseline's measured value. For ratio-shaped metrics the
         /// meaningful bound is a constant, not a previous run:
         /// `telemetry_throughput_ratio` (enabled-telemetry throughput ÷
         /// disabled-telemetry throughput, measured by `service_bench`
@@ -703,10 +691,12 @@ pub mod perf {
         /// the floor leaves headroom for shared-runner scheduling noise,
         /// which the paired best-of measurement cannot fully cancel.
         ///
-        /// Like [`GATED_EXTRAS`], a key is armed per benchmark by the
-        /// baseline record carrying it; candidates must then keep
-        /// emitting it. The baseline's *value* is only checked for
-        /// sanity — the floor compared against is the constant here.
+        /// A key is armed per benchmark by the baseline record carrying
+        /// it; candidates must then keep emitting it. The baseline's
+        /// *value* is only checked for sanity — the floor compared
+        /// against is the constant here. Every other extra (measured
+        /// or a configuration echo like `sessions_per_core`) is
+        /// informational.
         pub const ABS_FLOOR_EXTRAS: &[(&str, f64)] = &[("telemetry_throughput_ratio", 0.90)];
 
         /// One compared metric, ready for table rendering.
@@ -788,8 +778,9 @@ pub mod perf {
         /// Compares candidate records against the baseline.
         ///
         /// For every candidate with a baseline entry, throughput is
-        /// gated at `1 - max_drop_pct / 100`, and so is each
-        /// [`GATED_EXTRAS`] key the baseline record carries. A candidate
+        /// gated at `1 - max_drop_pct / 100`, and each
+        /// [`ABS_FLOOR_EXTRAS`] key the baseline record carries is
+        /// gated at its constant floor. A candidate
         /// with no baseline entry passes (new benchmarks need no
         /// lockstep baseline update); a baseline entry with no candidate
         /// record fails — a benchmark vanishing from the run is itself a
@@ -829,26 +820,6 @@ pub mod perf {
                     record.throughput,
                     floor,
                 )?;
-                for &key in GATED_EXTRAS {
-                    let Some(base_value) = extra(base, key) else {
-                        continue;
-                    };
-                    let Some(cand_value) = extra(record, key) else {
-                        return Err(format!(
-                            "candidate record '{}' is missing gated metric '{key}' \
-                             (present in the baseline; the bench stopped emitting it?)",
-                            record.name
-                        ));
-                    };
-                    compare_metric(
-                        &mut report,
-                        &record.name,
-                        key,
-                        base_value,
-                        cand_value,
-                        floor,
-                    )?;
-                }
                 for &(key, abs_floor) in ABS_FLOOR_EXTRAS {
                     let Some(base_value) = extra(base, key) else {
                         continue;
@@ -1062,48 +1033,11 @@ mod tests {
     }
 
     #[test]
-    fn gate_compares_gated_extras_the_baseline_carries() {
-        let baseline = vec![perf::BenchRecord::new("svc", 1000.0)
-            .with("sessions_per_core", 100.0)
-            .with("ingest_rounds_per_sec", 50000.0)];
-        let candidate = vec![perf::BenchRecord::new("svc", 1000.0)
-            .with("sessions_per_core", 100.0)
-            .with("ingest_rounds_per_sec", 20000.0)];
-        let report = perf::gate::compare(&baseline, &candidate, 20.0).unwrap();
-        assert_eq!(report.rows.len(), 2);
-        assert_eq!(report.failures, 1);
-        let ingest = report
-            .rows
-            .iter()
-            .find(|r| r.metric == "ingest_rounds_per_sec")
-            .unwrap();
-        assert!(ingest.failed);
-        // A configuration echo, not a measurement: never a gate row,
-        // even when both sides carry it.
-        assert!(
-            !report.rows.iter().any(|r| r.metric == "sessions_per_core"),
-            "sessions_per_core must stay informational"
-        );
-    }
-
-    #[test]
-    fn gate_rejects_a_candidate_missing_a_gated_extra() {
-        let baseline =
-            vec![perf::BenchRecord::new("svc", 1000.0).with("ingest_rounds_per_sec", 50000.0)];
-        let candidate = vec![perf::BenchRecord::new("svc", 1000.0)];
-        let err = perf::gate::compare(&baseline, &candidate, 20.0).unwrap_err();
-        assert!(
-            err.contains("ingest_rounds_per_sec"),
-            "error should name the missing metric: {err}"
-        );
-    }
-
-    #[test]
     fn gate_rejects_a_zero_baseline_extra() {
         let baseline =
-            vec![perf::BenchRecord::new("svc", 1000.0).with("ingest_rounds_per_sec", 0.0)];
+            vec![perf::BenchRecord::new("svc", 1000.0).with("telemetry_throughput_ratio", 0.0)];
         let candidate =
-            vec![perf::BenchRecord::new("svc", 1000.0).with("ingest_rounds_per_sec", 90.0)];
+            vec![perf::BenchRecord::new("svc", 1000.0).with("telemetry_throughput_ratio", 0.95)];
         assert!(perf::gate::compare(&baseline, &candidate, 20.0).is_err());
     }
 
@@ -1151,8 +1085,8 @@ mod tests {
 
     #[test]
     fn gate_ignores_ungated_extras() {
-        // Only GATED_EXTRAS keys are floored; informational extras like
-        // p99_cycles must not create comparison rows.
+        // Only ABS_FLOOR_EXTRAS keys are floored; informational extras
+        // like p99_cycles must not create comparison rows.
         let baseline = vec![perf::BenchRecord::new("svc", 1000.0).with("p99_cycles", 10.0)];
         let candidate = vec![perf::BenchRecord::new("svc", 1000.0).with("p99_cycles", 9999.0)];
         let report = perf::gate::compare(&baseline, &candidate, 20.0).unwrap();

@@ -149,6 +149,13 @@ fn corrupt_and_mismatched_checkpoints_exit_two_with_named_errors() {
         "config mismatch on 'chunk_shots'",
     );
 
+    // Hostile nesting: a named parse error, not a stack overflow.
+    fs::write(&checkpoint, "[".repeat(300_000)).unwrap();
+    assert_exit_2(
+        &sweep(&["--checkpoint", cp, "--resume"]),
+        "nesting deeper than",
+    );
+
     // Missing checkpoint file is an I/O error, not a fresh start.
     let _ = fs::remove_file(&checkpoint);
     assert_exit_2(&sweep(&["--checkpoint", cp, "--resume"]), "I/O error");

@@ -227,7 +227,7 @@ pub trait Decoder {
     /// in; anything smaller means ingestion stopped at the first
     /// overflow and the remaining rounds were not consumed — the caller
     /// must count the stream as failed, exactly as for [`Self::ingest`].
-    /// This is the decoder-side half of batched ring ingest: drains hand
+    /// This is the decoder-side half of batched ingest: a caller can hand
     /// a run of buffered rounds to the backend in one call instead of a
     /// per-round virtual dispatch.
     fn ingest_batch(&mut self, rounds: &[DetectionRound]) -> usize {

@@ -19,7 +19,13 @@
 //!
 //! The dialect is deliberately restricted: no string escape sequences
 //! (keys and values in this workspace are identifiers and numbers), no
-//! duplicate-key detection, `NaN`/infinite floats render as `null`.
+//! duplicate-key detection, `NaN`/infinite floats render as `null`, and
+//! containers nest at most [`MAX_DEPTH`] deep — deeper input is a parse
+//! error, not a stack overflow in the recursive descent.
+
+/// Deepest container nesting [`Json::parse`] accepts. Every document
+/// the workspace writes nests three or four levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,9 +168,13 @@ impl Json {
     /// # Errors
     ///
     /// A description of the first malformed construct, including a
-    /// prefix of the offending text.
+    /// prefix of the offending text; containers nested deeper than
+    /// [`MAX_DEPTH`] are rejected by name.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { rest: text };
+        let mut p = Parser {
+            rest: text,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -177,6 +187,8 @@ impl Json {
 
 struct Parser<'a> {
     rest: &'a str,
+    /// Containers currently open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -210,8 +222,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => Ok(Json::Str(self.string()?)),
             Some('t') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some('f') if self.eat_literal("false") => Ok(Json::Bool(false)),
@@ -219,6 +231,17 @@ impl Parser<'_> {
             Some(c) if c == '-' || c == '+' || c.is_ascii_digit() || c == '.' => self.number(),
             _ => Err(format!("expected a JSON value at: {:.24}", self.rest)),
         }
+    }
+
+    /// Parses one container, refusing to open more than [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -393,6 +416,16 @@ mod tests {
                 &full[..cut]
             );
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&too_deep).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -110,30 +110,6 @@ impl Gauge {
     }
 }
 
-/// A high-water-mark gauge: [`MaxGauge::observe`] keeps the maximum ever
-/// seen (e.g. ring occupancy HWM). One `fetch_max` per observation.
-#[derive(Debug, Default)]
-pub struct MaxGauge {
-    max: AtomicU64,
-}
-
-impl MaxGauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one observation into the maximum.
-    pub fn observe(&self, value: u64) {
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Largest value observed so far.
-    pub fn value(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-}
-
 /// One histogram stripe: the log₂ bucket counts plus the exact sum of
 /// recorded values (Prometheus histograms expose `_sum`; the bucketed
 /// [`CycleHistogram`] alone cannot reconstruct it).
@@ -148,8 +124,7 @@ struct HistCell {
 ///
 /// Each writer locks only its own stripe, and the instrumented call
 /// sites stripe by worker index — so the locks are uncontended by
-/// construction (the same argument the ingest ring makes for its slot
-/// mutexes under `deny(unsafe_code)`). [`Histogram::merged`] folds the
+/// construction. [`Histogram::merged`] folds the
 /// stripes with [`CycleHistogram::merge`], whose equivalence to
 /// single-stream recording is pinned by a proptest in this crate.
 #[derive(Debug)]
@@ -195,7 +170,7 @@ impl Histogram {
 /// A small, stable stripe id for the calling thread: ids are handed out
 /// in first-use order from a global counter and cached thread-locally,
 /// so producer threads that were never given an explicit worker index
-/// (e.g. ingest callers of the sharded fabric) still spread across
+/// (e.g. callers pushing into the sharded fabric) still spread across
 /// stripes instead of piling onto stripe 0.
 pub fn thread_stripe() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -254,15 +229,6 @@ mod tests {
         assert_eq!(g.value(), 1);
         g.add(-5);
         assert_eq!(g.value(), -4);
-    }
-
-    #[test]
-    fn max_gauge_keeps_the_high_water_mark() {
-        let g = MaxGauge::new();
-        for v in [3u64, 17, 4, 17, 1] {
-            g.observe(v);
-        }
-        assert_eq!(g.value(), 17);
     }
 
     #[test]

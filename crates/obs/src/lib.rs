@@ -1,7 +1,7 @@
 //! Telemetry for the decoding fabric: lock-free counters, stage-latency
 //! tracing and a metrics exposition endpoint.
 //!
-//! The serving path (`qecool_sim`'s rings, shards and services) is
+//! The serving path (`qecool_sim`'s shards and services) is
 //! instrumented against this crate behind a [`TelemetryHandle`]. The
 //! design constraints, in order:
 //!
@@ -37,6 +37,6 @@ pub mod counters;
 pub mod registry;
 pub mod tracer;
 
-pub use counters::{Counter, Gauge, Histogram, MaxGauge, COUNTER_STRIPES, HISTOGRAM_STRIPES};
+pub use counters::{Counter, Gauge, Histogram, COUNTER_STRIPES, HISTOGRAM_STRIPES};
 pub use registry::{MetricsRegistry, Snapshot, SnapshotEntry, SnapshotValue, TelemetryHandle};
 pub use tracer::{Stage, StageTracer, STAGE_SAMPLE_PERIOD};

@@ -7,14 +7,13 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use qecool_sfq::budget::CycleHistogram;
 
-use crate::counters::{Counter, Gauge, Histogram, MaxGauge};
+use crate::counters::{Counter, Gauge, Histogram};
 
 /// One registered metric, by kind.
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    MaxGauge(Arc<MaxGauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -22,7 +21,7 @@ impl Metric {
     fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) | Metric::MaxGauge(_) => "gauge",
+            Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
     }
@@ -45,7 +44,7 @@ struct Entry {
 /// fabric-wide counters instead of shadowing them.
 ///
 /// Registration takes a short mutex; it happens at construction time
-/// (service/ring/shard setup), never on the per-round path — hot-path
+/// (service/shard setup), never on the per-round path — hot-path
 /// writers hold `Arc`s to the metrics themselves.
 #[derive(Debug)]
 pub struct MetricsRegistry {
@@ -159,25 +158,6 @@ impl MetricsRegistry {
         )
     }
 
-    /// Registers (or finds) a high-water-mark gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn max_gauge(&self, name: &str, help: &str) -> Arc<MaxGauge> {
-        self.get_or_register(
-            name,
-            None,
-            help,
-            Metric::MaxGauge,
-            |m| match m {
-                Metric::MaxGauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-            MaxGauge::new,
-        )
-    }
-
     /// Registers (or finds) a striped stage histogram.
     ///
     /// # Panics
@@ -210,9 +190,6 @@ impl MetricsRegistry {
                 value: match &e.metric {
                     Metric::Counter(c) => SnapshotValue::Counter(c.value()),
                     Metric::Gauge(g) => SnapshotValue::Gauge(g.value()),
-                    Metric::MaxGauge(g) => {
-                        SnapshotValue::Gauge(i64::try_from(g.value()).unwrap_or(i64::MAX))
-                    }
                     Metric::Histogram(h) => {
                         let (hist, sum) = h.merged();
                         SnapshotValue::Histogram {
@@ -303,7 +280,7 @@ impl PartialEq for TelemetryHandle {
 pub enum SnapshotValue {
     /// Monotonic count (stripes summed).
     Counter(u64),
-    /// Gauge level (high-water-mark gauges render here too).
+    /// Gauge level.
     Gauge(i64),
     /// Merged stage histogram plus the exact sum of recorded values.
     Histogram {
@@ -437,7 +414,7 @@ impl Snapshot {
     /// Renders the snapshot as one flat JSON record in the hand-rolled
     /// shape `qecool_bench::perf::parse_records` reads: a single object
     /// with a string `"name"` and numeric fields. Labels flatten into
-    /// the key (`qecool_shard_drained_total_shard_0`); histograms
+    /// the key (`qecool_shard_enqueued_total_shard_0`); histograms
     /// flatten to `_count`, `_sum`, `_p50` and `_p99`.
     ///
     /// `record_name` is the `"name"` field (the perf tooling's join

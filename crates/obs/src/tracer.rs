@@ -2,7 +2,7 @@
 //! of the serving path and records each into a log₂ [`Histogram`]
 //! stripe.
 //!
-//! The four wall-clock stages are nanoseconds read from the owning
+//! The three wall-clock stages are nanoseconds read from the owning
 //! [`MetricsRegistry`]'s monotonic clock, and — unlike counters, which
 //! are exact — they are **sampled** one round in
 //! [`STAGE_SAMPLE_PERIOD`]: the instrumented sites stamp only every
@@ -30,11 +30,8 @@ pub const STAGE_SAMPLE_PERIOD: u64 = 8;
 /// the commit-lag series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// From `IngestRing::try_push` to `pop_with` — time spent inside
-    /// the lock-free ring.
-    RingResidency,
-    /// From ring pop (enqueue into the session inbox) to the start of
-    /// the drain that decodes the round.
+    /// From the push into the session inbox to the start of the drain
+    /// that decodes the round.
     QueueWait,
     /// The drain itself: syndrome decoding inside `drain_inbox`.
     Decode,
@@ -48,8 +45,7 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 5] = [
-        Stage::RingResidency,
+    pub const ALL: [Stage; 4] = [
         Stage::QueueWait,
         Stage::Decode,
         Stage::PollDrain,
@@ -59,7 +55,6 @@ impl Stage {
     /// The exposition metric name for this stage's histogram.
     pub fn metric_name(self) -> &'static str {
         match self {
-            Stage::RingResidency => "qecool_stage_ring_residency_ns",
             Stage::QueueWait => "qecool_stage_queue_wait_ns",
             Stage::Decode => "qecool_stage_decode_ns",
             Stage::PollDrain => "qecool_stage_poll_drain_ns",
@@ -70,7 +65,6 @@ impl Stage {
     /// One-line help string for the exposition output.
     pub fn help(self) -> &'static str {
         match self {
-            Stage::RingResidency => "Sampled ns a round spent inside the ingest ring",
             Stage::QueueWait => "Sampled ns a round waited in the session inbox before decode",
             Stage::Decode => "Sampled ns spent decoding a drained batch",
             Stage::PollDrain => {
@@ -82,14 +76,9 @@ impl Stage {
         }
     }
 
+    /// Position in [`Stage::ALL`] (declaration order).
     fn index(self) -> usize {
-        match self {
-            Stage::RingResidency => 0,
-            Stage::QueueWait => 1,
-            Stage::Decode => 2,
-            Stage::PollDrain => 3,
-            Stage::CommitLag => 4,
-        }
+        self as usize
     }
 }
 
@@ -99,7 +88,7 @@ impl Stage {
 #[derive(Debug, Clone)]
 pub struct StageTracer {
     registry: Arc<MetricsRegistry>,
-    histograms: [Arc<Histogram>; 5],
+    histograms: [Arc<Histogram>; 4],
 }
 
 impl StageTracer {

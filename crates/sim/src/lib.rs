@@ -18,9 +18,9 @@
 //! * [`window`] — true overlapping sliding-window streaming decoders
 //!   for the UF/MWPM baselines: decode W rounds, commit the oldest
 //!   S < W, slide — bounded commit latency with seam-free overlap;
-//! * [`shard`] — the multi-tenant front end: N service shards, each fed
-//!   by a lock-free bounded ingest ring ([`ring`]), so many producer
-//!   threads push syndrome rounds without taking a service lock;
+//! * [`shard`] — the multi-tenant front end: N locked service shards
+//!   behind `&self`, sessions routed by id, so producers on different
+//!   shards never contend;
 //! * [`montecarlo`] — the [`McResult`] aggregate and the classic
 //!   single-campaign wrapper over the engine;
 //! * [`campaign`] — adaptive campaigns over the engine: chunked
@@ -58,7 +58,6 @@ pub mod dual_sector;
 pub mod engine;
 pub mod experiments;
 pub mod montecarlo;
-pub mod ring;
 pub mod service;
 pub mod shard;
 pub mod stats;
@@ -74,7 +73,6 @@ pub use dual_sector::{dual_sector_error_rate, run_dual_sector_trial, DualSectorO
 pub use engine::{DecodeEngine, EngineConfig, EngineTally, McJob};
 pub use experiments::{log_grid, sweep, sweep_on, Sweep, SweepPoint};
 pub use montecarlo::{run_monte_carlo, McResult};
-pub use ring::{IngestRing, RingFull};
 pub use service::{
     DecodeService, LatencyStats, Polled, ServiceBackend, ServiceConfig, ServiceError, SessionId,
     SessionReport,

@@ -176,10 +176,10 @@ impl ServiceConfig {
 /// report into the same fabric-wide series.
 struct ServiceTelemetry {
     tracer: StageTracer,
-    /// Rounds offered to session inboxes (solo pushes and ring drains;
-    /// includes pushes rejected at the session, so it can run slightly
-    /// ahead of rounds decoded). Its per-stripe tick doubles as the
-    /// deterministic 1-in-N sampling clock for solo-push stamps.
+    /// Rounds offered to session inboxes (includes pushes rejected at
+    /// the session, so it can run slightly ahead of rounds decoded). Its
+    /// per-stripe tick doubles as the deterministic 1-in-N sampling
+    /// clock for queue-wait stamps.
     ingest: Arc<Counter>,
     rounds_decoded: Arc<Counter>,
     pump_calls: Arc<Counter>,
@@ -256,16 +256,6 @@ pub struct SessionId {
 }
 
 impl SessionId {
-    /// Placeholder id used to pre-fill ingest-ring slots. Never matches
-    /// a live slot: generations start at 0 and bump once per recycle, so
-    /// `u32::MAX` is unreachable for any real session.
-    pub(crate) fn invalid() -> Self {
-        Self {
-            index: u32::MAX,
-            generation: u32::MAX,
-        }
-    }
-
     pub(crate) fn from_parts(index: u32, generation: u32) -> Self {
         Self { index, generation }
     }
@@ -296,11 +286,6 @@ pub enum ServiceError {
     /// the stream and the session is failed (paper §V-B). The stream
     /// state is unrecoverable; close the session and reopen.
     Overflowed,
-    /// A shard's ingest ring was full and the caller asked not to block
-    /// (`ShardedDecodeService::try_push_round`). The round was not
-    /// enqueued; retry after a pump, or use the blocking push which
-    /// drains inline instead of failing.
-    Backpressure,
 }
 
 impl fmt::Display for ServiceError {
@@ -311,12 +296,6 @@ impl fmt::Display for ServiceError {
                 write!(
                     f,
                     "session failed: decoder register overflow (stream fell behind)"
-                )
-            }
-            ServiceError::Backpressure => {
-                write!(
-                    f,
-                    "shard ingest ring full (backpressure); retry after a pump"
                 )
             }
         }
@@ -416,10 +395,10 @@ impl LatencyStats {
     }
 
     /// Conservative p99 of the commit lag, in rounds behind the stream
-    /// head (the inclusive upper bound of the histogram bucket the p99
-    /// committed round lands in).
+    /// head: the inclusive upper bound of the histogram bucket the p99
+    /// committed round lands in, clamped to the observed maximum.
     pub fn commit_lag_p99_rounds(&self) -> u64 {
-        self.lag_histogram.percentile(0.99)
+        self.lag_histogram.percentile(0.99).min(self.max_lag_rounds)
     }
 
     /// The p99 commit lag converted to decode cycles via the per-round
@@ -437,10 +416,11 @@ impl LatencyStats {
         }
     }
 
-    /// Conservative p99 of the per-round decode cost (the inclusive
-    /// upper bound of the histogram bucket the p99 round lands in).
+    /// Conservative p99 of the per-round decode cost: the inclusive
+    /// upper bound of the histogram bucket the p99 round lands in,
+    /// clamped to the observed maximum.
     pub fn p99_cycles(&self) -> u64 {
-        self.histogram.percentile(0.99)
+        self.histogram.percentile(0.99).min(self.max_cycles)
     }
 
     /// Mean decode cycles per round (0 when no round was decoded).
@@ -484,8 +464,8 @@ pub struct SessionReport {
     pub rounds_ingested: u64,
     /// Rounds discarded at ingest. The solo push path reports failures
     /// as errors instead and never drops, so this stays 0 there; the
-    /// sharded ring path is fire-and-forget, and rounds that drain into
-    /// an already-failed session are counted here rather than lost
+    /// sharded path is fire-and-forget, and rounds pushed into an
+    /// already-failed session are counted here rather than lost
     /// silently.
     pub rounds_dropped: u64,
     /// The session's final commit watermark. For a non-overflowed
@@ -737,9 +717,11 @@ struct PoolQueue {
     pending: VecDeque<PumpJob>,
     /// Sessions drained this pump, awaiting re-installation.
     finished: Vec<PumpJob>,
+    /// Jobs queued this pump.
+    submitted: usize,
     /// Jobs retired this pump, successfully or not: `finished.len()`
-    /// plus any panicked drains. What `pump` waits on, so a worker
-    /// panic cannot strand it.
+    /// plus any panicked drains. `pump` waits for it to reach
+    /// `submitted`, so a worker panic cannot strand it.
     completed: usize,
     /// First panic payload caught this pump; re-raised on the `pump`
     /// caller's thread, matching the old scoped-thread behaviour.
@@ -753,7 +735,7 @@ struct PoolShared {
     queue: Mutex<PoolQueue>,
     /// Signalled by `pump` when jobs are enqueued and on shutdown.
     work_ready: Condvar,
-    /// Signalled by workers as each drained session retires.
+    /// Signalled by the worker that retires a pump's last job.
     batch_done: Condvar,
     /// Worker threads that have exited their loop (observability for
     /// shutdown tests; `pump` never reads it).
@@ -835,8 +817,11 @@ impl WorkerPool {
                     }
                 }
                 queue.completed += 1;
-                // `pump` is the only possible waiter.
-                shared.batch_done.notify_one();
+                // `pump` is the only possible waiter, and it only wants
+                // to hear about the last job of its batch.
+                if queue.completed == queue.submitted {
+                    shared.batch_done.notify_one();
+                }
                 continue;
             }
             if queue.shutdown {
@@ -1038,33 +1023,19 @@ impl DecodeService {
         id: SessionId,
         round: &DetectionRound,
     ) -> Result<(), ServiceError> {
-        self.push_round_stamped(id, round, None)
-    }
-
-    /// Ingest core shared by the solo path and the sharded ring drain.
-    /// `stamp_ns` is `Some` when an upstream stage (the ingest ring)
-    /// already made the sampling decision (0 = unsampled); `None` lets
-    /// this method sample 1-in-N of its own pushes.
-    pub(crate) fn push_round_stamped(
-        &mut self,
-        id: SessionId,
-        round: &DetectionRound,
-        stamp_ns: Option<u64>,
-    ) -> Result<(), ServiceError> {
         let width = self.lattice.num_ancillas();
-        let stamp = match self.obs.as_deref() {
-            Some(t) => {
-                let tick = t.ingest.tick(thread_stripe());
-                Some(stamp_ns.unwrap_or_else(|| {
-                    if tick.is_multiple_of(STAGE_SAMPLE_PERIOD) {
-                        t.tracer.now_ns().max(1)
-                    } else {
-                        0
-                    }
-                }))
+        // Queue-wait sampling: 1 push in STAGE_SAMPLE_PERIOD (per
+        // stripe) is stamped; `max(1)` so 0 keeps meaning "unsampled".
+        let stamp = self.obs.as_deref().map(|t| {
+            if t.ingest
+                .tick(thread_stripe())
+                .is_multiple_of(STAGE_SAMPLE_PERIOD)
+            {
+                t.tracer.now_ns().max(1)
+            } else {
+                0
             }
-            None => None,
-        };
+        });
         let session = self.session_mut(id)?;
         if session.overflowed {
             return Err(ServiceError::Overflowed);
@@ -1219,7 +1190,6 @@ impl DecodeService {
                     .insert(WorkerPool::spawn(workers, self.obs.clone()))
             }
         };
-        let mut submitted = 0usize;
         {
             let mut queue = pool.shared.queue.lock();
             debug_assert!(queue.pending.is_empty() && queue.finished.is_empty());
@@ -1232,13 +1202,13 @@ impl DecodeService {
                         session,
                         budget,
                     });
-                    submitted += 1;
                 }
             }
+            queue.submitted = queue.pending.len();
         }
         pool.shared.work_ready.notify_all();
         let mut queue = pool.shared.queue.lock();
-        while queue.completed < submitted {
+        while queue.completed < queue.submitted {
             queue = pool.shared.batch_done.wait(queue);
         }
         let finished = std::mem::take(&mut queue.finished);
@@ -1345,9 +1315,9 @@ impl DecodeService {
     }
 
     /// Counts one round discarded at ingest against a session. Used by
-    /// the sharded front end: its ring ingest is fire-and-forget, so a
-    /// round that drains into a session whose stream has already failed
-    /// is accounted here (and in the [`SessionReport`]) instead of
+    /// the sharded front end: its ingest is fire-and-forget, so a round
+    /// pushed into a session whose stream has already failed is
+    /// accounted here (and in the [`SessionReport`]) instead of
     /// vanishing.
     pub(crate) fn record_dropped_round(&mut self, id: SessionId) -> Result<(), ServiceError> {
         let session = self.session_mut(id)?;
@@ -1765,6 +1735,24 @@ mod tests {
         assert_eq!(lat.mean_utilisation(), 0.0);
         assert!(lat.mean_cycles().is_finite());
         assert!(lat.mean_utilisation().is_finite());
+    }
+
+    /// The p99 accessors report a bucket edge, which must never exceed
+    /// the maximum actually observed.
+    #[test]
+    fn p99_never_exceeds_the_observed_max() {
+        let mut lat = LatencyStats::default();
+        for value in [3, 9, 14] {
+            lat.record(value, true);
+            lat.record_commit(value);
+        }
+        assert_eq!(lat.max_cycles, 14);
+        assert_eq!(lat.max_lag_rounds, 14);
+        // 14 lands in the [8, 15] bucket, whose edge is above the max.
+        assert_eq!(lat.histogram.percentile(0.99), 15);
+        assert_eq!(lat.p99_cycles(), 14);
+        assert_eq!(lat.commit_lag_p99_rounds(), 14);
+        assert_eq!(lat.commit_lag_p99_cycles(), 14 * lat.budget_cycles);
     }
 
     /// A backend whose decode step always panics — stands in for any

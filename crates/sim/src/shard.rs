@@ -1,75 +1,67 @@
-//! The sharded multi-tenant front end over [`DecodeService`]: the
-//! "millions of users" ingest fabric.
+//! The sharded multi-tenant front end over [`DecodeService`].
 //!
 //! One [`DecodeService`] owns one worker pool and one session table, and
 //! every ingest goes through `&mut self`. A [`ShardedDecodeService`]
-//! scales that out: it owns `N` internal service **shards**, each with
-//! its own session table, persistent pump pool, and — the point — its
-//! own lock-free [`IngestRing`]. A producer pushing a round touches only
-//! the ring of the session's shard ([`SessionId`]s route by
-//! `index % N`), so ingest from many threads proceeds without taking any
-//! shard's service lock, and tenants on different shards never contend
-//! at all.
+//! scales that out behind `&self`: it owns `N` internal service
+//! **shards**, each a [`DecodeService`] behind its own lock with its own
+//! session table and persistent pump pool. [`SessionId`]s route by
+//! `index % N`, so tenants on different shards never contend, and a
+//! push locks only its session's shard and delivers the round straight
+//! into the session inbox.
 //!
 //! # Ingest semantics
 //!
-//! Ring ingest is **fire-and-forget**: [`ShardedDecodeService::push_round`]
-//! enqueues and returns, and session-level failures surface at the next
+//! Ingest is **fire-and-forget**: [`ShardedDecodeService::push_round`]
+//! delivers and returns, and session-level failures surface at the next
 //! [`ShardedDecodeService::poll_corrections`] /
-//! [`ShardedDecodeService::close_session`] — exactly the shape of real
-//! control hardware, where the readout fan-in cannot wait for decoder
-//! state. Consequences:
+//! [`ShardedDecodeService::close_session`] — the shape of real control
+//! hardware, where the readout fan-in cannot wait for decoder state.
+//! Consequences:
 //!
 //! * A round for a session whose stream already failed (register
-//!   overflow) is discarded at drain time and **accounted**: the
-//!   session's [`SessionReport::rounds_dropped`] and the shard's
+//!   overflow) is discarded and **accounted**: the session's
+//!   [`SessionReport::rounds_dropped`] and the shard's
 //!   [`ShardStats::dropped`] both count it.
 //! * A round for a stale/unknown handle is discarded and counted in
 //!   [`ShardStats::dropped`] only (there is no session to bill).
-//! * A full ring exerts **backpressure**: the blocking push drains the
-//!   ring into the shard inline (paying the latency on the producer,
-//!   counted in [`ShardStats::stalls`]), then re-offers the round to the
-//!   ring — never around it, so per-session FIFO survives — and never
-//!   drops;
-//!   [`ShardedDecodeService::try_push_round`] instead returns
-//!   [`ServiceError::Backpressure`] and lets the caller choose.
+//! * A push that finds its shard's lock held waits for it (counted in
+//!   [`ShardStats::stalls`]) and never drops.
 //!
 //! # Determinism
 //!
 //! A session's corrections are a pure function of its round stream:
-//! rings preserve per-producer FIFO order, every session lives on
-//! exactly one shard, and each shard's pump preserves the solo service's
-//! guarantees — so per-session output is byte-identical across **any**
-//! shard count × pump-worker count combination (enforced in
-//! `tests/determinism.rs` over 1/2/8 workers × 1/2/4 shards).
+//! each producer's pushes land in its sessions' inboxes in call order,
+//! every session lives on exactly one shard, and each shard's pump
+//! preserves the solo service's guarantees — so per-session output is
+//! byte-identical across **any** shard count × pump-worker count
+//! combination (enforced in `tests/determinism.rs` over 1/2/8 workers ×
+//! 1/2/4 shards).
 //!
 //! # Telemetry
 //!
 //! With a [`TelemetryHandle`](qecool_obs::TelemetryHandle) enabled on
 //! the service config, every shard additionally maintains the
-//! per-shard `qecool_shard_enqueued_total` / `qecool_shard_drained_total`
-//! / `qecool_shard_stalls_total` / `qecool_shard_dropped_total` /
-//! `qecool_shard_backpressure_total` counters (labelled `shard="i"`),
-//! on top of the ring- and service-level series. All counters mirror
-//! accounting the fabric already performs — enabling them cannot change
-//! routing, ordering, or any decode result, so the byte-identity
-//! determinism guarantee holds with telemetry on.
+//! per-shard `qecool_shard_enqueued_total` / `qecool_shard_stalls_total`
+//! / `qecool_shard_dropped_total` counters (labelled `shard="i"`), on
+//! top of the service-level series. All counters mirror accounting the
+//! fabric already performs — enabling them cannot change routing,
+//! ordering, or any decode result, so the byte-identity determinism
+//! guarantee holds with telemetry on.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use qecool_obs::counters::thread_stripe;
 use qecool_obs::{Counter, MetricsRegistry};
-use qecool_surface_code::{DetectionRound, Edge, Lattice, LatticeError};
+use qecool_surface_code::{DetectionRound, Edge, LatticeError};
 
-use crate::ring::{IngestRing, RingTelemetry};
 use crate::service::{
     DecodeService, LatencyStats, Polled, ServiceConfig, ServiceError, SessionId, SessionReport,
 };
 
 /// Configuration of a [`ShardedDecodeService`]: the per-shard service
-/// configuration plus the fabric geometry.
+/// configuration plus the shard count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedServiceConfig {
     /// Configuration every shard's [`DecodeService`] is built from. Its
@@ -82,61 +74,33 @@ pub struct ShardedServiceConfig {
     pub service: ServiceConfig,
     /// Number of service shards (≥ 1).
     pub shards: usize,
-    /// Capacity of each shard's ingest ring, in rounds (rounded up to a
-    /// power of two by the ring).
-    pub ring_capacity: usize,
 }
 
-/// Default per-shard ring capacity: deep enough that a pump-per-round
-/// serving loop never stalls, shallow enough to bound a shard's
-/// buffered-round memory.
-pub const DEFAULT_RING_CAPACITY: usize = 1024;
-
 impl ShardedServiceConfig {
-    /// A sharded configuration with the default ring capacity.
+    /// A sharded configuration of `shards` shards.
     pub fn new(service: ServiceConfig, shards: usize) -> Self {
-        Self {
-            service,
-            shards,
-            ring_capacity: DEFAULT_RING_CAPACITY,
-        }
-    }
-
-    /// Overrides the per-shard ingest-ring capacity.
-    pub fn with_ring_capacity(mut self, ring_capacity: usize) -> Self {
-        self.ring_capacity = ring_capacity;
-        self
+        Self { service, shards }
     }
 }
 
 /// Snapshot of one shard's ingest accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Rounds accepted into the shard's ring (or delivered through the
-    /// backpressure fallback).
+    /// Rounds pushed to the shard.
     pub enqueued: u64,
-    /// Rounds drained from the ring into live sessions.
-    pub drained: u64,
-    /// Blocking pushes that found the ring full and drained it inline —
-    /// the backpressure events a capacity planner watches.
+    /// Pushes that found the shard's lock held (by a pump, poll, close
+    /// or another producer) and had to wait for it.
     pub stalls: u64,
-    /// Rounds discarded at drain: their session's stream had failed, or
+    /// Rounds discarded at push: their session's stream had failed, or
     /// their handle was stale/unknown.
     pub dropped: u64,
-    /// Non-blocking pushes ([`ShardedDecodeService::try_push_round`])
-    /// rejected because the ring was full. Unlike `stalls`, these rounds
-    /// were *not* delivered — the caller chose to hear about
-    /// backpressure instead of paying the inline drain.
-    pub backpressure: u64,
 }
 
 impl ShardStats {
     fn accumulate(&mut self, other: ShardStats) {
         self.enqueued += other.enqueued;
-        self.drained += other.drained;
         self.stalls += other.stalls;
         self.dropped += other.dropped;
-        self.backpressure += other.backpressure;
     }
 }
 
@@ -144,10 +108,8 @@ impl ShardStats {
 /// shard's atomic [`ShardStats`] accounting one-for-one.
 struct ShardTelemetry {
     enqueued: Arc<Counter>,
-    drained: Arc<Counter>,
     stalls: Arc<Counter>,
     dropped: Arc<Counter>,
-    backpressure: Arc<Counter>,
 }
 
 impl ShardTelemetry {
@@ -155,47 +117,25 @@ impl ShardTelemetry {
         let label = shard.to_string();
         let counter = |name, help| registry.counter_labeled(name, Some(("shard", &label)), help);
         Self {
-            enqueued: counter(
-                "qecool_shard_enqueued_total",
-                "Rounds accepted into this shard's ring",
-            ),
-            drained: counter(
-                "qecool_shard_drained_total",
-                "Rounds drained from this shard's ring into live sessions",
-            ),
+            enqueued: counter("qecool_shard_enqueued_total", "Rounds pushed to this shard"),
             stalls: counter(
                 "qecool_shard_stalls_total",
-                "Blocking pushes that found the ring full and drained inline",
+                "Pushes that waited for this shard's lock",
             ),
             dropped: counter(
                 "qecool_shard_dropped_total",
-                "Rounds discarded at drain (failed or stale sessions)",
-            ),
-            backpressure: counter(
-                "qecool_shard_backpressure_total",
-                "Non-blocking pushes rejected because the ring was full",
+                "Rounds discarded at push (failed or stale sessions)",
             ),
         }
     }
 }
 
-/// Per-drain delivery tally, flushed to the shard's atomics (and, when
-/// telemetry is on, the registry counters) once per drain batch.
-#[derive(Default)]
-struct DrainCounts {
-    drained: u64,
-    dropped: u64,
-}
-
-/// One shard: a solo service behind a lock, fed by a lock-free ring.
+/// One shard: a solo service behind a lock, plus its ingest accounting.
 struct Shard {
     service: Mutex<DecodeService>,
-    ring: IngestRing,
     enqueued: AtomicU64,
-    drained: AtomicU64,
     stalls: AtomicU64,
     dropped: AtomicU64,
-    backpressure: AtomicU64,
     obs: Option<ShardTelemetry>,
 }
 
@@ -203,11 +143,22 @@ impl Shard {
     fn stats(&self) -> ShardStats {
         ShardStats {
             enqueued: self.enqueued.load(Ordering::Relaxed),
-            drained: self.drained.load(Ordering::Relaxed),
             stalls: self.stalls.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
-            backpressure: self.backpressure.load(Ordering::Relaxed),
         }
+    }
+
+    /// Locks the service for a push, counting a stall when the lock is
+    /// already held.
+    fn lock_for_push(&self) -> MutexGuard<'_, DecodeService> {
+        if let Some(service) = self.service.try_lock() {
+            return service;
+        }
+        self.stalls.fetch_add(1, Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            obs.stalls.add(thread_stripe(), 1);
+        }
+        self.service.lock()
     }
 }
 
@@ -232,7 +183,7 @@ impl std::fmt::Debug for ShardedDecodeService {
 
 impl ShardedDecodeService {
     /// Builds the fabric: `shards` independent [`DecodeService`]s, each
-    /// with its own ingest ring and a slice of the worker budget.
+    /// with a slice of the worker budget.
     ///
     /// # Errors
     ///
@@ -243,7 +194,6 @@ impl ShardedDecodeService {
     /// Panics when `config.shards` is 0.
     pub fn new(config: ShardedServiceConfig) -> Result<Self, LatticeError> {
         assert!(config.shards >= 1, "shard count must be >= 1");
-        let width = Lattice::new(config.service.d)?.num_ancillas();
         // Divide the worker budget: `threads` is the fabric-wide cap, so
         // a shard gets its share (min 1) rather than the whole budget —
         // otherwise `--shards 8 --threads 8` would stand up 64 workers.
@@ -263,16 +213,9 @@ impl ShardedDecodeService {
             .map(|i| {
                 Ok(Shard {
                     service: Mutex::new(DecodeService::new(shard_config.clone())?),
-                    ring: IngestRing::with_telemetry(
-                        config.ring_capacity,
-                        width,
-                        registry.as_ref().map(RingTelemetry::new),
-                    ),
                     enqueued: AtomicU64::new(0),
-                    drained: AtomicU64::new(0),
                     stalls: AtomicU64::new(0),
                     dropped: AtomicU64::new(0),
-                    backpressure: AtomicU64::new(0),
                     obs: registry.as_ref().map(|r| ShardTelemetry::new(r, i)),
                 })
             })
@@ -329,153 +272,51 @@ impl ShardedDecodeService {
         self.globalize(local, shard)
     }
 
-    /// Delivers one drained ring round into the shard's service, with
-    /// drop accounting tallied into `counts` (the caller flushes the
-    /// batch once per drain). Caller holds the shard's service lock.
-    fn deliver(
-        &self,
-        service: &mut DecodeService,
-        id: SessionId,
-        round: &DetectionRound,
-        stamp_ns: u64,
-        counts: &mut DrainCounts,
-    ) {
+    /// Delivers one round into `id`'s session inbox under its shard's
+    /// lock. A push that finds the lock held waits for it, counted in
+    /// [`ShardStats::stalls`].
+    ///
+    /// Ingest is fire-and-forget: a failed or stale session's rounds are
+    /// discarded (and accounted), and the failure surfaces on the next
+    /// poll/close.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the round width does not match the fabric's lattice
+    /// (checked for live sessions, as [`DecodeService::push_round`]
+    /// does).
+    pub fn push_round(&self, id: SessionId, round: &DetectionRound) {
+        let shard = self.shard_for(id);
         let local = self.localize(id);
-        match service.push_round_stamped(local, round, Some(stamp_ns)) {
-            Ok(()) => counts.drained += 1,
+        let mut service = shard.lock_for_push();
+        shard.enqueued.fetch_add(1, Ordering::Relaxed);
+        let dropped = match service.push_round(local, round) {
+            Ok(()) => false,
             Err(ServiceError::Overflowed) => {
                 // The stream already failed; bill the drop to the
                 // session so its close report accounts for it.
                 let _ = service.record_dropped_round(local);
-                counts.dropped += 1;
+                true
             }
-            Err(_) => {
-                // Stale or never-opened handle: nothing to bill.
-                counts.dropped += 1;
-            }
-        }
-    }
-
-    /// Moves every queued ring round into the shard's session inboxes.
-    /// Accounting is batched: one atomic update per counter per drain,
-    /// not per round, keeping the drain loop itself atomic-free. Caller
-    /// holds the shard's service lock.
-    fn drain_ring(&self, shard: &Shard, service: &mut DecodeService) {
-        let mut counts = DrainCounts::default();
-        while shard
-            .ring
-            .pop_with_stamped(|id, round, stamp| {
-                self.deliver(service, id, round, stamp, &mut counts);
-            })
-            .is_some()
-        {}
-        if counts.drained > 0 {
-            shard.drained.fetch_add(counts.drained, Ordering::Relaxed);
-        }
-        if counts.dropped > 0 {
-            shard.dropped.fetch_add(counts.dropped, Ordering::Relaxed);
+            // Stale or never-opened handle: nothing to bill.
+            Err(ServiceError::UnknownSession) => true,
+        };
+        drop(service);
+        if dropped {
+            shard.dropped.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(obs) = &shard.obs {
-            if counts.drained > 0 || counts.dropped > 0 {
-                let stripe = thread_stripe();
-                if counts.drained > 0 {
-                    obs.drained.add(stripe, counts.drained);
-                }
-                if counts.dropped > 0 {
-                    obs.dropped.add(stripe, counts.dropped);
-                }
-            }
-        }
-    }
-
-    /// Enqueues one round for `id`'s session onto its shard's lock-free
-    /// ring — the multi-tenant hot path: no service lock is taken unless
-    /// the ring is full, in which case the push exerts backpressure by
-    /// draining the ring inline (counted in [`ShardStats::stalls`])
-    /// rather than dropping the round.
-    ///
-    /// Ingest is fire-and-forget: a failed or stale session's rounds are
-    /// discarded (and accounted) at drain time, and the failure surfaces
-    /// on the next poll/close.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the round width does not match the fabric's lattice.
-    pub fn push_round(&self, id: SessionId, round: &DetectionRound) {
-        let shard = self.shard_for(id);
-        shard.enqueued.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &shard.obs {
-            obs.enqueued.add(thread_stripe(), 1);
-        }
-        if shard.ring.try_push(id, round).is_ok() {
-            return;
-        }
-        // Backpressure: the producer pays for draining the ring into the
-        // shard, then re-offers the round — to the *ring*, never to the
-        // service directly. Every round must travel through the ring:
-        // delivering this one straight to the service would let it
-        // overtake an earlier round of the same session still queued in
-        // the ring, violating per-session FIFO (and with it the
-        // byte-identical determinism guarantee).
-        shard.stalls.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &shard.obs {
-            obs.stalls.add(thread_stripe(), 1);
-        }
-        loop {
-            {
-                let mut service = shard.service.lock();
-                self.drain_ring(shard, &mut service);
-            }
-            if shard.ring.try_push(id, round).is_ok() {
-                return;
-            }
-            // Other producers refilled the ring between our drain and
-            // push; yield and go again.
-            std::thread::yield_now();
-        }
-    }
-
-    /// Non-blocking variant of [`Self::push_round`]: a full ring returns
-    /// [`ServiceError::Backpressure`] (the round is not enqueued)
-    /// instead of draining inline, so a latency-critical producer never
-    /// touches a service lock.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Backpressure`] when the shard's ring is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the round width does not match the fabric's lattice.
-    pub fn try_push_round(
-        &self,
-        id: SessionId,
-        round: &DetectionRound,
-    ) -> Result<(), ServiceError> {
-        let shard = self.shard_for(id);
-        match shard.ring.try_push(id, round) {
-            Ok(()) => {
-                shard.enqueued.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = &shard.obs {
-                    obs.enqueued.add(thread_stripe(), 1);
-                }
-                Ok(())
-            }
-            Err(_) => {
-                shard.backpressure.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = &shard.obs {
-                    obs.backpressure.add(thread_stripe(), 1);
-                }
-                Err(ServiceError::Backpressure)
+            let stripe = thread_stripe();
+            obs.enqueued.add(stripe, 1);
+            if dropped {
+                obs.dropped.add(stripe, 1);
             }
         }
     }
 
     /// Batched ingest: pushes many rounds, possibly spanning many
     /// sessions and shards, in iteration order (per-session order is
-    /// preserved; that is the only order that matters). One call
-    /// amortises the routing over a whole readout batch — the shape a
-    /// fan-in stage wants.
+    /// preserved; that is the only order that matters).
     pub fn push_rounds<'a, I>(&self, batch: I)
     where
         I: IntoIterator<Item = (SessionId, &'a DetectionRound)>,
@@ -487,9 +328,7 @@ impl ShardedDecodeService {
 
     /// Decodes a session's pending rounds and returns the corrections
     /// emitted since the previous poll, together with the session's
-    /// commit watermark ([`Polled::committed_through`]). Drains the
-    /// session's shard ring first, so every round pushed before this
-    /// call is decoded by it.
+    /// commit watermark ([`Polled::committed_through`]).
     ///
     /// Returns an owned vector (the solo service hands out a borrow; a
     /// sharded fabric cannot, since the slice lives behind the shard
@@ -499,10 +338,9 @@ impl ShardedDecodeService {
     ///
     /// As [`DecodeService::poll_corrections`].
     pub fn poll_corrections(&self, id: SessionId) -> Result<Polled<Vec<Edge>>, ServiceError> {
-        let shard = self.shard_for(id);
-        let mut service = shard.service.lock();
-        self.drain_ring(shard, &mut service);
-        service
+        self.shard_for(id)
+            .service
+            .lock()
             .poll_corrections(self.localize(id))
             .map(|polled| Polled {
                 corrections: polled.corrections.to_vec(),
@@ -544,30 +382,26 @@ impl ShardedDecodeService {
             .is_overflowed(self.localize(id))
     }
 
-    /// Drains every shard's ring and drives every session's pending
-    /// rounds to completion on that shard's persistent worker pool.
-    /// Shards are pumped in index order; within a shard the solo
-    /// service's pump guarantees hold unchanged.
+    /// Drives every session's pending rounds to completion on that
+    /// shard's persistent worker pool. Shards are pumped in index order;
+    /// within a shard the solo service's pump guarantees hold unchanged.
     pub fn pump(&self) {
         for shard in &self.shards {
-            let mut service = shard.service.lock();
-            self.drain_ring(shard, &mut service);
-            service.pump();
+            shard.service.lock().pump();
         }
     }
 
-    /// Closes a session (draining its shard's ring first so every round
-    /// pushed before the close is part of the stream) and returns its
-    /// report, including [`SessionReport::rounds_dropped`].
+    /// Closes a session and returns its report, including
+    /// [`SessionReport::rounds_dropped`].
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownSession`] for stale handles.
     pub fn close_session(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
-        let shard = self.shard_for(id);
-        let mut service = shard.service.lock();
-        self.drain_ring(shard, &mut service);
-        service.close_session(self.localize(id))
+        self.shard_for(id)
+            .service
+            .lock()
+            .close_session(self.localize(id))
     }
 
     /// Number of currently open sessions across all shards.
@@ -618,7 +452,7 @@ mod tests {
     use super::*;
     use crate::service::ServiceBackend;
     use qecool_sfq::budget::CycleBudget;
-    use qecool_surface_code::{CodePatch, PhenomenologicalNoise};
+    use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -730,11 +564,10 @@ mod tests {
             ServiceError::UnknownSession
         );
         assert!(fabric.close_session(id).is_err());
-        // A push to the stale handle is fire-and-forget: accepted into
-        // the ring, discarded and accounted at drain.
+        // A push to the stale handle is fire-and-forget: discarded and
+        // accounted.
         let round = DetectionRound::zeros(Lattice::new(5).unwrap().num_ancillas());
         fabric.push_round(id, &round);
-        fabric.pump();
         let stats = fabric.shard_stats(id.shard_of(2) as usize);
         assert_eq!(stats.dropped, 1, "stale-handle round must be counted");
         // The recycled slot gets a fresh generation and works.
@@ -743,62 +576,35 @@ mod tests {
         assert!(fabric.poll_corrections(recycled).is_ok());
     }
 
+    /// A push that finds its shard locked waits, counts one stall, and
+    /// still delivers the round once the lock is released.
     #[test]
-    fn full_ring_backpressure_drains_inline_without_losing_rounds() {
-        let service = ServiceConfig::new(5, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9))
-            .with_threads(1);
-        // A 2-slot ring: the third push of a batch must stall, drain and
-        // still deliver every round in order.
-        let fabric =
-            ShardedDecodeService::new(ShardedServiceConfig::new(service, 1).with_ring_capacity(2))
-                .unwrap();
-        let lattice = Lattice::new(5).unwrap();
-        let id = fabric.open_session();
-        let mut patch = CodePatch::new(lattice.clone());
-        let noise = PhenomenologicalNoise::symmetric(0.05);
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        for _ in 0..10 {
-            let round = patch.noisy_round(&noise, &mut rng);
-            fabric.push_round(id, &round);
-        }
-        let stats = fabric.shard_stats(0);
-        assert!(stats.stalls > 0, "a 2-slot ring must backpressure");
-        let report = fabric.close_session(id).unwrap();
-        assert_eq!(report.rounds_ingested, 10, "backpressure must not drop");
-        assert_eq!(report.rounds_dropped, 0);
-        let stats = fabric.shard_stats(0);
-        assert_eq!(stats.drained, 10);
-        assert_eq!(stats.dropped, 0);
-    }
-
-    #[test]
-    fn try_push_reports_backpressure_instead_of_draining() {
-        let service = ServiceConfig::new(5, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9))
-            .with_threads(1);
-        let fabric =
-            ShardedDecodeService::new(ShardedServiceConfig::new(service, 1).with_ring_capacity(2))
-                .unwrap();
+    fn push_into_a_locked_shard_stalls_then_delivers() {
+        let fabric = fabric(1, 1);
         let id = fabric.open_session();
         let round = DetectionRound::zeros(Lattice::new(5).unwrap().num_ancillas());
-        assert!(fabric.try_push_round(id, &round).is_ok());
-        assert!(fabric.try_push_round(id, &round).is_ok());
-        assert_eq!(
-            fabric.try_push_round(id, &round),
-            Err(ServiceError::Backpressure)
-        );
-        // A pump makes room again.
-        fabric.pump();
-        assert!(fabric.try_push_round(id, &round).is_ok());
+        let held = fabric.shards[0].service.lock();
+        std::thread::scope(|scope| {
+            let producer = scope.spawn(|| fabric.push_round(id, &round));
+            while fabric.shard_stats(0).stalls == 0 {
+                std::thread::yield_now();
+            }
+            assert!(!producer.is_finished(), "the push must wait for the lock");
+            drop(held);
+            producer.join().unwrap();
+        });
+        let stats = fabric.shard_stats(0);
+        assert_eq!((stats.enqueued, stats.stalls, stats.dropped), (1, 1, 0));
+        let report = fabric.close_session(id).unwrap();
+        assert_eq!(report.rounds_ingested, 1, "the stalled round was delivered");
     }
 
-    /// Regression for the backpressure fallback reordering a session's
-    /// rounds: with a 2-slot ring and several concurrent producers the
-    /// fallback fires constantly while other producers' pushes are in
-    /// flight, so a fallback that bypassed the ring (or a drain that
-    /// stopped at a claimed-but-unpublished slot) would deliver rounds
-    /// out of per-session order and diverge from the sequential serve.
+    /// Per-session FIFO under lock contention: several producers push
+    /// into one shard at once, so their pushes keep finding the lock
+    /// held; a push that could overtake an earlier round of the same
+    /// session would diverge from the sequential serve.
     #[test]
-    fn backpressure_fallback_preserves_per_session_fifo_under_contention() {
+    fn lock_contention_preserves_per_session_fifo() {
         let lattice = Lattice::new(5).unwrap();
         let noise = PhenomenologicalNoise::symmetric(0.04);
         let sessions = 4usize;
@@ -814,13 +620,7 @@ mod tests {
             .collect();
 
         let serve = |concurrent: bool| -> Vec<Vec<Edge>> {
-            let service =
-                ServiceConfig::new(5, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9))
-                    .with_threads(2);
-            let fabric = ShardedDecodeService::new(
-                ShardedServiceConfig::new(service, 1).with_ring_capacity(2),
-            )
-            .unwrap();
+            let fabric = fabric(1, 2);
             let ids: Vec<SessionId> = (0..sessions).map(|_| fabric.open_session()).collect();
             if concurrent {
                 std::thread::scope(|scope| {
@@ -842,10 +642,6 @@ mod tests {
                 }
             }
             fabric.pump();
-            assert!(
-                !concurrent || fabric.shard_stats(0).stalls > 0,
-                "a 2-slot ring under 4 producers must exercise the fallback"
-            );
             (0..sessions)
                 .map(|s| fabric.close_session(ids[s]).unwrap().corrections)
                 .collect()
@@ -859,9 +655,9 @@ mod tests {
 
     #[test]
     fn concurrent_producers_feed_disjoint_sessions_deterministically() {
-        // 4 producer threads × 2 sessions each, pushed lock-free into a
-        // 2-shard fabric while the main thread pumps; the result must
-        // equal the single-threaded serve of the same streams.
+        // 4 producer threads × 2 sessions each, pushed into a 2-shard
+        // fabric while the main thread pumps; the result must equal the
+        // single-threaded serve of the same streams.
         let lattice = Lattice::new(5).unwrap();
         let noise = PhenomenologicalNoise::symmetric(0.04);
         let sessions = 8usize;

@@ -214,6 +214,24 @@ fn corrupted_and_mismatched_checkpoints_are_named_errors() {
     ));
 }
 
+/// Hostile nesting is a named parse error, never a stack overflow: the
+/// recursive-descent parser stops at its depth limit.
+#[test]
+fn deeply_nested_checkpoint_is_a_named_error() {
+    let deep = "[".repeat(300_000);
+    let err = qecool_repro::decoder::json::Json::parse(&deep).unwrap_err();
+    assert!(err.contains("nesting deeper than"), "{err}");
+
+    let engine = DecodeEngine::with_threads(1);
+    let path = temp_path("deep_nesting");
+    fs::write(&path, &deep).unwrap();
+    assert!(matches!(
+        CampaignRunner::resume(&engine, jobs(), config(), &path),
+        Err(CampaignError::Corrupt(_))
+    ));
+    let _ = fs::remove_file(&path);
+}
+
 #[test]
 fn campaign_equals_monolithic_run_batch_across_threads() {
     let batch: Vec<McJob> = jobs()

@@ -266,10 +266,7 @@ fn sharded_sessions_identical_with_telemetry_enabled() {
             let pushed = (sessions * (rounds + 1)) as u64;
             let decoded = (sessions * rounds) as u64;
             for (counter, expected) in [
-                ("qecool_ring_push_total", pushed),
-                ("qecool_ring_pop_total", pushed),
                 ("qecool_shard_enqueued_total", pushed),
-                ("qecool_shard_drained_total", pushed),
                 ("qecool_service_ingest_total", pushed),
                 ("qecool_service_rounds_decoded_total", decoded),
                 ("qecool_sessions_opened_total", sessions as u64),

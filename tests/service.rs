@@ -222,8 +222,8 @@ fn overflowed_session_lifecycle_on_the_solo_fast_path() {
 }
 
 /// The same lifecycle through the **sharded fabric with a real worker
-/// pool**: ring ingest is fire-and-forget, so the overflow surfaces at
-/// poll, post-overflow pushes drain into drop accounting instead of
+/// pool**: ingest is fire-and-forget, so the overflow surfaces at
+/// poll, post-overflow pushes go to drop accounting instead of
 /// vanishing, and the close report carries both verdict and drop count.
 #[test]
 fn overflowed_session_lifecycle_through_the_sharded_pool() {
@@ -266,7 +266,7 @@ fn overflowed_session_lifecycle_through_the_sharded_pool() {
         Err(ServiceError::Overflowed)
     ));
 
-    // Post-overflow rounds are fire-and-forget into the ring; they must
+    // Post-overflow rounds are fire-and-forget; they must
     // surface as drops in the close report, not vanish.
     let extra_rounds = 5u64;
     for _ in 0..extra_rounds {
