@@ -175,6 +175,33 @@ impl PackedHeader {
         (self.erasure_width as usize).div_ceil(64)
     }
 
+    /// Bytes of one round of one stream: its detector plane plus its
+    /// erasure plane, if any.
+    fn plane_bytes(&self) -> u64 {
+        (self.detector_words() as u64 + self.erasure_words() as u64) * 8
+    }
+
+    /// Rejects a header whose declared planes need more than the
+    /// `file_len − HEADER_LEN` bytes a file of `file_len` bytes holds.
+    fn check_fits(&self, file_len: u64) -> Result<(), PackedError> {
+        let available = file_len.saturating_sub(HEADER_LEN as u64);
+        let (rounds, streams, plane) = (self.rounds, self.streams, self.plane_bytes());
+        let declared = rounds
+            .checked_mul(u64::from(streams))
+            .and_then(|planes| planes.checked_mul(plane));
+        match declared {
+            Some(declared) if declared <= available => Ok(()),
+            Some(declared) => Err(PackedError::BadHeader(format!(
+                "{rounds} rounds x {streams} streams x {plane} plane bytes = {declared} bytes \
+                 declared, but only {available} bytes follow the header"
+            ))),
+            None => Err(PackedError::BadHeader(format!(
+                "{rounds} rounds x {streams} streams x {plane} plane bytes overflows u64, \
+                 but only {available} bytes follow the header"
+            ))),
+        }
+    }
+
     fn encode(&self) -> [u8; HEADER_LEN] {
         let mut out = [0u8; HEADER_LEN];
         out[0..8].copy_from_slice(&MAGIC);
@@ -403,13 +430,22 @@ pub struct PackedReader<R: Read> {
 }
 
 impl PackedReader<BufReader<File>> {
-    /// Opens `path` and validates the header.
+    /// Opens `path` and validates the header, including that the planes
+    /// it declares fit in the file — so a corrupt or hostile header can
+    /// never make a caller size buffers or sessions from it.
     ///
     /// # Errors
     ///
-    /// Any header validation or I/O failure.
+    /// [`PackedError::BadHeader`] when `rounds × streams × plane bytes`
+    /// overflows or exceeds the bytes after the header (the message
+    /// names both sizes), any other header validation failure, or any
+    /// I/O failure.
     pub fn open(path: &Path) -> Result<Self, PackedError> {
-        Self::new(BufReader::new(File::open(path)?))
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let reader = Self::new(BufReader::new(file))?;
+        reader.header.check_fits(file_len)?;
+        Ok(reader)
     }
 }
 
@@ -695,6 +731,39 @@ mod tests {
             PackedReader::new(Cursor::new(zero_streams)),
             Err(PackedError::BadHeader(_))
         ));
+    }
+
+    #[test]
+    fn open_rejects_headers_declaring_more_than_the_file_holds() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!(
+            "qecool_packed_bound_{}.qecpack",
+            std::process::id()
+        ));
+        // A valid recording opens.
+        let valid = record(20, 2, 0, &[(bits(20, &[1]), None), (bits(20, &[]), None)]);
+        std::fs::write(&path, &valid).unwrap();
+        assert_eq!(PackedReader::open(&path).unwrap().header().streams, 2);
+        // 48 bytes declaring 2^31 streams: 16 GiB of planes.
+        let mut hostile = record(20, 1, 0, &[(bits(20, &[]), None)]);
+        hostile[24..28].copy_from_slice(&(1u32 << 31).to_le_bytes());
+        assert_eq!(hostile.len(), 48);
+        std::fs::write(&path, &hostile).unwrap();
+        match PackedReader::open(&path) {
+            Err(PackedError::BadHeader(why)) => {
+                assert!(why.contains("17179869184 bytes declared"), "{why}");
+                assert!(why.contains("only 8 bytes"), "{why}");
+            }
+            other => panic!("expected BadHeader, got {other:?}"),
+        }
+        // A product past u64 is caught, not wrapped.
+        hostile[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &hostile).unwrap();
+        match PackedReader::open(&path) {
+            Err(PackedError::BadHeader(why)) => assert!(why.contains("overflows"), "{why}"),
+            other => panic!("expected BadHeader, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -14,6 +14,39 @@
 //!
 //! Spatial tree edges emit data-qubit corrections (XOR-accumulated per
 //! qubit across rounds); temporal edges absorb measurement errors.
+//!
+//! # Cost
+//!
+//! Work grows with the defects and the edges their clusters touch, not
+//! with the window: no step scans the whole graph.
+//!
+//! * **Set-up.** Detection events are unpacked from set bits only, and a
+//!   defect-free window returns before anything graph-sized is
+//!   allocated. The graph is index arithmetic ([`DecodingGraph`]), so it
+//!   costs nothing to build. The scratch is a few flat arrays allocated
+//!   per decode; zeroing them is the only O(graph) work, a memset.
+//! * **Growth.** Each step lists the distinct active roots by walking the
+//!   defect list, then visits only the incident edges of those clusters'
+//!   members (intrusive member lists spliced on union, and a per-step
+//!   edge stamp so an edge is examined once per step): O(defects +
+//!   active cluster size) per step. Every increment is computed from the
+//!   clusters as they stood at the start of the step and the unions are
+//!   applied after the scan, so the edges fused at each step are exactly
+//!   those a scan of the whole graph would fuse.
+//!   [`UfComponentOutcome::edges_scanned`] counts the edges examined.
+//! * **Peeling.** Unions happen on erasure edges only, so the clusters
+//!   that hold defects are exactly the erasure's components. Each tree is
+//!   rooted at its cluster's lowest boundary stub, else its lowest cell,
+//!   and the trees are peeled in that root order — the order a sweep over
+//!   all boundary nodes, then all nodes, would find them. A node's
+//!   erasure edges are its incident edges with full support, which
+//!   [`DecodingGraph::incident`] lists in ascending edge index. Each
+//!   component's flipped qubits are collected in a list and XOR-reduced
+//!   by sorting, so corrections stay sorted by qubit. Peeling touches
+//!   only the erasure's nodes.
+//!
+//! Union-by-size with path compression keeps the cluster operations
+//! near-constant amortised (inverse Ackermann).
 
 use crate::dsu::ClusterSets;
 use crate::graph::{DecodingGraph, GraphEdgeKind};
@@ -28,6 +61,9 @@ pub struct UfOutcome {
     pub growth_steps: usize,
     /// Number of fully-grown (erasure) edges handed to the peeler.
     pub erasure_edges: usize,
+    /// Decoding-graph edges the growth phase examined; see
+    /// [`UfComponentOutcome::edges_scanned`].
+    pub edges_scanned: usize,
 }
 
 impl UfOutcome {
@@ -45,7 +81,7 @@ impl UfOutcome {
 /// callers use the per-component granularity to decide which matches to
 /// *commit* (a component whose earliest defect round falls inside the
 /// commit stride) and which to leave tentative for the next window.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UfComponent {
     /// Data-qubit corrections contributed by this component
     /// (XOR-reduced within the component, sorted by qubit index).
@@ -76,6 +112,11 @@ pub struct UfComponentOutcome {
     pub growth_steps: usize,
     /// Number of fully-grown (erasure) edges handed to the peeler.
     pub erasure_edges: usize,
+    /// Decoding-graph edges the growth phase examined, summed over growth
+    /// steps (an edge counts at most once per step). It depends only on
+    /// the active clusters, not on the window length: 0 for a
+    /// defect-free history.
+    pub edges_scanned: usize,
 }
 
 /// Union-find decoder over a [`SyndromeHistory`] (batch decoding).
@@ -127,21 +168,16 @@ impl UnionFindDecoder {
     /// size.
     pub fn decode(&self, history: &SyndromeHistory) -> UfOutcome {
         let parts = self.decode_components(history);
-        let mut qubit_parity = vec![false; self.lattice.num_data_qubits()];
-        for comp in &parts.components {
-            for e in &comp.corrections {
-                qubit_parity[e.index()] ^= true;
-            }
-        }
-        let corrections: Vec<Edge> = qubit_parity
+        let mut flips: Vec<usize> = parts
+            .components
             .iter()
-            .enumerate()
-            .filter_map(|(q, &on)| on.then_some(Edge(q)))
+            .flat_map(|c| c.corrections.iter().map(|e| e.index()))
             .collect();
         UfOutcome {
-            corrections,
+            corrections: xor_reduce(&mut flips),
             growth_steps: parts.growth_steps,
             erasure_edges: parts.erasure_edges,
+            edges_scanned: parts.edges_scanned,
         }
     }
 
@@ -164,162 +200,332 @@ impl UnionFindDecoder {
             self.lattice.num_ancillas(),
             "history lattice does not match decoder lattice"
         );
-        let num_ancillas = self.lattice.num_ancillas();
         let graph = DecodingGraph::new(&self.lattice, history.num_rounds());
-        let n = graph.num_nodes();
-
-        // Defects and cluster bookkeeping.
-        let mut defect = vec![false; n];
-        let mut sets = ClusterSets::new(n);
-        for (t, round) in history.iter().enumerate() {
-            for idx in round.events().iter_ones() {
-                let node = graph.cell(idx, t);
-                defect[node] = true;
-                sets.set_defect(node);
-            }
-        }
-        for node in 0..n {
-            if graph.is_boundary(node) {
-                sets.set_boundary(node);
-            }
-        }
-        let defects: Vec<usize> = (0..n).filter(|&v| defect[v]).collect();
+        // Detection events in ascending node order, from set bits only.
+        let defects: Vec<usize> = history
+            .iter()
+            .enumerate()
+            .flat_map(|(t, round)| round.events().iter_ones().map(move |a| graph.cell(a, t)))
+            .collect();
         if defects.is_empty() {
             return UfComponentOutcome::default();
         }
 
-        // Phase 1: grow active clusters until neutral.
-        let mut support = vec![0u8; graph.edges().len()];
-        let mut growth_steps = 0;
-        loop {
-            if !defects.iter().any(|&v| sets.is_active(v)) {
-                break;
-            }
-            growth_steps += 1;
-            let mut fused: Vec<usize> = Vec::new();
-            for (i, e) in graph.edges().iter().enumerate() {
-                if support[i] >= 2 {
-                    continue;
-                }
-                let inc =
-                    u8::from(sets.is_active(e.u as usize)) + u8::from(sets.is_active(e.v as usize));
-                if inc == 0 {
-                    continue;
-                }
-                support[i] = (support[i] + inc).min(2);
-                if support[i] == 2 {
-                    fused.push(i);
-                }
-            }
-            assert!(
-                !fused.is_empty() || growth_steps < 2 * graph.num_nodes(),
-                "union-find growth stalled"
-            );
-            for i in fused {
-                let e = graph.edges()[i];
-                sets.union(e.u as usize, e.v as usize);
-            }
+        let mut sets = ClusterSets::new(graph.num_nodes());
+        for &v in &defects {
+            sets.set_defect(v);
         }
-
-        // Phase 2: peel the erasure.
-        let erasure: Vec<usize> = (0..support.len()).filter(|&i| support[i] == 2).collect();
-        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for &i in &erasure {
-            let e = graph.edges()[i];
-            adj[e.u as usize].push((e.v, i as u32));
-            adj[e.v as usize].push((e.u, i as u32));
+        for v in graph.first_boundary_node()..graph.num_nodes() {
+            sets.set_boundary(v);
         }
-
-        let mut visited = vec![false; n];
-        let mut components: Vec<UfComponent> = Vec::new();
-        // Roots: boundary nodes first so defects can drain into them.
-        let boundary_roots = (0..n).filter(|&v| graph.is_boundary(v));
-        let all_roots: Vec<usize> = boundary_roots.chain(0..n).collect();
-        for root in all_roots {
-            if visited[root] || adj[root].is_empty() {
-                continue;
-            }
-            // BFS spanning tree of this erasure component.
-            let mut order: Vec<usize> = vec![root];
-            let mut parent_edge: Vec<Option<(usize, u32)>> = vec![None; n];
-            visited[root] = true;
-            let mut head = 0;
-            while head < order.len() {
-                let v = order[head];
-                head += 1;
-                for &(w, ei) in &adj[v] {
-                    let w = w as usize;
-                    if !visited[w] {
-                        visited[w] = true;
-                        parent_edge[w] = Some((v, ei));
-                        order.push(w);
-                    }
-                }
-            }
-            // The detection events this component explains, in BFS
-            // discovery order (boundary stubs never carry defects).
-            let comp_defects: Vec<(usize, usize)> = order
-                .iter()
-                .filter(|&&v| defect[v])
-                .map(|&v| (v % num_ancillas, v / num_ancillas))
-                .collect();
-            // Peel leaf-first (reverse BFS order).
-            let mut qubit_parity = vec![false; self.lattice.num_data_qubits()];
-            let mut carry = defect.clone();
-            for &v in order.iter().skip(1).rev() {
-                if carry[v] {
-                    let (p, ei) = parent_edge[v].expect("non-root has a parent");
-                    carry[v] = false;
-                    carry[p] = !carry[p];
-                    if let GraphEdgeKind::Data(q) = graph.edges()[ei as usize].kind {
-                        qubit_parity[q.index()] ^= true;
-                    }
-                }
-            }
-            // Defects drained into this component's root must end on a
-            // boundary (or cancel) — otherwise the cluster was not neutral.
-            assert!(
-                !carry[root] || graph.is_boundary(root),
-                "peeling left a defect on a non-boundary root"
-            );
-            // Components are disjoint; clear the processed nodes so the
-            // trailing debug_assert can certify full coverage.
-            for &v in &order {
-                defect[v] = false;
-            }
-            // Defect-free components contribute no corrections (nothing
-            // to carry) — keep only those that explain real events.
-            if !comp_defects.is_empty() {
-                let corrections: Vec<Edge> = qubit_parity
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(q, &on)| on.then_some(Edge(q)))
-                    .collect();
-                components.push(UfComponent {
-                    corrections,
-                    defects: comp_defects,
-                });
-            }
-        }
-        debug_assert!(
-            defect.iter().all(|&d| !d),
-            "some defect was outside every erasure component"
-        );
-
+        let growth = grow(&graph, &mut sets, &defects);
+        let components = peel(&graph, &mut sets, &defects, &growth.support);
         UfComponentOutcome {
             components,
-            growth_steps,
-            erasure_edges: erasure.len(),
+            growth_steps: growth.steps,
+            erasure_edges: growth.erasure_edges,
+            edges_scanned: growth.edges_scanned,
         }
     }
+}
+
+/// What the growth phase hands to the peeler.
+struct Growth {
+    /// Half-edges grown per edge; 2 marks an erasure edge.
+    support: Vec<u8>,
+    erasure_edges: usize,
+    steps: usize,
+    edges_scanned: usize,
+}
+
+/// Phase 1: grows the active clusters until every cluster is neutral.
+fn grow(graph: &DecodingGraph, sets: &mut ClusterSets, defects: &[usize]) -> Growth {
+    let mut support = vec![0u8; graph.num_edges()];
+    // The growth step that last examined each edge.
+    let mut stamp = vec![0u32; graph.num_edges()];
+    let mut roots: Vec<usize> = Vec::new();
+    let mut members: Vec<usize> = Vec::new();
+    // Endpoints of the edges fused in the current step.
+    let mut fused: Vec<(usize, usize)> = Vec::new();
+    let mut erasure_edges = 0;
+    let mut steps = 0;
+    let mut edges_scanned = 0;
+    loop {
+        // Every active cluster has odd parity, so holds a defect.
+        roots.clear();
+        for &v in defects {
+            if sets.is_active(v) {
+                roots.push(sets.find(v));
+            }
+        }
+        if roots.is_empty() {
+            break;
+        }
+        roots.sort_unstable();
+        roots.dedup();
+        steps += 1;
+        let step = u32::try_from(steps).expect("growth steps fit in u32");
+        members.clear();
+        for &root in &roots {
+            members.extend(sets.members(root));
+        }
+        // No union happens during the scan, so every increment sees the
+        // clusters as they stood at the start of the step.
+        fused.clear();
+        for &x in &members {
+            for (e, w) in graph.incident(x) {
+                if stamp[e] == step {
+                    continue;
+                }
+                stamp[e] = step;
+                edges_scanned += 1;
+                if support[e] >= 2 {
+                    continue;
+                }
+                // `x` belongs to an active cluster.
+                let inc = 1 + u8::from(sets.is_active(w));
+                support[e] = (support[e] + inc).min(2);
+                if support[e] == 2 {
+                    fused.push((x, w));
+                }
+            }
+        }
+        assert!(
+            !fused.is_empty() || steps < 2 * graph.num_nodes(),
+            "union-find growth stalled"
+        );
+        erasure_edges += fused.len();
+        for &(u, v) in &fused {
+            sets.union(u, v);
+        }
+    }
+    Growth {
+        support,
+        erasure_edges,
+        steps,
+        edges_scanned,
+    }
+}
+
+/// Phase 2: peels a spanning forest of the erasure into components.
+fn peel(
+    graph: &DecodingGraph,
+    sets: &mut ClusterSets,
+    defects: &[usize],
+    support: &[u8],
+) -> Vec<UfComponent> {
+    let n = graph.num_nodes();
+    let na = graph.num_ancillas();
+    // Unions happen on erasure edges only, so the clusters holding
+    // defects are exactly the erasure's components. Each tree is rooted
+    // at its component's lowest boundary stub, else its lowest cell, and
+    // the trees are peeled in that root order (boundary roots first).
+    let root_key = |v: usize| (!graph.is_boundary(v), v);
+    let mut clusters: Vec<usize> = defects.iter().map(|&v| sets.find(v)).collect();
+    clusters.sort_unstable();
+    clusters.dedup();
+    let mut roots: Vec<usize> = clusters
+        .iter()
+        .map(|&c| {
+            sets.members(c)
+                .min_by_key(|&v| root_key(v))
+                .expect("a cluster has members")
+        })
+        .collect();
+    roots.sort_unstable_by_key(|&v| root_key(v));
+
+    // `carry[v]`: v holds an unpaired defect (the defects themselves,
+    // until peeling moves them).
+    let mut carry = vec![false; n];
+    for &v in defects {
+        carry[v] = true;
+    }
+    let mut visited = vec![false; n];
+    let mut parent: Vec<(u32, u32)> = vec![(0, 0); n];
+    let mut order: Vec<usize> = Vec::new();
+    let mut flips: Vec<usize> = Vec::new();
+    let mut components: Vec<UfComponent> = Vec::with_capacity(roots.len());
+    for root in roots {
+        // BFS spanning tree of this erasure component, visiting each
+        // node's erasure edges in ascending edge index.
+        order.clear();
+        order.push(root);
+        visited[root] = true;
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for (e, w) in graph.incident(v) {
+                if support[e] == 2 && !visited[w] {
+                    visited[w] = true;
+                    parent[w] = (v as u32, e as u32);
+                    order.push(w);
+                }
+            }
+        }
+        // The detection events this component explains, in BFS
+        // discovery order (boundary stubs never carry defects).
+        let comp_defects: Vec<(usize, usize)> = order
+            .iter()
+            .filter(|&&v| carry[v])
+            .map(|&v| (v % na, v / na))
+            .collect();
+        // Peel leaf-first (reverse BFS order).
+        flips.clear();
+        for &v in order.iter().skip(1).rev() {
+            if carry[v] {
+                let (p, e) = parent[v];
+                carry[v] = false;
+                carry[p as usize] ^= true;
+                if let GraphEdgeKind::Data(q) = graph.edge(e as usize).kind {
+                    flips.push(q.index());
+                }
+            }
+        }
+        // Defects drained into this component's root must end on a
+        // boundary (or cancel) — otherwise the cluster was not neutral.
+        assert!(
+            !carry[root] || graph.is_boundary(root),
+            "peeling left a defect on a non-boundary root"
+        );
+        components.push(UfComponent {
+            corrections: xor_reduce(&mut flips),
+            defects: comp_defects,
+        });
+    }
+    debug_assert_eq!(
+        components.iter().map(|c| c.defects.len()).sum::<usize>(),
+        defects.len(),
+        "a cluster's defects were not all in its erasure component"
+    );
+    components
+}
+
+/// The qubits flipped an odd number of times, ascending.
+fn xor_reduce(qubits: &mut [usize]) -> Vec<Edge> {
+    qubits.sort_unstable();
+    qubits
+        .chunk_by(|a, b| a == b)
+        .filter(|run| run.len() % 2 == 1)
+        .map(|run| Edge(run[0]))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qecool_surface_code::{Ancilla, PhenomenologicalNoise};
+    use crate::reference;
+    use proptest::prelude::*;
+    use qecool_surface_code::{Ancilla, BitVec, DetectionRound, NoiseSpec, PhenomenologicalNoise};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Decodes `h` with the decoder and with the full-scan reference and
+    /// asserts they agree on everything but the work counter.
+    fn assert_matches_reference(lat: &Lattice, h: &SyndromeHistory) -> UfComponentOutcome {
+        let fast = UnionFindDecoder::new(lat.clone()).decode_components(h);
+        let slow = reference::decode_components(lat, h);
+        assert_eq!(fast.components, slow.components);
+        assert_eq!(fast.growth_steps, slow.growth_steps);
+        assert_eq!(fast.erasure_edges, slow.erasure_edges);
+        assert!(fast.edges_scanned <= slow.edges_scanned);
+        fast
+    }
+
+    fn history_of(lat: &Lattice, rounds: &[BitVec]) -> SyndromeHistory {
+        let mut h = SyndromeHistory::new(lat.clone());
+        for r in rounds {
+            h.push(DetectionRound::new(r.clone()));
+        }
+        h
+    }
+
+    fn lit(lat: &Lattice, ancillas: &[Ancilla]) -> BitVec {
+        let mut bits = BitVec::zeros(lat.num_ancillas());
+        for &a in ancillas {
+            bits.set(lat.ancilla_index(a), true);
+        }
+        bits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn decode_components_matches_the_reference(
+            d in prop_oneof![Just(3usize), Just(5), Just(7), Just(9), Just(13)],
+            rounds_seed in any::<u64>(),
+            p in 0.0f64..0.1,
+            family in 0usize..4,
+            close in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let lat = Lattice::new(d).unwrap();
+            let rounds = 1 + (rounds_seed % (3 * d as u64 + 1)) as usize;
+            let noise = match family {
+                0 => NoiseSpec::Phenomenological { p },
+                1 => NoiseSpec::Biased { p, eta: 0.5 },
+                2 => NoiseSpec::Burst { p, burst: p / 4.0, mean_len: 3.0 },
+                _ => NoiseSpec::CodeCapacity { p },
+            }
+            .build();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut patch = CodePatch::new(lat.clone());
+            let mut h = SyndromeHistory::new(lat.clone());
+            for r in 0..rounds {
+                if close && r + 1 == rounds {
+                    h.push(patch.perfect_round());
+                } else {
+                    h.push(patch.noisy_round(&noise, &mut rng));
+                }
+            }
+            assert_matches_reference(&lat, &h);
+        }
+    }
+
+    #[test]
+    fn fixed_cases_match_the_reference() {
+        let lat = Lattice::new(5).unwrap();
+        let quiet = BitVec::zeros(lat.num_ancillas());
+        let mut all = BitVec::zeros(lat.num_ancillas());
+        for a in 0..lat.num_ancillas() {
+            all.set(a, true);
+        }
+        // An empty history: no growth, no work.
+        let out = assert_matches_reference(&lat, &history_of(&lat, &vec![quiet.clone(); 4]));
+        assert!(out.components.is_empty());
+        assert_eq!(out.edges_scanned, 0);
+        // A single defect next to the west boundary drains into it.
+        let single = lit(&lat, &[Ancilla::new(2, 0)]);
+        let out = assert_matches_reference(&lat, &history_of(&lat, &[single]));
+        assert_eq!(out.components.len(), 1);
+        assert_eq!(
+            out.components[0].corrections,
+            vec![lat.horizontal_edge(2, 0)]
+        );
+        // A fully lit round, alone and between quiet rounds.
+        assert_matches_reference(&lat, &history_of(&lat, &[all.clone()]));
+        assert_matches_reference(&lat, &history_of(&lat, &[quiet.clone(), all, quiet]));
+    }
+
+    #[test]
+    fn growth_work_is_independent_of_window_length() {
+        // Growth touches only the active clusters: the same adjacent
+        // defect pair scans the same edges in a 13- and a 39-round
+        // window — the 11 distinct edges around two interior cells.
+        let lat = Lattice::new(13).unwrap();
+        let quiet = BitVec::zeros(lat.num_ancillas());
+        let pair = lit(&lat, &[Ancilla::new(6, 5), Ancilla::new(6, 6)]);
+        let scanned = |rounds: usize| {
+            let mut layers = vec![quiet.clone(); rounds];
+            layers[6] = pair.clone();
+            assert_matches_reference(&lat, &history_of(&lat, &layers)).edges_scanned
+        };
+        assert_eq!(scanned(13), 11);
+        assert_eq!(scanned(39), 11);
+        let h = history_of(&lat, &vec![quiet; 39]);
+        assert_eq!(UnionFindDecoder::new(lat).decode(&h).edges_scanned, 0);
+    }
 
     fn single_round(patch: &mut CodePatch) -> SyndromeHistory {
         let mut h = SyndromeHistory::new(patch.lattice().clone());

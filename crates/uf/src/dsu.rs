@@ -1,8 +1,14 @@
 //! Disjoint-set union with the cluster metadata the union-find decoder
-//! tracks: defect parity and boundary contact.
+//! tracks: defect parity, boundary contact, and each cluster's members.
+
+/// End-of-list marker for the intrusive member lists.
+const NONE: u32 = u32::MAX;
 
 /// Union-find over `n` elements with union-by-size and path compression,
-/// carrying per-cluster defect parity and a touches-boundary flag.
+/// carrying per-cluster defect parity, a touches-boundary flag, and an
+/// intrusive singly linked list of the cluster's members (headed by the
+/// root, spliced in O(1) on union) so growth can walk exactly the
+/// members of the clusters it grows.
 #[derive(Debug, Clone)]
 pub struct ClusterSets {
     parent: Vec<u32>,
@@ -11,6 +17,10 @@ pub struct ClusterSets {
     odd: Vec<bool>,
     /// Whether the cluster contains a boundary node (valid at roots).
     boundary: Vec<bool>,
+    /// Next member of the same cluster, or [`NONE`].
+    next: Vec<u32>,
+    /// Last member of the cluster rooted here (valid at roots).
+    tail: Vec<u32>,
 }
 
 impl ClusterSets {
@@ -22,6 +32,8 @@ impl ClusterSets {
             size: vec![1; n],
             odd: vec![false; n],
             boundary: vec![false; n],
+            next: vec![NONE; n],
+            tail: (0..n as u32).collect(),
         }
     }
 
@@ -86,7 +98,24 @@ impl ClusterSets {
         let parity = self.odd[big] ^ self.odd[small];
         self.odd[big] = parity;
         self.boundary[big] |= self.boundary[small];
+        let big_tail = self.tail[big] as usize;
+        self.next[big_tail] = small as u32;
+        self.tail[big] = self.tail[small];
         big
+    }
+
+    /// The members of the cluster rooted at `root`, starting with the
+    /// root itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not a cluster root.
+    pub fn members(&self, root: usize) -> impl Iterator<Item = usize> + '_ {
+        assert_eq!(self.parent[root] as usize, root, "members of a non-root");
+        std::iter::successors(Some(root), |&x| {
+            let next = self.next[x];
+            (next != NONE).then_some(next as usize)
+        })
     }
 
     /// Whether `x`'s cluster still needs to grow: odd defect parity and no
@@ -162,6 +191,21 @@ mod tests {
         for i in 1..10 {
             assert_eq!(s.find(i), root);
         }
+    }
+
+    #[test]
+    fn member_lists_follow_unions() {
+        let mut s = ClusterSets::new(6);
+        assert_eq!(s.members(4).collect::<Vec<_>>(), vec![4]);
+        s.union(0, 1);
+        s.union(2, 3);
+        s.union(3, 5);
+        let root = s.union(1, 5);
+        let mut members: Vec<usize> = s.members(root).collect();
+        assert_eq!(members[0], root, "the root heads its list");
+        members.sort_unstable();
+        assert_eq!(members, vec![0, 1, 2, 3, 5]);
+        assert_eq!(s.members(4).collect::<Vec<_>>(), vec![4]);
     }
 
     #[test]

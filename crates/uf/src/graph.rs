@@ -14,6 +14,25 @@
 //!   that data-qubit correction;
 //! * **temporal** edges — same ancilla, adjacent rounds; peeling one
 //!   asserts a measurement error, no data correction.
+//!
+//! # Index arithmetic
+//!
+//! Nothing is stored: every node and edge is a number, and endpoints and
+//! incidence are computed from the lattice geometry on demand, so a graph
+//! costs two integers however many rounds it spans. With `na` ancillas
+//! and `nq` data qubits per round:
+//!
+//! * cell `(a, t)` is node `t·na + a`;
+//! * the boundary stubs follow the cells, `2d` per round: the stub of
+//!   row `r`'s west (east) boundary qubit in round `t` is node
+//!   `rounds·na + t·2d + 2r` (`+ 2r + 1`);
+//! * the edges of round `t` are the spatial edges `t·(nq+na) + q`, then
+//!   the temporal edges `t·(nq+na) + nq + a` to round `t + 1` (the last
+//!   round has none, so the edge count is `rounds·nq + (rounds−1)·na`).
+//!
+//! Endpoint lookup is O(1), and every node has at most six incident edges
+//! (four spatial, two temporal), listed with their far ends in ascending
+//! edge index.
 
 use qecool_surface_code::{Edge, Lattice};
 
@@ -27,7 +46,7 @@ pub enum GraphEdgeKind {
 }
 
 /// One undirected decoding-graph edge.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphEdge {
     /// First endpoint (node index).
     pub u: u32,
@@ -37,86 +56,46 @@ pub struct GraphEdge {
     pub kind: GraphEdgeKind,
 }
 
-/// The decoding graph for a lattice and a window of `rounds` layers.
-#[derive(Debug, Clone)]
+/// The decoding graph for a lattice and a window of `rounds` layers,
+/// computed from indices (see the module docs for the numbering).
+#[derive(Debug, Clone, Copy)]
 pub struct DecodingGraph {
+    d: usize,
     rounds: usize,
-    num_ancillas: usize,
-    num_nodes: usize,
-    first_boundary_node: usize,
-    edges: Vec<GraphEdge>,
-    /// Incident edge indices per node.
-    incident: Vec<Vec<u32>>,
 }
 
 impl DecodingGraph {
-    /// Builds the graph for `rounds` measurement layers on `lattice`.
+    /// The graph for `rounds` measurement layers on `lattice`.
     ///
     /// # Panics
     ///
     /// Panics if `rounds == 0`.
     pub fn new(lattice: &Lattice, rounds: usize) -> Self {
         assert!(rounds > 0, "need at least one measurement round");
-        let na = lattice.num_ancillas();
-        let cell_nodes = na * rounds;
-        let mut edges: Vec<GraphEdge> = Vec::new();
-        let mut next_boundary = cell_nodes;
-
-        for t in 0..rounds {
-            let base = t * na;
-            // Spatial edges: every data qubit of the round.
-            for q in 0..lattice.num_data_qubits() {
-                let e = Edge(q);
-                let (a, b) = lattice.endpoints(e);
-                let u = (base + lattice.ancilla_index(a)) as u32;
-                match b {
-                    Some(b) => {
-                        let v = (base + lattice.ancilla_index(b)) as u32;
-                        edges.push(GraphEdge {
-                            u,
-                            v,
-                            kind: GraphEdgeKind::Data(e),
-                        });
-                    }
-                    None => {
-                        // Boundary edge: a fresh virtual node keeps each
-                        // boundary stub distinct.
-                        let v = next_boundary as u32;
-                        next_boundary += 1;
-                        edges.push(GraphEdge {
-                            u,
-                            v,
-                            kind: GraphEdgeKind::Data(e),
-                        });
-                    }
-                }
-            }
-            // Temporal edges to the next round.
-            if t + 1 < rounds {
-                for a in 0..na {
-                    edges.push(GraphEdge {
-                        u: (base + a) as u32,
-                        v: (base + na + a) as u32,
-                        kind: GraphEdgeKind::Measurement,
-                    });
-                }
-            }
-        }
-
-        let num_nodes = next_boundary;
-        let mut incident = vec![Vec::new(); num_nodes];
-        for (i, e) in edges.iter().enumerate() {
-            incident[e.u as usize].push(i as u32);
-            incident[e.v as usize].push(i as u32);
-        }
         Self {
+            d: lattice.distance(),
             rounds,
-            num_ancillas: na,
-            num_nodes,
-            first_boundary_node: cell_nodes,
-            edges,
-            incident,
         }
+    }
+
+    /// Ancillas per round (`d · (d − 1)`).
+    pub(crate) fn num_ancillas(&self) -> usize {
+        self.d * (self.d - 1)
+    }
+
+    /// Data qubits per round (`d² + (d − 1)²`).
+    fn num_qubits(&self) -> usize {
+        self.d * self.d + (self.d - 1) * (self.d - 1)
+    }
+
+    /// Edge-index stride between consecutive rounds.
+    fn stride(&self) -> usize {
+        self.num_qubits() + self.num_ancillas()
+    }
+
+    /// First virtual boundary node.
+    pub(crate) fn first_boundary_node(&self) -> usize {
+        self.rounds * self.num_ancillas()
     }
 
     /// Number of measurement rounds covered.
@@ -126,17 +105,119 @@ impl DecodingGraph {
 
     /// Total node count (cells + virtual boundary nodes).
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.first_boundary_node() + self.rounds * 2 * self.d
     }
 
-    /// All edges.
-    pub fn edges(&self) -> &[GraphEdge] {
-        &self.edges
+    /// Total edge count (spatial + temporal).
+    pub fn num_edges(&self) -> usize {
+        self.rounds * self.num_qubits() + (self.rounds - 1) * self.num_ancillas()
     }
 
-    /// Edge indices incident to `node`.
-    pub fn incident(&self, node: usize) -> &[u32] {
-        &self.incident[node]
+    /// Edge `i`: its endpoints and physical meaning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.num_edges()`.
+    pub fn edge(&self, i: usize) -> GraphEdge {
+        assert!(i < self.num_edges(), "edge {i} out of range");
+        let (t, r) = (i / self.stride(), i % self.stride());
+        let nq = self.num_qubits();
+        let (u, v, kind) = if r < nq {
+            let (u, v) = self.spatial_endpoints(r, t);
+            (u, v, GraphEdgeKind::Data(Edge(r)))
+        } else {
+            let node = t * self.num_ancillas() + (r - nq);
+            (node, node + self.num_ancillas(), GraphEdgeKind::Measurement)
+        };
+        GraphEdge {
+            u: u as u32,
+            v: v as u32,
+            kind,
+        }
+    }
+
+    /// Endpoints of data qubit `q`'s spatial edge in round `t`: the
+    /// cells it joins, or its cell and its boundary stub.
+    fn spatial_endpoints(&self, q: usize, t: usize) -> (usize, usize) {
+        let (d, cols) = (self.d, self.d - 1);
+        let base = t * self.num_ancillas();
+        if q < d * d {
+            let (row, pos) = (q / d, q % d);
+            let west = base + row * cols;
+            if pos == 0 {
+                (west, self.stub(t, 2 * row))
+            } else if pos == d - 1 {
+                (west + cols - 1, self.stub(t, 2 * row + 1))
+            } else {
+                (west + pos - 1, west + pos)
+            }
+        } else {
+            let v = q - d * d;
+            let cell = base + v;
+            (cell, cell + cols)
+        }
+    }
+
+    /// Node of the boundary stub with rank `rank` (`2·row + east`) in
+    /// round `t`.
+    fn stub(&self, t: usize, rank: usize) -> usize {
+        self.first_boundary_node() + t * 2 * self.d + rank
+    }
+
+    /// The edges incident to `node` as `(edge index, neighbour node)`
+    /// pairs, in ascending edge index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node >= self.num_nodes()`.
+    pub fn incident(&self, node: usize) -> impl Iterator<Item = (usize, usize)> {
+        assert!(node < self.num_nodes(), "node {node} out of range");
+        let (d, cols, na, nq) = (self.d, self.d - 1, self.num_ancillas(), self.num_qubits());
+        let stride = self.stride();
+        let mut edges = [(0usize, 0usize); 6];
+        let mut len = 0;
+        let mut push = |e: usize, w: usize| {
+            edges[len] = (e, w);
+            len += 1;
+        };
+        if self.is_boundary(node) {
+            let b = node - self.first_boundary_node();
+            let (t, rank) = (b / (2 * d), b % (2 * d));
+            let (row, east) = (rank / 2, rank % 2 == 1);
+            let (pos, col) = if east { (d - 1, cols - 1) } else { (0, 0) };
+            push(t * stride + row * d + pos, t * na + row * cols + col);
+        } else {
+            let (t, a) = (node / na, node % na);
+            let (row, col) = (a / cols, a % cols);
+            let base = t * stride;
+            if t > 0 {
+                push(base - stride + nq + a, node - na);
+            }
+            // Horizontal (row, col) and (row, col + 1), then the vertical
+            // edges above and below: already ascending.
+            let west = if col > 0 {
+                node - 1
+            } else {
+                self.stub(t, 2 * row)
+            };
+            push(base + row * d + col, west);
+            let east = if col + 1 < cols {
+                node + 1
+            } else {
+                self.stub(t, 2 * row + 1)
+            };
+            push(base + row * d + col + 1, east);
+            if row > 0 {
+                push(base + d * d + (row - 1) * cols + col, node - cols);
+            }
+            if row < d - 1 {
+                push(base + d * d + row * cols + col, node + cols);
+            }
+            if t + 1 < self.rounds {
+                push(base + nq + a, node + na);
+            }
+        }
+        edges.into_iter().take(len)
     }
 
     /// Node index of detection cell `(ancilla_index, round)`.
@@ -145,19 +226,20 @@ impl DecodingGraph {
     ///
     /// Panics when out of range.
     pub fn cell(&self, ancilla_index: usize, round: usize) -> usize {
-        assert!(ancilla_index < self.num_ancillas && round < self.rounds);
-        round * self.num_ancillas + ancilla_index
+        assert!(ancilla_index < self.num_ancillas() && round < self.rounds);
+        round * self.num_ancillas() + ancilla_index
     }
 
     /// `true` for virtual boundary nodes.
     pub fn is_boundary(&self, node: usize) -> bool {
-        node >= self.first_boundary_node
+        node >= self.first_boundary_node()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::TableGraph;
 
     #[test]
     fn counts_are_consistent() {
@@ -168,7 +250,7 @@ mod tests {
         let boundary = 2 * lat.rows() * 3;
         assert_eq!(g.num_nodes(), na * 3 + boundary);
         // Edges: data qubits per round + temporal links.
-        assert_eq!(g.edges().len(), lat.num_data_qubits() * 3 + na * 2);
+        assert_eq!(g.num_edges(), lat.num_data_qubits() * 3 + na * 2);
         assert_eq!(g.rounds(), 3);
     }
 
@@ -192,7 +274,7 @@ mod tests {
         let g = DecodingGraph::new(&lat, 2);
         for n in 0..g.num_nodes() {
             if g.is_boundary(n) {
-                assert_eq!(g.incident(n).len(), 1, "boundary node {n}");
+                assert_eq!(g.incident(n).count(), 1, "boundary node {n}");
             }
         }
     }
@@ -204,9 +286,42 @@ mod tests {
         let lat = Lattice::new(5).unwrap();
         let g = DecodingGraph::new(&lat, 3);
         let a = lat.ancilla_index(qecool_surface_code::Ancilla::new(2, 1));
-        assert_eq!(g.incident(g.cell(a, 1)).len(), 4 + 2);
+        assert_eq!(g.incident(g.cell(a, 1)).count(), 4 + 2);
         // First-round cell: 4 spatial + 1 temporal.
-        assert_eq!(g.incident(g.cell(a, 0)).len(), 4 + 1);
+        assert_eq!(g.incident(g.cell(a, 0)).count(), 4 + 1);
+    }
+
+    #[test]
+    fn index_arithmetic_matches_the_edge_table() {
+        // The computed graph must number nodes and edges exactly as the
+        // stored-table construction it replaced: same endpoints, same
+        // kinds, same ascending incidence lists.
+        for d in [3, 5, 9] {
+            let lat = Lattice::new(d).unwrap();
+            for rounds in 1..=4 {
+                let g = DecodingGraph::new(&lat, rounds);
+                let table = TableGraph::new(&lat, rounds);
+                assert_eq!(g.num_nodes(), table.num_nodes(), "d={d} rounds={rounds}");
+                assert_eq!(g.num_edges(), table.edges().len());
+                for (i, &e) in table.edges().iter().enumerate() {
+                    assert_eq!(g.edge(i), e, "d={d} rounds={rounds} edge {i}");
+                }
+                for n in 0..g.num_nodes() {
+                    let expected: Vec<(usize, usize)> = table
+                        .incident(n)
+                        .iter()
+                        .map(|&i| {
+                            let e = table.edges()[i as usize];
+                            let w = if e.u as usize == n { e.v } else { e.u };
+                            (i as usize, w as usize)
+                        })
+                        .collect();
+                    let computed: Vec<(usize, usize)> = g.incident(n).collect();
+                    assert_eq!(computed, expected, "d={d} rounds={rounds} node {n}");
+                    assert_eq!(g.is_boundary(n), table.is_boundary(n));
+                }
+            }
+        }
     }
 
     #[test]

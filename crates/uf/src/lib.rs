@@ -10,9 +10,21 @@
 //! of the computational cost — which is why the paper lists it as the
 //! FPGA-class contender against which cryogenic decoders are judged.
 //!
-//! * [`graph`] — the decoding graph (spatial/temporal/boundary edges);
-//! * [`dsu`] — union-find with defect-parity and boundary bookkeeping;
+//! * [`graph`] — the decoding graph (spatial/temporal/boundary edges),
+//!   computed from indices: O(1) endpoints and incidence, nothing stored;
+//! * [`dsu`] — union-find with defect-parity and boundary bookkeeping,
+//!   plus per-cluster member lists spliced in O(1) on union;
 //! * [`decoder`] — growth + peeling and correction extraction.
+//!
+//! A decode's work follows the defects, not the window: growth visits
+//! only the edges around active clusters (O(defects + active cluster
+//! size) per step), peeling touches only the erasure, and a defect-free
+//! window returns before allocating anything. The only O(graph) cost is
+//! zeroing a few flat scratch arrays per decode; there is no graph to
+//! build and no state kept between decodes. The decoder is pinned bit
+//! for bit (components, defect order, corrections, growth steps, erasure
+//! size) to the original whole-graph-scan implementation, which its
+//! tests keep as a reference.
 //!
 //! # Example
 //!
@@ -40,6 +52,8 @@
 pub mod decoder;
 pub mod dsu;
 pub mod graph;
+#[cfg(test)]
+mod reference;
 
 pub use decoder::{UfComponent, UfComponentOutcome, UfOutcome, UnionFindDecoder};
 pub use graph::{DecodingGraph, GraphEdge, GraphEdgeKind};
