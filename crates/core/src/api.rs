@@ -99,6 +99,40 @@ impl DecodeOutput {
     }
 }
 
+/// Decode statistics of one stream, accumulated since construction or
+/// the last [`Decoder::reset`] — what Table III (per-layer cycles) and
+/// Fig. 4(b) (vertical match extents) read off a decoder. Reported
+/// through [`Decoder::stats_into`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DecodeStats {
+    /// Decode cycles of each retired layer, in retirement order (empty
+    /// for backends without a cycle model).
+    pub layer_cycles: Vec<u64>,
+    /// `vertical_hist[dt]` counts matches spanning `dt` time layers.
+    pub vertical_hist: Vec<usize>,
+    /// Matches resolved (union-find, which has no matches, counts its
+    /// corrections).
+    pub matches: usize,
+}
+
+impl DecodeStats {
+    /// Empties the statistics, keeping vector allocations.
+    pub fn clear(&mut self) {
+        self.layer_cycles.clear();
+        self.vertical_hist.clear();
+        self.matches = 0;
+    }
+
+    /// Counts one match spanning `dt` time layers.
+    pub fn record_match(&mut self, dt: usize) {
+        if self.vertical_hist.len() <= dt {
+            self.vertical_hist.resize(dt + 1, 0);
+        }
+        self.vertical_hist[dt] += 1;
+        self.matches += 1;
+    }
+}
+
 /// When a [`Decoder`] turns provisional corrections into committed ones
 /// (see the module docs for the full contract). Advertised through
 /// [`Decoder::commit_hint`] so callers can size ring buffers and
@@ -245,6 +279,12 @@ pub trait Decoder {
     fn commit_hint(&self) -> CommitHint {
         CommitHint::deferred()
     }
+
+    /// Overwrites `stats` with this stream's decode statistics. The
+    /// default reports nothing: it leaves `stats` empty.
+    fn stats_into(&self, stats: &mut DecodeStats) {
+        stats.clear();
+    }
 }
 
 impl QecoolDecoder {
@@ -290,6 +330,14 @@ impl Decoder for QecoolDecoder {
 
     fn commit_hint(&self) -> CommitHint {
         CommitHint::incremental().with_cycle_model()
+    }
+
+    fn stats_into(&self, out: &mut DecodeStats) {
+        let stats = self.stats();
+        out.layer_cycles.clear();
+        out.layer_cycles.extend_from_slice(stats.layer_cycles());
+        stats.vertical_extent_histogram_into(&mut out.vertical_hist);
+        out.matches = stats.matches().len();
     }
 }
 

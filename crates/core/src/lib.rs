@@ -55,7 +55,9 @@ pub mod json;
 pub mod reg;
 pub mod stats;
 
-pub use api::{CommitCadence, CommitHint, DecodeOutput, Decoder, SimulatedSource, SyndromeSource};
+pub use api::{
+    CommitCadence, CommitHint, DecodeOutput, DecodeStats, Decoder, SimulatedSource, SyndromeSource,
+};
 pub use config::{QecoolConfig, DEFAULT_BOUNDARY_PENALTY, PAPER_REG_CAPACITY, PAPER_THV};
 pub use decoder::{QecoolDecoder, RunReport};
 pub use error::{exit_with, FatalError};

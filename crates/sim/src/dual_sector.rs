@@ -136,7 +136,7 @@ mod tests {
         let a = run_dual_sector_trial(&cfg, 11);
         let b = run_dual_sector_trial(&cfg, 11);
         assert_eq!(a.logical_error(), b.logical_error());
-        assert_eq!(a.x_sector.matches, b.x_sector.matches);
-        assert_eq!(a.z_sector.matches, b.z_sector.matches);
+        assert_eq!(a.x_sector.stats, b.x_sector.stats);
+        assert_eq!(a.z_sector.stats, b.z_sector.stats);
     }
 }

@@ -52,30 +52,6 @@ impl Sweep {
     }
 }
 
-/// Runs a full `(d × p)` logical-error-rate sweep on a fresh
-/// [`DecodeEngine`]; see [`sweep_on`].
-pub fn sweep<F>(
-    decoder: DecoderKind,
-    noise: NoiseSpec,
-    ds: &[usize],
-    ps: &[f64],
-    base_seed: u64,
-    shots_for: F,
-) -> Sweep
-where
-    F: FnMut(usize, f64) -> usize,
-{
-    sweep_on(
-        &DecodeEngine::new(),
-        decoder,
-        noise,
-        ds,
-        ps,
-        base_seed,
-        shots_for,
-    )
-}
-
 /// Runs a full `(d × p)` logical-error-rate sweep on the given engine.
 ///
 /// `shots_for(d, p)` lets callers spend more shots where rates are
@@ -172,7 +148,8 @@ mod tests {
 
     #[test]
     fn small_sweep_produces_curves() {
-        let s = sweep(
+        let s = sweep_on(
+            &DecodeEngine::with_threads(2),
             DecoderKind::BatchQecool,
             NoiseSpec::Phenomenological { p: 0.0 },
             &[3, 5],
@@ -192,7 +169,8 @@ mod tests {
     #[test]
     fn sweep_is_reproducible() {
         let run = || {
-            sweep(
+            sweep_on(
+                &DecodeEngine::with_threads(2),
                 DecoderKind::BatchQecool,
                 NoiseSpec::Phenomenological { p: 0.0 },
                 &[3],

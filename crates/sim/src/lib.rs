@@ -71,7 +71,7 @@ pub use campaign::{
 };
 pub use dual_sector::{dual_sector_error_rate, run_dual_sector_trial, DualSectorOutcome};
 pub use engine::{DecodeEngine, EngineConfig, EngineTally, McJob};
-pub use experiments::{log_grid, sweep, sweep_on, Sweep, SweepPoint};
+pub use experiments::{log_grid, sweep_on, Sweep, SweepPoint};
 pub use montecarlo::{run_monte_carlo, McResult};
 pub use service::{
     DecodeService, LatencyStats, Polled, ServiceBackend, ServiceConfig, ServiceError, SessionId,

@@ -54,16 +54,17 @@ impl McResult {
         self.shots += 1;
         self.failures += usize::from(outcome.logical_error);
         self.overflows += usize::from(outcome.overflow);
-        for &c in &outcome.layer_cycles {
+        let stats = &outcome.stats;
+        for &c in &stats.layer_cycles {
             self.layer_cycles.push(c);
         }
-        if self.vertical_hist.len() < outcome.vertical_hist.len() {
-            self.vertical_hist.resize(outcome.vertical_hist.len(), 0);
+        if self.vertical_hist.len() < stats.vertical_hist.len() {
+            self.vertical_hist.resize(stats.vertical_hist.len(), 0);
         }
-        for (acc, &x) in self.vertical_hist.iter_mut().zip(&outcome.vertical_hist) {
+        for (acc, &x) in self.vertical_hist.iter_mut().zip(&stats.vertical_hist) {
             *acc += x as u64;
         }
-        self.matches += outcome.matches as u64;
+        self.matches += stats.matches as u64;
     }
 
     /// Merges a partial aggregate (e.g. one engine shard) into this one.

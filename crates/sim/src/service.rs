@@ -86,7 +86,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use qecool::api::{CommitHint, DecodeOutput, Decoder};
-use qecool::{FatalError, QecoolConfig, QecoolDecoder, RegOverflow, DEFAULT_BOUNDARY_PENALTY};
+use qecool::{FatalError, RegOverflow, DEFAULT_BOUNDARY_PENALTY};
 use qecool_obs::counters::thread_stripe;
 use qecool_obs::{
     Counter, Gauge, MetricsRegistry, Stage, StageTracer, TelemetryHandle, STAGE_SAMPLE_PERIOD,
@@ -94,13 +94,17 @@ use qecool_obs::{
 use qecool_sfq::budget::{CycleBudget, CycleHistogram};
 use qecool_surface_code::{DetectionRound, Edge, Lattice, LatticeError};
 
+use crate::trials::DecoderKind;
 pub use crate::window::{StreamingMwpm, StreamingUf, WindowConfig};
 
-/// Which decoder implementation a service's sessions run on.
+/// Which decoder implementation a service's sessions run on. Each maps
+/// onto the [`DecoderKind`] whose [`DecoderKind::build`] constructs the
+/// session decoders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceBackend {
     /// On-line QECOOL (the paper's machine): real per-round decode work
-    /// under the cycle budget, 7-bit registers, `th_v = 3` lookahead.
+    /// under the cycle budget, 7-bit registers, `th_v = 3` lookahead and
+    /// the paper's boundary penalty.
     Qecool,
     /// Union-find baseline, served through the true sliding-window
     /// adapter ([`StreamingUf`]): decode W rounds, commit the oldest
@@ -122,8 +126,6 @@ pub struct ServiceConfig {
     pub budget: CycleBudget,
     /// Worker threads for [`DecodeService::pump`]; `0` uses all cores.
     pub threads: usize,
-    /// Extra hops charged to Boundary-Unit spikes (QECOOL only).
-    pub boundary_penalty: u64,
     /// Window geometry for the sliding-window baselines (UF/MWPM).
     /// `None` uses [`WindowConfig::default_for`] the configured
     /// distance (`W = 3d, S = d`). Ignored by the QECOOL backend,
@@ -139,14 +141,13 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A service configuration with default threading (all cores), the
-    /// paper's boundary penalty, and telemetry disabled.
+    /// default window geometry, and telemetry disabled.
     pub fn new(d: usize, backend: ServiceBackend, budget: CycleBudget) -> Self {
         Self {
             d,
             backend,
             budget,
             threads: 0,
-            boundary_penalty: DEFAULT_BOUNDARY_PENALTY,
             window: None,
             telemetry: TelemetryHandle::disabled(),
         }
@@ -922,20 +923,18 @@ impl DecodeService {
     }
 
     fn make_backend(&self) -> Box<dyn Decoder + Send> {
-        match self.config.backend {
-            ServiceBackend::Qecool => Box::new(QecoolDecoder::new(
-                self.lattice.clone(),
-                QecoolConfig::online().with_boundary_penalty(self.config.boundary_penalty),
-            )),
-            ServiceBackend::UnionFind => Box::new(StreamingUf::with_config(
-                self.lattice.clone(),
-                self.window_config(),
-            )),
-            ServiceBackend::Mwpm => Box::new(StreamingMwpm::with_config(
-                self.lattice.clone(),
-                self.window_config(),
-            )),
-        }
+        let kind = match self.config.backend {
+            ServiceBackend::Qecool => DecoderKind::OnlineQecool {
+                budget_cycles: self.budget_cycles,
+            },
+            ServiceBackend::UnionFind => DecoderKind::UnionFind,
+            ServiceBackend::Mwpm => DecoderKind::Mwpm,
+        };
+        kind.build(
+            &self.lattice,
+            self.window_config(),
+            DEFAULT_BOUNDARY_PENALTY,
+        )
     }
 
     /// The effective sliding-window geometry of the UF/MWPM baselines:

@@ -10,16 +10,21 @@
 //! For on-line QECOOL the decode work is interleaved with the
 //! measurements under a per-layer cycle budget, and register overflow
 //! counts as a failure (paper §V-B).
+//!
+//! Trials drive the same [`Decoder`] objects, built by the same
+//! [`DecoderKind::build`], that serve
+//! [`DecodeService`](crate::service::DecodeService) sessions. The graph
+//! baselines run as sliding-window decoders whose window is longer than
+//! the trial, so [`Decoder::finish`] decodes the whole history at once.
 
-use qecool::{QecoolConfig, QecoolDecoder, RunReport, DEFAULT_BOUNDARY_PENALTY};
-use qecool_mwpm::MwpmDecoder;
-use qecool_surface_code::{
-    CodePatch, DetectionRound, Lattice, NoiseModel, NoiseSpec, SyndromeHistory,
-};
-use qecool_uf::UnionFindDecoder;
+use qecool::api::{DecodeOutput, DecodeStats, Decoder};
+use qecool::{QecoolConfig, QecoolDecoder, DEFAULT_BOUNDARY_PENALTY};
+use qecool_surface_code::{CodePatch, DetectionRound, Lattice, NoiseSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+
+use crate::window::{StreamingMwpm, StreamingUf, WindowConfig};
 
 /// Which decoder a trial exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,6 +41,36 @@ pub enum DecoderKind {
     Mwpm,
     /// The union-find baseline (Delfosse–Nickerson \[3\], Table IV).
     UnionFind,
+}
+
+impl DecoderKind {
+    /// Builds this kind's streaming decoder on `lattice` — the one
+    /// construction site behind both Monte-Carlo trials and serving
+    /// sessions.
+    ///
+    /// The graph baselines decode in sliding windows of geometry
+    /// `window`; batch QECOOL holds one stride (`window.stride` rounds)
+    /// in its registers and decodes it at [`Decoder::finish`].
+    /// `boundary_penalty` applies to the QECOOL kinds only.
+    pub fn build(
+        self,
+        lattice: &Lattice,
+        window: WindowConfig,
+        boundary_penalty: u64,
+    ) -> Box<dyn Decoder + Send> {
+        let qecool = |config: QecoolConfig| {
+            QecoolDecoder::new(
+                lattice.clone(),
+                config.with_boundary_penalty(boundary_penalty),
+            )
+        };
+        match self {
+            Self::BatchQecool => Box::new(qecool(QecoolConfig::batch(window.stride as usize))),
+            Self::OnlineQecool { .. } => Box::new(qecool(QecoolConfig::online())),
+            Self::Mwpm => Box::new(StreamingMwpm::with_config(lattice.clone(), window)),
+            Self::UnionFind => Box::new(StreamingUf::with_config(lattice.clone(), window)),
+        }
+    }
 }
 
 /// Full configuration of one trial. The physical error rate lives
@@ -84,6 +119,14 @@ impl TrialConfig {
     pub fn p(&self) -> f64 {
         self.noise.rate()
     }
+
+    /// The trial's window: longer than the `rounds + 1` rounds a trial
+    /// ingests, so it never fills and [`Decoder::finish`] decodes the
+    /// whole history at once. Its stride, `rounds + 1`, is also batch
+    /// QECOOL's register depth.
+    fn window(&self) -> WindowConfig {
+        WindowConfig::new(self.rounds as u64 + 2, self.rounds as u64 + 1)
+    }
 }
 
 /// Outcome of one trial.
@@ -94,13 +137,9 @@ pub struct TrialOutcome {
     pub logical_error: bool,
     /// The trial failed because the on-line decoder's register overflowed.
     pub overflow: bool,
-    /// Per-layer decode cycle counts (QECOOL decoders only).
-    pub layer_cycles: Vec<u64>,
-    /// Histogram of match vertical extents: `hist[dt]` = matches spanning
-    /// `dt` time layers.
-    pub vertical_hist: Vec<usize>,
-    /// Total matches performed.
-    pub matches: usize,
+    /// The decoder's statistics for the trial: per-layer cycles (QECOOL
+    /// only), vertical match extents and match count.
+    pub stats: DecodeStats,
 }
 
 impl TrialOutcome {
@@ -109,31 +148,45 @@ impl TrialOutcome {
     pub fn reset(&mut self) {
         self.logical_error = false;
         self.overflow = false;
-        self.layer_cycles.clear();
-        self.vertical_hist.clear();
-        self.matches = 0;
+        self.stats.clear();
     }
 }
 
-/// Reusable per-worker trial state: lattice, code patch, syndrome
-/// history and decoder instances, all warmed once and recycled across
-/// shots so the Monte-Carlo hot loop performs no per-shot construction.
+/// A decoder warmed for one decoder kind, with the build inputs it was
+/// made from.
+struct Warm {
+    kind: DecoderKind,
+    window: WindowConfig,
+    boundary_penalty: u64,
+    decoder: Box<dyn Decoder + Send>,
+}
+
+/// Reusable per-worker trial state: lattice, code patch, round buffers
+/// and one warmed decoder per decoder kind, all recycled across shots so
+/// the Monte-Carlo hot loop performs no per-shot construction.
 ///
 /// A scratch warmed for one `(d, decoder)` combination transparently
 /// re-warms when handed a different [`TrialConfig`], so one scratch per
 /// worker thread serves arbitrary job mixes.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct TrialScratch {
     lattice: Option<Lattice>,
     patch: Option<CodePatch>,
-    history: Option<SyndromeHistory>,
-    qecool: Option<QecoolDecoder>,
-    mwpm: Option<MwpmDecoder>,
-    uf: Option<UnionFindDecoder>,
     /// Reused detection-round buffer (the `measure_into` target).
     round: Option<DetectionRound>,
-    /// Reused decode report for the QECOOL paths.
-    report: RunReport,
+    /// At most one decoder per [`DecoderKind`] variant.
+    decoders: Vec<Warm>,
+    /// Reused decode output.
+    output: DecodeOutput,
+}
+
+impl std::fmt::Debug for TrialScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrialScratch")
+            .field("d", &self.lattice.as_ref().map(Lattice::distance))
+            .field("decoders", &self.decoders.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl TrialScratch {
@@ -142,62 +195,42 @@ impl TrialScratch {
         Self::default()
     }
 
-    /// Warms the scratch for `cfg`: (re)builds whatever of the lattice,
-    /// patch, history and decoder is missing or built for a different
-    /// configuration. Idempotent and cheap when already warm.
-    fn ensure(&mut self, cfg: &TrialConfig) {
+    /// Warms the scratch for `cfg` — (re)builds whatever of the lattice,
+    /// patch and decoder is missing or built for a different
+    /// configuration — and returns the index of `cfg`'s decoder.
+    /// Idempotent and cheap when already warm.
+    fn ensure(&mut self, cfg: &TrialConfig) -> usize {
         let stale = self.lattice.as_ref().is_none_or(|l| l.distance() != cfg.d);
         if stale {
             let lattice = Lattice::new(cfg.d).expect("valid code distance");
             self.patch = Some(CodePatch::new(lattice.clone()));
-            self.history = None;
-            self.qecool = None;
-            self.mwpm = None;
-            self.uf = None;
             self.round = Some(DetectionRound::zeros(lattice.num_ancillas()));
+            self.decoders.clear();
             self.lattice = Some(lattice);
         }
         let lattice = self.lattice.as_ref().expect("lattice just warmed");
-        match cfg.decoder {
-            DecoderKind::BatchQecool | DecoderKind::OnlineQecool { .. } => {
-                let config = qecool_config_for(cfg);
-                let rebuild = self
-                    .qecool
-                    .as_ref()
-                    .is_none_or(|decoder| *decoder.config() != config);
-                if rebuild {
-                    self.qecool = Some(QecoolDecoder::new(lattice.clone(), config));
+        let (window, boundary_penalty) = (cfg.window(), cfg.boundary_penalty);
+        let build = || Warm {
+            kind: cfg.decoder,
+            window,
+            boundary_penalty,
+            decoder: cfg.decoder.build(lattice, window, boundary_penalty),
+        };
+        let same_kind =
+            |w: &Warm| std::mem::discriminant(&w.kind) == std::mem::discriminant(&cfg.decoder);
+        match self.decoders.iter().position(same_kind) {
+            Some(i) => {
+                let warm = &self.decoders[i];
+                if warm.window != window || warm.boundary_penalty != boundary_penalty {
+                    self.decoders[i] = build();
                 }
+                i
             }
-            DecoderKind::Mwpm => {
-                if self.history.is_none() {
-                    self.history = Some(SyndromeHistory::new(lattice.clone()));
-                }
-                if self.mwpm.is_none() {
-                    self.mwpm = Some(MwpmDecoder::new(lattice.clone()));
-                }
-            }
-            DecoderKind::UnionFind => {
-                if self.history.is_none() {
-                    self.history = Some(SyndromeHistory::new(lattice.clone()));
-                }
-                if self.uf.is_none() {
-                    self.uf = Some(UnionFindDecoder::new(lattice.clone()));
-                }
+            None => {
+                self.decoders.push(build());
+                self.decoders.len() - 1
             }
         }
-    }
-}
-
-fn qecool_config_for(cfg: &TrialConfig) -> QecoolConfig {
-    match cfg.decoder {
-        DecoderKind::BatchQecool => {
-            QecoolConfig::batch(cfg.rounds + 1).with_boundary_penalty(cfg.boundary_penalty)
-        }
-        DecoderKind::OnlineQecool { .. } => {
-            QecoolConfig::online().with_boundary_penalty(cfg.boundary_penalty)
-        }
-        _ => unreachable!("qecool config requested for a non-QECOOL decoder"),
     }
 }
 
@@ -219,6 +252,12 @@ pub fn run_trial(cfg: &TrialConfig, seed: u64) -> TrialOutcome {
 /// Runs one trial with a deterministic seed, reusing `scratch` for all
 /// heavy state and writing the result into `out`.
 ///
+/// Every backend runs the same loop: each noisy round is sampled and
+/// ingested (on-line QECOOL also decodes it under its cycle budget and
+/// the corrections are applied at once), then the closing perfect round
+/// is ingested and [`Decoder::finish`] decodes everything left. A
+/// register overflow fails the trial.
+///
 /// The outcome is identical to [`run_trial`] for the same `(cfg, seed)`
 /// — scratch reuse is invisible to the physics because every component
 /// is reset before the shot.
@@ -232,205 +271,52 @@ pub fn run_trial_into(
     scratch: &mut TrialScratch,
     out: &mut TrialOutcome,
 ) {
-    scratch.ensure(cfg);
+    let slot = scratch.ensure(cfg);
     out.reset();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    // Disjoint field borrows: each decode path picks what it needs.
-    let TrialScratch {
-        lattice: _,
-        patch,
-        history,
-        qecool,
-        mwpm,
-        uf,
-        round,
-        report,
-    } = scratch;
-    let patch = patch.as_mut().expect("patch warmed");
-    let round = round.as_mut().expect("round buffer warmed");
-    patch.reset();
-    // The one construction site: every family flows through the same
-    // enum-dispatched model — no per-call fan-out over noise kinds.
+    let patch = scratch.patch.as_mut().expect("patch warmed");
+    let round = scratch.round.as_mut().expect("round buffer warmed");
+    let output = &mut scratch.output;
+    let decoder = scratch.decoders[slot].decoder.as_mut();
+    let budget = match cfg.decoder {
+        DecoderKind::OnlineQecool { budget_cycles } => Some(budget_cycles),
+        _ => None,
+    };
+    // Every noise family flows through the same enum-dispatched model —
+    // no per-call fan-out over noise kinds.
     let noise = cfg.noise.build();
-    run_with_noise(
-        cfg, patch, history, qecool, mwpm, uf, round, report, &noise, &mut rng, out,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_with_noise<N: NoiseModel>(
-    cfg: &TrialConfig,
-    patch: &mut CodePatch,
-    history: &mut Option<SyndromeHistory>,
-    qecool: &mut Option<QecoolDecoder>,
-    mwpm: &Option<MwpmDecoder>,
-    uf: &Option<UnionFindDecoder>,
-    round: &mut DetectionRound,
-    report: &mut RunReport,
-    noise: &N,
-    rng: &mut ChaCha8Rng,
-    out: &mut TrialOutcome,
-) {
-    match cfg.decoder {
-        DecoderKind::Mwpm => {
-            let history = history.as_mut().expect("history warmed");
-            let decoder = mwpm.as_ref().expect("mwpm warmed");
-            run_mwpm(cfg, patch, history, decoder, noise, rng, out);
-        }
-        DecoderKind::UnionFind => {
-            let history = history.as_mut().expect("history warmed");
-            let decoder = uf.as_ref().expect("uf warmed");
-            run_union_find(cfg, patch, history, decoder, noise, rng, out);
-        }
-        DecoderKind::BatchQecool => {
-            let decoder = qecool.as_mut().expect("qecool warmed");
-            run_batch_qecool(cfg, patch, decoder, round, report, noise, rng, out);
-        }
-        DecoderKind::OnlineQecool { budget_cycles } => {
-            let decoder = qecool.as_mut().expect("qecool warmed");
-            run_online_qecool(
-                cfg,
-                patch,
-                decoder,
-                round,
-                report,
-                noise,
-                rng,
-                budget_cycles,
-                out,
-            );
-        }
-    }
-}
-
-fn finish_into(patch: &CodePatch, out: &mut TrialOutcome) {
-    debug_assert!(
-        patch.syndrome_is_trivial(),
-        "decoder left residual syndrome"
-    );
-    out.logical_error = patch.has_logical_error();
-}
-
-fn run_mwpm<N: NoiseModel>(
-    cfg: &TrialConfig,
-    patch: &mut CodePatch,
-    history: &mut SyndromeHistory,
-    decoder: &MwpmDecoder,
-    noise: &N,
-    rng: &mut ChaCha8Rng,
-    out: &mut TrialOutcome,
-) {
-    history.clear();
-    for _ in 0..cfg.rounds {
-        patch.noisy_round_into(noise, rng, history.begin_round());
-    }
-    patch.perfect_round_into(history.begin_round());
-    let outcome = decoder.decode(history).expect("doubled graph is matchable");
-    outcome.apply(patch);
-    finish_into(patch, out);
-    out.matches = outcome.matches.len();
-    for m in &outcome.matches {
-        let dt = m.vertical_extent();
-        if out.vertical_hist.len() <= dt {
-            out.vertical_hist.resize(dt + 1, 0);
-        }
-        out.vertical_hist[dt] += 1;
-    }
-}
-
-fn run_union_find<N: NoiseModel>(
-    cfg: &TrialConfig,
-    patch: &mut CodePatch,
-    history: &mut SyndromeHistory,
-    decoder: &UnionFindDecoder,
-    noise: &N,
-    rng: &mut ChaCha8Rng,
-    out: &mut TrialOutcome,
-) {
-    history.clear();
-    for _ in 0..cfg.rounds {
-        patch.noisy_round_into(noise, rng, history.begin_round());
-    }
-    patch.perfect_round_into(history.begin_round());
-    let outcome = decoder.decode(history);
-    outcome.apply(patch);
-    finish_into(patch, out);
-    out.matches = outcome.corrections.len();
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batch_qecool<N: NoiseModel>(
-    cfg: &TrialConfig,
-    patch: &mut CodePatch,
-    decoder: &mut QecoolDecoder,
-    round: &mut DetectionRound,
-    report: &mut RunReport,
-    noise: &N,
-    rng: &mut ChaCha8Rng,
-    out: &mut TrialOutcome,
-) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    patch.reset();
     decoder.reset();
-    for _ in 0..cfg.rounds {
-        patch.noisy_round_into(noise, rng, round);
-        decoder
-            .push_round(round)
-            .expect("batch capacity covers the window");
-    }
-    patch.perfect_round_into(round);
-    decoder
-        .push_round(round)
-        .expect("batch capacity covers the window");
-    decoder.drain_into(report);
-    patch.apply_corrections(report.corrections.iter().copied());
-    finish_into(patch, out);
-    fill_qecool_telemetry(out, decoder);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_online_qecool<N: NoiseModel>(
-    cfg: &TrialConfig,
-    patch: &mut CodePatch,
-    decoder: &mut QecoolDecoder,
-    round: &mut DetectionRound,
-    report: &mut RunReport,
-    noise: &N,
-    rng: &mut ChaCha8Rng,
-    budget_cycles: u64,
-    out: &mut TrialOutcome,
-) {
-    decoder.reset();
-    for _ in 0..cfg.rounds {
-        patch.noisy_round_into(noise, rng, round);
-        if decoder.push_round(round).is_err() {
-            overflow_outcome(decoder, out);
-            return;
+    let overflowed = 'stream: {
+        for _ in 0..cfg.rounds {
+            patch.noisy_round_into(&noise, &mut rng, round);
+            if decoder.ingest(round).is_err() {
+                break 'stream true;
+            }
+            if budget.is_some() {
+                decoder.decode_step(budget, output);
+                patch.apply_corrections(output.corrections.iter().copied());
+            }
         }
-        decoder.run_into(Some(budget_cycles), report);
-        patch.apply_corrections(report.corrections.iter().copied());
+        patch.perfect_round_into(round);
+        if decoder.ingest(round).is_err() {
+            break 'stream true;
+        }
+        decoder.finish(output);
+        patch.apply_corrections(output.corrections.iter().copied());
+        false
+    };
+    if overflowed {
+        out.overflow = true;
+        out.logical_error = true;
+    } else {
+        debug_assert!(
+            patch.syndrome_is_trivial(),
+            "decoder left residual syndrome"
+        );
+        out.logical_error = patch.has_logical_error();
     }
-    patch.perfect_round_into(round);
-    if decoder.push_round(round).is_err() {
-        overflow_outcome(decoder, out);
-        return;
-    }
-    decoder.drain_into(report);
-    patch.apply_corrections(report.corrections.iter().copied());
-    finish_into(patch, out);
-    fill_qecool_telemetry(out, decoder);
-}
-
-fn overflow_outcome(decoder: &QecoolDecoder, out: &mut TrialOutcome) {
-    out.logical_error = true;
-    out.overflow = true;
-    fill_qecool_telemetry(out, decoder);
-}
-
-fn fill_qecool_telemetry(out: &mut TrialOutcome, decoder: &QecoolDecoder) {
-    let stats = decoder.stats();
-    out.layer_cycles.clear();
-    out.layer_cycles.extend_from_slice(stats.layer_cycles());
-    stats.vertical_extent_histogram_into(&mut out.vertical_hist);
-    out.matches = stats.matches().len();
+    decoder.stats_into(&mut out.stats);
 }
 
 #[cfg(test)]
@@ -461,8 +347,7 @@ mod tests {
         let a = run_trial(&cfg, 42);
         let b = run_trial(&cfg, 42);
         assert_eq!(a.logical_error, b.logical_error);
-        assert_eq!(a.layer_cycles, b.layer_cycles);
-        assert_eq!(a.matches, b.matches);
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]
@@ -526,7 +411,7 @@ mod tests {
         assert_eq!(cfg.rounds, 1);
         let out = run_trial(&cfg, 3);
         // One closing layer + the noisy layer = 2 retired layers.
-        assert_eq!(out.layer_cycles.len(), 2);
+        assert_eq!(out.stats.layer_cycles.len(), 2);
     }
 
     #[test]
@@ -557,10 +442,43 @@ mod tests {
                     "{cfg:?} seed {seed}"
                 );
                 assert_eq!(out.overflow, fresh.overflow);
-                assert_eq!(out.layer_cycles, fresh.layer_cycles);
-                assert_eq!(out.vertical_hist, fresh.vertical_hist);
-                assert_eq!(out.matches, fresh.matches);
+                assert_eq!(out.stats.layer_cycles, fresh.stats.layer_cycles);
+                assert_eq!(out.stats.vertical_hist, fresh.stats.vertical_hist);
+                assert_eq!(out.stats.matches, fresh.stats.matches);
             }
+        }
+    }
+
+    #[test]
+    fn interleaved_kinds_keep_their_warm_decoders() {
+        // One slot per kind: cycling through all four kinds must not
+        // rebuild any decoder after the first pass.
+        let kinds = [
+            DecoderKind::BatchQecool,
+            DecoderKind::OnlineQecool {
+                budget_cycles: 2000,
+            },
+            DecoderKind::Mwpm,
+            DecoderKind::UnionFind,
+        ];
+        let mut scratch = TrialScratch::new();
+        let mut out = TrialOutcome::default();
+        let addresses = |scratch: &TrialScratch| -> Vec<*const ()> {
+            scratch
+                .decoders
+                .iter()
+                .map(|w| std::ptr::from_ref(&*w.decoder).cast::<()>())
+                .collect()
+        };
+        let mut first = None;
+        for seed in 0..3u64 {
+            for kind in kinds {
+                let cfg = TrialConfig::standard(5, 0.02, kind);
+                run_trial_into(&cfg, seed, &mut scratch, &mut out);
+            }
+            let now = addresses(&scratch);
+            assert_eq!(now.len(), kinds.len());
+            assert_eq!(first.get_or_insert(now.clone()), &now, "seed {seed}");
         }
     }
 
@@ -594,7 +512,7 @@ mod tests {
             let a = run_trial(&cfg, 11);
             let b = run_trial(&cfg, 11);
             assert_eq!(a.logical_error, b.logical_error, "{family}");
-            assert_eq!(a.matches, b.matches, "{family}");
+            assert_eq!(a.stats, b.stats, "{family}");
         }
     }
 
@@ -602,9 +520,9 @@ mod tests {
     fn qecool_telemetry_is_populated() {
         let cfg = TrialConfig::standard(5, 0.05, DecoderKind::BatchQecool);
         let out = run_trial(&cfg, 7);
-        assert_eq!(out.layer_cycles.len(), cfg.rounds + 1);
+        assert_eq!(out.stats.layer_cycles.len(), cfg.rounds + 1);
         // At p = 0.05 on d = 5 some matches almost surely happened.
-        assert!(out.matches > 0);
-        assert!(!out.vertical_hist.is_empty());
+        assert!(out.stats.matches > 0);
+        assert!(!out.stats.vertical_hist.is_empty());
     }
 }

@@ -25,13 +25,20 @@
 //! windowed decision can differ from the monolithic one. Commit latency
 //! is bounded by W rounds; `finish` commits the buffered tail in one
 //! final monolithic decode.
+//!
+//! One generic [`Windowed`] decoder implements all of this over a
+//! [`WindowBackend`] — the batch decoder's two operations, "commit one
+//! window" and "decode the tail". [`StreamingUf`] and [`StreamingMwpm`]
+//! are its union-find and MWPM instances. Monte-Carlo trials run the same
+//! decoders with a window longer than the trial, which never fills, so
+//! their `finish` is exactly the whole-history decode.
 
 use std::collections::VecDeque;
 
-use qecool::api::{CommitHint, DecodeOutput, Decoder};
+use qecool::api::{CommitHint, DecodeOutput, DecodeStats, Decoder};
 use qecool::RegOverflow;
 use qecool_mwpm::MwpmDecoder;
-use qecool_surface_code::{DetectionRound, Lattice, SyndromeHistory};
+use qecool_surface_code::{DetectionRound, Edge, Lattice, SyndromeHistory};
 use qecool_uf::UnionFindDecoder;
 
 /// Sliding-window geometry: decode `window` rounds, commit the oldest
@@ -71,9 +78,129 @@ impl WindowConfig {
     }
 }
 
-/// Round buffering, recycling and watermark bookkeeping shared by the
-/// windowed UF and MWPM decoders.
-struct WindowCore {
+/// The batch decoder behind a [`Windowed`] stream: the two operations a
+/// sliding window needs from it.
+pub trait WindowBackend {
+    /// A backend decoding on `lattice`.
+    fn for_lattice(lattice: Lattice) -> Self;
+
+    /// Decodes one full `window` and commits every match (union-find:
+    /// erasure component) anchored in its oldest `stride` rounds:
+    /// appends its corrections to `out`, counts it into `stats`, and
+    /// passes each of its events in the overlap (window round
+    /// `t ≥ stride`) to `clear(ancilla_index, t)`. Matches living
+    /// entirely in the overlap are tentative and dropped.
+    fn commit_window(
+        &self,
+        window: &SyndromeHistory,
+        stride: usize,
+        out: &mut Vec<Edge>,
+        stats: &mut DecodeStats,
+        clear: impl FnMut(usize, usize),
+    );
+
+    /// Decodes `tail` whole, appending every correction to `out` and
+    /// counting every match into `stats`.
+    fn decode_tail(&self, tail: &SyndromeHistory, out: &mut Vec<Edge>, stats: &mut DecodeStats);
+}
+
+/// Sliding-window streaming union-find decoder.
+///
+/// Erasure components whose earliest defect round is anchored in the
+/// commit stride commit whole — their corrections are emitted and their
+/// defects (including overlap-region partners) are cleared from the
+/// buffer. Components floating entirely in the overlap stay tentative
+/// and are re-derived next window. Its [`DecodeStats::matches`] counts
+/// emitted corrections.
+pub type StreamingUf = Windowed<UnionFindDecoder>;
+
+/// Sliding-window streaming exact-MWPM decoder.
+///
+/// Matches whose earliest event round is anchored in the commit stride
+/// commit whole (their routed corrections are emitted, their events
+/// cleared from the buffer); matches floating entirely in the overlap
+/// are tentative and re-matched next window. A perfect matching covers
+/// every event, so each event of the commit stride is explained by
+/// exactly one committed match. Its [`DecodeStats`] count committed
+/// matches and their vertical extents.
+pub type StreamingMwpm = Windowed<MwpmDecoder>;
+
+impl WindowBackend for UnionFindDecoder {
+    fn for_lattice(lattice: Lattice) -> Self {
+        Self::new(lattice)
+    }
+
+    fn commit_window(
+        &self,
+        window: &SyndromeHistory,
+        stride: usize,
+        out: &mut Vec<Edge>,
+        stats: &mut DecodeStats,
+        mut clear: impl FnMut(usize, usize),
+    ) {
+        for comp in &self.decode_components(window).components {
+            if comp.min_round() >= stride {
+                continue; // tentative: lives entirely in the overlap
+            }
+            out.extend_from_slice(&comp.corrections);
+            stats.matches += comp.corrections.len();
+            for &(ancilla, t) in &comp.defects {
+                if t >= stride {
+                    clear(ancilla, t);
+                }
+            }
+        }
+    }
+
+    fn decode_tail(&self, tail: &SyndromeHistory, out: &mut Vec<Edge>, stats: &mut DecodeStats) {
+        let outcome = self.decode(tail);
+        out.extend_from_slice(&outcome.corrections);
+        stats.matches += outcome.corrections.len();
+    }
+}
+
+impl WindowBackend for MwpmDecoder {
+    fn for_lattice(lattice: Lattice) -> Self {
+        Self::new(lattice)
+    }
+
+    fn commit_window(
+        &self,
+        window: &SyndromeHistory,
+        stride: usize,
+        out: &mut Vec<Edge>,
+        stats: &mut DecodeStats,
+        mut clear: impl FnMut(usize, usize),
+    ) {
+        let outcome = self.decode(window).expect("doubled graph is matchable");
+        for m in &outcome.matches {
+            if m.min_round() >= stride {
+                continue; // tentative: lives entirely in the overlap
+            }
+            self.append_match_corrections(m, out);
+            stats.record_match(m.vertical_extent());
+            for ev in m.events() {
+                if ev.round >= stride {
+                    clear(self.lattice().ancilla_index(ev.ancilla), ev.round);
+                }
+            }
+        }
+    }
+
+    fn decode_tail(&self, tail: &SyndromeHistory, out: &mut Vec<Edge>, stats: &mut DecodeStats) {
+        let outcome = self.decode(tail).expect("doubled graph is matchable");
+        out.extend_from_slice(&outcome.corrections);
+        for m in &outcome.matches {
+            stats.record_match(m.vertical_extent());
+        }
+    }
+}
+
+/// A sliding-window streaming decoder over a batch [`WindowBackend`]:
+/// round buffering and recycling, the commit watermark, and the
+/// statistics of everything committed since the last reset.
+pub struct Windowed<B> {
+    backend: B,
     config: WindowConfig,
     /// Buffered rounds not yet committed; `buffer[0]` is
     /// session-lifetime round `base_round`.
@@ -88,11 +215,20 @@ struct WindowCore {
     ingested: u64,
     /// Highest committed round index so far.
     committed_through: Option<u64>,
+    stats: DecodeStats,
 }
 
-impl WindowCore {
-    fn new(lattice: Lattice, config: WindowConfig) -> Self {
+impl<B: WindowBackend> Windowed<B> {
+    /// A windowed decoder with the default `W = 3d, S = d` geometry.
+    pub fn new(lattice: Lattice) -> Self {
+        let config = WindowConfig::default_for(lattice.distance());
+        Self::with_config(lattice, config)
+    }
+
+    /// A windowed decoder with an explicit window geometry.
+    pub fn with_config(lattice: Lattice, config: WindowConfig) -> Self {
         Self {
+            backend: B::for_lattice(lattice.clone()),
             config,
             buffer: VecDeque::new(),
             spare: Vec::new(),
@@ -100,44 +236,38 @@ impl WindowCore {
             base_round: 0,
             ingested: 0,
             committed_through: None,
+            stats: DecodeStats::default(),
         }
     }
 
-    /// Copies `round` into a recycled buffer and appends it.
-    fn ingest(&mut self, round: &DetectionRound) {
-        let mut buf = self
-            .spare
-            .pop()
-            .unwrap_or_else(|| DetectionRound::zeros(round.events().len()));
-        buf.copy_from(round);
-        self.buffer.push_back(buf);
-        self.ingested += 1;
-    }
-
-    /// `true` while a full window is buffered.
-    fn window_ready(&self) -> bool {
-        self.buffer.len() as u64 >= self.config.window
+    /// The window geometry in use.
+    pub fn window_config(&self) -> WindowConfig {
+        self.config
     }
 
     /// Rebuilds the scratch history from the first `rounds` buffered
-    /// rounds and returns it.
-    fn fill_scratch(&mut self, rounds: usize) -> &SyndromeHistory {
+    /// rounds.
+    fn fill_scratch(&mut self, rounds: usize) {
         self.scratch.clear();
-        for t in 0..rounds {
-            self.scratch.push_copy(&self.buffer[t]);
+        for round in self.buffer.range(..rounds) {
+            self.scratch.push_copy(round);
         }
-        &self.scratch
     }
 
-    /// Clears one committed detection event from the buffered rounds
-    /// (window-relative round `t`), so the next window does not
-    /// re-explain it.
-    fn clear_event(&mut self, ancilla_index: usize, t: usize) {
-        self.buffer[t].events_mut().set(ancilla_index, false);
-    }
-
-    /// Drops the oldest `stride` rounds and raises the watermark.
-    fn slide(&mut self) {
+    /// Decodes one full window, emits its anchored matches, clears their
+    /// overlap events from the buffer (so the next window does not
+    /// re-explain them), then drops the oldest `stride` rounds and
+    /// raises the watermark.
+    fn commit_window(&mut self, out: &mut DecodeOutput) {
+        self.fill_scratch(self.config.window as usize);
+        let buffer = &mut self.buffer;
+        self.backend.commit_window(
+            &self.scratch,
+            self.config.stride as usize,
+            &mut out.corrections,
+            &mut self.stats,
+            |ancilla, t| buffer[t].events_mut().set(ancilla, false),
+        );
         for _ in 0..self.config.stride {
             let round = self.buffer.pop_front().expect("window was full");
             self.spare.push(round);
@@ -146,222 +276,67 @@ impl WindowCore {
         self.committed_through = Some(self.base_round - 1);
     }
 
-    /// Commits everything still buffered (the `finish` path): the
-    /// watermark jumps to the newest ingested round and the buffer is
-    /// recycled.
-    fn commit_tail(&mut self) {
+    /// Recycles every buffered round.
+    fn drop_buffer(&mut self) {
         while let Some(round) = self.buffer.pop_front() {
             self.spare.push(round);
         }
+    }
+}
+
+impl<B: WindowBackend> Decoder for Windowed<B> {
+    fn ingest(&mut self, round: &DetectionRound) -> Result<(), RegOverflow> {
+        let mut buf = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| DetectionRound::zeros(round.events().len()));
+        buf.copy_from(round);
+        self.buffer.push_back(buf);
+        self.ingested += 1;
+        Ok(())
+    }
+
+    fn decode_step(&mut self, _budget: Option<u64>, out: &mut DecodeOutput) {
+        out.clear();
+        out.idle = true;
+        while self.buffer.len() as u64 >= self.config.window {
+            self.commit_window(out);
+        }
+        out.committed_through = self.committed_through;
+    }
+
+    fn finish(&mut self, out: &mut DecodeOutput) {
+        out.clear();
+        out.idle = true;
+        let tail = self.buffer.len();
+        if tail > 0 {
+            self.fill_scratch(tail);
+            self.backend
+                .decode_tail(&self.scratch, &mut out.corrections, &mut self.stats);
+        }
+        self.drop_buffer();
         self.base_round = self.ingested;
         if self.ingested > 0 {
             self.committed_through = Some(self.ingested - 1);
         }
+        out.committed_through = self.committed_through;
     }
 
     fn reset(&mut self) {
-        while let Some(round) = self.buffer.pop_front() {
-            self.spare.push(round);
-        }
+        self.drop_buffer();
         self.scratch.clear();
         self.base_round = 0;
         self.ingested = 0;
         self.committed_through = None;
+        self.stats.clear();
     }
 
-    fn hint(&self) -> CommitHint {
+    fn commit_hint(&self) -> CommitHint {
         CommitHint::windowed(self.config.window, self.config.stride)
     }
-}
 
-/// Sliding-window streaming union-find decoder.
-///
-/// Erasure components whose earliest defect round is anchored in the
-/// commit stride commit whole — their corrections are emitted and their
-/// defects (including overlap-region partners) are cleared from the
-/// buffer. Components floating entirely in the overlap stay tentative
-/// and are re-derived next window.
-pub struct StreamingUf {
-    decoder: UnionFindDecoder,
-    core: WindowCore,
-}
-
-impl StreamingUf {
-    /// A windowed UF decoder with the default `W = 3d, S = d` geometry.
-    pub fn new(lattice: Lattice) -> Self {
-        let config = WindowConfig::default_for(lattice.distance());
-        Self::with_config(lattice, config)
-    }
-
-    /// A windowed UF decoder with an explicit window geometry.
-    pub fn with_config(lattice: Lattice, config: WindowConfig) -> Self {
-        Self {
-            decoder: UnionFindDecoder::new(lattice.clone()),
-            core: WindowCore::new(lattice, config),
-        }
-    }
-
-    /// The window geometry in use.
-    pub fn window_config(&self) -> WindowConfig {
-        self.core.config
-    }
-
-    /// Decodes one full window, emits the anchored components and
-    /// slides.
-    fn commit_window(&mut self, out: &mut DecodeOutput) {
-        let window = self.core.config.window as usize;
-        let stride = self.core.config.stride as usize;
-        let outcome = self
-            .decoder
-            .decode_components(self.core.fill_scratch(window));
-        for comp in &outcome.components {
-            if comp.min_round() >= stride {
-                continue; // tentative: lives entirely in the overlap
-            }
-            out.corrections.extend_from_slice(&comp.corrections);
-            for &(ancilla, t) in &comp.defects {
-                if t >= stride {
-                    self.core.clear_event(ancilla, t);
-                }
-            }
-        }
-        self.core.slide();
-    }
-}
-
-impl Decoder for StreamingUf {
-    fn ingest(&mut self, round: &DetectionRound) -> Result<(), RegOverflow> {
-        self.core.ingest(round);
-        Ok(())
-    }
-
-    fn decode_step(&mut self, _budget: Option<u64>, out: &mut DecodeOutput) {
-        out.clear();
-        out.idle = true;
-        while self.core.window_ready() {
-            self.commit_window(out);
-        }
-        out.committed_through = self.core.committed_through;
-    }
-
-    fn finish(&mut self, out: &mut DecodeOutput) {
-        out.clear();
-        out.idle = true;
-        let tail = self.core.buffer.len();
-        if tail > 0 {
-            let outcome = self.decoder.decode(self.core.fill_scratch(tail));
-            out.corrections.extend_from_slice(&outcome.corrections);
-        }
-        self.core.commit_tail();
-        out.committed_through = self.core.committed_through;
-    }
-
-    fn reset(&mut self) {
-        self.core.reset();
-    }
-
-    fn commit_hint(&self) -> CommitHint {
-        self.core.hint()
-    }
-}
-
-/// Sliding-window streaming exact-MWPM decoder.
-///
-/// Matches whose earliest event round is anchored in the commit stride
-/// commit whole (their routed corrections are emitted, their events
-/// cleared from the buffer); matches floating entirely in the overlap
-/// are tentative and re-matched next window. A perfect matching covers
-/// every event, so each event of the commit stride is explained by
-/// exactly one committed match.
-pub struct StreamingMwpm {
-    decoder: MwpmDecoder,
-    core: WindowCore,
-    lattice: Lattice,
-}
-
-impl StreamingMwpm {
-    /// A windowed MWPM decoder with the default `W = 3d, S = d`
-    /// geometry.
-    pub fn new(lattice: Lattice) -> Self {
-        let config = WindowConfig::default_for(lattice.distance());
-        Self::with_config(lattice, config)
-    }
-
-    /// A windowed MWPM decoder with an explicit window geometry.
-    pub fn with_config(lattice: Lattice, config: WindowConfig) -> Self {
-        Self {
-            decoder: MwpmDecoder::new(lattice.clone()),
-            core: WindowCore::new(lattice.clone(), config),
-            lattice,
-        }
-    }
-
-    /// The window geometry in use.
-    pub fn window_config(&self) -> WindowConfig {
-        self.core.config
-    }
-
-    /// Decodes one full window, emits the anchored matches and slides.
-    fn commit_window(&mut self, out: &mut DecodeOutput) {
-        let window = self.core.config.window as usize;
-        let stride = self.core.config.stride as usize;
-        let outcome = self
-            .decoder
-            .decode(self.core.fill_scratch(window))
-            .expect("doubled graph is matchable");
-        for m in &outcome.matches {
-            if m.min_round() >= stride {
-                continue; // tentative: lives entirely in the overlap
-            }
-            self.decoder
-                .append_match_corrections(m, &mut out.corrections);
-            for ev in m.events() {
-                if ev.round >= stride {
-                    self.core
-                        .clear_event(self.lattice.ancilla_index(ev.ancilla), ev.round);
-                }
-            }
-        }
-        self.core.slide();
-    }
-}
-
-impl Decoder for StreamingMwpm {
-    fn ingest(&mut self, round: &DetectionRound) -> Result<(), RegOverflow> {
-        self.core.ingest(round);
-        Ok(())
-    }
-
-    fn decode_step(&mut self, _budget: Option<u64>, out: &mut DecodeOutput) {
-        out.clear();
-        out.idle = true;
-        while self.core.window_ready() {
-            self.commit_window(out);
-        }
-        out.committed_through = self.core.committed_through;
-    }
-
-    fn finish(&mut self, out: &mut DecodeOutput) {
-        out.clear();
-        out.idle = true;
-        let tail = self.core.buffer.len();
-        if tail > 0 {
-            let outcome = self
-                .decoder
-                .decode(self.core.fill_scratch(tail))
-                .expect("doubled graph is matchable");
-            out.corrections.extend_from_slice(&outcome.corrections);
-        }
-        self.core.commit_tail();
-        out.committed_through = self.core.committed_through;
-    }
-
-    fn reset(&mut self) {
-        self.core.reset();
-    }
-
-    fn commit_hint(&self) -> CommitHint {
-        self.core.hint()
+    fn stats_into(&self, stats: &mut DecodeStats) {
+        stats.clone_from(&self.stats);
     }
 }
 
@@ -539,6 +514,80 @@ mod tests {
             assert_eq!(fine_stream, coarse_stream, "seed {seed}");
             assert_eq!(fine_mark, out.committed_through, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn whole_stream_window_is_the_monolithic_decode() {
+        let d = 5;
+        let lattice = Lattice::new(d).unwrap();
+        let mut out = DecodeOutput::default();
+        let mut stats = DecodeStats::default();
+        for seed in 0..6u64 {
+            let (_, rounds) = stream(d, 0.03, 8, 40 + seed);
+            let mut history = SyndromeHistory::new(lattice.clone());
+            for r in &rounds {
+                history.push_copy(r);
+            }
+            // Longer than the stream: the window never fills.
+            let config = WindowConfig::new(rounds.len() as u64 + 1, rounds.len() as u64);
+
+            let mono = MwpmDecoder::new(lattice.clone()).decode(&history).unwrap();
+            let mut mwpm = StreamingMwpm::with_config(lattice.clone(), config);
+            assert_eq!(mwpm.ingest_batch(&rounds), rounds.len());
+            mwpm.decode_step(None, &mut out);
+            assert!(out.corrections.is_empty(), "the window never fills");
+            mwpm.finish(&mut out);
+            assert_eq!(out.corrections, mono.corrections, "seed {seed}");
+            mwpm.stats_into(&mut stats);
+            let mut hist = Vec::new();
+            for m in &mono.matches {
+                let dt = m.vertical_extent();
+                if hist.len() <= dt {
+                    hist.resize(dt + 1, 0);
+                }
+                hist[dt] += 1;
+            }
+            assert_eq!(stats.matches, mono.matches.len(), "seed {seed}");
+            assert_eq!(stats.vertical_hist, hist, "seed {seed}");
+            assert!(stats.layer_cycles.is_empty());
+
+            let mono = UnionFindDecoder::new(lattice.clone()).decode(&history);
+            let mut uf = StreamingUf::with_config(lattice.clone(), config);
+            assert_eq!(uf.ingest_batch(&rounds), rounds.len());
+            uf.finish(&mut out);
+            assert_eq!(out.corrections, mono.corrections, "seed {seed}");
+            uf.stats_into(&mut stats);
+            let expected = DecodeStats {
+                matches: mono.corrections.len(),
+                ..DecodeStats::default()
+            };
+            assert_eq!(stats, expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn windowed_stats_count_committed_work_until_reset() {
+        let d = 5;
+        let lattice = Lattice::new(d).unwrap();
+        let (_, rounds) = stream(d, 0.04, 24, 9);
+        let config = WindowConfig::new(7, 2);
+        let mut stats = DecodeStats::default();
+
+        let mut mwpm = StreamingMwpm::with_config(lattice.clone(), config);
+        drive(&mut mwpm, &rounds);
+        mwpm.stats_into(&mut stats);
+        assert!(stats.matches > 0);
+        assert_eq!(stats.vertical_hist.iter().sum::<usize>(), stats.matches);
+
+        let mut uf = StreamingUf::with_config(lattice, config);
+        let (all, _) = drive(&mut uf, &rounds);
+        uf.stats_into(&mut stats);
+        assert_eq!(stats.matches, all.len(), "UF counts emitted corrections");
+        assert!(stats.vertical_hist.is_empty());
+
+        uf.reset();
+        uf.stats_into(&mut stats);
+        assert_eq!(stats, DecodeStats::default(), "reset clears the stats");
     }
 
     #[test]

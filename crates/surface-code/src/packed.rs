@@ -261,7 +261,28 @@ impl PackedHeader {
         if u32_at(36) != 0 {
             return Err(PackedError::BadHeader("reserved field is non-zero".into()));
         }
+        check_distance(header.distance, header.num_detectors)?;
         Ok(header)
+    }
+}
+
+/// Rejects a non-zero `distance` whose lattice does not have
+/// `num_detectors` detectors (`d·(d−1)` ancillas). Distance 0 marks a
+/// foreign file of unknown distance and matches any width.
+fn check_distance(distance: u32, num_detectors: u32) -> Result<(), PackedError> {
+    if distance == 0 {
+        return Ok(());
+    }
+    match distance.checked_mul(distance - 1) {
+        Some(implied) if implied == num_detectors => Ok(()),
+        Some(implied) => Err(PackedError::BadHeader(format!(
+            "distance {distance} has {implied} detectors, but num_detectors is {num_detectors}"
+        ))),
+        None => Err(PackedError::BadHeader(format!(
+            "distance {distance} has more than {} detectors, but num_detectors is \
+             {num_detectors}",
+            u32::MAX
+        ))),
     }
 }
 
@@ -299,8 +320,9 @@ impl<W: Write + Seek> PackedWriter<W> {
     ///
     /// # Errors
     ///
-    /// [`PackedError::BadHeader`] on a zero `num_detectors`/`streams`,
-    /// or any I/O failure.
+    /// [`PackedError::BadHeader`] on a zero `num_detectors`/`streams`
+    /// or a non-zero `distance` whose lattice has a different detector
+    /// count, or any I/O failure.
     pub fn new(
         mut sink: W,
         distance: u32,
@@ -314,6 +336,7 @@ impl<W: Write + Seek> PackedWriter<W> {
         if streams == 0 {
             return Err(PackedError::BadHeader("streams is 0".into()));
         }
+        check_distance(distance, num_detectors)?;
         let header = PackedHeader {
             distance,
             num_detectors,
@@ -608,8 +631,11 @@ mod tests {
         erasure_width: u32,
         planes: &[(BitVec, Option<BitVec>)],
     ) -> Vec<u8> {
+        // d = 5 has 20 detectors; every other width is a foreign file.
+        let distance = if width == 20 { 5 } else { 0 };
         let cursor = Cursor::new(Vec::new());
-        let mut writer = PackedWriter::new(cursor, 5, width, streams, erasure_width).unwrap();
+        let mut writer =
+            PackedWriter::new(cursor, distance, width, streams, erasure_width).unwrap();
         for (events, erasures) in planes {
             writer.write_plane(events, erasures.as_ref()).unwrap();
         }
@@ -767,6 +793,40 @@ mod tests {
     }
 
     #[test]
+    fn distance_must_match_the_detector_count() {
+        let mut file = record(20, 1, 0, &[(bits(20, &[]), None)]);
+        for (distance, why) in [
+            (
+                100_001,
+                "distance 100001 has more than 4294967295 detectors",
+            ),
+            (4, "distance 4 has 12 detectors"),
+            (
+                u32::MAX >> 1,
+                "distance 2147483647 has more than 4294967295 detectors",
+            ),
+        ] {
+            file[8..12].copy_from_slice(&distance.to_le_bytes());
+            match PackedReader::new(Cursor::new(file.clone())) {
+                Err(PackedError::BadHeader(msg)) => {
+                    assert!(msg.contains(why), "{msg}");
+                    assert!(msg.contains("num_detectors is 20"), "{msg}");
+                }
+                other => panic!("distance {distance}: expected BadHeader, got {other:?}"),
+            }
+            assert!(matches!(
+                PackedWriter::new(Cursor::new(Vec::new()), distance, 20, 1, 0),
+                Err(PackedError::BadHeader(_))
+            ));
+        }
+        // Distance 0 (foreign file) accepts any width; d = 5 accepts 20.
+        file[8..12].copy_from_slice(&0u32.to_le_bytes());
+        assert!(PackedReader::new(Cursor::new(file)).is_ok());
+        assert!(PackedWriter::new(Cursor::new(Vec::new()), 0, 7, 1, 0).is_ok());
+        assert!(PackedWriter::new(Cursor::new(Vec::new()), 5, 20, 1, 0).is_ok());
+    }
+
+    #[test]
     fn writer_rejects_shape_mismatches() {
         let cursor = Cursor::new(Vec::new());
         let mut writer = PackedWriter::new(cursor, 5, 20, 1, 0).unwrap();
@@ -789,7 +849,7 @@ mod tests {
     #[test]
     fn finishing_mid_round_is_an_error() {
         let cursor = Cursor::new(Vec::new());
-        let mut writer = PackedWriter::new(cursor, 5, 8, 2, 0).unwrap();
+        let mut writer = PackedWriter::new(cursor, 0, 8, 2, 0).unwrap();
         writer.write_plane(&bits(8, &[]), None).unwrap();
         assert!(matches!(
             writer.finish(),

@@ -27,9 +27,7 @@ fn trial_outcomes_are_bitwise_reproducible() {
             let b = run_trial(&cfg, seed);
             assert_eq!(a.logical_error, b.logical_error, "{decoder:?} seed {seed}");
             assert_eq!(a.overflow, b.overflow);
-            assert_eq!(a.layer_cycles, b.layer_cycles);
-            assert_eq!(a.vertical_hist, b.vertical_hist);
-            assert_eq!(a.matches, b.matches);
+            assert_eq!(a.stats, b.stats);
         }
     }
 }
