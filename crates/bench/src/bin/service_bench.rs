@@ -767,13 +767,7 @@ fn main() {
 
     // Worker budget the fabric divides between shards; the denominator
     // for session density. Mirrors ShardedDecodeService::new.
-    let cores = if opts.threads > 0 {
-        opts.threads
-    } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    };
+    let cores = qecool_sim::pool::worker_count(opts.threads);
     let sessions_per_core = opts.sessions as f64 / cores as f64;
     let stats = outcome.total_stats;
 

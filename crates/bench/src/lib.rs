@@ -24,7 +24,6 @@
 #![deny(unsafe_code)]
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 
 /// Common command-line options of the regeneration binaries.
 #[derive(Debug, Clone)]
@@ -132,9 +131,9 @@ impl Options {
     /// Writes CSV content to `--out` if given; reports the path on stderr.
     pub fn write_csv(&self, csv: &str) {
         if let Some(path) = &self.out {
-            let mut f =
-                std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-            f.write_all(csv.as_bytes()).expect("write CSV");
+            if let Err(e) = std::fs::write(path, csv) {
+                usage_error(&format!("cannot write {path}: {e}"));
+            }
             eprintln!("wrote {path}");
         }
     }

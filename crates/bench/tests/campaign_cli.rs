@@ -171,4 +171,8 @@ fn bad_campaign_flags_exit_two() {
 
     let out = sweep(&["--chunk-shots", "0"]);
     assert_exit_2(&out, "--chunk-shots must be >= 1");
+
+    let unwritable = temp_path("missing_dir").join("x.csv");
+    let out = sweep(&["--out", unwritable.to_str().unwrap()]);
+    assert_exit_2(&out, "cannot write");
 }

@@ -11,16 +11,19 @@
 //! threads:
 //!
 //! * a lock-free single-producer/multi-consumer work queue (an atomic
-//!   cursor over the precomputed shard list) feeds N worker threads;
-//! * each worker owns a reusable [`TrialScratch`] (decoder, patch,
-//!   syndrome buffers) and one recycled
-//!   [`TrialOutcome`], so the hot loop does
-//!   no per-shot construction;
+//!   cursor over the precomputed shard list) feeds N workers, each one
+//!   job on the engine's persistent [`WorkerPool`](crate::pool) (the
+//!   pool the service pump runs on). The calling thread is one of the
+//!   N, so the pool holds N − 1 threads, and a batch one worker
+//!   suffices for runs inline and spawns nothing;
+//! * each worker owns a reusable [`TrialScratch`] (decoders, patch,
+//!   syndrome buffers) and one recycled [`TrialOutcome`], kept between
+//!   batches, so the hot loop does no per-shot construction;
 //! * scalar counters stream into the engine's [`EngineTally`] of atomic
 //!   counters the moment a shard retires — live observability with no
 //!   mutex on the aggregate;
 //! * per-shard partial [`McResult`]s are merged **in shard order** after
-//!   the scope joins, which keeps the histogram and cycle aggregates
+//!   the batch retires, which keeps the histogram and cycle aggregates
 //!   independent of thread scheduling.
 //!
 //! Trial `i` of a job uses seed
@@ -43,10 +46,15 @@
 //! assert_eq!(engine.tally().shots(), 40);
 //! ```
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::campaign::derive_seed;
 use crate::montecarlo::McResult;
+use crate::pool::{worker_count, WorkerPool};
 use crate::trials::{run_trial_into, TrialConfig, TrialOutcome, TrialScratch};
 
 /// Default shard size: big enough to amortize queue traffic, small
@@ -158,12 +166,71 @@ struct Shard {
     len: usize,
 }
 
+/// One batch's work, shared by every worker that runs it.
+struct Batch {
+    jobs: Vec<McJob>,
+    shards: Vec<Shard>,
+    /// Next unclaimed shard.
+    cursor: AtomicUsize,
+    tally: Arc<EngineTally>,
+}
+
+/// One worker's state, kept between batches, and the `(shard index,
+/// partial)` of every shard it retired this batch.
+#[derive(Default)]
+struct Worker {
+    scratch: TrialScratch,
+    outcome: TrialOutcome,
+    retired: Vec<(usize, McResult)>,
+}
+
+impl Batch {
+    /// Claims shards off the cursor until none are left.
+    fn drain(&self, worker: &mut Worker) {
+        loop {
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(shard) = self.shards.get(index) else {
+                return;
+            };
+            let job = &self.jobs[shard.job];
+            let mut partial = McResult::default();
+            for k in shard.start..shard.start + shard.len {
+                let seed = derive_seed(job.base_seed, job.stream, job.first_trial + k as u64);
+                run_trial_into(&job.trial, seed, &mut worker.scratch, &mut worker.outcome);
+                partial.absorb(&worker.outcome);
+            }
+            self.tally.absorb(&partial);
+            worker.retired.push((index, partial));
+        }
+    }
+}
+
+/// A pool job: one worker draining one batch.
+type BatchJob = (Worker, Arc<Batch>);
+
 /// The parallel Monte-Carlo decode engine. See the module docs for the
 /// threading model.
-#[derive(Debug, Default)]
 pub struct DecodeEngine {
     config: EngineConfig,
-    tally: EngineTally,
+    tally: Arc<EngineTally>,
+    /// The pool and its idle workers. Held for a whole batch, so batches
+    /// on one engine run one at a time.
+    crew: Mutex<(WorkerPool<BatchJob>, Vec<Worker>)>,
+}
+
+impl fmt::Debug for DecodeEngine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DecodeEngine")
+            .field("config", &self.config)
+            .field("tally", &self.tally)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Default for DecodeEngine {
+    fn default() -> Self {
+        Self::with_config(EngineConfig::default())
+    }
 }
 
 impl DecodeEngine {
@@ -172,12 +239,16 @@ impl DecodeEngine {
         Self::default()
     }
 
-    /// An engine with explicit configuration.
+    /// An engine with explicit configuration. Spawns no thread.
     pub fn with_config(config: EngineConfig) -> Self {
         assert!(config.shard_shots > 0, "shard_shots must be positive");
+        let pool = WorkerPool::new(None, |(worker, batch): &mut BatchJob, _| {
+            batch.drain(worker)
+        });
         Self {
             config,
-            tally: EngineTally::default(),
+            tally: Arc::default(),
+            crew: Mutex::new((pool, Vec::new())),
         }
     }
 
@@ -199,17 +270,6 @@ impl DecodeEngine {
         &self.tally
     }
 
-    fn effective_threads(&self, shards: usize) -> usize {
-        let hw = if self.config.threads > 0 {
-            self.config.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        };
-        hw.min(shards).max(1)
-    }
-
     /// Runs one campaign; equivalent to a single-job [`Self::run_batch`].
     pub fn run(&self, trial: &TrialConfig, shots: usize, base_seed: u64) -> McResult {
         let job = McJob::new(*trial, shots, base_seed);
@@ -218,76 +278,72 @@ impl DecodeEngine {
             .expect("one job in, one result out")
     }
 
-    /// Runs many campaigns through one shared worker pool, returning one
-    /// aggregate per job in job order.
+    /// Runs many campaigns through the engine's worker pool, returning
+    /// one aggregate per job in job order.
     ///
     /// All jobs' shards go onto a single queue, so a sweep's cheap
     /// points do not leave workers idle while an expensive point
     /// finishes — cross-job work stealing for free.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the payload of a trial that panicked (e.g. on an
+    /// invalid code distance). The engine stays usable.
     pub fn run_batch(&self, jobs: &[McJob]) -> Vec<McResult> {
-        let mut shards = Vec::new();
-        for (job_idx, job) in jobs.iter().enumerate() {
-            let mut start = 0;
-            while start < job.shots {
-                let len = self.config.shard_shots.min(job.shots - start);
-                shards.push(Shard {
-                    job: job_idx,
+        let size = self.config.shard_shots;
+        let shards: Vec<Shard> = jobs
+            .iter()
+            .enumerate()
+            .flat_map(|(job, j)| {
+                (0..j.shots).step_by(size).map(move |start| Shard {
+                    job,
                     start,
-                    len,
-                });
-                start += len;
-            }
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let threads = self.effective_threads(shards.len());
-
-        let per_worker: Vec<Vec<(usize, McResult)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = TrialScratch::new();
-                        let mut outcome = TrialOutcome::default();
-                        let mut retired: Vec<(usize, McResult)> = Vec::new();
-                        loop {
-                            let shard_idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(shard) = shards.get(shard_idx) else {
-                                break;
-                            };
-                            let job = &jobs[shard.job];
-                            let mut partial = McResult::default();
-                            for k in 0..shard.len {
-                                let seed = derive_seed(
-                                    job.base_seed,
-                                    job.stream,
-                                    job.first_trial + (shard.start + k) as u64,
-                                );
-                                run_trial_into(&job.trial, seed, &mut scratch, &mut outcome);
-                                partial.absorb(&outcome);
-                            }
-                            self.tally.absorb(&partial);
-                            retired.push((shard_idx, partial));
-                        }
-                        retired
-                    })
+                    len: size.min(j.shots - start),
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine worker panicked"))
-                .collect()
+            })
+            .collect();
+        let threads = worker_count(self.config.threads).min(shards.len()).max(1);
+        let batch = Arc::new(Batch {
+            jobs: jobs.to_vec(),
+            shards,
+            cursor: AtomicUsize::new(0),
+            tally: Arc::clone(&self.tally),
         });
+
+        let mut crew = self.crew.lock();
+        let (pool, idle) = &mut *crew;
+        let crew_jobs = (0..threads).map(|_| (idle.pop().unwrap_or_default(), Arc::clone(&batch)));
+        // The caller is one of the `threads` workers. Waking `threads`
+        // parked workers while the caller slept cost `mc_mixed` about 9 %
+        // of its shots/s against per-batch spawned threads, on a 2-vCPU
+        // VM; with the caller helping it does not.
+        let (finished, panic) = pool.run(threads - 1, crew_jobs, true);
+        let mut workers: Vec<Worker> = finished.into_iter().map(|(w, _)| w).collect();
+        let mut flat: Vec<(usize, McResult)> = workers
+            .iter_mut()
+            .flat_map(|w| w.retired.drain(..))
+            .collect();
+        idle.append(&mut workers);
+        drop(crew);
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
 
         // Deterministic aggregation: merge partials in shard order, which
         // depends only on the job list and shard size — never on which
         // worker ran what, or when.
-        let mut flat: Vec<(usize, McResult)> = per_worker.into_iter().flatten().collect();
         flat.sort_unstable_by_key(|&(shard_idx, _)| shard_idx);
         let mut results = vec![McResult::default(); jobs.len()];
         for (shard_idx, partial) in flat {
-            results[shards[shard_idx].job].merge(partial);
+            results[batch.shards[shard_idx].job].merge(partial);
         }
         results
+    }
+
+    /// Pool threads this engine has spawned.
+    #[cfg(test)]
+    fn workers_spawned(&self) -> usize {
+        self.crew.lock().0.workers()
     }
 }
 
@@ -396,5 +452,62 @@ mod tests {
         ];
         let results = DecodeEngine::with_threads(2).run_batch(&jobs);
         assert!(results.iter().all(|r| r.shots == 40));
+    }
+
+    #[test]
+    fn a_panicking_trial_reraises_its_own_message_and_the_engine_recovers() {
+        let bad = McJob::new(
+            TrialConfig::standard(4, 0.02, DecoderKind::UnionFind),
+            200,
+            1,
+        );
+        let good = [
+            McJob::new(
+                TrialConfig::standard(3, 0.05, DecoderKind::BatchQecool),
+                150,
+                4,
+            ),
+            McJob::new(TrialConfig::standard(3, 0.05, DecoderKind::Mwpm), 150, 5),
+        ];
+        // One thread panics inline on the caller; two through the pool.
+        for threads in [1, 2] {
+            let engine = DecodeEngine::with_threads(threads);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.run_batch(&[bad]);
+            }))
+            .expect_err("an even distance must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .expect("a string payload");
+            assert!(message.contains("valid code distance"), "{message}");
+            assert_eq!(
+                engine.run_batch(&good),
+                DecodeEngine::with_threads(threads).run_batch(&good),
+                "{threads} thread(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn batches_reuse_the_pool() {
+        let engine = DecodeEngine::with_threads(2);
+        assert_eq!(engine.workers_spawned(), 0, "construction spawns nothing");
+        let cfg = TrialConfig::standard(3, 0.05, DecoderKind::BatchQecool);
+        // Two workers: the caller and one pool thread.
+        engine.run(&cfg, 200, 1);
+        assert_eq!(engine.workers_spawned(), 1);
+        engine.run(&cfg, 200, 2);
+        assert_eq!(engine.workers_spawned(), 1, "the second batch respawned");
+    }
+
+    #[test]
+    fn a_one_thread_engine_runs_inline() {
+        let engine = DecodeEngine::with_threads(1);
+        let cfg = TrialConfig::standard(3, 0.05, DecoderKind::BatchQecool);
+        let mc = engine.run(&cfg, 200, 1);
+        assert_eq!(mc.shots, 200);
+        assert_eq!(engine.workers_spawned(), 0);
     }
 }

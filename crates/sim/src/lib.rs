@@ -18,6 +18,9 @@
 //! * [`window`] — true overlapping sliding-window streaming decoders
 //!   for the UF/MWPM baselines: decode W rounds, commit the oldest
 //!   S < W, slide — bounded commit latency with seam-free overlap;
+//! * [`pool`] — the one persistent worker pool the engine and the
+//!   service pump both run on, and [`pool::worker_count`], the one
+//!   "`threads == 0` means all cores" rule;
 //! * [`shard`] — the multi-tenant front end: N locked service shards
 //!   behind `&self`, sessions routed by id, so producers on different
 //!   shards never contend;
@@ -58,6 +61,7 @@ pub mod dual_sector;
 pub mod engine;
 pub mod experiments;
 pub mod montecarlo;
+pub mod pool;
 pub mod service;
 pub mod shard;
 pub mod stats;

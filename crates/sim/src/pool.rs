@@ -1,0 +1,245 @@
+//! The one persistent worker pool. [`DecodeEngine`](crate::DecodeEngine)
+//! batches and [`DecodeService::pump`](crate::DecodeService::pump) both
+//! run their parallel work on it, and [`worker_count`] is the one rule
+//! that turns a `threads` setting into a worker count.
+//!
+//! A pool runs batches of **owned** jobs through one work function.
+//! Worker threads spawn lazily, the first time a batch asks for them,
+//! and only ever grow to the largest worker count asked for. Between
+//! batches they park on a condvar, so a high-frequency caller pays no
+//! spawn cost per batch. Within a batch the jobs sit on one shared FIFO
+//! that idle workers pull from, so one slow job never idles the rest of
+//! the pool. The caller either waits, or also pulls jobs until the
+//! queue is empty; the worker that retires a batch's last job wakes
+//! it. Every job runs under `catch_unwind`: a panicking job is
+//! dropped, the rest of the batch still finishes, and the first payload
+//! goes back to the caller to re-raise. Dropping the pool wakes and
+//! joins every worker, so no thread outlives its owner.
+
+use std::any::Any;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use qecool_obs::Counter;
+
+/// Worker threads for a `threads` setting: `threads` itself, or every
+/// available core when it is `0`.
+pub fn worker_count(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    }
+}
+
+/// A panic payload caught on a worker, for the caller to re-raise.
+type Panic = Box<dyn Any + Send>;
+
+/// What a worker does with a job, given its stripe.
+type Work<J> = Box<dyn Fn(&mut J, usize) + Send + Sync>;
+
+/// Telemetry counters a pool's workers record into, each on the
+/// worker's own stripe.
+#[derive(Clone)]
+pub(crate) struct PoolCounters {
+    /// Jobs pulled off the shared queue.
+    pub(crate) steals: Arc<Counter>,
+    /// Times a worker parked on the work-ready condvar.
+    pub(crate) parks: Arc<Counter>,
+    /// Times a parked worker woke.
+    pub(crate) wakes: Arc<Counter>,
+}
+
+/// State shared between the pool's caller and its workers.
+struct Queue<J> {
+    /// Jobs awaiting a worker this batch. A single shared deque is the
+    /// work-stealing structure: workers pull the next pending job the
+    /// moment they go idle, so load balances dynamically across jobs
+    /// instead of by static chunking.
+    pending: VecDeque<J>,
+    /// Jobs finished this batch, awaiting hand-back.
+    finished: Vec<J>,
+    /// Jobs queued this batch.
+    submitted: usize,
+    /// Jobs retired this batch, successfully or not: `finished.len()`
+    /// plus any panicked jobs. `run` waits for it to reach `submitted`,
+    /// so a worker panic cannot strand it.
+    completed: usize,
+    /// First panic payload caught this batch.
+    panic: Option<Panic>,
+    /// Set once, on drop; workers exit when they see it with an empty
+    /// queue.
+    shutdown: bool,
+}
+
+pub(crate) struct Shared<J> {
+    queue: Mutex<Queue<J>>,
+    /// Signalled by `run` when jobs are enqueued and on shutdown.
+    work_ready: Condvar,
+    /// Signalled by the worker that retires a batch's last job.
+    batch_done: Condvar,
+    /// Worker threads that have exited their loop (observability for
+    /// shutdown tests; `run` never reads it).
+    pub(crate) exited: AtomicUsize,
+    work: Work<J>,
+    counters: Option<PoolCounters>,
+}
+
+/// A persistent pool of worker threads over owned jobs of type `J`. See
+/// the module docs.
+pub(crate) struct WorkerPool<J> {
+    pub(crate) shared: Arc<Shared<J>>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl<J: Send + 'static> WorkerPool<J> {
+    /// A pool that runs `work(job, stripe)` on every job. Spawns no
+    /// thread: workers appear at the first [`Self::run`].
+    pub(crate) fn new(
+        counters: Option<PoolCounters>,
+        work: impl Fn(&mut J, usize) + Send + Sync + 'static,
+    ) -> Self {
+        Self {
+            shared: Arc::new(Shared {
+                queue: Mutex::new(Queue {
+                    pending: VecDeque::new(),
+                    finished: Vec::new(),
+                    submitted: 0,
+                    completed: 0,
+                    panic: None,
+                    shutdown: false,
+                }),
+                work_ready: Condvar::new(),
+                batch_done: Condvar::new(),
+                exited: AtomicUsize::new(0),
+                work: Box::new(work),
+                counters,
+            }),
+            handles: Vec::new(),
+        }
+    }
+
+    /// Worker threads spawned so far. The pool never respawns or shrinks,
+    /// so this is also the number of live workers.
+    pub(crate) fn workers(&self) -> usize {
+        self.handles.len()
+    }
+
+    /// Runs one batch on at least `workers` threads and blocks until
+    /// every job has retired. Spawns the threads the pool is short of,
+    /// so it tracks a workload that grows after its first batch. With
+    /// `caller_helps`, the calling thread also pulls jobs (on stripe 0)
+    /// until the queue is empty, so a batch of one job runs inline with
+    /// `workers = 0`. Returns the finished jobs, in no particular order,
+    /// and the first panic payload; a job that panicked is not among the
+    /// finished.
+    pub(crate) fn run(
+        &mut self,
+        workers: usize,
+        jobs: impl IntoIterator<Item = J>,
+        caller_helps: bool,
+    ) -> (Vec<J>, Option<Panic>) {
+        for i in self.handles.len()..workers {
+            let shared = Arc::clone(&self.shared);
+            let handle = std::thread::Builder::new()
+                .name(format!("qecool-worker-{i}"))
+                .spawn(move || {
+                    // Stripe i+1: stripe 0 belongs to the caller's inline
+                    // paths, so worker cells never share with it.
+                    Self::worker_loop(&shared, i + 1);
+                    shared.exited.fetch_add(1, Ordering::Release);
+                })
+                .expect("spawn pool worker");
+            self.handles.push(handle);
+        }
+        {
+            let mut queue = self.shared.queue.lock();
+            debug_assert!(queue.pending.is_empty() && queue.finished.is_empty());
+            queue.completed = 0;
+            queue.pending.extend(jobs);
+            queue.submitted = queue.pending.len();
+        }
+        self.shared.work_ready.notify_all();
+        let mut queue = self.shared.queue.lock();
+        if caller_helps {
+            while let Some(job) = queue.pending.pop_front() {
+                drop(queue);
+                queue = Self::retire(&self.shared, job, 0);
+            }
+        }
+        while queue.completed < queue.submitted {
+            queue = self.shared.batch_done.wait(queue);
+        }
+        (std::mem::take(&mut queue.finished), queue.panic.take())
+    }
+
+    /// Runs `job` and records its retirement, returning the re-taken
+    /// queue lock.
+    fn retire(shared: &Shared<J>, mut job: J, stripe: usize) -> MutexGuard<'_, Queue<J>> {
+        // Catch unwinds so a panicking job cannot strand `run` waiting
+        // for a job that will never finish; the payload is re-raised by
+        // the caller.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (shared.work)(&mut job, stripe);
+            job
+        }));
+        let mut queue = shared.queue.lock();
+        match outcome {
+            Ok(job) => queue.finished.push(job),
+            Err(payload) => {
+                // The job died with the panic; keep the first payload
+                // for re-raise.
+                queue.panic.get_or_insert(payload);
+            }
+        }
+        queue.completed += 1;
+        // `run` is the only possible waiter, and it only wants to hear
+        // about the last job of its batch.
+        if queue.completed == queue.submitted {
+            shared.batch_done.notify_one();
+        }
+        queue
+    }
+
+    fn worker_loop(shared: &Shared<J>, stripe: usize) {
+        let counters = shared.counters.as_ref();
+        let mut queue = shared.queue.lock();
+        loop {
+            if let Some(job) = queue.pending.pop_front() {
+                drop(queue);
+                if let Some(c) = counters {
+                    c.steals.add(stripe, 1);
+                }
+                queue = Self::retire(shared, job, stripe);
+                continue;
+            }
+            if queue.shutdown {
+                return;
+            }
+            if let Some(c) = counters {
+                c.parks.add(stripe, 1);
+            }
+            queue = shared.work_ready.wait(queue);
+            if let Some(c) = counters {
+                c.wakes.add(stripe, 1);
+            }
+        }
+    }
+}
+
+impl<J> Drop for WorkerPool<J> {
+    /// Graceful shutdown: wake every worker with the shutdown flag set
+    /// and join them all.
+    fn drop(&mut self) {
+        self.shared.queue.lock().shutdown = true;
+        self.shared.work_ready.notify_all();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}

@@ -21,20 +21,12 @@
 //!
 //! # The persistent pump pool
 //!
-//! Worker threads are spawned lazily — at the first
-//! [`DecodeService::pump`] that has work for more than one of them,
-//! growing (never respawning) if sessions later outnumber the pool, up
-//! to the configured worker cap — and then serve every later pump until
-//! the service is dropped (which wakes and joins them — no thread
-//! outlives its service). Between pumps the workers park on a condvar,
-//! so a high-frequency pump loop pays no spawn cost per iteration.
-//! Within a pump, pending sessions sit on one shared queue that idle
-//! workers pull from — work steals across sessions dynamically, so a
-//! slow session never idles the rest of the pool. Pumps where at most
-//! one session has pending work drain inline on the calling thread
-//! without touching (or creating) the pool. A worker that panics
-//! mid-drain re-raises the panic on the pump caller's thread, like the
-//! scoped-thread implementation it replaced.
+//! [`DecodeService::pump`] runs on the service's own persistent
+//! [`WorkerPool`](crate::pool), the pool type the Monte-Carlo engine
+//! also runs on (see there for the spawn, wake-up, panic and shutdown
+//! rules). Pending sessions move out of their slots as pool jobs and
+//! back; pumps where at most one session has pending work drain inline
+//! on the calling thread without touching (or creating) the pool.
 //!
 //! # Steady-state allocation
 //!
@@ -81,10 +73,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
 use qecool::api::{CommitHint, DecodeOutput, Decoder};
 use qecool::{FatalError, RegOverflow, DEFAULT_BOUNDARY_PENALTY};
 use qecool_obs::counters::thread_stripe;
@@ -94,6 +84,7 @@ use qecool_obs::{
 use qecool_sfq::budget::{CycleBudget, CycleHistogram};
 use qecool_surface_code::{DetectionRound, Edge, Lattice, LatticeError};
 
+use crate::pool::{worker_count, PoolCounters, WorkerPool};
 use crate::trials::DecoderKind;
 pub use crate::window::{StreamingMwpm, StreamingUf, WindowConfig};
 
@@ -187,9 +178,8 @@ struct ServiceTelemetry {
     /// Per-stripe drain tick driving the 1-in-N wall-clock sampling of
     /// the decode stage.
     drains: Arc<Counter>,
-    steals: Arc<Counter>,
-    parks: Arc<Counter>,
-    wakes: Arc<Counter>,
+    /// The pump pool's `qecool_pool_{steals,parks,wakes}_total` series.
+    pool: PoolCounters,
     busy_cycles: Arc<Counter>,
     sessions_opened: Arc<Counter>,
     sessions_closed: Arc<Counter>,
@@ -217,15 +207,18 @@ impl ServiceTelemetry {
                 "qecool_service_drains_total",
                 "Inbox drain batches executed",
             ),
-            steals: registry.counter(
-                "qecool_pool_steals_total",
-                "Pump jobs pulled off the shared queue by pool workers",
-            ),
-            parks: registry.counter(
-                "qecool_pool_parks_total",
-                "Times a pool worker parked on the work-ready condvar",
-            ),
-            wakes: registry.counter("qecool_pool_wakes_total", "Times a parked pool worker woke"),
+            pool: PoolCounters {
+                steals: registry.counter(
+                    "qecool_pool_steals_total",
+                    "Pump jobs pulled off the shared queue by pool workers",
+                ),
+                parks: registry.counter(
+                    "qecool_pool_parks_total",
+                    "Times a pool worker parked on the work-ready condvar",
+                ),
+                wakes: registry
+                    .counter("qecool_pool_wakes_total", "Times a parked pool worker woke"),
+            },
             busy_cycles: registry.counter(
                 "qecool_pool_busy_cycles_total",
                 "Decode cycles spent draining inboxes, per worker stripe",
@@ -698,163 +691,6 @@ struct Slot {
     on_free: bool,
 }
 
-/// One unit of pump work: a session moved out of its slot, drained by
-/// exactly one worker, then moved back. Moving the session (a few
-/// pointer-sized fields) is what lets long-lived workers process it
-/// without borrowing from the service.
-struct PumpJob {
-    slot: u32,
-    session: Session,
-    budget: u64,
-}
-
-/// State shared between [`DecodeService::pump`] and the pool workers.
-#[derive(Default)]
-struct PoolQueue {
-    /// Sessions awaiting a worker this pump. A single shared deque is
-    /// the work-stealing structure: workers pull the next pending
-    /// session the moment they go idle, so load balances dynamically
-    /// across sessions instead of by static chunking.
-    pending: VecDeque<PumpJob>,
-    /// Sessions drained this pump, awaiting re-installation.
-    finished: Vec<PumpJob>,
-    /// Jobs queued this pump.
-    submitted: usize,
-    /// Jobs retired this pump, successfully or not: `finished.len()`
-    /// plus any panicked drains. `pump` waits for it to reach
-    /// `submitted`, so a worker panic cannot strand it.
-    completed: usize,
-    /// First panic payload caught this pump; re-raised on the `pump`
-    /// caller's thread, matching the old scoped-thread behaviour.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    /// Set once, on service drop; workers exit when they see it with an
-    /// empty queue.
-    shutdown: bool,
-}
-
-struct PoolShared {
-    queue: Mutex<PoolQueue>,
-    /// Signalled by `pump` when jobs are enqueued and on shutdown.
-    work_ready: Condvar,
-    /// Signalled by the worker that retires a pump's last job.
-    batch_done: Condvar,
-    /// Worker threads that have exited their loop (observability for
-    /// shutdown tests; `pump` never reads it).
-    exited: AtomicUsize,
-    /// Telemetry bundle workers record steals/parks/wakes and drain
-    /// metrics through; `None` when the service's telemetry is off.
-    obs: Option<Arc<ServiceTelemetry>>,
-}
-
-/// The persistent pump worker pool: threads spawn once — at the first
-/// pump that has parallel work — and then serve every subsequent pump
-/// until the service drops, amortising spawn cost across the
-/// high-frequency pump loops the serving path runs.
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn spawn(workers: usize, obs: Option<Arc<ServiceTelemetry>>) -> Self {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue::default()),
-            work_ready: Condvar::new(),
-            batch_done: Condvar::new(),
-            exited: AtomicUsize::new(0),
-            obs,
-        });
-        let mut pool = Self {
-            shared,
-            handles: Vec::new(),
-        };
-        pool.grow_to(workers);
-        pool
-    }
-
-    /// Spawns additional workers until the pool has `workers` threads.
-    /// Lets the pool track sessions opened after its creation instead of
-    /// freezing at the first pump's parallelism.
-    fn grow_to(&mut self, workers: usize) {
-        for i in self.handles.len()..workers {
-            let shared = Arc::clone(&self.shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("qecool-pump-{i}"))
-                .spawn(move || {
-                    // Stripe i+1: stripe 0 belongs to the caller-inline
-                    // drain paths, so worker cells never share with it.
-                    Self::worker_loop(&shared, i + 1);
-                    shared.exited.fetch_add(1, Ordering::Release);
-                })
-                .expect("spawn pump worker");
-            self.handles.push(handle);
-        }
-    }
-
-    fn worker_loop(shared: &PoolShared, stripe: usize) {
-        let obs = shared.obs.as_deref();
-        let mut queue = shared.queue.lock();
-        loop {
-            if let Some(mut job) = queue.pending.pop_front() {
-                drop(queue);
-                if let Some(t) = obs {
-                    t.steals.add(stripe, 1);
-                }
-                // Catch unwinds so a panicking decoder cannot strand
-                // `pump` waiting for a job that will never finish; the
-                // payload is re-raised on the pump caller's thread.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    job.session
-                        .drain_inbox(job.budget, obs.map(|t| (t, stripe)));
-                    job
-                }));
-                queue = shared.queue.lock();
-                match outcome {
-                    Ok(job) => queue.finished.push(job),
-                    Err(payload) => {
-                        // The job (and its session) died with the panic;
-                        // keep the first payload for re-raise.
-                        queue.panic.get_or_insert(payload);
-                    }
-                }
-                queue.completed += 1;
-                // `pump` is the only possible waiter, and it only wants
-                // to hear about the last job of its batch.
-                if queue.completed == queue.submitted {
-                    shared.batch_done.notify_one();
-                }
-                continue;
-            }
-            if queue.shutdown {
-                return;
-            }
-            if let Some(t) = obs {
-                t.parks.add(stripe, 1);
-            }
-            queue = shared.work_ready.wait(queue);
-            if let Some(t) = obs {
-                t.wakes.add(stripe, 1);
-            }
-        }
-    }
-
-    fn workers(&self) -> usize {
-        self.handles.len()
-    }
-}
-
-impl Drop for WorkerPool {
-    /// Graceful shutdown: wake every worker with the shutdown flag set
-    /// and join them all, so no thread outlives the service.
-    fn drop(&mut self) {
-        self.shared.queue.lock().shutdown = true;
-        self.shared.work_ready.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// The long-lived decoding service. See the module docs for the session
 /// lifecycle and guarantees.
 pub struct DecodeService {
@@ -863,12 +699,12 @@ pub struct DecodeService {
     budget_cycles: u64,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Persistent pump worker pool, spawned lazily at the first pump
-    /// with parallel work and reused until the service drops.
-    pool: Option<WorkerPool>,
-    /// Total worker threads ever spawned — the spawn-counting hook the
-    /// pool-reuse tests (and curious operators) read.
-    workers_spawned: usize,
+    /// Persistent pump worker pool, created at the first pump with
+    /// parallel work and reused until the service drops. A job is a
+    /// session moved out of its slot (by index), drained by exactly one
+    /// worker, then moved back; moving it is what lets long-lived
+    /// workers drain it without borrowing from the service.
+    pool: Option<WorkerPool<(usize, Session)>>,
     /// Telemetry bundle; `None` when the config's handle is disabled.
     obs: Option<Arc<ServiceTelemetry>>,
 }
@@ -902,7 +738,6 @@ impl DecodeService {
             slots: Vec::new(),
             free: Vec::new(),
             pool: None,
-            workers_spawned: 0,
             obs,
         })
     }
@@ -1134,18 +969,13 @@ impl DecodeService {
     /// pool. Each session is advanced by exactly one worker, in arrival
     /// order, so results are independent of the thread count.
     ///
-    /// Workers live in a **persistent pool** owned by the service:
-    /// threads spawn at the first pump that has work for more than one
-    /// of them (growing if sessions later outnumber the pool, up to the
-    /// configured cap — never respawning) and serve every later pump
-    /// until the service drops (graceful shutdown: workers are woken
-    /// and joined). Within a pump,
-    /// pending sessions go onto one shared queue that idle workers pull
-    /// from — work steals across sessions dynamically instead of by
-    /// static chunking, so one slow session cannot idle the rest of the
-    /// pool. When at most one session has pending work (or the service
-    /// is configured single-threaded) the pump drains inline on the
-    /// caller's thread and the pool is neither consulted nor spawned.
+    /// The pool spawns at the first pump with work for more than one
+    /// worker and grows with the busy-session count, up to the
+    /// configured cap. When at most one session has pending work (or the
+    /// service is configured single-threaded) the pump drains inline on
+    /// the caller's thread and the pool is neither consulted nor
+    /// spawned. A drain that panics on a worker loses its session, frees
+    /// that slot and re-raises the panic on the pump caller.
     pub fn pump(&mut self) {
         let budget = self.budget_cycles;
         let obs = self.obs.clone();
@@ -1161,7 +991,8 @@ impl DecodeService {
         if pending == 0 {
             return;
         }
-        if pending == 1 || self.configured_workers() <= 1 {
+        let configured = worker_count(self.config.threads);
+        if pending == 1 || configured <= 1 {
             // Fast path: ≤ 1 busy session needs no pool at all.
             for slot in &mut self.slots {
                 if let Some(session) = &mut slot.session {
@@ -1170,64 +1001,35 @@ impl DecodeService {
             }
             return;
         }
+        let pool = self.pool.get_or_insert_with(|| {
+            WorkerPool::new(
+                obs.as_ref().map(|t| t.pool.clone()),
+                move |(_, session): &mut (usize, Session), stripe| {
+                    session.drain_inbox(budget, obs.as_deref().map(|t| (t, stripe)));
+                },
+            )
+        });
+        let jobs = self.slots.iter_mut().enumerate().filter_map(|(idx, slot)| {
+            let session = slot.session.take_if(|s| !s.inbox.is_empty())?;
+            Some((idx, session))
+        });
         // The pool tracks workload growth: more *busy* sessions than
         // workers at this pump (up to the configured cap) spawn the
         // difference. Sizing by pending work, not the slot table, keeps
         // closed/free slots from inflating the pool.
-        let workers = self.configured_workers().min(pending);
-        let pool = match &mut self.pool {
-            Some(pool) => {
-                if pool.workers() < workers {
-                    self.workers_spawned += workers - pool.workers();
-                    pool.grow_to(workers);
-                }
-                &*pool
-            }
-            None => {
-                self.workers_spawned += workers;
-                self.pool
-                    .insert(WorkerPool::spawn(workers, self.obs.clone()))
-            }
-        };
-        {
-            let mut queue = pool.shared.queue.lock();
-            debug_assert!(queue.pending.is_empty() && queue.finished.is_empty());
-            queue.completed = 0;
-            for (idx, slot) in self.slots.iter_mut().enumerate() {
-                if slot.session.as_ref().is_some_and(|s| !s.inbox.is_empty()) {
-                    let session = slot.session.take().expect("pending session exists");
-                    queue.pending.push_back(PumpJob {
-                        slot: idx as u32,
-                        session,
-                        budget,
-                    });
-                }
-            }
-            queue.submitted = queue.pending.len();
-        }
-        pool.shared.work_ready.notify_all();
-        let mut queue = pool.shared.queue.lock();
-        while queue.completed < queue.submitted {
-            queue = pool.shared.batch_done.wait(queue);
-        }
-        let finished = std::mem::take(&mut queue.finished);
-        let panic = queue.panic.take();
-        drop(queue);
-        for job in finished {
-            self.slots[job.slot as usize].session = Some(job.session);
+        let (finished, panic) = pool.run(configured.min(pending), jobs, false);
+        for (idx, session) in finished {
+            self.slots[idx].session = Some(session);
         }
         if let Some(payload) = panic {
-            // Re-raise the worker's panic where the old scoped-thread
-            // implementation would have: on the pump caller. The
-            // panicking session is gone; free its slot so it can be
+            // The panicking session is gone; free its slot so it can be
             // recycled (its handle reports `UnknownSession` from here
             // on). Submitted slots that did not come back in `finished`
             // are exactly the ones whose drain panicked; `release_slot`
             // is idempotent (per-slot `on_free` flag), so rescanning the
             // whole table — here and again on any later panicked pump —
             // can never push an index twice and alias two sessions onto
-            // one slot, which the old `free.contains` scan allowed to
-            // race with interleaved reclamation paths.
+            // one slot.
             for idx in 0..self.slots.len() as u32 {
                 self.release_slot(idx);
             }
@@ -1246,18 +1048,6 @@ impl DecodeService {
         }
     }
 
-    /// Worker count the configuration asks for: explicit `threads`, or
-    /// all cores when 0.
-    fn configured_workers(&self) -> usize {
-        if self.config.threads > 0 {
-            self.config.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
-    }
-
     /// Number of live pump worker threads (0 until the first parallel
     /// pump spawns the pool).
     pub fn pool_workers(&self) -> usize {
@@ -1266,9 +1056,10 @@ impl DecodeService {
 
     /// Total pump worker threads ever spawned by this service — the
     /// spawn-counting hook: consecutive pumps must not move it once the
-    /// pool exists.
+    /// pool exists. The pool never respawns a thread, so this equals
+    /// [`Self::pool_workers`].
     pub fn workers_spawned(&self) -> usize {
-        self.workers_spawned
+        self.pool_workers()
     }
 
     /// Closes a session: ingests everything still queued, finishes the
@@ -1342,6 +1133,7 @@ mod tests {
     use qecool_surface_code::{CodePatch, PhenomenologicalNoise};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::sync::atomic::Ordering;
 
     fn service(backend: ServiceBackend, threads: usize) -> DecodeService {
         let config =

@@ -197,13 +197,7 @@ impl ShardedDecodeService {
         // Divide the worker budget: `threads` is the fabric-wide cap, so
         // a shard gets its share (min 1) rather than the whole budget —
         // otherwise `--shards 8 --threads 8` would stand up 64 workers.
-        let total_workers = if config.service.threads > 0 {
-            config.service.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        };
+        let total_workers = crate::pool::worker_count(config.service.threads);
         let registry = config.service.telemetry.registry().cloned();
         let shard_config = config
             .service

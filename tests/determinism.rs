@@ -149,7 +149,8 @@ fn service_sessions_identical_across_worker_counts() {
 /// knobs at once: per-session corrections are a pure function of the
 /// round stream, independent of how many shards the fabric splits into
 /// and how many pump workers each shard's pool runs. This is the
-/// byte-identity the `--shards` CI matrix leg holds release binaries to.
+/// byte-identity `crates/bench/tests/service_cli.rs` holds the
+/// `service_bench` binary to.
 #[test]
 fn sharded_sessions_identical_across_shard_and_worker_counts() {
     let sessions = 6usize;
