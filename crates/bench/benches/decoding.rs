@@ -5,8 +5,8 @@
 //!   (Fig. 4(a) inner loop);
 //! * `online_qecool_layer/d` — one on-line layer: push + budgeted run
 //!   (Fig. 7 / Table III inner loop);
-//! * `mwpm/d` — one exact MWPM decode of the same window (Fig. 4(a)
-//!   baseline).
+//! * `mwpm/d` — one MWPM decode (16-nearest-neighbour graph) of the same
+//!   window (Fig. 4(a) baseline).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qecool::{QecoolConfig, QecoolDecoder};
@@ -87,7 +87,7 @@ fn bench_mwpm(c: &mut Criterion) {
     let mut group = c.benchmark_group("mwpm");
     for d in [5usize, 9, 13] {
         let history = make_history(d, 42);
-        let decoder = MwpmDecoder::new(Lattice::new(d).unwrap());
+        let mut decoder = MwpmDecoder::new(Lattice::new(d).unwrap());
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
             b.iter(|| black_box(decoder.decode(&history).unwrap().corrections.len()))
         });

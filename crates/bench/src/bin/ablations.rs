@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the design choices the paper leaves open or fixes
+//! without a sweep:
 //!
 //! * **Boundary spike penalty** (paper footnote 1 gives no magnitude):
 //!   how the accuracy threshold region responds to 0 / 1 / 2 / 3 extra

@@ -5,7 +5,8 @@
 //!
 //! The published totals are authoritative data; the "cells-only" columns
 //! show the compositional rollup from Table I and the wiring remainder
-//! (the paper's table does not reconcile exactly — see DESIGN.md §5/§6).
+//! (the paper's table does not reconcile exactly against its own cell
+//! library; `UnitDesign::reconciliation` in `qecool-sfq` measures the gap).
 //!
 //! ```text
 //! cargo run --release -p qecool-bench --bin table2 [-- --out table2.csv]

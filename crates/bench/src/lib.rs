@@ -1,7 +1,7 @@
 //! Shared plumbing for the per-table/figure regeneration binaries.
 //!
 //! Every binary in this crate regenerates one artifact of the QECOOL paper
-//! (see DESIGN.md §4 for the experiment index) and accepts the same small
+//! (README's "Running" section lists them) and accepts the same small
 //! set of flags:
 //!
 //! * `--shots N` — base Monte-Carlo shots per point (scaled internally);

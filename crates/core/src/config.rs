@@ -13,10 +13,10 @@ pub const PAPER_THV: usize = 3;
 ///
 /// The paper only says the boundary spike timing "is adjusted" to
 /// prioritize matching between normal Units (footnote 1) without giving
-/// the magnitude; 2 hops is the value our ablation bench
-/// (`cargo bench -p qecool-bench --bench ablations`, and the
-/// `boundary_penalty` sweep in EXPERIMENTS.md) found to maximize the
-/// accuracy threshold.
+/// the magnitude. The default is 2 hops; the `ablations` binary
+/// (`cargo run --release -p qecool-bench --bin ablations`) sweeps 0–3
+/// hops so that the choice can be checked against the accuracy
+/// threshold.
 pub const DEFAULT_BOUNDARY_PENALTY: u64 = 2;
 
 /// Configuration of a [`QecoolDecoder`](crate::QecoolDecoder).

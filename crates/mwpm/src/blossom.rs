@@ -9,12 +9,18 @@
 //!
 //! The QECOOL reproduction uses it (through
 //! [`min_weight_perfect_matching`](crate::perfect::min_weight_perfect_matching))
-//! as the exact minimum-weight perfect-matching kernel of the MWPM baseline
+//! as the minimum-weight perfect-matching kernel of the MWPM baseline
 //! decoder the paper compares against (Fowler \[7\], Fig. 4(a), Table IV).
 //!
 //! All weights are `i64`; dual variables are kept pre-multiplied by two so
 //! that every quantity stays integral throughout (the classic trick that
 //! makes the integer algorithm exact).
+//!
+//! `BlossomMatcher` owns every table the algorithm needs and reuses them
+//! from one call to the next: after the first few calls a matching
+//! allocates nothing. Incidence is a flat CSR array, blossom child lists
+//! keep their capacity when a blossom is recycled, and leaf walks write
+//! straight into the queue or one scratch buffer.
 
 /// Sentinel for "no vertex / no endpoint / no edge".
 const NONE: i64 = -1;
@@ -22,16 +28,20 @@ const NONE: i64 = -1;
 /// An undirected weighted edge `(u, v, weight)` between vertex indices.
 pub type WeightedEdge = (usize, usize, i64);
 
-/// State of one matching computation.
-struct Matcher<'a> {
-    edges: &'a [WeightedEdge],
+/// A reusable maximum-weight matcher.
+///
+/// Every buffer lives in the matcher and keeps its capacity between
+/// calls, so a decoder that holds one matcher allocates only while its
+/// graphs keep growing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlossomMatcher {
     max_cardinality: bool,
     nvertex: usize,
-    /// `endpoint[p]` = vertex at endpoint `p`; endpoints `2k` and `2k+1`
-    /// belong to edge `k`.
-    endpoint: Vec<usize>,
-    /// `neighbend[v]` = remote endpoints of edges incident to `v`.
-    neighbend: Vec<Vec<usize>>,
+    edges: Vec<WeightedEdge>,
+    /// `neighbend[neighstart[v]..neighstart[v + 1]]` = the edges incident
+    /// to `v`, in edge order.
+    neighstart: Vec<usize>,
+    neighbend: Vec<Incidence>,
     /// `mate[v]` = remote endpoint of `v`'s matched edge, or -1.
     mate: Vec<i64>,
     /// `label[b]`: 0 free, 1 = S, 2 = T (5 = S + breadcrumb).
@@ -42,20 +52,43 @@ struct Matcher<'a> {
     inblossom: Vec<usize>,
     /// `blossomparent[b]` = immediate super-blossom, or -1.
     blossomparent: Vec<i64>,
-    /// Sub-blossoms of a non-trivial blossom, ordered around the cycle.
-    blossomchilds: Vec<Option<Vec<usize>>>,
+    /// Sub-blossoms of a non-trivial blossom, ordered around the cycle
+    /// (empty for vertices and unused blossoms).
+    blossomchilds: Vec<Vec<usize>>,
     /// `blossombase[b]` = base vertex of blossom `b` (-1 when unused).
     blossombase: Vec<i64>,
     /// Endpoints connecting consecutive sub-blossoms.
-    blossomendps: Vec<Option<Vec<usize>>>,
+    blossomendps: Vec<Vec<usize>>,
     /// Least-slack edge candidates.
     bestedge: Vec<i64>,
-    blossombestedges: Vec<Option<Vec<usize>>>,
+    /// `blossombestedges[b]` is meaningful only while `hasbestedges[b]`.
+    blossombestedges: Vec<Vec<usize>>,
+    hasbestedges: Vec<bool>,
     unusedblossoms: Vec<usize>,
     /// Dual variables (×2): `0..nvertex` = vertex `u`, rest = blossom `z`.
     dualvar: Vec<i64>,
     allowedge: Vec<bool>,
     queue: Vec<usize>,
+    /// Breadcrumbed blossoms of one `scan_blossom` call.
+    scanpath: Vec<usize>,
+    /// Leaves of one blossom, for walks that cannot write to the queue.
+    leaves: Vec<usize>,
+    /// `add_blossom`'s least-slack edge per neighbouring S-blossom; all
+    /// `NONE` between calls.
+    bestedgeto: Vec<i64>,
+    /// The entries of `bestedgeto` one `add_blossom` call set.
+    bestedgeto_set: Vec<usize>,
+    /// Stages the last call ran.
+    stages: usize,
+}
+
+/// One edge as seen from one of its vertices: the remote endpoint `p`
+/// and its vertex `endpoint(p)`, stored together so that scanning a
+/// vertex reads its incidence list front to back.
+#[derive(Debug, Clone, Copy, Default)]
+struct Incidence {
+    p: usize,
+    w: usize,
 }
 
 /// Computes a maximum-weight matching on a general graph.
@@ -90,72 +123,172 @@ pub fn max_weight_matching(
     edges: &[WeightedEdge],
     max_cardinality: bool,
 ) -> Vec<Option<usize>> {
-    if num_vertices == 0 || edges.is_empty() {
-        return vec![None; num_vertices];
-    }
-    for &(i, j, _) in edges {
-        assert!(i != j, "self-loop edge ({i},{j})");
-        assert!(
-            i < num_vertices && j < num_vertices,
-            "edge ({i},{j}) references vertex >= {num_vertices}"
-        );
-    }
-    let mut m = Matcher::new(num_vertices, edges, max_cardinality);
-    m.run();
-    m.mate
-        .iter()
-        .map(|&p| {
-            if p >= 0 {
-                Some(m.endpoint[p as usize])
-            } else {
-                None
-            }
-        })
-        .collect()
+    let mut m = BlossomMatcher::new();
+    m.max_weight_matching(num_vertices, max_cardinality, |out| {
+        out.extend_from_slice(edges)
+    });
+    (0..num_vertices).map(|v| m.mate(v)).collect()
 }
 
-impl<'a> Matcher<'a> {
-    fn new(nvertex: usize, edges: &'a [WeightedEdge], max_cardinality: bool) -> Self {
-        let nedge = edges.len();
-        let maxweight = edges.iter().map(|e| e.2).max().unwrap_or(0).max(0);
-        let endpoint: Vec<usize> = (0..2 * nedge)
-            .map(|p| {
-                if p % 2 == 0 {
-                    edges[p / 2].0
-                } else {
-                    edges[p / 2].1
-                }
-            })
-            .collect();
-        let mut neighbend: Vec<Vec<usize>> = vec![Vec::new(); nvertex];
-        for (k, &(i, j, _)) in edges.iter().enumerate() {
-            neighbend[i].push(2 * k + 1);
-            neighbend[j].push(2 * k);
+/// Appends the vertices of blossom `b` (recursively, in child order).
+fn push_leaves(nvertex: usize, blossomchilds: &[Vec<usize>], b: usize, out: &mut Vec<usize>) {
+    if b < nvertex {
+        out.push(b);
+    } else {
+        for &t in &blossomchilds[b] {
+            push_leaves(nvertex, blossomchilds, t, out);
         }
-        let mut dualvar = vec![maxweight; nvertex];
-        dualvar.extend(std::iter::repeat_n(0, nvertex));
-        Self {
-            edges,
-            max_cardinality,
-            nvertex,
-            endpoint,
-            neighbend,
-            mate: vec![NONE; nvertex],
-            label: vec![0; 2 * nvertex],
-            labelend: vec![NONE; 2 * nvertex],
-            inblossom: (0..nvertex).collect(),
-            blossomparent: vec![NONE; 2 * nvertex],
-            blossomchilds: vec![None; 2 * nvertex],
-            blossombase: (0..nvertex as i64)
-                .chain(std::iter::repeat_n(NONE, nvertex))
-                .collect(),
-            blossomendps: vec![None; 2 * nvertex],
-            bestedge: vec![NONE; 2 * nvertex],
-            blossombestedges: vec![None; 2 * nvertex],
-            unusedblossoms: (nvertex..2 * nvertex).collect(),
-            dualvar,
-            allowedge: vec![false; nedge],
-            queue: Vec::new(),
+    }
+}
+
+/// `list[j mod list.len()]`, for the signed walks round a blossom.
+#[inline]
+fn cyclic(list: &[usize], j: i64) -> usize {
+    list[j.rem_euclid(list.len() as i64) as usize]
+}
+
+impl BlossomMatcher {
+    /// An empty matcher; its buffers grow on first use.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Computes a maximum-weight matching on vertices `0..num_vertices`
+    /// of the edges `fill` writes into the matcher's own (emptied) edge
+    /// list, replacing the previous result; read it back with
+    /// [`Self::mate`]. `max_cardinality` has the meaning it has in
+    /// [`max_weight_matching`], and the result is identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge references a vertex `>= num_vertices` or is a
+    /// self-loop.
+    pub(crate) fn max_weight_matching(
+        &mut self,
+        num_vertices: usize,
+        max_cardinality: bool,
+        fill: impl FnOnce(&mut Vec<WeightedEdge>),
+    ) {
+        self.load(num_vertices, max_cardinality, fill);
+        if !self.edges.is_empty() {
+            self.run();
+        }
+    }
+
+    /// The vertex matched to `v` by the last call, or `None` if `v` is
+    /// single.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a vertex of the last graph.
+    pub(crate) fn mate(&self, v: usize) -> Option<usize> {
+        let p = self.mate[v];
+        (p >= 0).then(|| self.endpoint(p as usize))
+    }
+
+    /// Stages (augmenting-path searches) the last call ran; every stage
+    /// but possibly the last augments the matching by one edge.
+    pub(crate) fn stages(&self) -> usize {
+        self.stages
+    }
+
+    /// Resets every table for a new graph, keeping the allocations.
+    fn load(
+        &mut self,
+        nvertex: usize,
+        max_cardinality: bool,
+        fill: impl FnOnce(&mut Vec<WeightedEdge>),
+    ) {
+        self.nvertex = nvertex;
+        self.max_cardinality = max_cardinality;
+        self.stages = 0;
+        self.edges.clear();
+        fill(&mut self.edges);
+        // CSR incidence: count degrees while checking the edges,
+        // prefix-sum, fill in edge order (which leaves each `neighstart[v]`
+        // at the end of `v`), shift back.
+        self.neighstart.clear();
+        self.neighstart.resize(nvertex + 1, 0);
+        let mut maxweight = 0;
+        for &(i, j, w) in &self.edges {
+            assert!(i != j, "self-loop edge ({i},{j})");
+            assert!(
+                i < nvertex && j < nvertex,
+                "edge ({i},{j}) references vertex >= {nvertex}"
+            );
+            maxweight = maxweight.max(w);
+            self.neighstart[i + 1] += 1;
+            self.neighstart[j + 1] += 1;
+        }
+        for v in 0..nvertex {
+            self.neighstart[v + 1] += self.neighstart[v];
+        }
+        self.neighbend.clear();
+        self.neighbend
+            .resize(2 * self.edges.len(), Incidence::default());
+        for (k, &(i, j, _)) in self.edges.iter().enumerate() {
+            let p = 2 * k + 1;
+            self.neighbend[self.neighstart[i]] = Incidence { p, w: j };
+            self.neighstart[i] += 1;
+            let p = 2 * k;
+            self.neighbend[self.neighstart[j]] = Incidence { p, w: i };
+            self.neighstart[j] += 1;
+        }
+        for v in (1..=nvertex).rev() {
+            self.neighstart[v] = self.neighstart[v - 1];
+        }
+        self.neighstart[0] = 0;
+
+        let nb = 2 * nvertex;
+        self.mate.clear();
+        self.mate.resize(nvertex, NONE);
+        self.label.clear();
+        self.label.resize(nb, 0);
+        self.labelend.clear();
+        self.labelend.resize(nb, NONE);
+        self.inblossom.clear();
+        self.inblossom.extend(0..nvertex);
+        self.blossomparent.clear();
+        self.blossomparent.resize(nb, NONE);
+        for lists in [
+            &mut self.blossomchilds,
+            &mut self.blossomendps,
+            &mut self.blossombestedges,
+        ] {
+            if lists.len() < nb {
+                lists.resize_with(nb, Vec::new);
+            }
+            lists[..nb].iter_mut().for_each(Vec::clear);
+        }
+        self.blossombase.clear();
+        self.blossombase.extend(0..nvertex as i64);
+        self.blossombase.resize(nb, NONE);
+        self.bestedge.clear();
+        self.bestedge.resize(nb, NONE);
+        self.hasbestedges.clear();
+        self.hasbestedges.resize(nb, false);
+        self.unusedblossoms.clear();
+        self.unusedblossoms.extend(nvertex..nb);
+        self.dualvar.clear();
+        self.dualvar.resize(nvertex, maxweight);
+        self.dualvar.resize(nb, 0);
+        self.allowedge.clear();
+        self.allowedge.resize(self.edges.len(), false);
+        self.queue.clear();
+        self.bestedgeto.clear();
+        self.bestedgeto.resize(nb, NONE);
+        self.bestedgeto_set.clear();
+    }
+
+    /// Vertex at endpoint `p`; endpoints `2k` and `2k+1` belong to edge
+    /// `k`.
+    #[inline]
+    fn endpoint(&self, p: usize) -> usize {
+        let (i, j, _) = self.edges[p / 2];
+        if p & 1 == 0 {
+            i
+        } else {
+            j
         }
     }
 
@@ -166,25 +299,10 @@ impl<'a> Matcher<'a> {
         self.dualvar[i] + self.dualvar[j] - 2 * wt
     }
 
-    /// All vertices contained (recursively) in blossom `b`.
-    fn blossom_leaves(&self, b: usize, out: &mut Vec<usize>) {
-        if b < self.nvertex {
-            out.push(b);
-        } else {
-            let childs = self.blossomchilds[b]
-                .as_ref()
-                .expect("blossom has children")
-                .clone();
-            for t in childs {
-                self.blossom_leaves(t, out);
-            }
-        }
-    }
-
-    fn leaves(&self, b: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.blossom_leaves(b, &mut out);
-        out
+    /// Refills `self.leaves` with the vertices of blossom `b`.
+    fn fill_leaves(&mut self, b: usize) {
+        self.leaves.clear();
+        push_leaves(self.nvertex, &self.blossomchilds, b, &mut self.leaves);
     }
 
     /// Assigns label `t` to the top-level blossom containing vertex `w`.
@@ -199,21 +317,25 @@ impl<'a> Matcher<'a> {
         self.bestedge[b] = NONE;
         if t == 1 {
             // b became an S-blossom; add its vertices to the queue.
-            let mut lv = self.leaves(b);
-            self.queue.append(&mut lv);
+            if b < self.nvertex {
+                self.queue.push(b);
+            } else {
+                push_leaves(self.nvertex, &self.blossomchilds, b, &mut self.queue);
+            }
         } else if t == 2 {
             // b became a T-blossom; label its mate's blossom S.
             let base = self.blossombase[b] as usize;
             debug_assert!(self.mate[base] >= 0);
             let mate_ep = self.mate[base] as usize;
-            self.assign_label(self.endpoint[mate_ep], 1, (mate_ep ^ 1) as i64);
+            self.assign_label(self.endpoint(mate_ep), 1, (mate_ep ^ 1) as i64);
         }
     }
 
     /// Traces back from vertices `v` and `w` to discover either a common
     /// ancestor (new blossom base) or an augmenting path (returns -1).
     fn scan_blossom(&mut self, v: usize, w: usize) -> i64 {
-        let mut path: Vec<usize> = Vec::new();
+        let mut path = std::mem::take(&mut self.scanpath);
+        path.clear();
         let mut base = NONE;
         let mut v = v as i64;
         let mut w = w as i64;
@@ -234,12 +356,12 @@ impl<'a> Matcher<'a> {
                     // The base of blossom b is single; stop tracing this path.
                     v = NONE;
                 } else {
-                    let t = self.endpoint[self.labelend[b] as usize];
+                    let t = self.endpoint(self.labelend[b] as usize);
                     let bt = self.inblossom[t];
                     debug_assert_eq!(self.label[bt], 2);
                     // bt is a T-blossom; trace one more step back.
                     debug_assert!(self.labelend[bt] >= 0);
-                    v = self.endpoint[self.labelend[bt] as usize] as i64;
+                    v = self.endpoint(self.labelend[bt] as usize) as i64;
                 }
             }
             // Swap v and w so that we alternate between both paths.
@@ -248,9 +370,10 @@ impl<'a> Matcher<'a> {
             }
         }
         // Remove breadcrumbs.
-        for b in path {
+        for &b in &path {
             self.label[b] = 1;
         }
+        self.scanpath = path;
         base
     }
 
@@ -266,9 +389,12 @@ impl<'a> Matcher<'a> {
         self.blossombase[b] = base as i64;
         self.blossomparent[b] = NONE;
         self.blossomparent[bb] = b as i64;
-        // Make list of sub-blossoms and their interconnecting edge endpoints.
-        let mut path: Vec<usize> = Vec::new();
-        let mut endps: Vec<usize> = Vec::new();
+        // Make list of sub-blossoms and their interconnecting edge
+        // endpoints, in the recycled lists of blossom b.
+        let mut path = std::mem::take(&mut self.blossomchilds[b]);
+        let mut endps = std::mem::take(&mut self.blossomendps[b]);
+        path.clear();
+        endps.clear();
         // Trace back from v to base.
         while bv != bb {
             self.blossomparent[bv] = b as i64;
@@ -280,7 +406,7 @@ impl<'a> Matcher<'a> {
                         && self.labelend[bv] == self.mate[self.blossombase[bv] as usize])
             );
             debug_assert!(self.labelend[bv] >= 0);
-            v = self.endpoint[self.labelend[bv] as usize];
+            v = self.endpoint(self.labelend[bv] as usize);
             bv = self.inblossom[v];
         }
         // Reverse lists, add endpoint that connects the pair of S vertices.
@@ -299,11 +425,11 @@ impl<'a> Matcher<'a> {
                         && self.labelend[bw] == self.mate[self.blossombase[bw] as usize])
             );
             debug_assert!(self.labelend[bw] >= 0);
-            w = self.endpoint[self.labelend[bw] as usize];
+            w = self.endpoint(self.labelend[bw] as usize);
             bw = self.inblossom[w];
         }
-        self.blossomchilds[b] = Some(path.clone());
-        self.blossomendps[b] = Some(endps);
+        self.blossomchilds[b] = path;
+        self.blossomendps[b] = endps;
         // Set label to S.
         debug_assert_eq!(self.label[bb], 1);
         self.label[b] = 1;
@@ -311,7 +437,9 @@ impl<'a> Matcher<'a> {
         // Set dual variable to zero.
         self.dualvar[b] = 0;
         // Relabel vertices.
-        for lv in self.leaves(b) {
+        self.fill_leaves(b);
+        for i in 0..self.leaves.len() {
+            let lv = self.leaves[i];
             if self.label[self.inblossom[lv]] == 2 {
                 // This T-vertex now turns into an S-vertex because it
                 // becomes part of an S-blossom; add it to the queue.
@@ -320,41 +448,38 @@ impl<'a> Matcher<'a> {
             self.inblossom[lv] = b;
         }
         // Compute blossombestedges[b].
-        let mut bestedgeto: Vec<i64> = vec![NONE; 2 * self.nvertex];
-        for &bv in &path {
-            let nblists: Vec<Vec<usize>> = match self.blossombestedges[bv].take() {
-                Some(list) => vec![list],
-                None => self
-                    .leaves(bv)
-                    .into_iter()
-                    .map(|lv| self.neighbend[lv].iter().map(|&p| p / 2).collect())
-                    .collect(),
-            };
-            for nblist in nblists {
-                for k2 in nblist {
-                    let (mut i, mut j, _) = self.edges[k2];
-                    if self.inblossom[j] == b {
-                        std::mem::swap(&mut i, &mut j);
-                    }
-                    let bj = self.inblossom[j];
-                    if bj != b
-                        && self.label[bj] == 1
-                        && (bestedgeto[bj] == NONE
-                            || self.slack(k2) < self.slack(bestedgeto[bj] as usize))
-                    {
-                        bestedgeto[bj] = k2 as i64;
+        let childs = std::mem::take(&mut self.blossomchilds[b]);
+        for &bv in &childs {
+            if self.hasbestedges[bv] {
+                let list = std::mem::take(&mut self.blossombestedges[bv]);
+                for &k2 in &list {
+                    self.offer_bestedgeto(b, k2);
+                }
+                self.blossombestedges[bv] = list;
+            } else {
+                self.fill_leaves(bv);
+                for i in 0..self.leaves.len() {
+                    let lv = self.leaves[i];
+                    for q in self.neighstart[lv]..self.neighstart[lv + 1] {
+                        self.offer_bestedgeto(b, self.neighbend[q].p / 2);
                     }
                 }
             }
             // Forget about least-slack edges of the subblossom.
-            self.blossombestedges[bv] = None;
+            self.blossombestedges[bv].clear();
+            self.hasbestedges[bv] = false;
             self.bestedge[bv] = NONE;
         }
-        let best: Vec<usize> = bestedgeto
-            .into_iter()
-            .filter(|&k2| k2 != NONE)
-            .map(|k2| k2 as usize)
-            .collect();
+        self.blossomchilds[b] = childs;
+        // Collect the candidates in blossom order and reset the scratch.
+        self.bestedgeto_set.sort_unstable();
+        let mut best = std::mem::take(&mut self.blossombestedges[b]);
+        best.clear();
+        for &bj in &self.bestedgeto_set {
+            best.push(self.bestedgeto[bj] as usize);
+            self.bestedgeto[bj] = NONE;
+        }
+        self.bestedgeto_set.clear();
         // Select bestedge[b].
         self.bestedge[b] = NONE;
         for &k2 in &best {
@@ -362,12 +487,32 @@ impl<'a> Matcher<'a> {
                 self.bestedge[b] = k2 as i64;
             }
         }
-        self.blossombestedges[b] = Some(best);
+        self.blossombestedges[b] = best;
+        self.hasbestedges[b] = true;
+    }
+
+    /// Offers edge `k2`, incident to new blossom `b`, as the least-slack
+    /// edge from `b` to the S-blossom at its other end.
+    fn offer_bestedgeto(&mut self, b: usize, k2: usize) {
+        let (i, j, _) = self.edges[k2];
+        let j = if self.inblossom[j] == b { i } else { j };
+        let bj = self.inblossom[j];
+        if bj != b && self.label[bj] == 1 {
+            let cur = self.bestedgeto[bj];
+            if cur == NONE {
+                self.bestedgeto_set.push(bj);
+            }
+            if cur == NONE || self.slack(k2) < self.slack(cur as usize) {
+                self.bestedgeto[bj] = k2 as i64;
+            }
+        }
     }
 
     /// Expands the given top-level blossom.
     fn expand_blossom(&mut self, b: usize, endstage: bool) {
-        let childs = self.blossomchilds[b].clone().expect("expanding a leaf");
+        // Blossom b is recycled below; its lists are only read from here on.
+        let mut childs = std::mem::take(&mut self.blossomchilds[b]);
+        let mut endps = std::mem::take(&mut self.blossomendps[b]);
         // Convert sub-blossoms into top-level blossoms.
         for &s in &childs {
             self.blossomparent[s] = NONE;
@@ -377,7 +522,9 @@ impl<'a> Matcher<'a> {
                 // Recursively expand this sub-blossom.
                 self.expand_blossom(s, endstage);
             } else {
-                for lv in self.leaves(s) {
+                self.fill_leaves(s);
+                for i in 0..self.leaves.len() {
+                    let lv = self.leaves[i];
                     self.inblossom[lv] = s;
                 }
             }
@@ -389,11 +536,8 @@ impl<'a> Matcher<'a> {
             // obtained its label, and relabel sub-blossoms until we reach
             // the base.
             debug_assert!(self.labelend[b] >= 0);
-            let entrychild = self.inblossom[self.endpoint[(self.labelend[b] as usize) ^ 1]];
+            let entrychild = self.inblossom[self.endpoint((self.labelend[b] as usize) ^ 1)];
             let len = childs.len() as i64;
-            let at = |j: i64| -> usize { childs[(((j % len) + len) % len) as usize] };
-            let endps = self.blossomendps[b].clone().expect("endps");
-            let endp_at = |j: i64| -> usize { endps[(((j % len) + len) % len) as usize] };
             // Decide in which direction we will go round the blossom.
             let start = childs
                 .iter()
@@ -412,67 +556,75 @@ impl<'a> Matcher<'a> {
             let mut p = self.labelend[b] as usize;
             while j != 0 {
                 // Relabel the T-sub-blossom.
-                self.label[self.endpoint[p ^ 1]] = 0;
-                let q = endp_at(j - endptrick) ^ (endptrick as usize) ^ 1;
-                self.label[self.endpoint[q]] = 0;
-                self.assign_label(self.endpoint[p ^ 1], 2, p as i64);
+                let t = self.endpoint(p ^ 1);
+                self.label[t] = 0;
+                let q = cyclic(&endps, j - endptrick) ^ (endptrick as usize) ^ 1;
+                let s = self.endpoint(q);
+                self.label[s] = 0;
+                self.assign_label(t, 2, p as i64);
                 // Step to the next S-sub-blossom and note its forward
                 // endpoint.
-                self.allowedge[endp_at(j - endptrick) / 2] = true;
+                self.allowedge[cyclic(&endps, j - endptrick) / 2] = true;
                 j += jstep;
-                p = endp_at(j - endptrick) ^ (endptrick as usize);
+                p = cyclic(&endps, j - endptrick) ^ (endptrick as usize);
                 // Step to the next T-sub-blossom.
                 self.allowedge[p / 2] = true;
                 j += jstep;
             }
             // Relabel the base T-sub-blossom WITHOUT stepping through to its
             // mate (so don't call assign_label).
-            let bv = at(j);
-            self.label[self.endpoint[p ^ 1]] = 2;
+            let bv = cyclic(&childs, j);
+            let t = self.endpoint(p ^ 1);
+            self.label[t] = 2;
             self.label[bv] = 2;
-            self.labelend[self.endpoint[p ^ 1]] = p as i64;
+            self.labelend[t] = p as i64;
             self.labelend[bv] = p as i64;
             self.bestedge[bv] = NONE;
             // Continue along the blossom until we get back to entrychild.
             j += jstep;
-            while at(j) != entrychild {
+            while cyclic(&childs, j) != entrychild {
                 // Examine the vertices of the sub-blossom to see whether it
                 // is reachable from a neighbouring S-vertex outside the
                 // expanding blossom.
-                let bv = at(j);
+                let bv = cyclic(&childs, j);
                 if self.label[bv] == 1 {
                     // This sub-blossom just got label S through one of its
                     // neighbours; leave it.
                     j += jstep;
                     continue;
                 }
-                let lvs = self.leaves(bv);
-                let v = lvs
+                self.fill_leaves(bv);
+                let v = self
+                    .leaves
                     .iter()
                     .copied()
                     .find(|&lv| self.label[lv] != 0)
-                    .unwrap_or(*lvs.last().expect("non-empty blossom"));
+                    .unwrap_or(*self.leaves.last().expect("non-empty blossom"));
                 // If the sub-blossom contains a reachable vertex, assign
                 // label T to the sub-blossom.
                 if self.label[v] != 0 {
                     debug_assert_eq!(self.label[v], 2);
                     debug_assert_eq!(self.inblossom[v], bv);
                     self.label[v] = 0;
-                    self.label[self.endpoint[self.mate[self.blossombase[bv] as usize] as usize]] =
-                        0;
+                    let base_mate =
+                        self.endpoint(self.mate[self.blossombase[bv] as usize] as usize);
+                    self.label[base_mate] = 0;
                     let le = self.labelend[v];
                     self.assign_label(v, 2, le);
                 }
                 j += jstep;
             }
         }
-        // Recycle the blossom number.
+        // Recycle the blossom number, keeping its lists' capacity.
+        childs.clear();
+        endps.clear();
+        self.blossomchilds[b] = childs;
+        self.blossomendps[b] = endps;
         self.label[b] = 0;
         self.labelend[b] = NONE;
-        self.blossomchilds[b] = None;
-        self.blossomendps[b] = None;
         self.blossombase[b] = NONE;
-        self.blossombestedges[b] = None;
+        self.blossombestedges[b].clear();
+        self.hasbestedges[b] = false;
         self.bestedge[b] = NONE;
         self.unusedblossoms.push(b);
     }
@@ -490,11 +642,11 @@ impl<'a> Matcher<'a> {
         if t >= self.nvertex {
             self.augment_blossom(t, v);
         }
-        let childs = self.blossomchilds[b].clone().expect("childs");
-        let endps = self.blossomendps[b].clone().expect("endps");
+        // The recursion below only touches b's sub-blossoms, so b's lists
+        // can be held out of the matcher while it runs.
+        let mut childs = std::mem::take(&mut self.blossomchilds[b]);
+        let mut endps = std::mem::take(&mut self.blossomendps[b]);
         let len = childs.len() as i64;
-        let at = |j: i64| -> usize { childs[(((j % len) + len) % len) as usize] };
-        let endp_at = |j: i64| -> usize { endps[(((j % len) + len) % len) as usize] };
         // Decide in which direction we will go round the blossom.
         let i = childs.iter().position(|&c| c == t).expect("t in blossom") as i64;
         let mut j = i;
@@ -510,30 +662,28 @@ impl<'a> Matcher<'a> {
         while j != 0 {
             // Step to the next sub-blossom and augment it recursively.
             j += jstep;
-            let t1 = at(j);
-            let p = endp_at(j - endptrick) ^ (endptrick as usize);
+            let t1 = cyclic(&childs, j);
+            let p = cyclic(&endps, j - endptrick) ^ (endptrick as usize);
             if t1 >= self.nvertex {
-                self.augment_blossom(t1, self.endpoint[p]);
+                self.augment_blossom(t1, self.endpoint(p));
             }
             // Step to the next sub-blossom and augment it recursively.
             j += jstep;
-            let t2 = at(j);
+            let t2 = cyclic(&childs, j);
             if t2 >= self.nvertex {
-                self.augment_blossom(t2, self.endpoint[p ^ 1]);
+                self.augment_blossom(t2, self.endpoint(p ^ 1));
             }
             // Match the edge connecting those sub-blossoms.
-            self.mate[self.endpoint[p]] = (p ^ 1) as i64;
-            self.mate[self.endpoint[p ^ 1]] = p as i64;
+            let (a, z) = (self.endpoint(p), self.endpoint(p ^ 1));
+            self.mate[a] = (p ^ 1) as i64;
+            self.mate[z] = p as i64;
         }
         // Rotate the list of sub-blossoms to put the new base at the front.
-        let rot = i as usize;
-        let mut new_childs = childs.clone();
-        new_childs.rotate_left(rot);
-        let mut new_endps = endps.clone();
-        new_endps.rotate_left(rot);
-        self.blossombase[b] = self.blossombase[new_childs[0]];
-        self.blossomchilds[b] = Some(new_childs);
-        self.blossomendps[b] = Some(new_endps);
+        childs.rotate_left(i as usize);
+        endps.rotate_left(i as usize);
+        self.blossombase[b] = self.blossombase[childs[0]];
+        self.blossomchilds[b] = childs;
+        self.blossomendps[b] = endps;
         debug_assert_eq!(self.blossombase[b], v as i64);
     }
 
@@ -559,12 +709,12 @@ impl<'a> Matcher<'a> {
                     // Reached single vertex; stop.
                     break;
                 }
-                let t = self.endpoint[self.labelend[bs] as usize];
+                let t = self.endpoint(self.labelend[bs] as usize);
                 let bt = self.inblossom[t];
                 debug_assert_eq!(self.label[bt], 2);
                 debug_assert!(self.labelend[bt] >= 0);
-                s = self.endpoint[self.labelend[bt] as usize];
-                let j = self.endpoint[(self.labelend[bt] as usize) ^ 1];
+                s = self.endpoint(self.labelend[bt] as usize);
+                let j = self.endpoint((self.labelend[bt] as usize) ^ 1);
                 // Augment through the T-blossom from j to base.
                 debug_assert_eq!(self.blossombase[bt], t as i64);
                 if bt >= self.nvertex {
@@ -582,11 +732,10 @@ impl<'a> Matcher<'a> {
         // Main loop: continue until no further improvement is possible.
         for _ in 0..self.nvertex {
             // Each iteration of this loop is a "stage".
+            self.stages += 1;
             self.label.iter_mut().for_each(|l| *l = 0);
             self.bestedge.iter_mut().for_each(|e| *e = NONE);
-            for i in self.nvertex..2 * self.nvertex {
-                self.blossombestedges[i] = None;
-            }
+            self.hasbestedges.iter_mut().for_each(|h| *h = false);
             self.allowedge.iter_mut().for_each(|a| *a = false);
             self.queue.clear();
             // Label single blossoms/vertices with S and put them in the
@@ -606,18 +755,20 @@ impl<'a> Matcher<'a> {
                         break;
                     }
                     debug_assert_eq!(self.label[self.inblossom[v]], 1);
+                    // Vertex duals only move in the dual update below.
+                    let dual_v = self.dualvar[v];
                     // Scan its neighbours.
-                    for pi in 0..self.neighbend[v].len() {
-                        let p = self.neighbend[v][pi];
+                    for pi in self.neighstart[v]..self.neighstart[v + 1] {
+                        let Incidence { p, w } = self.neighbend[pi];
                         let k = p / 2;
-                        let w = self.endpoint[p];
                         if self.inblossom[v] == self.inblossom[w] {
                             // This edge is internal to a blossom; ignore it.
                             continue;
                         }
                         let mut kslack = 0;
                         if !self.allowedge[k] {
-                            kslack = self.slack(k);
+                            // The slack of edge k, whose ends are v and w.
+                            kslack = dual_v + self.dualvar[w] - 2 * self.edges[k].2;
                             if kslack <= 0 {
                                 // Edge k has zero slack: it is allowable.
                                 self.allowedge[k] = true;

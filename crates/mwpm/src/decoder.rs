@@ -4,8 +4,10 @@
 //! (Fowler \[7\]): detection events become nodes of a matching graph, edge
 //! weights are 3-D Manhattan distances (space + time — the correct
 //! log-likelihood weight when data and measurement error rates are equal,
-//! as the paper assumes), and an exact minimum-weight perfect matching
-//! selects the correction.
+//! as the paper assumes), and a minimum-weight perfect matching selects
+//! the correction. By default each event joins only its 16 nearest events
+//! ([`MwpmDecoder::new`]), which can miss the complete-graph optimum;
+//! [`MwpmDecoder::exact`] joins every pair.
 //!
 //! Open boundaries use the standard **graph-doubling reduction**: the event
 //! graph is duplicated, each event is connected to its own copy with weight
@@ -18,7 +20,8 @@ use qecool_surface_code::{
     syndrome::DetectionEvent, Boundary, CodePatch, Edge, Lattice, SyndromeHistory,
 };
 
-use crate::perfect::{min_weight_perfect_matching, PerfectMatchingError};
+use crate::blossom::WeightedEdge;
+use crate::perfect::{PerfectMatcher, PerfectMatchingError};
 
 /// A matched pair of detection events, or an event matched to a boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,6 +73,16 @@ pub struct MwpmOutcome {
     pub matches: Vec<Match>,
     /// Data-qubit corrections implied by the pairing.
     pub corrections: Vec<Edge>,
+    /// Vertices of the doubled matching graph handed to the blossom
+    /// kernel: two per detection event.
+    pub graph_vertices: usize,
+    /// Edges of the doubled matching graph: each event–event edge twice
+    /// (once per copy) plus one boundary edge per event.
+    pub graph_edges: usize,
+    /// Blossom stages (augmenting-path searches) the matching ran; every
+    /// stage but possibly the last augments the matching by one edge. 0
+    /// for a history without events.
+    pub stages: usize,
 }
 
 impl MwpmOutcome {
@@ -79,7 +92,15 @@ impl MwpmOutcome {
     }
 }
 
-/// Exact MWPM decoder over a [`SyndromeHistory`].
+/// MWPM decoder over a [`SyndromeHistory`]: a minimum-weight perfect
+/// matching of the detection events on a graph that joins each event to
+/// its 16 nearest events ([`MwpmDecoder::new`]). The cap can drop an
+/// edge the complete-graph optimum would use, so the matching is not
+/// always the exact optimum; [`MwpmDecoder::exact`] matches on the
+/// complete event graph instead.
+///
+/// The decoder keeps its graph and matcher buffers between decodes, so
+/// decoding takes `&mut self`.
 ///
 /// # Example
 ///
@@ -94,7 +115,7 @@ impl MwpmOutcome {
 /// let mut history = SyndromeHistory::new(lattice.clone());
 /// history.push(patch.perfect_round());
 ///
-/// let decoder = MwpmDecoder::new(lattice);
+/// let mut decoder = MwpmDecoder::new(lattice);
 /// let outcome = decoder.decode(&history)?;
 /// outcome.apply(&mut patch);
 /// assert!(patch.syndrome_is_trivial());
@@ -106,17 +127,38 @@ impl MwpmOutcome {
 pub struct MwpmDecoder {
     lattice: Lattice,
     neighbor_cap: Option<usize>,
+    /// The events of the history being decoded.
+    events: Vec<DetectionEvent>,
+    graph: GraphBuilder,
+    matcher: PerfectMatcher,
+}
+
+/// The matching-graph builder's buffers, reused from one decode to the
+/// next.
+#[derive(Debug, Clone, Default)]
+struct GraphBuilder {
+    /// `(row, col, round)` of each event.
+    coords: Vec<[i64; 3]>,
+    /// One event's `(distance, event)` keys to every other event.
+    near: Vec<u64>,
+    /// Per event: the largest key of its nearest-neighbour list
+    /// (`u64::MAX` when the list holds every other event).
+    cutoff: Vec<u64>,
 }
 
 impl MwpmDecoder {
-    /// Creates a decoder with the default neighbor cap (each event connects
-    /// to its 16 nearest events — the standard sparsification that leaves
-    /// matching quality unchanged in practice while keeping the graph
-    /// linear in the number of events).
+    /// Creates a decoder with the default neighbor cap: each event
+    /// connects to its 16 nearest events, which keeps the graph linear in
+    /// the number of events. This rarely changes the matching's logical
+    /// outcome, but it is not guaranteed to find the complete-graph
+    /// optimum.
     pub fn new(lattice: Lattice) -> Self {
         Self {
             lattice,
             neighbor_cap: Some(16),
+            events: Vec::new(),
+            graph: GraphBuilder::default(),
+            matcher: PerfectMatcher::new(),
         }
     }
 
@@ -124,10 +166,7 @@ impl MwpmDecoder {
     /// quadratic in the number of events). Useful for validating the capped
     /// variant.
     pub fn exact(lattice: Lattice) -> Self {
-        Self {
-            lattice,
-            neighbor_cap: None,
-        }
+        Self::new(lattice).with_neighbor_cap(None)
     }
 
     /// Sets the neighbor cap (`None` = complete graph).
@@ -139,11 +178,6 @@ impl MwpmDecoder {
     /// The lattice this decoder was built for.
     pub fn lattice(&self) -> &Lattice {
         &self.lattice
-    }
-
-    /// 3-D Manhattan distance between two detection events.
-    fn dist(&self, a: &DetectionEvent, b: &DetectionEvent) -> i64 {
-        (self.lattice.grid_distance(a.ancilla, b.ancilla) + a.round.abs_diff(b.round)) as i64
     }
 
     /// Decodes a full syndrome history (batch decoding).
@@ -158,14 +192,25 @@ impl MwpmDecoder {
     /// # Panics
     ///
     /// Panics if the history belongs to a different lattice size.
-    pub fn decode(&self, history: &SyndromeHistory) -> Result<MwpmOutcome, PerfectMatchingError> {
+    pub fn decode(
+        &mut self,
+        history: &SyndromeHistory,
+    ) -> Result<MwpmOutcome, PerfectMatchingError> {
         assert_eq!(
             history.lattice().num_ancillas(),
             self.lattice.num_ancillas(),
             "history lattice does not match decoder lattice"
         );
-        let events = history.events();
-        self.decode_events(&events)
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        for (t, round) in history.iter().enumerate() {
+            for idx in round.events().iter_ones() {
+                events.push(DetectionEvent::new(self.lattice.ancilla_from_index(idx), t));
+            }
+        }
+        let outcome = self.decode_events(&events);
+        self.events = events;
+        outcome
     }
 
     /// Decodes an explicit list of detection events.
@@ -174,79 +219,72 @@ impl MwpmDecoder {
     ///
     /// Same as [`Self::decode`].
     pub fn decode_events(
-        &self,
+        &mut self,
         events: &[DetectionEvent],
     ) -> Result<MwpmOutcome, PerfectMatchingError> {
         let n = events.len();
         if n == 0 {
             return Ok(MwpmOutcome::default());
         }
-
-        // Candidate event-event edges (possibly capped to nearest
-        // neighbours).
-        let mut pair_edges: Vec<(usize, usize, i64)> = Vec::new();
-        match self.neighbor_cap {
-            None => {
-                for i in 0..n {
-                    for j in i + 1..n {
-                        pair_edges.push((i, j, self.dist(&events[i], &events[j])));
-                    }
-                }
-            }
-            Some(cap) => {
-                let mut seen = std::collections::HashSet::new();
-                for i in 0..n {
-                    let mut near: Vec<(i64, usize)> = (0..n)
-                        .filter(|&j| j != i)
-                        .map(|j| (self.dist(&events[i], &events[j]), j))
-                        .collect();
-                    near.sort_unstable();
-                    for &(w, j) in near.iter().take(cap) {
-                        let key = (i.min(j), i.max(j));
-                        if seen.insert(key) {
-                            pair_edges.push((key.0, key.1, w));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Doubled graph: copy-1 nodes 0..n, copy-2 nodes n..2n, cross edges
-        // i <-> n+i with weight 2 * boundary distance.
-        let mut edges: Vec<(usize, usize, i64)> = Vec::with_capacity(2 * pair_edges.len() + n);
-        for &(i, j, w) in &pair_edges {
-            edges.push((i, j, w));
-            edges.push((n + i, n + j, w));
-        }
-        for (i, ev) in events.iter().enumerate() {
-            let (_, dist) = self.lattice.nearest_boundary(ev.ancilla);
-            edges.push((i, n + i, 2 * dist as i64));
-        }
-
-        let mate = min_weight_perfect_matching(2 * n, &edges)?;
+        // The graph is built straight into the matcher's edge list.
+        let (lattice, cap, graph) = (&self.lattice, self.neighbor_cap, &mut self.graph);
+        let mut graph_edges = 0;
+        self.matcher.solve_with(2 * n, |edges| {
+            graph.build(lattice, cap, events, edges);
+            graph_edges = edges.len();
+        })?;
+        let mate = self.matcher.mate();
 
         // Project the copy-1 solution.
-        let mut outcome = MwpmOutcome::default();
+        let mut outcome = MwpmOutcome {
+            graph_vertices: 2 * n,
+            graph_edges,
+            stages: self.matcher.stages(),
+            ..MwpmOutcome::default()
+        };
         for i in 0..n {
             let m = mate[i];
-            if m == n + i {
+            let selected = if m == n + i {
                 let (boundary, _) = self.lattice.nearest_boundary(events[i].ancilla);
-                outcome.matches.push(Match::ToBoundary(events[i], boundary));
+                Match::ToBoundary(events[i], boundary)
             } else if m < n && i < m {
-                outcome.matches.push(Match::Pair(events[i], events[m]));
+                Match::Pair(events[i], events[m])
             } else {
                 debug_assert!(
                     m < n || m == n + i,
                     "cross edges only connect an event to its own copy"
                 );
                 continue;
-            }
-            let last = outcome.matches.last().expect("just pushed");
-            self.append_match_corrections(last, &mut outcome.corrections);
+            };
+            append_corrections(&self.lattice, &selected, &mut outcome.corrections);
+            outcome.matches.push(selected);
         }
         Ok(outcome)
     }
 
+    /// The doubled matching graph [`Self::decode_events`] matches for
+    /// `events`. Exposed so that the blossom kernel can be timed on the
+    /// decoder's own graphs.
+    ///
+    /// For `n` events, copy-1 nodes are `0..n` and copy-2 nodes `n..2n`.
+    /// Each event–event edge `(i, j)`, `i < j`, is followed by its copy
+    /// `(n + i, n + j)`; the cross edges `i <-> n + i`, weighted twice the
+    /// boundary distance, come last. Without a cap the pairs come in
+    /// ascending `(i, j)` order. With cap `c`, event `i` lists its `c`
+    /// smallest `(distance, j)` keys in ascending order, and a pair is
+    /// emitted the first time a list names it.
+    pub fn matching_graph(&mut self, events: &[DetectionEvent]) -> Vec<WeightedEdge> {
+        let mut edges = Vec::new();
+        self.graph
+            .build(&self.lattice, self.neighbor_cap, events, &mut edges);
+        edges
+    }
+
+    /// The neighbour cap (`None` = complete graph).
+    #[cfg(test)]
+    pub(crate) fn neighbor_cap(&self) -> Option<usize> {
+        self.neighbor_cap
+    }
     /// Appends the data-qubit corrections implied by a single match.
     ///
     /// [`Self::decode_events`] routes every selected match through this
@@ -254,11 +292,101 @@ impl MwpmDecoder {
     /// matches reproduces exactly the corrections the monolithic decode
     /// would have emitted for them.
     pub fn append_match_corrections(&self, m: &Match, out: &mut Vec<Edge>) {
-        match m {
-            Match::Pair(a, b) => out.extend(self.lattice.route(a.ancilla, b.ancilla)),
-            Match::ToBoundary(a, boundary) => {
-                out.extend(self.lattice.route_to_boundary(a.ancilla, *boundary));
+        append_corrections(&self.lattice, m, out);
+    }
+}
+
+impl GraphBuilder {
+    /// Writes [`MwpmDecoder::matching_graph`] of `events` into the empty
+    /// list `edges`.
+    ///
+    /// With a cap, row `i` takes its `c` smallest keys with a selection
+    /// and sorts only those. Pair `(i, j)` with `j < i` was emitted at row
+    /// `j` iff `i` is in `j`'s list, which holds iff `(distance, i)` is at
+    /// most the largest key of that list; so one key per event replaces a
+    /// set of emitted pairs.
+    fn build(
+        &mut self,
+        lattice: &Lattice,
+        neighbor_cap: Option<usize>,
+        events: &[DetectionEvent],
+        edges: &mut Vec<WeightedEdge>,
+    ) {
+        let Self {
+            coords,
+            near,
+            cutoff,
+        } = self;
+        let n = events.len();
+        coords.clear();
+        coords.extend(
+            events
+                .iter()
+                .map(|e| [e.ancilla.row as i64, e.ancilla.col as i64, e.round as i64]),
+        );
+        let dist = |a: &[i64; 3], b: &[i64; 3]| {
+            (a[0] - b[0]).abs() + (a[1] - b[1]).abs() + (a[2] - b[2]).abs()
+        };
+        let mut push_pair = |i: usize, j: usize, w: i64| {
+            edges.push((i, j, w));
+            edges.push((n + i, n + j, w));
+        };
+        match neighbor_cap {
+            None => {
+                for i in 0..n {
+                    for j in i + 1..n {
+                        push_pair(i, j, dist(&coords[i], &coords[j]));
+                    }
+                }
             }
+            Some(cap) => {
+                // Keys `(distance, j)` packed as `distance << 32 | j`
+                // compare like the pairs they encode (distances and event
+                // indices stay far below 2^32).
+                let key = |w: i64, j: usize| ((w as u64) << 32) | j as u64;
+                cutoff.clear();
+                for i in 0..n {
+                    let at = &coords[i];
+                    near.clear();
+                    near.extend((0..i).map(|j| key(dist(at, &coords[j]), j)));
+                    near.extend((i + 1..n).map(|j| key(dist(at, &coords[j]), j)));
+                    let take = cap.min(near.len());
+                    let lists_all = take == near.len();
+                    if !lists_all {
+                        if take > 0 {
+                            near.select_nth_unstable(take - 1);
+                        }
+                        near.truncate(take);
+                    }
+                    near.sort_unstable();
+                    cutoff.push(if lists_all {
+                        u64::MAX
+                    } else {
+                        near.last().copied().unwrap_or(0)
+                    });
+                    for &k in near.iter() {
+                        let (w, j) = ((k >> 32) as i64, (k & u64::from(u32::MAX)) as usize);
+                        let listed_by_j = j < i && key(w, i) <= cutoff[j];
+                        if !listed_by_j {
+                            push_pair(i.min(j), i.max(j), w);
+                        }
+                    }
+                }
+            }
+        }
+        for (i, ev) in events.iter().enumerate() {
+            let (_, dist) = lattice.nearest_boundary(ev.ancilla);
+            edges.push((i, n + i, 2 * dist as i64));
+        }
+    }
+}
+
+/// Appends the data-qubit corrections of match `m` on `lattice`.
+fn append_corrections(lattice: &Lattice, m: &Match, out: &mut Vec<Edge>) {
+    match m {
+        Match::Pair(a, b) => out.extend(lattice.route(a.ancilla, b.ancilla)),
+        Match::ToBoundary(a, boundary) => {
+            out.extend(lattice.route_to_boundary(a.ancilla, *boundary));
         }
     }
 }
@@ -288,7 +416,7 @@ mod tests {
     #[test]
     fn corrects_every_single_qubit_error() {
         let lat = Lattice::new(5).unwrap();
-        let decoder = MwpmDecoder::new(lat.clone());
+        let mut decoder = MwpmDecoder::new(lat.clone());
         for q in 0..lat.num_data_qubits() {
             let mut patch = CodePatch::new(lat.clone());
             patch.inject_error(Edge(q));
@@ -357,7 +485,7 @@ mod tests {
     #[test]
     fn corrects_weight_two_chains() {
         let lat = Lattice::new(7).unwrap();
-        let decoder = MwpmDecoder::new(lat.clone());
+        let mut decoder = MwpmDecoder::new(lat.clone());
         // A chain of two adjacent horizontal errors.
         let mut patch = CodePatch::new(lat.clone());
         patch.inject_error(lat.horizontal_edge(3, 2));
@@ -403,7 +531,7 @@ mod tests {
     #[test]
     fn always_returns_to_code_space_under_heavy_noise() {
         let lat = Lattice::new(5).unwrap();
-        let decoder = MwpmDecoder::new(lat.clone());
+        let mut decoder = MwpmDecoder::new(lat.clone());
         let noise = PhenomenologicalNoise::symmetric(0.1);
         for seed in 0..25u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -443,7 +571,7 @@ mod tests {
     fn per_match_corrections_compose_to_the_decode_corrections() {
         let lat = Lattice::new(7).unwrap();
         let noise = PhenomenologicalNoise::symmetric(0.04);
-        let decoder = MwpmDecoder::new(lat.clone());
+        let mut decoder = MwpmDecoder::new(lat.clone());
         for seed in 0..10u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut patch = CodePatch::new(lat.clone());

@@ -1,15 +1,21 @@
-//! Exact minimum-weight perfect matching (MWPM) and the baseline
-//! surface-code decoder the QECOOL paper compares against.
+//! Minimum-weight perfect matching (MWPM) and the baseline surface-code
+//! decoder the QECOOL paper compares against.
 //!
 //! The crate has two layers:
 //!
 //! * [`blossom`] / [`perfect`] — a from-scratch implementation of Edmonds'
 //!   blossom algorithm for maximum-weight matching on general graphs
 //!   (O(n³), integer-exact), plus the minimum-weight *perfect* matching
-//!   reduction;
+//!   reduction. [`perfect::PerfectMatcher`] keeps its buffers between
+//!   calls;
 //! * [`decoder`] — the surface-code MWPM decoder: detection events →
 //!   matching graph (3-D Manhattan weights, graph-doubling boundary
-//!   reduction) → correction chains.
+//!   reduction; by default each event joins its 16 nearest events, and
+//!   [`MwpmDecoder::exact`] joins every pair) → correction chains.
+//!
+//! The matching graph and the blossom kernel are pinned bit for bit (edge
+//! lists and `mate` vectors) to the original implementation, which the
+//! tests keep as a reference.
 //!
 //! # Example
 //!
@@ -27,6 +33,8 @@
 pub mod blossom;
 pub mod decoder;
 pub mod perfect;
+#[cfg(test)]
+mod reference;
 
 pub use decoder::{Match, MwpmDecoder, MwpmOutcome};
-pub use perfect::{min_weight_perfect_matching, PerfectMatchingError};
+pub use perfect::{min_weight_perfect_matching, PerfectMatcher, PerfectMatchingError};

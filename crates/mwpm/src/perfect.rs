@@ -1,6 +1,6 @@
 //! Minimum-weight perfect matching on top of the blossom kernel.
 
-use crate::blossom::{max_weight_matching, WeightedEdge};
+use crate::blossom::{BlossomMatcher, WeightedEdge};
 use std::fmt;
 
 /// Error returned when no perfect matching exists on the given graph.
@@ -28,12 +28,109 @@ impl fmt::Display for PerfectMatchingError {
 
 impl std::error::Error for PerfectMatchingError {}
 
-/// Computes a minimum-weight perfect matching.
+/// A reusable minimum-weight perfect matcher.
 ///
-/// Uses the classic reduction: negate all weights and ask the blossom
-/// kernel for a maximum-weight matching among the maximum-cardinality
-/// matchings. When the graph admits a perfect matching, the result is the
-/// perfect matching of minimum total weight.
+/// Holds one blossom matcher and its result, so repeated solves
+/// allocate nothing once the buffers have grown to the largest graph seen.
+/// Each solve gives exactly the matching [`min_weight_perfect_matching`]
+/// gives.
+///
+/// # Example
+///
+/// ```
+/// use qecool_mwpm::perfect::PerfectMatcher;
+///
+/// # fn main() -> Result<(), qecool_mwpm::perfect::PerfectMatchingError> {
+/// let mut matcher = PerfectMatcher::new();
+/// let mate = matcher.solve(4, &[(0, 1, 1), (2, 3, 1), (0, 2, 10), (1, 3, 10)])?;
+/// assert_eq!(mate, &[1, 0, 3, 2]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PerfectMatcher {
+    blossom: BlossomMatcher,
+    mate: Vec<usize>,
+    stages: usize,
+}
+
+impl PerfectMatcher {
+    /// An empty matcher; its buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Computes a minimum-weight perfect matching and returns `mate`,
+    /// with `mate[v]` = partner of `v`.
+    ///
+    /// Uses the classic reduction: the blossom kernel negates the weights
+    /// and finds a maximum-weight matching among the
+    /// maximum-cardinality matchings. When the graph admits a perfect
+    /// matching, the result is the perfect matching of minimum total
+    /// weight.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PerfectMatchingError`] when the graph has no perfect
+    /// matching (for example, an odd number of vertices or a disconnected
+    /// odd component).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge references a vertex `>= num_vertices` or is a
+    /// self-loop.
+    pub fn solve(
+        &mut self,
+        num_vertices: usize,
+        edges: &[WeightedEdge],
+    ) -> Result<&[usize], PerfectMatchingError> {
+        self.solve_with(num_vertices, |out| out.extend_from_slice(edges))
+    }
+
+    /// [`Self::solve`] for the edges `fill` writes into the blossom
+    /// matcher's own edge list, which is then negated in place: a caller
+    /// that builds its graph here never copies it.
+    pub(crate) fn solve_with(
+        &mut self,
+        num_vertices: usize,
+        fill: impl FnOnce(&mut Vec<WeightedEdge>),
+    ) -> Result<&[usize], PerfectMatchingError> {
+        self.mate.clear();
+        self.stages = 0;
+        if num_vertices == 0 {
+            return Ok(&self.mate);
+        }
+        self.blossom
+            .max_weight_matching(num_vertices, true, |edges| {
+                fill(edges);
+                edges.iter_mut().for_each(|e| e.2 = -e.2);
+            });
+        self.stages = self.blossom.stages();
+        let blossom = &self.blossom;
+        let unmatched: Vec<usize> = (0..num_vertices)
+            .filter(|&v| blossom.mate(v).is_none())
+            .collect();
+        if !unmatched.is_empty() {
+            return Err(PerfectMatchingError { unmatched });
+        }
+        self.mate
+            .extend((0..num_vertices).map(|v| blossom.mate(v).expect("perfect")));
+        Ok(&self.mate)
+    }
+
+    /// The `mate` of the last successful solve (empty after an error).
+    pub(crate) fn mate(&self) -> &[usize] {
+        &self.mate
+    }
+
+    /// Blossom stages the last solve ran; 0 for an empty graph.
+    pub(crate) fn stages(&self) -> usize {
+        self.stages
+    }
+}
+
+/// Computes a minimum-weight perfect matching with a one-shot
+/// [`PerfectMatcher`].
 ///
 /// Returns `mate` with `mate[v]` = partner of `v`.
 ///
@@ -60,21 +157,9 @@ pub fn min_weight_perfect_matching(
     num_vertices: usize,
     edges: &[WeightedEdge],
 ) -> Result<Vec<usize>, PerfectMatchingError> {
-    if num_vertices == 0 {
-        return Ok(Vec::new());
-    }
-    let negated: Vec<WeightedEdge> = edges.iter().map(|&(i, j, w)| (i, j, -w)).collect();
-    let mate = max_weight_matching(num_vertices, &negated, true);
-    let unmatched: Vec<usize> = mate
-        .iter()
-        .enumerate()
-        .filter_map(|(v, m)| m.is_none().then_some(v))
-        .collect();
-    if unmatched.is_empty() {
-        Ok(mate.into_iter().map(|m| m.expect("perfect")).collect())
-    } else {
-        Err(PerfectMatchingError { unmatched })
-    }
+    PerfectMatcher::new()
+        .solve(num_vertices, edges)
+        .map(<[usize]>::to_vec)
 }
 
 /// Total weight of a mate vector over an edge list, counting each matched
@@ -106,28 +191,6 @@ mod tests {
             adj[j][i] = Some(best);
         }
         fn rec(used: &mut [bool], adj: &[Vec<Option<i64>>]) -> Option<i64> {
-            let first = used.iter().position(|&u| !u)?;
-            used[first] = true;
-            let mut best: Option<i64> = None;
-            for j in first + 1..used.len() {
-                if !used[j] {
-                    if let Some(w) = adj[first][j] {
-                        used[j] = true;
-                        if let Some(rest) = rec(used, adj) {
-                            let total = w + rest;
-                            best = Some(best.map_or(total, |b| b.min(total)));
-                        } else if used.iter().all(|&u| u) {
-                            best = Some(best.map_or(w, |b| b.min(w)));
-                        }
-                        used[j] = false;
-                    }
-                }
-            }
-            used[first] = false;
-            best
-        }
-        // Simpler: handle the base case inside rec via "no free vertex".
-        fn rec2(used: &mut Vec<bool>, adj: &[Vec<Option<i64>>]) -> Option<i64> {
             let first = match used.iter().position(|&u| !u) {
                 None => return Some(0),
                 Some(f) => f,
@@ -138,7 +201,7 @@ mod tests {
                 if !used[j] {
                     if let Some(w) = adj[first][j] {
                         used[j] = true;
-                        if let Some(rest) = rec2(used, adj) {
+                        if let Some(rest) = rec(used, adj) {
                             let total = w + rest;
                             best = Some(best.map_or(total, |b| b.min(total)));
                         }
@@ -149,8 +212,7 @@ mod tests {
             used[first] = false;
             best
         }
-        let _ = rec; // keep the simple variant; rec2 is authoritative
-        rec2(&mut vec![false; n], &adj)
+        rec(&mut vec![false; n], &adj)
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! The paper designs its decoder in RSFQ logic, verifies the Unit with a
 //! SPICE-level simulator (JSIM) and estimates deployment power with the
 //! ERSFQ dynamic-power model. This crate reproduces the quantitative side
-//! of that story from the published data (DESIGN.md §5 documents the
-//! JSIM → behavioral-model substitution):
+//! of that story from the published data. JSIM is replaced by static
+//! timing over the published module latencies ([`timing`]) and a
+//! behavioral pulse model ([`pulse`]):
 //!
 //! * [`cells`] — the Table I RSFQ cell library (JJs, bias, area, latency);
 //! * [`unit_netlist`] — the Table II Unit composition and its rollups;

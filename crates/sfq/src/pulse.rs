@@ -1,6 +1,7 @@
 //! Behavioral pulse-level simulation of SFQ logic elements.
 //!
-//! This is the functional half of our JSIM substitute (DESIGN.md §5): an
+//! This is the functional half of our substitute for the paper's JSIM
+//! (SPICE-level) verification, which this reproduction does not run: an
 //! event-driven simulator in which information is carried by discrete SFQ
 //! pulses and each Table I cell is modeled behaviorally with its published
 //! latency. It verifies that the building blocks the Unit is made of — in

@@ -5,7 +5,7 @@
 //! clock (§IV-C). We cannot run analog simulation; instead we do what the
 //! timing numbers actually require: longest-path analysis over a directed
 //! graph whose node delays are the published module latencies of Table II
-//! (themselves rolled up from Table I cells). See DESIGN.md §5.
+//! (themselves rolled up from Table I cells).
 //!
 //! The critical path of the Unit runs through the register read
 //! (base pointer, 147 ps), the spike-direction logic (spike out, 61.1 ps)

@@ -9,9 +9,9 @@
 //! power model and Table V) and additionally provide a compositional
 //! rollup computed from the Table I cell parameters. The paper's own table
 //! does not reconcile exactly against its cell library (the JJ and bias
-//! totals cannot be reproduced from any constant per-wire cost), which is
-//! noted in DESIGN.md; [`UnitDesign::reconciliation`] quantifies the gap so
-//! it is visible rather than hidden.
+//! totals cannot be reproduced from any constant per-wire cost);
+//! [`UnitDesign::reconciliation`] quantifies the gap so it is visible
+//! rather than hidden.
 
 use crate::cells::CellKind;
 use serde::{Deserialize, Serialize};
@@ -219,7 +219,7 @@ impl UnitDesign {
     ///
     /// The area gap is the wiring (JTL) contribution; the JJ gap mixes
     /// wiring JJs with the paper's internal rounding, and is reported
-    /// rather than modeled (DESIGN.md §5).
+    /// rather than modeled.
     pub fn reconciliation(&self) -> Vec<(&'static str, i64, f64)> {
         self.modules
             .iter()

@@ -5,7 +5,7 @@
 //! reports:
 //!
 //! * [`trials`] — one fault-tolerant memory experiment per decoder
-//!   (batch-QECOOL, on-line QECOOL with a cycle budget, exact MWPM),
+//!   (batch-QECOOL, on-line QECOOL with a cycle budget, MWPM),
 //!   under any [`NoiseSpec`] family (phenomenological, asymmetric,
 //!   code-capacity, biased, erasure, burst), plus the reusable
 //!   [`TrialScratch`](trials::TrialScratch) worker state;

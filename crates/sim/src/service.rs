@@ -101,7 +101,7 @@ pub enum ServiceBackend {
     /// adapter ([`StreamingUf`]): decode W rounds, commit the oldest
     /// S < W, slide (see [`ServiceConfig::window`]).
     UnionFind,
-    /// Exact-MWPM baseline, sliding-windowed like union-find
+    /// MWPM baseline, sliding-windowed like union-find
     /// ([`StreamingMwpm`]).
     Mwpm,
 }

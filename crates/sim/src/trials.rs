@@ -37,7 +37,8 @@ pub enum DecoderKind {
         /// Decode cycles available per measurement interval.
         budget_cycles: u64,
     },
-    /// The exact MWPM baseline (Fowler \[7\]).
+    /// The MWPM baseline (Fowler \[7\]) over a 16-nearest-neighbour event
+    /// graph.
     Mwpm,
     /// The union-find baseline (Delfosse–Nickerson \[3\], Table IV).
     UnionFind,

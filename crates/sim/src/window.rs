@@ -79,7 +79,8 @@ impl WindowConfig {
 }
 
 /// The batch decoder behind a [`Windowed`] stream: the two operations a
-/// sliding window needs from it.
+/// sliding window needs from it. Both take `&mut self` so that a backend
+/// can keep its buffers from one window to the next.
 pub trait WindowBackend {
     /// A backend decoding on `lattice`.
     fn for_lattice(lattice: Lattice) -> Self;
@@ -91,7 +92,7 @@ pub trait WindowBackend {
     /// `t ≥ stride`) to `clear(ancilla_index, t)`. Matches living
     /// entirely in the overlap are tentative and dropped.
     fn commit_window(
-        &self,
+        &mut self,
         window: &SyndromeHistory,
         stride: usize,
         out: &mut Vec<Edge>,
@@ -101,7 +102,7 @@ pub trait WindowBackend {
 
     /// Decodes `tail` whole, appending every correction to `out` and
     /// counting every match into `stats`.
-    fn decode_tail(&self, tail: &SyndromeHistory, out: &mut Vec<Edge>, stats: &mut DecodeStats);
+    fn decode_tail(&mut self, tail: &SyndromeHistory, out: &mut Vec<Edge>, stats: &mut DecodeStats);
 }
 
 /// Sliding-window streaming union-find decoder.
@@ -114,7 +115,8 @@ pub trait WindowBackend {
 /// emitted corrections.
 pub type StreamingUf = Windowed<UnionFindDecoder>;
 
-/// Sliding-window streaming exact-MWPM decoder.
+/// Sliding-window streaming MWPM decoder (over the 16-nearest-neighbour
+/// graph of [`MwpmDecoder::new`]).
 ///
 /// Matches whose earliest event round is anchored in the commit stride
 /// commit whole (their routed corrections are emitted, their events
@@ -131,7 +133,7 @@ impl WindowBackend for UnionFindDecoder {
     }
 
     fn commit_window(
-        &self,
+        &mut self,
         window: &SyndromeHistory,
         stride: usize,
         out: &mut Vec<Edge>,
@@ -152,7 +154,12 @@ impl WindowBackend for UnionFindDecoder {
         }
     }
 
-    fn decode_tail(&self, tail: &SyndromeHistory, out: &mut Vec<Edge>, stats: &mut DecodeStats) {
+    fn decode_tail(
+        &mut self,
+        tail: &SyndromeHistory,
+        out: &mut Vec<Edge>,
+        stats: &mut DecodeStats,
+    ) {
         let outcome = self.decode(tail);
         out.extend_from_slice(&outcome.corrections);
         stats.matches += outcome.corrections.len();
@@ -165,7 +172,7 @@ impl WindowBackend for MwpmDecoder {
     }
 
     fn commit_window(
-        &self,
+        &mut self,
         window: &SyndromeHistory,
         stride: usize,
         out: &mut Vec<Edge>,
@@ -187,7 +194,12 @@ impl WindowBackend for MwpmDecoder {
         }
     }
 
-    fn decode_tail(&self, tail: &SyndromeHistory, out: &mut Vec<Edge>, stats: &mut DecodeStats) {
+    fn decode_tail(
+        &mut self,
+        tail: &SyndromeHistory,
+        out: &mut Vec<Edge>,
+        stats: &mut DecodeStats,
+    ) {
         let outcome = self.decode(tail).expect("doubled graph is matchable");
         out.extend_from_slice(&outcome.corrections);
         for m in &outcome.matches {

@@ -20,7 +20,8 @@
 //! * **syndrome extraction with detection-event semantics**: the decoder
 //!   consumes detection events (`current syndrome ⊕ last reported syndrome`)
 //!   and the tracker folds the decoder's own corrections into the reference
-//!   value so a correction never spawns a spurious event (DESIGN.md §6.1);
+//!   value so a correction never spawns a spurious event (the latch of
+//!   [`CodePatch`]);
 //! * the **logical failure check** (parity of the residual error across a
 //!   west–east cut).
 //!

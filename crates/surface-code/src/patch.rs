@@ -6,7 +6,7 @@
 //! hardware would: a stream of (possibly misread) detection events, plus an
 //! interface for the decoder to apply corrections.
 //!
-//! The **latch** (`last_reported`) realizes DESIGN.md §6.1: detection events
+//! The **latch** (`last_reported`) gives detection-event semantics: events
 //! are `raw ⊕ last_reported`, and when the decoder corrects a data qubit the
 //! latch of every adjacent ancilla is toggled so that the correction does not
 //! itself produce a spurious event in the next round. This is the standard

@@ -603,7 +603,7 @@ mod tests {
         // the same homology class.
         let lat = Lattice::new(7).unwrap();
         let uf = UnionFindDecoder::new(lat.clone());
-        let mwpm = qecool_mwpm::MwpmDecoder::new(lat.clone());
+        let mut mwpm = qecool_mwpm::MwpmDecoder::new(lat.clone());
         for (q1, q2) in [(10usize, 11usize), (3, 20), (40, 41), (0, 60)] {
             let mut patch = CodePatch::new(lat.clone());
             patch.inject_error(Edge(q1 % lat.num_data_qubits()));

@@ -1,4 +1,4 @@
-//! QECOOL vs. union-find vs. exact MWPM on identical error streams:
+//! QECOOL vs. union-find vs. MWPM on identical error streams:
 //! accuracy and wall clock, side by side, on the parallel decode engine.
 //!
 //! QECOOL trades matching optimality (greedy nearest-pair with race

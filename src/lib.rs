@@ -15,7 +15,8 @@
 //! * [`obs`] — lock-free telemetry: striped counters, stage-latency
 //!   histograms and the metrics registry/exposition layer.
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the system inventory.
+//! See `README.md` for a tour; its "Workspace layout" table is the
+//! system inventory.
 
 #![deny(missing_docs)]
 
