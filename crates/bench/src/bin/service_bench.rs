@@ -525,9 +525,9 @@ fn serve(opts: &BenchOptions, telemetry: TelemetryHandle) -> ServeOutcome {
     }
     feed.finish();
     let elapsed = start.elapsed();
-    // Workers actually spawned by the pumps above — can exceed the
-    // requested budget when shards > threads (one-worker-per-shard
-    // minimum), so record reality, not the request.
+    // Threads that actually drained sessions in the pumps above (pool
+    // threads plus the caller, per shard with a pool), so record
+    // reality, not the request.
     let pump_workers = service.pool_workers();
 
     let mut worst_util = 0.0f64;

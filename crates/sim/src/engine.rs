@@ -317,7 +317,8 @@ impl DecodeEngine {
         // parked workers while the caller slept cost `mc_mixed` about 9 %
         // of its shots/s against per-batch spawned threads, on a 2-vCPU
         // VM; with the caller helping it does not.
-        let (finished, panic) = pool.run(threads - 1, crew_jobs, true);
+        let mut finished = Vec::with_capacity(threads);
+        let panic = pool.run(threads - 1, crew_jobs, &mut finished);
         let mut workers: Vec<Worker> = finished.into_iter().map(|(w, _)| w).collect();
         let mut flat: Vec<(usize, McResult)> = workers
             .iter_mut()

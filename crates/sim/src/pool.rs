@@ -3,18 +3,24 @@
 //! run their parallel work on it, and [`worker_count`] is the one rule
 //! that turns a `threads` setting into a worker count.
 //!
-//! A pool runs batches of **owned** jobs through one work function.
+//! Both run one dispatch pattern. A batch of N draining threads is N
+//! owned jobs, one per thread, each a handle on state the batch shares;
+//! each job claims the real work items (engine shards, busy pump
+//! sessions) off an atomic cursor in that state until it runs dry. So
+//! only the N jobs pass through the queue lock, however many items the
+//! batch holds, and one slow item never idles the other threads. The
+//! caller is one of the N: it pulls jobs too, so a batch needs N − 1
+//! pool threads, and a batch of one job runs inline and spawns nothing.
+//!
 //! Worker threads spawn lazily, the first time a batch asks for them,
 //! and only ever grow to the largest worker count asked for. Between
 //! batches they park on a condvar, so a high-frequency caller pays no
-//! spawn cost per batch. Within a batch the jobs sit on one shared FIFO
-//! that idle workers pull from, so one slow job never idles the rest of
-//! the pool. The caller either waits, or also pulls jobs until the
-//! queue is empty; the worker that retires a batch's last job wakes
-//! it. Every job runs under `catch_unwind`: a panicking job is
-//! dropped, the rest of the batch still finishes, and the first payload
-//! goes back to the caller to re-raise. Dropping the pool wakes and
-//! joins every worker, so no thread outlives its owner.
+//! spawn cost per batch. The worker that retires a batch's last job
+//! wakes the caller if it is still waiting. Every job runs under
+//! `catch_unwind`: a panicking job is dropped, the rest of the batch
+//! still finishes, and the first payload goes back to the caller to
+//! re-raise. Dropping the pool wakes and joins every worker, so no
+//! thread outlives its owner.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -38,7 +44,7 @@ pub fn worker_count(threads: usize) -> usize {
 }
 
 /// A panic payload caught on a worker, for the caller to re-raise.
-type Panic = Box<dyn Any + Send>;
+pub(crate) type Panic = Box<dyn Any + Send>;
 
 /// What a worker does with a job, given its stripe.
 type Work<J> = Box<dyn Fn(&mut J, usize) + Send + Sync>;
@@ -47,8 +53,6 @@ type Work<J> = Box<dyn Fn(&mut J, usize) + Send + Sync>;
 /// worker's own stripe.
 #[derive(Clone)]
 pub(crate) struct PoolCounters {
-    /// Jobs pulled off the shared queue.
-    pub(crate) steals: Arc<Counter>,
     /// Times a worker parked on the work-ready condvar.
     pub(crate) parks: Arc<Counter>,
     /// Times a parked worker woke.
@@ -57,10 +61,7 @@ pub(crate) struct PoolCounters {
 
 /// State shared between the pool's caller and its workers.
 struct Queue<J> {
-    /// Jobs awaiting a worker this batch. A single shared deque is the
-    /// work-stealing structure: workers pull the next pending job the
-    /// moment they go idle, so load balances dynamically across jobs
-    /// instead of by static chunking.
+    /// Jobs awaiting a thread this batch, one per draining thread.
     pending: VecDeque<J>,
     /// Jobs finished this batch, awaiting hand-back.
     finished: Vec<J>,
@@ -130,27 +131,29 @@ impl<J: Send + 'static> WorkerPool<J> {
         self.handles.len()
     }
 
-    /// Runs one batch on at least `workers` threads and blocks until
-    /// every job has retired. Spawns the threads the pool is short of,
-    /// so it tracks a workload that grows after its first batch. With
-    /// `caller_helps`, the calling thread also pulls jobs (on stripe 0)
-    /// until the queue is empty, so a batch of one job runs inline with
-    /// `workers = 0`. Returns the finished jobs, in no particular order,
-    /// and the first panic payload; a job that panicked is not among the
-    /// finished.
+    /// Runs one batch on `workers` pool threads plus the caller and
+    /// blocks until every job has retired. Spawns the threads the pool is
+    /// short of, so it tracks a workload that grows after its first
+    /// batch. The calling thread pulls jobs (on stripe 0; worker `i` runs
+    /// on stripe `i + 1`) until the queue is empty, so a batch of one job
+    /// runs inline with `workers = 0`. Appends the finished jobs to
+    /// `finished`, in no particular order, and returns the first panic
+    /// payload; a job that panicked is dropped, not finished. Taking
+    /// `finished` from the caller lets both vectors keep their capacity,
+    /// so a warm pool allocates nothing per batch.
     pub(crate) fn run(
         &mut self,
         workers: usize,
         jobs: impl IntoIterator<Item = J>,
-        caller_helps: bool,
-    ) -> (Vec<J>, Option<Panic>) {
+        finished: &mut Vec<J>,
+    ) -> Option<Panic> {
         for i in self.handles.len()..workers {
             let shared = Arc::clone(&self.shared);
             let handle = std::thread::Builder::new()
                 .name(format!("qecool-worker-{i}"))
                 .spawn(move || {
-                    // Stripe i+1: stripe 0 belongs to the caller's inline
-                    // paths, so worker cells never share with it.
+                    // Stripe i+1: stripe 0 belongs to the caller, so
+                    // worker cells never share with it.
                     Self::worker_loop(&shared, i + 1);
                     shared.exited.fetch_add(1, Ordering::Release);
                 })
@@ -166,16 +169,15 @@ impl<J: Send + 'static> WorkerPool<J> {
         }
         self.shared.work_ready.notify_all();
         let mut queue = self.shared.queue.lock();
-        if caller_helps {
-            while let Some(job) = queue.pending.pop_front() {
-                drop(queue);
-                queue = Self::retire(&self.shared, job, 0);
-            }
+        while let Some(job) = queue.pending.pop_front() {
+            drop(queue);
+            queue = Self::retire(&self.shared, job, 0);
         }
         while queue.completed < queue.submitted {
             queue = self.shared.batch_done.wait(queue);
         }
-        (std::mem::take(&mut queue.finished), queue.panic.take())
+        finished.append(&mut queue.finished);
+        queue.panic.take()
     }
 
     /// Runs `job` and records its retirement, returning the re-taken
@@ -212,9 +214,6 @@ impl<J: Send + 'static> WorkerPool<J> {
         loop {
             if let Some(job) = queue.pending.pop_front() {
                 drop(queue);
-                if let Some(c) = counters {
-                    c.steals.add(stripe, 1);
-                }
                 queue = Self::retire(shared, job, stripe);
                 continue;
             }

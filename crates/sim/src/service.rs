@@ -15,7 +15,7 @@
 //! Sessions are fully independent: each owns its decoder state and its
 //! rounds are decoded in arrival order. [`DecodeService::pump`] fans the
 //! pending sessions out across the worker pool, but a session is only
-//! ever advanced by one worker at a time, so every session's corrections
+//! ever advanced by one thread per pump, so every session's corrections
 //! are byte-identical whatever the thread count — the same guarantee the
 //! Monte-Carlo engine makes for aggregates.
 //!
@@ -23,10 +23,14 @@
 //!
 //! [`DecodeService::pump`] runs on the service's own persistent
 //! [`WorkerPool`](crate::pool), the pool type the Monte-Carlo engine
-//! also runs on (see there for the spawn, wake-up, panic and shutdown
-//! rules). Pending sessions move out of their slots as pool jobs and
-//! back; pumps where at most one session has pending work drain inline
-//! on the calling thread without touching (or creating) the pool.
+//! also runs on, in the same pattern (see there for the spawn, wake-up,
+//! panic and shutdown rules). Sessions are boxed in their slots; a
+//! parallel pump moves the boxes of the busy ones into a table the pump
+//! keeps between calls, submits one job per draining thread — the
+//! caller is one of them — and each job claims table entries off an
+//! atomic cursor and drains them where they are. Pumps where at most
+//! one session has pending work drain inline on the calling thread
+//! without touching (or creating) the pool.
 //!
 //! # Steady-state allocation
 //!
@@ -73,7 +77,11 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use qecool::api::{CommitHint, DecodeOutput, Decoder};
 use qecool::{FatalError, RegOverflow, DEFAULT_BOUNDARY_PENALTY};
@@ -84,7 +92,7 @@ use qecool_obs::{
 use qecool_sfq::budget::{CycleBudget, CycleHistogram};
 use qecool_surface_code::{DetectionRound, Edge, Lattice, LatticeError};
 
-use crate::pool::{worker_count, PoolCounters, WorkerPool};
+use crate::pool::{worker_count, Panic, PoolCounters, WorkerPool};
 use crate::trials::DecoderKind;
 pub use crate::window::{StreamingMwpm, StreamingUf, WindowConfig};
 
@@ -178,7 +186,11 @@ struct ServiceTelemetry {
     /// Per-stripe drain tick driving the 1-in-N wall-clock sampling of
     /// the decode stage.
     drains: Arc<Counter>,
-    /// The pump pool's `qecool_pool_{steals,parks,wakes}_total` series.
+    /// Busy sessions that pool workers, not the pump caller, claimed off
+    /// the pump cursor: over `drains`, the share of the parallel pumps'
+    /// drains the pool threads carried.
+    steals: Arc<Counter>,
+    /// The pump pool's `qecool_pool_{parks,wakes}_total` series.
     pool: PoolCounters,
     busy_cycles: Arc<Counter>,
     sessions_opened: Arc<Counter>,
@@ -207,11 +219,11 @@ impl ServiceTelemetry {
                 "qecool_service_drains_total",
                 "Inbox drain batches executed",
             ),
+            steals: registry.counter(
+                "qecool_pool_steals_total",
+                "Busy sessions pool workers (not the pump caller) claimed off the pump cursor",
+            ),
             pool: PoolCounters {
-                steals: registry.counter(
-                    "qecool_pool_steals_total",
-                    "Pump jobs pulled off the shared queue by pool workers",
-                ),
                 parks: registry.counter(
                     "qecool_pool_parks_total",
                     "Times a pool worker parked on the work-ready condvar",
@@ -682,13 +694,96 @@ impl Session {
 /// stale [`SessionId`]s can be told apart from recycled ones.
 struct Slot {
     generation: u32,
-    session: Option<Session>,
+    /// Boxed, so a parallel pump hands the session to its drainer as a
+    /// pointer and the session itself stays where it is.
+    session: Option<Box<Session>>,
     /// Whether this slot's index currently sits on the free list. The
     /// flag makes reclamation **idempotent**: a slot can only be pushed
     /// while the flag is clear, so re-running reclamation (e.g. a second
     /// panicked pump before the first freed slot was reused) can never
     /// double-insert an index and hand one slot to two live sessions.
     on_free: bool,
+}
+
+/// One parallel pump's busy sessions, shared by that pump's jobs. Each
+/// job is an `Arc` of the table, and the pump reuses the table (and its
+/// capacity) once every job has handed its `Arc` back.
+struct PumpTable {
+    /// Busy sessions by slot index, in slot order. Entry `i` belongs to
+    /// whichever thread claims `i` off `cursor`, so its lock is never
+    /// contended; it only turns that exclusive claim into `&mut`.
+    cells: Vec<(u32, Mutex<Option<Box<Session>>>)>,
+    /// Next entry of `cells` to claim. `Relaxed` suffices: it hands out
+    /// indices and publishes no data (each entry's lock carries its
+    /// session, and the pool's queue lock publishes the table).
+    cursor: AtomicUsize,
+    /// First panic payload of a drain this pump.
+    panic: Mutex<Option<Panic>>,
+    budget: u64,
+    obs: Option<Arc<ServiceTelemetry>>,
+}
+
+impl PumpTable {
+    /// One job: claims entries off the cursor and drains each in place
+    /// until none are left. A drain that panics loses only its own
+    /// session (the entry is emptied and the payload kept), and the job
+    /// goes on claiming, so every other busy session still drains this
+    /// pump.
+    fn drain(&self, stripe: usize) {
+        let obs = self.obs.as_deref().map(|t| (t, stripe));
+        loop {
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some((_, cell)) = self.cells.get(index) else {
+                return;
+            };
+            // Stripe 0 is the pump caller; every other stripe is a pool
+            // worker.
+            if let Some((t, stripe @ 1..)) = obs {
+                t.steals.add(stripe, 1);
+            }
+            let mut cell = cell.lock();
+            let session = cell.as_mut().expect("each entry is claimed once");
+            let drained = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                session.drain_inbox(self.budget, obs);
+            }));
+            if let Err(payload) = drained {
+                *cell = None;
+                self.panic.lock().get_or_insert(payload);
+            }
+        }
+    }
+}
+
+/// The parallel pump's persistent state: the pool, the session table its
+/// jobs share, and the vector the pool hands finished jobs back in.
+struct PumpPool {
+    pool: WorkerPool<Arc<PumpTable>>,
+    table: Arc<PumpTable>,
+    finished: Vec<Arc<PumpTable>>,
+}
+
+impl PumpPool {
+    fn new(budget: u64, obs: Option<Arc<ServiceTelemetry>>) -> Self {
+        let counters = obs.as_ref().map(|t| t.pool.clone());
+        Self {
+            pool: WorkerPool::new(counters, |table: &mut Arc<PumpTable>, stripe| {
+                table.drain(stripe);
+            }),
+            table: Arc::new(PumpTable {
+                cells: Vec::new(),
+                cursor: AtomicUsize::new(0),
+                panic: Mutex::new(None),
+                budget,
+                obs,
+            }),
+            finished: Vec::new(),
+        }
+    }
+
+    /// The table, exclusively: no job holds an `Arc` of it between pumps.
+    fn table_mut(&mut self) -> &mut PumpTable {
+        Arc::get_mut(&mut self.table).expect("every pump job has retired")
+    }
 }
 
 /// The long-lived decoding service. See the module docs for the session
@@ -699,12 +794,10 @@ pub struct DecodeService {
     budget_cycles: u64,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Persistent pump worker pool, created at the first pump with
-    /// parallel work and reused until the service drops. A job is a
-    /// session moved out of its slot (by index), drained by exactly one
-    /// worker, then moved back; moving it is what lets long-lived
-    /// workers drain it without borrowing from the service.
-    pool: Option<WorkerPool<(usize, Session)>>,
+    /// The parallel pump's persistent pool and session table, created at
+    /// the first pump with parallel work and reused until the service
+    /// drops.
+    pool: Option<PumpPool>,
     /// Telemetry bundle; `None` when the config's handle is disabled.
     obs: Option<Arc<ServiceTelemetry>>,
 }
@@ -795,7 +888,7 @@ impl DecodeService {
             t.sessions_opened.add(thread_stripe(), 1);
             t.sessions_open.inc();
         }
-        let session = Session::new(self.make_backend(), self.budget_cycles);
+        let session = Box::new(Session::new(self.make_backend(), self.budget_cycles));
         if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
             slot.generation += 1;
@@ -828,7 +921,7 @@ impl DecodeService {
         slots
             .get_mut(id.index as usize)
             .filter(|slot| slot.generation == id.generation)
-            .and_then(|slot| slot.session.as_mut())
+            .and_then(|slot| slot.session.as_deref_mut())
             .ok_or(ServiceError::UnknownSession)
     }
 
@@ -836,7 +929,7 @@ impl DecodeService {
         self.slots
             .get(id.index as usize)
             .filter(|slot| slot.generation == id.generation)
-            .and_then(|slot| slot.session.as_ref())
+            .and_then(|slot| slot.session.as_deref())
             .ok_or(ServiceError::UnknownSession)
     }
 
@@ -966,21 +1059,26 @@ impl DecodeService {
     }
 
     /// Drives every session's pending rounds to completion on the worker
-    /// pool. Each session is advanced by exactly one worker, in arrival
+    /// pool. Each session is drained by exactly one thread, in arrival
     /// order, so results are independent of the thread count.
     ///
-    /// The pool spawns at the first pump with work for more than one
-    /// worker and grows with the busy-session count, up to the
-    /// configured cap. When at most one session has pending work (or the
-    /// service is configured single-threaded) the pump drains inline on
-    /// the caller's thread and the pool is neither consulted nor
-    /// spawned. A drain that panics on a worker loses its session, frees
-    /// that slot and re-raises the panic on the pump caller.
+    /// When at most one session has pending work (or the service is
+    /// configured single-threaded) the pump drains inline on the
+    /// caller's thread and the pool is neither consulted nor spawned.
+    /// Otherwise it runs `n` = min(busy sessions, configured threads)
+    /// draining threads: the caller plus `n − 1` pool threads, spawned at
+    /// the first such pump and grown when a later one needs more. The
+    /// busy sessions' boxes go into the pump's session table, one job per
+    /// thread claims them off an atomic cursor and drains them in place,
+    /// and they go back to their slots when every job has retired. Once
+    /// warm, a pump allocates nothing. A drain that panics loses its
+    /// session, frees that slot and re-raises the panic on the pump
+    /// caller, after every other busy session has drained.
     pub fn pump(&mut self) {
         let budget = self.budget_cycles;
-        let obs = self.obs.clone();
+        let obs = self.obs.as_deref();
         let stripe = if obs.is_some() { thread_stripe() } else { 0 };
-        if let Some(t) = obs.as_deref() {
+        if let Some(t) = obs {
             t.pump_calls.add(stripe, 1);
         }
         let pending = self
@@ -996,40 +1094,40 @@ impl DecodeService {
             // Fast path: ≤ 1 busy session needs no pool at all.
             for slot in &mut self.slots {
                 if let Some(session) = &mut slot.session {
-                    session.drain_inbox(budget, obs.as_deref().map(|t| (t, stripe)));
+                    session.drain_inbox(budget, obs.map(|t| (t, stripe)));
                 }
             }
             return;
         }
-        let pool = self.pool.get_or_insert_with(|| {
-            WorkerPool::new(
-                obs.as_ref().map(|t| t.pool.clone()),
-                move |(_, session): &mut (usize, Session), stripe| {
-                    session.drain_inbox(budget, obs.as_deref().map(|t| (t, stripe)));
-                },
-            )
-        });
-        let jobs = self.slots.iter_mut().enumerate().filter_map(|(idx, slot)| {
-            let session = slot.session.take_if(|s| !s.inbox.is_empty())?;
-            Some((idx, session))
-        });
-        // The pool tracks workload growth: more *busy* sessions than
-        // workers at this pump (up to the configured cap) spawn the
-        // difference. Sizing by pending work, not the slot table, keeps
-        // closed/free slots from inflating the pool.
-        let (finished, panic) = pool.run(configured.min(pending), jobs, false);
-        for (idx, session) in finished {
-            self.slots[idx].session = Some(session);
+        let pump = self
+            .pool
+            .get_or_insert_with(|| PumpPool::new(budget, self.obs.clone()));
+        let table = pump.table_mut();
+        *table.cursor.get_mut() = 0;
+        table
+            .cells
+            .extend(self.slots.iter_mut().enumerate().filter_map(|(idx, slot)| {
+                let session = slot.session.take_if(|s| !s.inbox.is_empty())?;
+                Some((idx as u32, Mutex::new(Some(session))))
+            }));
+        // Sizing by busy sessions, not the slot table, keeps closed and
+        // idle slots from inflating the pool.
+        let threads = configured.min(pending);
+        let jobs = (0..threads).map(|_| Arc::clone(&pump.table));
+        let job_panic = pump.pool.run(threads - 1, jobs, &mut pump.finished);
+        pump.finished.clear();
+        let table = pump.table_mut();
+        for (idx, cell) in table.cells.drain(..) {
+            self.slots[idx as usize].session = cell.into_inner();
         }
-        if let Some(payload) = panic {
+        if let Some(payload) = table.panic.get_mut().take().or(job_panic) {
             // The panicking session is gone; free its slot so it can be
             // recycled (its handle reports `UnknownSession` from here
-            // on). Submitted slots that did not come back in `finished`
-            // are exactly the ones whose drain panicked; `release_slot`
-            // is idempotent (per-slot `on_free` flag), so rescanning the
-            // whole table — here and again on any later panicked pump —
-            // can never push an index twice and alias two sessions onto
-            // one slot.
+            // on). The busy slots that came back empty are exactly the
+            // ones whose drain panicked; `release_slot` is idempotent
+            // (per-slot `on_free` flag), so rescanning the whole table —
+            // here and again on any later panicked pump — can never push
+            // an index twice and alias two sessions onto one slot.
             for idx in 0..self.slots.len() as u32 {
                 self.release_slot(idx);
             }
@@ -1048,18 +1146,20 @@ impl DecodeService {
         }
     }
 
-    /// Number of live pump worker threads (0 until the first parallel
-    /// pump spawns the pool).
+    /// Threads that drain sessions in a parallel pump: the pool's
+    /// threads plus the pump caller (0 until the first parallel pump
+    /// creates the pool).
     pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, WorkerPool::workers)
+        self.pool.as_ref().map_or(0, |pump| pump.pool.workers() + 1)
     }
 
-    /// Total pump worker threads ever spawned by this service — the
+    /// Pump worker threads ever spawned by this service — the
     /// spawn-counting hook: consecutive pumps must not move it once the
-    /// pool exists. The pool never respawns a thread, so this equals
-    /// [`Self::pool_workers`].
+    /// pool exists. The pool never respawns a thread, and the caller is
+    /// not one, so this is [`Self::pool_workers`] − 1 once the pool
+    /// exists.
     pub fn workers_spawned(&self) -> usize {
-        self.pool_workers()
+        self.pool.as_ref().map_or(0, |pump| pump.pool.workers())
     }
 
     /// Closes a session: ingests everything still queued, finishes the
@@ -1376,8 +1476,15 @@ mod tests {
         push_round_per_session(&mut service, &ids, &mut patches, &mut rngs, &mut round);
         service.pump();
         let spawned_after_first = service.workers_spawned();
-        assert_eq!(spawned_after_first, 4, "pool sized to configured threads");
-        assert_eq!(service.pool_workers(), 4);
+        assert_eq!(
+            spawned_after_first, 3,
+            "pool sized to configured threads, less the caller"
+        );
+        assert_eq!(
+            service.pool_workers(),
+            4,
+            "draining threads: pool threads plus the caller"
+        );
 
         // The spawn-counting hook: consecutive pumps must not create a
         // single new thread.
@@ -1394,9 +1501,10 @@ mod tests {
 
     #[test]
     fn pool_grows_when_sessions_outnumber_it() {
-        // 4 configured workers, but only 2 sessions exist at the first
-        // parallel pump — the pool starts at 2 and must grow (never
-        // respawn) to 4 when the session count catches up.
+        // 4 configured threads, but only 2 sessions exist at the first
+        // parallel pump — it drains on 2 threads (the caller and one pool
+        // thread) and must grow (never respawn) to 4 when the session
+        // count catches up.
         let mut service = service(ServiceBackend::Qecool, 4);
         let lattice = Lattice::new(5).unwrap();
         let mut ids: Vec<SessionId> = (0..2).map(|_| service.open_session()).collect();
@@ -1408,6 +1516,7 @@ mod tests {
         push_round_per_session(&mut service, &ids, &mut patches, &mut rngs, &mut round);
         service.pump();
         assert_eq!(service.pool_workers(), 2, "capped by the 2 open sessions");
+        assert_eq!(service.workers_spawned(), 1, "the caller is the other");
 
         for s in 2..4 {
             ids.push(service.open_session());
@@ -1421,7 +1530,7 @@ mod tests {
             4,
             "pool grew with the session count"
         );
-        assert_eq!(service.workers_spawned(), 4);
+        assert_eq!(service.workers_spawned(), 3);
     }
 
     #[test]
@@ -1461,7 +1570,7 @@ mod tests {
 
         let spawned = service.workers_spawned();
         assert!(spawned > 0);
-        let shared = Arc::clone(&service.pool.as_ref().expect("pool live").shared);
+        let shared = Arc::clone(&service.pool.as_ref().expect("pool live").pool.shared);
         drop(service);
         // Drop joins every worker, so by now each has run its exit hook
         // and released its clone of the shared state.
@@ -1630,6 +1739,132 @@ mod tests {
             service.push_round(id, &round).unwrap();
         }
         service.pump();
+        assert_free_list_consistent(&service);
+    }
+
+    /// Where [`PanicInPairs`] backends meet: the threads their decode
+    /// steps ran on, in arrival order.
+    type Arrivals = Arc<(
+        std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        std::sync::Condvar,
+    )>;
+
+    /// A backend whose decode step panics, but only once a second one
+    /// has arrived: arrivals pair up (1st with 2nd, 3rd with 4th, …), and
+    /// the first of a pair blocks until its partner comes. Its thread
+    /// cannot claim the partner meanwhile, so the two of a pair always
+    /// panic on different threads.
+    struct PanicInPairs(Arrivals);
+
+    impl Decoder for PanicInPairs {
+        fn ingest(&mut self, _round: &DetectionRound) -> Result<(), RegOverflow> {
+            Ok(())
+        }
+
+        fn decode_step(&mut self, _budget: Option<u64>, _out: &mut DecodeOutput) {
+            let (arrivals, met) = &*self.0;
+            let mut arrived = arrivals.lock().unwrap();
+            arrived.push(std::thread::current().id());
+            let pair = arrived.len().next_multiple_of(2);
+            met.notify_all();
+            // A timeout only means the pump never ran a second thread;
+            // the test's thread checks then fail instead of hanging.
+            let timeout = std::time::Duration::from_secs(10);
+            drop(met.wait_timeout_while(arrived, timeout, |a| a.len() < pair));
+            panic!("injected decode panic");
+        }
+
+        fn finish(&mut self, _out: &mut DecodeOutput) {}
+
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn drain_panics_on_the_caller_and_a_worker_lose_only_their_sessions() {
+        // Eight busy sessions at threads = 2, four of which panic in one
+        // pump, in cross-thread pairs: the caller and the worker each
+        // drain panicking sessions and must both go on claiming.
+        let lattice = Lattice::new(5).unwrap();
+        let noise = PhenomenologicalNoise::symmetric(0.05);
+        let sessions = 8usize;
+        let panicking = [0usize, 3, 5, 7];
+        let arrivals = Arrivals::default();
+        let mut reference = service(ServiceBackend::Qecool, 2);
+        let mut service = service(ServiceBackend::Qecool, 2);
+        let ref_ids: Vec<SessionId> = (0..sessions).map(|_| reference.open_session()).collect();
+        let ids: Vec<SessionId> = (0..sessions).map(|_| service.open_session()).collect();
+        for &s in &panicking {
+            let backend = PanicInPairs(Arc::clone(&arrivals));
+            service.replace_backend_for_test(ids[s], Box::new(backend));
+        }
+        for s in 0..sessions {
+            let mut patch = CodePatch::new(lattice.clone());
+            let mut rng = ChaCha8Rng::seed_from_u64(600 + s as u64);
+            for _ in 0..3 {
+                let round = patch.noisy_round(&noise, &mut rng);
+                reference.push_round(ref_ids[s], &round).unwrap();
+                service.push_round(ids[s], &round).unwrap();
+            }
+        }
+        reference.pump();
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| service.pump()))
+            .expect_err("the drain panics must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected decode panic")
+        );
+        let ran_on = arrivals.0.lock().unwrap().clone();
+        assert_eq!(ran_on.len(), panicking.len(), "one drain each");
+        assert!(
+            ran_on.contains(&std::thread::current().id()),
+            "the caller drained a panicking session"
+        );
+        assert!(
+            ran_on.iter().any(|&t| t != std::thread::current().id()),
+            "a worker drained a panicking session"
+        );
+
+        // Each panicked slot is freed exactly once, and only those.
+        assert_free_list_consistent(&service);
+        let mut freed = service.free.clone();
+        freed.sort_unstable();
+        let expected: Vec<u32> = panicking.iter().map(|&s| ids[s].index).collect();
+        assert_eq!(freed, expected);
+        for s in 0..sessions {
+            if panicking.contains(&s) {
+                assert_eq!(
+                    service.latency(ids[s]).unwrap_err(),
+                    ServiceError::UnknownSession
+                );
+                continue;
+            }
+            // Drained in the panicking pump, not by the poll below.
+            assert_eq!(service.latency(ids[s]).unwrap().rounds, 3, "session {s}");
+            assert_eq!(
+                service.poll_corrections(ids[s]).unwrap().to_vec(),
+                reference.poll_corrections(ref_ids[s]).unwrap().to_vec(),
+                "session {s}"
+            );
+        }
+
+        // The service serves afterwards, on survivors and on new sessions
+        // in the recycled slots.
+        let live: Vec<SessionId> = (0..sessions)
+            .filter(|s| !panicking.contains(s))
+            .map(|s| ids[s])
+            .chain((0..panicking.len()).map(|_| service.open_session()))
+            .collect();
+        let round =
+            CodePatch::new(lattice.clone()).noisy_round(&noise, &mut ChaCha8Rng::seed_from_u64(6));
+        for &id in &live {
+            service.push_round(id, &round).unwrap();
+        }
+        service.pump();
+        for &id in &live {
+            service.poll_corrections(id).unwrap();
+            service.close_session(id).unwrap();
+        }
+        assert_eq!(service.num_sessions(), 0);
         assert_free_list_consistent(&service);
     }
 

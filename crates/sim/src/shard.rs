@@ -67,10 +67,10 @@ pub struct ShardedServiceConfig {
     /// Configuration every shard's [`DecodeService`] is built from. Its
     /// `threads` field is the **total** worker budget: it is divided
     /// across shards (at least one worker each) so `--shards` does not
-    /// multiply the thread count. The one-worker-per-shard minimum means
-    /// a fabric with more shards than budgeted threads can still spawn
-    /// up to `shards` workers;
-    /// [`ShardedDecodeService::pool_workers`] reports the actual count.
+    /// multiply the thread count. A shard's pump drains on its share:
+    /// the pumping thread plus share − 1 pool threads, so a share of one
+    /// drains inline. [`ShardedDecodeService::pool_workers`] reports the
+    /// actual count.
     pub service: ServiceConfig,
     /// Number of service shards (≥ 1).
     pub shards: usize,
@@ -406,7 +406,8 @@ impl ShardedDecodeService {
             .sum()
     }
 
-    /// Live pump worker threads across all shards.
+    /// Pump draining threads (pool threads plus the pumping caller) of
+    /// every shard that has a pool, summed across shards.
     pub fn pool_workers(&self) -> usize {
         self.shards
             .iter()
@@ -414,7 +415,7 @@ impl ShardedDecodeService {
             .sum()
     }
 
-    /// Total pump worker threads ever spawned across all shards.
+    /// Pump pool threads ever spawned across all shards.
     pub fn workers_spawned(&self) -> usize {
         self.shards
             .iter()

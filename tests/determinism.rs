@@ -279,6 +279,14 @@ fn sharded_sessions_identical_with_telemetry_enabled() {
             }
             assert_eq!(snapshot.counter_total("qecool_shard_dropped_total"), 0);
             assert_eq!(snapshot.gauge("qecool_sessions_open"), Some(0));
+            // Every session a pool worker claims is one drain, so the
+            // workers' share of the drains is at most all of them.
+            let steals = snapshot.counter_total("qecool_pool_steals_total");
+            let drains = snapshot.counter_total("qecool_service_drains_total");
+            assert!(
+                steals <= drains,
+                "{steals} steals > {drains} drains at {shards} shards x {threads} workers"
+            );
         }
     }
 }
