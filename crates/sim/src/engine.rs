@@ -10,13 +10,12 @@
 //! same campaign produces byte-identical aggregates on 1, 2 or 64
 //! threads:
 //!
-//! * a lock-free single-producer/multi-consumer work queue (an atomic
-//!   cursor over the precomputed shard list) feeds N workers, each one
-//!   job on the engine's persistent [`WorkerPool`](crate::pool) (the
-//!   pool the service pump runs on). The calling thread is one of the
-//!   N, so the pool holds N − 1 threads, and a batch one worker
-//!   suffices for runs inline and spawns nothing;
-//! * each worker owns a reusable [`TrialScratch`] (decoders, patch,
+//! * the precomputed shard list is the batch of the engine's persistent
+//!   [worker pool](crate::pool), the pool the service pump runs on: N
+//!   threads claim shards off its lock-free atomic cursor. The calling
+//!   thread is one of the N, so the pool holds N − 1 threads, and a
+//!   batch one thread suffices for runs inline and spawns nothing;
+//! * each pool stripe owns a reusable [`TrialScratch`] (decoders, patch,
 //!   syndrome buffers) and one recycled [`TrialOutcome`], kept between
 //!   batches, so the hot loop does no per-shot construction;
 //! * scalar counters stream into the engine's [`EngineTally`] of atomic
@@ -47,14 +46,14 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::campaign::derive_seed;
 use crate::montecarlo::McResult;
-use crate::pool::{worker_count, WorkerPool};
+use crate::pool::{worker_count, Batch, WorkerPool};
 use crate::trials::{run_trial_into, TrialConfig, TrialOutcome, TrialScratch};
 
 /// Default shard size: big enough to amortize queue traffic, small
@@ -158,64 +157,64 @@ impl EngineTally {
 }
 
 /// One shard of one job on the global work queue.
-#[derive(Debug, Clone, Copy)]
 struct Shard {
     job: usize,
     /// First trial index (relative to the job's `base_seed`).
     start: usize,
     len: usize,
+    /// The shard's partial aggregate, written by the thread that claims
+    /// it.
+    partial: Mutex<McResult>,
 }
 
-/// One batch's work, shared by every worker that runs it.
-struct Batch {
-    jobs: Vec<McJob>,
-    shards: Vec<Shard>,
-    /// Next unclaimed shard.
-    cursor: AtomicUsize,
-    tally: Arc<EngineTally>,
-}
-
-/// One worker's state, kept between batches, and the `(shard index,
-/// partial)` of every shard it retired this batch.
+/// A worker's reusable trial state, one per pool stripe, kept between
+/// batches.
 #[derive(Default)]
 struct Worker {
     scratch: TrialScratch,
     outcome: TrialOutcome,
-    retired: Vec<(usize, McResult)>,
 }
 
-impl Batch {
-    /// Claims shards off the cursor until none are left.
-    fn drain(&self, worker: &mut Worker) {
-        loop {
-            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(shard) = self.shards.get(index) else {
-                return;
-            };
-            let job = &self.jobs[shard.job];
-            let mut partial = McResult::default();
-            for k in shard.start..shard.start + shard.len {
-                let seed = derive_seed(job.base_seed, job.stream, job.first_trial + k as u64);
-                run_trial_into(&job.trial, seed, &mut worker.scratch, &mut worker.outcome);
-                partial.absorb(&worker.outcome);
-            }
-            self.tally.absorb(&partial);
-            worker.retired.push((index, partial));
+/// The engine's persistent pool batch: one campaign batch's shards, and
+/// the per-stripe worker state that runs them.
+struct Shards {
+    jobs: Vec<McJob>,
+    shards: Vec<Shard>,
+    /// Indexed by stripe. Stripe `s` is only ever run by one thread, so
+    /// its lock is never contended; it only turns that exclusive use
+    /// into `&mut`.
+    workers: Vec<Mutex<Worker>>,
+    tally: Arc<EngineTally>,
+}
+
+impl Batch for Shards {
+    fn items(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn run(&self, index: usize, stripe: usize) {
+        let shard = &self.shards[index];
+        let job = &self.jobs[shard.job];
+        let worker = &mut *self.workers[stripe].lock();
+        let mut partial = McResult::default();
+        for k in shard.start..shard.start + shard.len {
+            let seed = derive_seed(job.base_seed, job.stream, job.first_trial + k as u64);
+            run_trial_into(&job.trial, seed, &mut worker.scratch, &mut worker.outcome);
+            partial.absorb(&worker.outcome);
         }
+        self.tally.absorb(&partial);
+        *shard.partial.lock() = partial;
     }
 }
-
-/// A pool job: one worker draining one batch.
-type BatchJob = (Worker, Arc<Batch>);
 
 /// The parallel Monte-Carlo decode engine. See the module docs for the
 /// threading model.
 pub struct DecodeEngine {
     config: EngineConfig,
     tally: Arc<EngineTally>,
-    /// The pool and its idle workers. Held for a whole batch, so batches
-    /// on one engine run one at a time.
-    crew: Mutex<(WorkerPool<BatchJob>, Vec<Worker>)>,
+    /// Held for a whole batch, so batches on one engine run one at a
+    /// time.
+    pool: Mutex<WorkerPool<Shards>>,
 }
 
 impl fmt::Debug for DecodeEngine {
@@ -242,13 +241,17 @@ impl DecodeEngine {
     /// An engine with explicit configuration. Spawns no thread.
     pub fn with_config(config: EngineConfig) -> Self {
         assert!(config.shard_shots > 0, "shard_shots must be positive");
-        let pool = WorkerPool::new(None, |(worker, batch): &mut BatchJob, _| {
-            batch.drain(worker)
-        });
+        let tally = Arc::<EngineTally>::default();
+        let shards = Shards {
+            jobs: Vec::new(),
+            shards: Vec::new(),
+            workers: Vec::new(),
+            tally: Arc::clone(&tally),
+        };
         Self {
             config,
-            tally: Arc::default(),
-            crew: Mutex::new((pool, Vec::new())),
+            tally,
+            pool: Mutex::new(WorkerPool::new(shards, None)),
         }
     }
 
@@ -291,52 +294,49 @@ impl DecodeEngine {
     /// invalid code distance). The engine stays usable.
     pub fn run_batch(&self, jobs: &[McJob]) -> Vec<McResult> {
         let size = self.config.shard_shots;
-        let shards: Vec<Shard> = jobs
-            .iter()
-            .enumerate()
-            .flat_map(|(job, j)| {
+        let mut pool = self.pool.lock();
+        let spawned = pool.workers();
+        let batch = pool.batch_mut();
+        batch.jobs.clear();
+        batch.jobs.extend_from_slice(jobs);
+        batch.shards.clear();
+        batch
+            .shards
+            .extend(jobs.iter().enumerate().flat_map(|(job, j)| {
                 (0..j.shots).step_by(size).map(move |start| Shard {
                     job,
                     start,
                     len: size.min(j.shots - start),
+                    partial: Mutex::new(McResult::default()),
                 })
-            })
-            .collect();
-        let threads = worker_count(self.config.threads).min(shards.len()).max(1);
-        let batch = Arc::new(Batch {
-            jobs: jobs.to_vec(),
-            shards,
-            cursor: AtomicUsize::new(0),
-            tally: Arc::clone(&self.tally),
-        });
-
-        let mut crew = self.crew.lock();
-        let (pool, idle) = &mut *crew;
-        let crew_jobs = (0..threads).map(|_| (idle.pop().unwrap_or_default(), Arc::clone(&batch)));
+            }));
+        let threads = worker_count(self.config.threads)
+            .min(batch.shards.len())
+            .max(1);
+        // Any spawned pool thread may claim shards, not only the first
+        // `threads - 1`, so the stripe table covers every one of them.
+        let stripes = threads.max(spawned + 1);
+        batch
+            .workers
+            .resize_with(stripes, || Mutex::new(Worker::default()));
         // The caller is one of the `threads` workers. Waking `threads`
         // parked workers while the caller slept cost `mc_mixed` about 9 %
         // of its shots/s against per-batch spawned threads, on a 2-vCPU
         // VM; with the caller helping it does not.
-        let mut finished = Vec::with_capacity(threads);
-        let panic = pool.run(threads - 1, crew_jobs, &mut finished);
-        let mut workers: Vec<Worker> = finished.into_iter().map(|(w, _)| w).collect();
-        let mut flat: Vec<(usize, McResult)> = workers
-            .iter_mut()
-            .flat_map(|w| w.retired.drain(..))
-            .collect();
-        idle.append(&mut workers);
-        drop(crew);
-        if let Some(payload) = panic {
+        if let Some(payload) = pool.run(threads - 1) {
+            // A panicking trial may leave its worker's scratch half
+            // updated; start the next batch from fresh ones.
+            pool.batch_mut().workers.clear();
+            drop(pool);
             std::panic::resume_unwind(payload);
         }
 
         // Deterministic aggregation: merge partials in shard order, which
         // depends only on the job list and shard size — never on which
         // worker ran what, or when.
-        flat.sort_unstable_by_key(|&(shard_idx, _)| shard_idx);
         let mut results = vec![McResult::default(); jobs.len()];
-        for (shard_idx, partial) in flat {
-            results[batch.shards[shard_idx].job].merge(partial);
+        for shard in pool.batch_mut().shards.drain(..) {
+            results[shard.job].merge(shard.partial.into_inner());
         }
         results
     }
@@ -344,7 +344,7 @@ impl DecodeEngine {
     /// Pool threads this engine has spawned.
     #[cfg(test)]
     fn workers_spawned(&self) -> usize {
-        self.crew.lock().0.workers()
+        self.pool.lock().workers()
     }
 }
 
@@ -489,6 +489,38 @@ mod tests {
                 "{threads} thread(s)"
             );
         }
+    }
+
+    #[test]
+    fn stripe_table_covers_threads_a_wider_batch_spawned() {
+        // A 2-shard batch asks for one pool thread, but any of the three
+        // a wider batch spawned may claim its shards.
+        let many = [McJob::new(
+            TrialConfig::standard(3, 0.05, DecoderKind::BatchQecool),
+            600,
+            1,
+        )];
+        let two = [McJob::new(
+            TrialConfig::standard(3, 0.05, DecoderKind::UnionFind),
+            2 * DEFAULT_SHARD_SHOTS,
+            2,
+        )];
+        let bad = [McJob::new(
+            TrialConfig::standard(4, 0.05, DecoderKind::UnionFind),
+            600,
+            3,
+        )];
+        let engine = DecodeEngine::with_threads(4);
+        let serial = |jobs: &[McJob]| DecodeEngine::with_threads(1).run_batch(jobs);
+        assert_eq!(engine.run_batch(&many), serial(&many));
+        assert_eq!(engine.workers_spawned(), 3);
+        for _ in 0..20 {
+            assert_eq!(engine.run_batch(&two), serial(&two));
+        }
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run_batch(&bad)))
+            .expect_err("an even distance must panic");
+        assert_eq!(engine.run_batch(&two), serial(&two));
+        assert_eq!(engine.run_batch(&many), serial(&many));
     }
 
     #[test]

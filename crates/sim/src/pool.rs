@@ -3,32 +3,31 @@
 //! run their parallel work on it, and [`worker_count`] is the one rule
 //! that turns a `threads` setting into a worker count.
 //!
-//! Both run one dispatch pattern. A batch of N draining threads is N
-//! owned jobs, one per thread, each a handle on state the batch shares;
-//! each job claims the real work items (engine shards, busy pump
-//! sessions) off an atomic cursor in that state until it runs dry. So
-//! only the N jobs pass through the queue lock, however many items the
-//! batch holds, and one slow item never idles the other threads. The
-//! caller is one of the N: it pulls jobs too, so a batch needs N − 1
-//! pool threads, and a batch of one job runs inline and spawns nothing.
+//! The pool owns the one dispatch pattern. It holds a persistent batch
+//! value (the crate-private `Batch` trait: an item count and a step per
+//! item), which its owner refills between runs. A run on N threads
+//! resets a pool-owned atomic cursor, and the caller plus N − 1 pool
+//! threads claim item indices off it until it runs dry: engine shards,
+//! busy pump sessions. So one slow item never idles the other threads,
+//! and a one-thread run claims every item inline and wakes nothing.
 //!
-//! Worker threads spawn lazily, the first time a batch asks for them,
+//! Worker threads spawn lazily, the first time a run asks for them,
 //! and only ever grow to the largest worker count asked for. Between
-//! batches they park on a condvar, so a high-frequency caller pays no
-//! spawn cost per batch. The worker that retires a batch's last job
-//! wakes the caller if it is still waiting. Every job runs under
-//! `catch_unwind`: a panicking job is dropped, the rest of the batch
-//! still finishes, and the first payload goes back to the caller to
+//! runs they park on a condvar, so a high-frequency caller pays no
+//! spawn cost per run. A worker that has not woken by the time the
+//! caller finds the cursor dry is released, not waited for. Every item
+//! runs under one `catch_unwind`: a panicking item is lost, every other
+//! item still runs, and the first payload goes back to the caller to
 //! re-raise. Dropping the pool wakes and joins every worker, so no
 //! thread outlives its owner.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 use qecool_obs::Counter;
 
 /// Worker threads for a `threads` setting: `threads` itself, or every
@@ -44,10 +43,18 @@ pub fn worker_count(threads: usize) -> usize {
 }
 
 /// A panic payload caught on a worker, for the caller to re-raise.
-pub(crate) type Panic = Box<dyn Any + Send>;
+type Panic = Box<dyn Any + Send>;
 
-/// What a worker does with a job, given its stripe.
-type Work<J> = Box<dyn Fn(&mut J, usize) + Send + Sync>;
+/// The work of one pool run: `items()` independent items, each run once
+/// by whichever thread claims its index.
+pub(crate) trait Batch: Send + Sync + 'static {
+    /// Items in this run.
+    fn items(&self) -> usize;
+
+    /// Runs item `index` on `stripe`: 0 for the caller, `i + 1` for pool
+    /// thread `i`.
+    fn run(&self, index: usize, stripe: usize);
+}
 
 /// Telemetry counters a pool's workers record into, each on the
 /// worker's own stripe.
@@ -59,70 +66,93 @@ pub(crate) struct PoolCounters {
     pub(crate) wakes: Arc<Counter>,
 }
 
-/// State shared between the pool's caller and its workers.
-struct Queue<J> {
-    /// Jobs awaiting a thread this batch, one per draining thread.
-    pending: VecDeque<J>,
-    /// Jobs finished this batch, awaiting hand-back.
-    finished: Vec<J>,
-    /// Jobs queued this batch.
-    submitted: usize,
-    /// Jobs retired this batch, successfully or not: `finished.len()`
-    /// plus any panicked jobs. `run` waits for it to reach `submitted`,
-    /// so a worker panic cannot strand it.
-    completed: usize,
-    /// First panic payload caught this batch.
+/// Run state shared between the pool's caller and its workers.
+struct State<T> {
+    /// The running batch, offered to workers until the caller finds the
+    /// cursor dry.
+    batch: Option<Arc<T>>,
+    /// Workers that may still join the running batch.
+    seats: usize,
+    /// Workers holding the batch.
+    active: usize,
+    /// First panic payload a worker caught this run.
     panic: Option<Panic>,
-    /// Set once, on drop; workers exit when they see it with an empty
-    /// queue.
+    /// Set once, on drop; idle workers exit when they see it.
     shutdown: bool,
 }
 
-pub(crate) struct Shared<J> {
-    queue: Mutex<Queue<J>>,
-    /// Signalled by `run` when jobs are enqueued and on shutdown.
+pub(crate) struct Shared<T> {
+    state: Mutex<State<T>>,
+    /// Next unclaimed item of the running batch. `Relaxed` suffices: it
+    /// hands out indices and publishes no data (the state lock publishes
+    /// the batch).
+    cursor: AtomicUsize,
+    /// Signalled by `run` when a batch is offered and on shutdown.
     work_ready: Condvar,
-    /// Signalled by the worker that retires a batch's last job.
+    /// Signalled by the last worker to let go of a withdrawn batch.
     batch_done: Condvar,
     /// Worker threads that have exited their loop (observability for
     /// shutdown tests; `run` never reads it).
     pub(crate) exited: AtomicUsize,
-    work: Work<J>,
     counters: Option<PoolCounters>,
 }
 
-/// A persistent pool of worker threads over owned jobs of type `J`. See
-/// the module docs.
-pub(crate) struct WorkerPool<J> {
-    pub(crate) shared: Arc<Shared<J>>,
+impl<T: Batch> Shared<T> {
+    /// Claims items off the cursor until it runs dry, each under its own
+    /// `catch_unwind`, and returns the first payload caught.
+    fn claim(&self, batch: &T, stripe: usize) -> Option<Panic> {
+        let items = batch.items();
+        let mut panic = None;
+        loop {
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= items {
+                return panic;
+            }
+            if let Err(payload) =
+                std::panic::catch_unwind(AssertUnwindSafe(|| batch.run(index, stripe)))
+            {
+                panic.get_or_insert(payload);
+            }
+        }
+    }
+}
+
+/// A persistent pool of worker threads over one [`Batch`] value, which
+/// the owner refills through [`Self::batch_mut`] between runs. See the
+/// module docs.
+pub(crate) struct WorkerPool<T> {
+    pub(crate) shared: Arc<Shared<T>>,
+    batch: Arc<T>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl<J: Send + 'static> WorkerPool<J> {
-    /// A pool that runs `work(job, stripe)` on every job. Spawns no
-    /// thread: workers appear at the first [`Self::run`].
-    pub(crate) fn new(
-        counters: Option<PoolCounters>,
-        work: impl Fn(&mut J, usize) + Send + Sync + 'static,
-    ) -> Self {
+impl<T: Batch> WorkerPool<T> {
+    /// A pool over `batch`. Spawns no thread: workers appear at the
+    /// first [`Self::run`] that asks for them.
+    pub(crate) fn new(batch: T, counters: Option<PoolCounters>) -> Self {
         Self {
             shared: Arc::new(Shared {
-                queue: Mutex::new(Queue {
-                    pending: VecDeque::new(),
-                    finished: Vec::new(),
-                    submitted: 0,
-                    completed: 0,
+                state: Mutex::new(State {
+                    batch: None,
+                    seats: 0,
+                    active: 0,
                     panic: None,
                     shutdown: false,
                 }),
+                cursor: AtomicUsize::new(0),
                 work_ready: Condvar::new(),
                 batch_done: Condvar::new(),
                 exited: AtomicUsize::new(0),
-                work: Box::new(work),
                 counters,
             }),
+            batch: Arc::new(batch),
             handles: Vec::new(),
         }
+    }
+
+    /// The batch, for refilling between runs.
+    pub(crate) fn batch_mut(&mut self) -> &mut T {
+        Arc::get_mut(&mut self.batch).expect("no worker holds the batch between runs")
     }
 
     /// Worker threads spawned so far. The pool never respawns or shrinks,
@@ -131,22 +161,13 @@ impl<J: Send + 'static> WorkerPool<J> {
         self.handles.len()
     }
 
-    /// Runs one batch on `workers` pool threads plus the caller and
-    /// blocks until every job has retired. Spawns the threads the pool is
-    /// short of, so it tracks a workload that grows after its first
-    /// batch. The calling thread pulls jobs (on stripe 0; worker `i` runs
-    /// on stripe `i + 1`) until the queue is empty, so a batch of one job
-    /// runs inline with `workers = 0`. Appends the finished jobs to
-    /// `finished`, in no particular order, and returns the first panic
-    /// payload; a job that panicked is dropped, not finished. Taking
-    /// `finished` from the caller lets both vectors keep their capacity,
-    /// so a warm pool allocates nothing per batch.
-    pub(crate) fn run(
-        &mut self,
-        workers: usize,
-        jobs: impl IntoIterator<Item = J>,
-        finished: &mut Vec<J>,
-    ) -> Option<Panic> {
+    /// Runs every item of the batch once, on the caller and up to
+    /// `workers` pool threads, and returns the first panic payload once
+    /// no thread holds the batch. Spawns the threads the pool is short
+    /// of, so it tracks a workload that grows after its first run. With
+    /// `workers = 0` the caller claims every item inline and nothing is
+    /// woken.
+    pub(crate) fn run(&mut self, workers: usize) -> Option<Panic> {
         for i in self.handles.len()..workers {
             let shared = Arc::clone(&self.shared);
             let handle = std::thread::Builder::new()
@@ -160,70 +181,60 @@ impl<J: Send + 'static> WorkerPool<J> {
                 .expect("spawn pool worker");
             self.handles.push(handle);
         }
+        self.shared.cursor.store(0, Ordering::Relaxed);
+        if workers == 0 {
+            return self.shared.claim(&self.batch, 0);
+        }
         {
-            let mut queue = self.shared.queue.lock();
-            debug_assert!(queue.pending.is_empty() && queue.finished.is_empty());
-            queue.completed = 0;
-            queue.pending.extend(jobs);
-            queue.submitted = queue.pending.len();
+            let mut state = self.shared.state.lock();
+            state.batch = Some(Arc::clone(&self.batch));
+            state.seats = workers;
         }
         self.shared.work_ready.notify_all();
-        let mut queue = self.shared.queue.lock();
-        while let Some(job) = queue.pending.pop_front() {
-            drop(queue);
-            queue = Self::retire(&self.shared, job, 0);
-        }
-        while queue.completed < queue.submitted {
-            queue = self.shared.batch_done.wait(queue);
-        }
-        finished.append(&mut queue.finished);
-        queue.panic.take()
+        let own = self.shared.claim(&self.batch, 0);
+        let mut state = self.shared.state.lock();
+        // The cursor is dry: withdraw the batch, so workers that have
+        // not woken yet stay parked instead of being waited for.
+        state.batch = None;
+        state.seats = 0;
+        let mut state = self
+            .shared
+            .batch_done
+            .wait_while(state, |state| state.active > 0);
+        let theirs = state.panic.take();
+        own.or(theirs)
     }
 
-    /// Runs `job` and records its retirement, returning the re-taken
-    /// queue lock.
-    fn retire(shared: &Shared<J>, mut job: J, stripe: usize) -> MutexGuard<'_, Queue<J>> {
-        // Catch unwinds so a panicking job cannot strand `run` waiting
-        // for a job that will never finish; the payload is re-raised by
-        // the caller.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (shared.work)(&mut job, stripe);
-            job
-        }));
-        let mut queue = shared.queue.lock();
-        match outcome {
-            Ok(job) => queue.finished.push(job),
-            Err(payload) => {
-                // The job died with the panic; keep the first payload
-                // for re-raise.
-                queue.panic.get_or_insert(payload);
-            }
-        }
-        queue.completed += 1;
-        // `run` is the only possible waiter, and it only wants to hear
-        // about the last job of its batch.
-        if queue.completed == queue.submitted {
-            shared.batch_done.notify_one();
-        }
-        queue
-    }
-
-    fn worker_loop(shared: &Shared<J>, stripe: usize) {
+    fn worker_loop(shared: &Shared<T>, stripe: usize) {
         let counters = shared.counters.as_ref();
-        let mut queue = shared.queue.lock();
+        let mut state = shared.state.lock();
         loop {
-            if let Some(job) = queue.pending.pop_front() {
-                drop(queue);
-                queue = Self::retire(shared, job, stripe);
+            if let Some(batch) = state.batch.as_ref().filter(|_| state.seats > 0).cloned() {
+                state.seats -= 1;
+                state.active += 1;
+                drop(state);
+                let panic = shared.claim(&batch, stripe);
+                // Let go of the batch before the caller can see this
+                // worker retire, so `batch_mut` finds it unshared.
+                drop(batch);
+                state = shared.state.lock();
+                state.active -= 1;
+                if let Some(payload) = panic {
+                    state.panic.get_or_insert(payload);
+                }
+                // The caller waits only once it has withdrawn the batch.
+                if state.active == 0 && state.batch.is_none() {
+                    shared.batch_done.notify_one();
+                }
                 continue;
             }
-            if queue.shutdown {
+            if state.shutdown {
                 return;
             }
             if let Some(c) = counters {
                 c.parks.add(stripe, 1);
             }
-            queue = shared.work_ready.wait(queue);
+            state = shared.work_ready.wait(state);
             if let Some(c) = counters {
                 c.wakes.add(stripe, 1);
             }
@@ -231,14 +242,91 @@ impl<J: Send + 'static> WorkerPool<J> {
     }
 }
 
-impl<J> Drop for WorkerPool<J> {
+impl<T> Drop for WorkerPool<T> {
     /// Graceful shutdown: wake every worker with the shutdown flag set
     /// and join them all.
     fn drop(&mut self) {
-        self.shared.queue.lock().shutdown = true;
+        self.shared.state.lock().shutdown = true;
         self.shared.work_ready.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts how often each item ran; items listed in `panics` panic
+    /// with their index after counting.
+    #[derive(Default)]
+    struct Count {
+        hits: Vec<AtomicUsize>,
+        panics: Vec<usize>,
+    }
+
+    impl Batch for Count {
+        fn items(&self) -> usize {
+            self.hits.len()
+        }
+
+        fn run(&self, index: usize, _stripe: usize) {
+            self.hits[index].fetch_add(1, Ordering::Relaxed);
+            if self.panics.contains(&index) {
+                std::panic::panic_any(index);
+            }
+        }
+    }
+
+    fn refill(pool: &mut WorkerPool<Count>, items: usize, panics: &[usize]) {
+        let batch = pool.batch_mut();
+        batch.hits = (0..items).map(|_| AtomicUsize::new(0)).collect();
+        batch.panics = panics.to_vec();
+    }
+
+    fn hits(pool: &mut WorkerPool<Count>) -> Vec<usize> {
+        let batch = pool.batch_mut();
+        batch.hits.iter_mut().map(|h| *h.get_mut()).collect()
+    }
+
+    #[test]
+    fn every_item_runs_exactly_once_at_any_thread_count() {
+        let mut pool = WorkerPool::new(Count::default(), None);
+        // 4 threads, then 2 and 1 on a pool that still holds 3.
+        for threads in [1, 2, 4, 2, 1] {
+            for items in [0, 1, 3, 1000] {
+                refill(&mut pool, items, &[]);
+                assert!(pool.run(threads - 1).is_none());
+                assert_eq!(hits(&mut pool), vec![1; items], "{threads} threads");
+            }
+        }
+        assert_eq!(pool.workers(), 3, "grown once, never respawned");
+    }
+
+    #[test]
+    fn a_panicking_item_loses_only_itself_and_the_pool_recovers() {
+        let mut pool = WorkerPool::new(Count::default(), None);
+        for threads in [1, 2, 4] {
+            refill(&mut pool, 200, &[5, 90, 150]);
+            let payload = pool.run(threads - 1).expect("the panics reach the caller");
+            let index = *payload.downcast::<usize>().expect("an index payload");
+            assert!([5, 90, 150].contains(&index), "{index}");
+            assert_eq!(hits(&mut pool), vec![1; 200], "{threads} threads");
+            refill(&mut pool, 200, &[]);
+            assert!(pool.run(threads - 1).is_none(), "no stale payload");
+            assert_eq!(hits(&mut pool), vec![1; 200]);
+        }
+    }
+
+    #[test]
+    fn batch_mut_succeeds_right_after_run() {
+        let mut pool = WorkerPool::new(Count::default(), None);
+        for _ in 0..50 {
+            refill(&mut pool, 4, &[]);
+            assert!(pool.run(3).is_none());
+            // Panics if a worker still held the batch.
+            pool.batch_mut().hits.clear();
         }
     }
 }

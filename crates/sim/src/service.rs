@@ -22,15 +22,14 @@
 //! # The persistent pump pool
 //!
 //! [`DecodeService::pump`] runs on the service's own persistent
-//! [`WorkerPool`](crate::pool), the pool type the Monte-Carlo engine
-//! also runs on, in the same pattern (see there for the spawn, wake-up,
-//! panic and shutdown rules). Sessions are boxed in their slots; a
-//! parallel pump moves the boxes of the busy ones into a table the pump
-//! keeps between calls, submits one job per draining thread — the
-//! caller is one of them — and each job claims table entries off an
-//! atomic cursor and drains them where they are. Pumps where at most
-//! one session has pending work drain inline on the calling thread
-//! without touching (or creating) the pool.
+//! [worker pool](crate::pool), the pool type the Monte-Carlo engine also
+//! runs on (see there for the spawn, wake-up, panic and shutdown rules).
+//! Sessions are boxed in their slots; a parallel pump moves the boxes of
+//! the busy ones into the session table the pool keeps between calls,
+//! and the draining threads — the caller is one of them — claim table
+//! entries off the pool's atomic cursor and drain them where they are.
+//! Pumps where at most one session has pending work drain inline on the
+//! calling thread without touching (or creating) the pool.
 //!
 //! # Steady-state allocation
 //!
@@ -77,8 +76,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -92,7 +89,7 @@ use qecool_obs::{
 use qecool_sfq::budget::{CycleBudget, CycleHistogram};
 use qecool_surface_code::{DetectionRound, Edge, Lattice, LatticeError};
 
-use crate::pool::{worker_count, Panic, PoolCounters, WorkerPool};
+use crate::pool::{worker_count, Batch, PoolCounters, WorkerPool};
 use crate::trials::DecoderKind;
 pub use crate::window::{StreamingMwpm, StreamingUf, WindowConfig};
 
@@ -705,84 +702,35 @@ struct Slot {
     on_free: bool,
 }
 
-/// One parallel pump's busy sessions, shared by that pump's jobs. Each
-/// job is an `Arc` of the table, and the pump reuses the table (and its
-/// capacity) once every job has handed its `Arc` back.
+/// The parallel pump's persistent pool batch: the busy sessions of one
+/// pump, kept (with its capacity) between pumps.
 struct PumpTable {
     /// Busy sessions by slot index, in slot order. Entry `i` belongs to
-    /// whichever thread claims `i` off `cursor`, so its lock is never
-    /// contended; it only turns that exclusive claim into `&mut`.
+    /// whichever thread claims `i` off the pool's cursor, so its lock is
+    /// never contended; it only turns that exclusive claim into `&mut`.
     cells: Vec<(u32, Mutex<Option<Box<Session>>>)>,
-    /// Next entry of `cells` to claim. `Relaxed` suffices: it hands out
-    /// indices and publishes no data (each entry's lock carries its
-    /// session, and the pool's queue lock publishes the table).
-    cursor: AtomicUsize,
-    /// First panic payload of a drain this pump.
-    panic: Mutex<Option<Panic>>,
     budget: u64,
     obs: Option<Arc<ServiceTelemetry>>,
 }
 
-impl PumpTable {
-    /// One job: claims entries off the cursor and drains each in place
-    /// until none are left. A drain that panics loses only its own
-    /// session (the entry is emptied and the payload kept), and the job
-    /// goes on claiming, so every other busy session still drains this
-    /// pump.
-    fn drain(&self, stripe: usize) {
+impl Batch for PumpTable {
+    fn items(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Drains one busy session in place. The session is out of its cell
+    /// while it drains, so a drain that panics leaves the cell empty.
+    fn run(&self, index: usize, stripe: usize) {
         let obs = self.obs.as_deref().map(|t| (t, stripe));
-        loop {
-            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some((_, cell)) = self.cells.get(index) else {
-                return;
-            };
-            // Stripe 0 is the pump caller; every other stripe is a pool
-            // worker.
-            if let Some((t, stripe @ 1..)) = obs {
-                t.steals.add(stripe, 1);
-            }
-            let mut cell = cell.lock();
-            let session = cell.as_mut().expect("each entry is claimed once");
-            let drained = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                session.drain_inbox(self.budget, obs);
-            }));
-            if let Err(payload) = drained {
-                *cell = None;
-                self.panic.lock().get_or_insert(payload);
-            }
+        // Stripe 0 is the pump caller; every other stripe is a pool
+        // worker.
+        if let Some((t, stripe @ 1..)) = obs {
+            t.steals.add(stripe, 1);
         }
-    }
-}
-
-/// The parallel pump's persistent state: the pool, the session table its
-/// jobs share, and the vector the pool hands finished jobs back in.
-struct PumpPool {
-    pool: WorkerPool<Arc<PumpTable>>,
-    table: Arc<PumpTable>,
-    finished: Vec<Arc<PumpTable>>,
-}
-
-impl PumpPool {
-    fn new(budget: u64, obs: Option<Arc<ServiceTelemetry>>) -> Self {
-        let counters = obs.as_ref().map(|t| t.pool.clone());
-        Self {
-            pool: WorkerPool::new(counters, |table: &mut Arc<PumpTable>, stripe| {
-                table.drain(stripe);
-            }),
-            table: Arc::new(PumpTable {
-                cells: Vec::new(),
-                cursor: AtomicUsize::new(0),
-                panic: Mutex::new(None),
-                budget,
-                obs,
-            }),
-            finished: Vec::new(),
-        }
-    }
-
-    /// The table, exclusively: no job holds an `Arc` of it between pumps.
-    fn table_mut(&mut self) -> &mut PumpTable {
-        Arc::get_mut(&mut self.table).expect("every pump job has retired")
+        let mut cell = self.cells[index].1.lock();
+        let mut session = cell.take().expect("each entry is claimed once");
+        session.drain_inbox(self.budget, obs);
+        *cell = Some(session);
     }
 }
 
@@ -794,10 +742,10 @@ pub struct DecodeService {
     budget_cycles: u64,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// The parallel pump's persistent pool and session table, created at
-    /// the first pump with parallel work and reused until the service
-    /// drops.
-    pool: Option<PumpPool>,
+    /// The parallel pump's persistent pool over its session table,
+    /// created at the first pump with parallel work and reused until the
+    /// service drops.
+    pool: Option<WorkerPool<PumpTable>>,
     /// Telemetry bundle; `None` when the config's handle is disabled.
     obs: Option<Arc<ServiceTelemetry>>,
 }
@@ -1068,12 +1016,12 @@ impl DecodeService {
     /// Otherwise it runs `n` = min(busy sessions, configured threads)
     /// draining threads: the caller plus `n − 1` pool threads, spawned at
     /// the first such pump and grown when a later one needs more. The
-    /// busy sessions' boxes go into the pump's session table, one job per
-    /// thread claims them off an atomic cursor and drains them in place,
-    /// and they go back to their slots when every job has retired. Once
-    /// warm, a pump allocates nothing. A drain that panics loses its
-    /// session, frees that slot and re-raises the panic on the pump
-    /// caller, after every other busy session has drained.
+    /// busy sessions' boxes go into the pool's session table, the
+    /// draining threads claim them off the pool's atomic cursor and drain
+    /// them in place, and they go back to their slots once no thread
+    /// holds the table. Once warm, a pump allocates nothing. A drain that
+    /// panics loses its session, frees that slot and re-raises the panic
+    /// on the pump caller, after every other busy session has drained.
     pub fn pump(&mut self) {
         let budget = self.budget_cycles;
         let obs = self.obs.as_deref();
@@ -1099,12 +1047,15 @@ impl DecodeService {
             }
             return;
         }
-        let pump = self
-            .pool
-            .get_or_insert_with(|| PumpPool::new(budget, self.obs.clone()));
-        let table = pump.table_mut();
-        *table.cursor.get_mut() = 0;
-        table
+        let pool = self.pool.get_or_insert_with(|| {
+            let table = PumpTable {
+                cells: Vec::new(),
+                budget,
+                obs: self.obs.clone(),
+            };
+            WorkerPool::new(table, self.obs.as_ref().map(|t| t.pool.clone()))
+        });
+        pool.batch_mut()
             .cells
             .extend(self.slots.iter_mut().enumerate().filter_map(|(idx, slot)| {
                 let session = slot.session.take_if(|s| !s.inbox.is_empty())?;
@@ -1113,14 +1064,11 @@ impl DecodeService {
         // Sizing by busy sessions, not the slot table, keeps closed and
         // idle slots from inflating the pool.
         let threads = configured.min(pending);
-        let jobs = (0..threads).map(|_| Arc::clone(&pump.table));
-        let job_panic = pump.pool.run(threads - 1, jobs, &mut pump.finished);
-        pump.finished.clear();
-        let table = pump.table_mut();
-        for (idx, cell) in table.cells.drain(..) {
+        let panic = pool.run(threads - 1);
+        for (idx, cell) in pool.batch_mut().cells.drain(..) {
             self.slots[idx as usize].session = cell.into_inner();
         }
-        if let Some(payload) = table.panic.get_mut().take().or(job_panic) {
+        if let Some(payload) = panic {
             // The panicking session is gone; free its slot so it can be
             // recycled (its handle reports `UnknownSession` from here
             // on). The busy slots that came back empty are exactly the
@@ -1148,18 +1096,11 @@ impl DecodeService {
 
     /// Threads that drain sessions in a parallel pump: the pool's
     /// threads plus the pump caller (0 until the first parallel pump
-    /// creates the pool).
+    /// creates the pool). The pool never respawns or shrinks, so
+    /// consecutive pumps leave it unchanged unless the busy-session count
+    /// outgrows it.
     pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |pump| pump.pool.workers() + 1)
-    }
-
-    /// Pump worker threads ever spawned by this service — the
-    /// spawn-counting hook: consecutive pumps must not move it once the
-    /// pool exists. The pool never respawns a thread, and the caller is
-    /// not one, so this is [`Self::pool_workers`] − 1 once the pool
-    /// exists.
-    pub fn workers_spawned(&self) -> usize {
-        self.pool.as_ref().map_or(0, |pump| pump.pool.workers())
+        self.pool.as_ref().map_or(0, |pool| pool.workers() + 1)
     }
 
     /// Closes a session: ingests everything still queued, finishes the
@@ -1233,6 +1174,7 @@ mod tests {
     use qecool_surface_code::{CodePatch, PhenomenologicalNoise};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::Ordering;
 
     fn service(backend: ServiceBackend, threads: usize) -> DecodeService {
@@ -1470,14 +1412,18 @@ mod tests {
             .collect();
         let mut round = DetectionRound::zeros(lattice.num_ancillas());
 
-        assert_eq!(service.pool_workers(), 0, "pool must be lazy");
-        assert_eq!(service.workers_spawned(), 0);
+        assert_eq!(
+            service.pool_workers(),
+            0,
+            "pool must be lazy: no thread spawned"
+        );
 
         push_round_per_session(&mut service, &ids, &mut patches, &mut rngs, &mut round);
         service.pump();
-        let spawned_after_first = service.workers_spawned();
+        let workers_after_first = service.pool_workers();
         assert_eq!(
-            spawned_after_first, 3,
+            workers_after_first - 1,
+            3,
             "pool sized to configured threads, less the caller"
         );
         assert_eq!(
@@ -1492,8 +1438,8 @@ mod tests {
             push_round_per_session(&mut service, &ids, &mut patches, &mut rngs, &mut round);
             service.pump();
             assert_eq!(
-                service.workers_spawned(),
-                spawned_after_first,
+                service.pool_workers(),
+                workers_after_first,
                 "pump respawned workers"
             );
         }
@@ -1516,7 +1462,7 @@ mod tests {
         push_round_per_session(&mut service, &ids, &mut patches, &mut rngs, &mut round);
         service.pump();
         assert_eq!(service.pool_workers(), 2, "capped by the 2 open sessions");
-        assert_eq!(service.workers_spawned(), 1, "the caller is the other");
+        assert_eq!(service.pool_workers() - 1, 1, "the caller is the other");
 
         for s in 2..4 {
             ids.push(service.open_session());
@@ -1530,7 +1476,7 @@ mod tests {
             4,
             "pool grew with the session count"
         );
-        assert_eq!(service.workers_spawned(), 3);
+        assert_eq!(service.pool_workers() - 1, 3, "pool threads");
     }
 
     #[test]
@@ -1551,8 +1497,7 @@ mod tests {
             service.push_round(busy, &round).unwrap();
             service.pump();
         }
-        assert_eq!(service.workers_spawned(), 0);
-        assert_eq!(service.pool_workers(), 0);
+        assert_eq!(service.pool_workers(), 0, "no pool, so no thread spawned");
     }
 
     #[test]
@@ -1568,9 +1513,9 @@ mod tests {
         push_round_per_session(&mut service, &ids, &mut patches, &mut rngs, &mut round);
         service.pump();
 
-        let spawned = service.workers_spawned();
+        let spawned = service.pool_workers() - 1;
         assert!(spawned > 0);
-        let shared = Arc::clone(&service.pool.as_ref().expect("pool live").pool.shared);
+        let shared = Arc::clone(&service.pool.as_ref().expect("pool live").shared);
         drop(service);
         // Drop joins every worker, so by now each has run its exit hook
         // and released its clone of the shared state.

@@ -415,14 +415,6 @@ impl ShardedDecodeService {
             .sum()
     }
 
-    /// Pump pool threads ever spawned across all shards.
-    pub fn workers_spawned(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.service.lock().workers_spawned())
-            .sum()
-    }
-
     /// Ingest accounting of one shard.
     ///
     /// # Panics
