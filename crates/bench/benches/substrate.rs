@@ -1,15 +1,29 @@
-//! Criterion benchmarks of the substrates: syndrome extraction (the
-//! Monte-Carlo hot path), the register file, and the SFQ hardware-model
-//! rollups.
+//! Criterion benchmarks of the substrates: the ChaCha8 keystream and
+//! syndrome extraction (the Monte-Carlo hot path), the register file, and
+//! the SFQ hardware-model rollups.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qecool::reg::RegFile;
 use qecool_sfq::timing::unit_critical_path_ps;
 use qecool_sfq::UnitDesign;
 use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
+
+/// One draw per iteration, so each line reads as ns per draw: the
+/// keystream cost alone, and as noise injection pays it per qubit.
+fn bench_keystream(c: &mut Criterion) {
+    let mut group = c.benchmark_group("keystream");
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    // Fill the first buffer outside the timed calibration call.
+    rng.next_u64();
+    group.bench_function("next_u64", |b| b.iter(|| rng.next_u64()));
+    group.bench_function("gen_bool_0.01", |b| {
+        b.iter(|| rng.gen_bool(black_box(0.01)))
+    });
+    group.finish();
+}
 
 fn bench_syndrome_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("syndrome_round");
@@ -56,6 +70,7 @@ fn bench_sfq_rollup(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_keystream,
     bench_syndrome_round,
     bench_regfile,
     bench_sfq_rollup
