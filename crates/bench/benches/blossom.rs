@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qecool_mwpm::{min_weight_perfect_matching, MwpmDecoder, PerfectMatcher};
-use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise, SyndromeHistory};
+use qecool_surface_code::{CodePatch, Lattice, NoiseSpec, SyndromeHistory};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -42,7 +42,7 @@ fn bench_blossom(c: &mut Criterion) {
 /// phenomenological error rate `p`, and its vertex count.
 fn decoder_graph(d: usize, p: f64, seed: u64) -> (usize, Vec<(usize, usize, i64)>) {
     let lattice = Lattice::new(d).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(p);
+    let noise = NoiseSpec::Phenomenological { p };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut patch = CodePatch::new(lattice.clone());
     let mut history = SyndromeHistory::new(lattice.clone());

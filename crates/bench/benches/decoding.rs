@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qecool::{QecoolConfig, QecoolDecoder};
 use qecool_mwpm::MwpmDecoder;
-use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise, SyndromeHistory};
+use qecool_surface_code::{CodePatch, Lattice, NoiseSpec, SyndromeHistory};
 use qecool_uf::UnionFindDecoder;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -22,7 +22,7 @@ const P: f64 = 0.01;
 /// Pre-generates a noisy syndrome history of `d` rounds plus closure.
 fn make_history(d: usize, seed: u64) -> SyndromeHistory {
     let lattice = Lattice::new(d).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(P);
+    let noise = NoiseSpec::Phenomenological { p: P };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut patch = CodePatch::new(lattice.clone());
     let mut history = SyndromeHistory::new(lattice);
@@ -56,7 +56,7 @@ fn bench_online_layer(c: &mut Criterion) {
     let mut group = c.benchmark_group("online_qecool_layer");
     for d in [5usize, 9, 13] {
         let lattice = Lattice::new(d).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(P);
+        let noise = NoiseSpec::Phenomenological { p: P };
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
             b.iter_with_setup(
                 || {

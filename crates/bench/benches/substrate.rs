@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qecool::reg::RegFile;
 use qecool_sfq::timing::unit_critical_path_ps;
 use qecool_sfq::UnitDesign;
-use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
+use qecool_surface_code::{CodePatch, Lattice, NoiseSpec};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -29,7 +29,7 @@ fn bench_syndrome_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("syndrome_round");
     for d in [5usize, 9, 13] {
         let lattice = Lattice::new(d).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.01);
+        let noise = NoiseSpec::Phenomenological { p: 0.01 };
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
             let mut patch = CodePatch::new(lattice.clone());
             let mut rng = ChaCha8Rng::seed_from_u64(1);

@@ -117,13 +117,13 @@ fn run_custom_online(
     seed: u64,
 ) -> (bool, bool) {
     use qecool::{QecoolConfig, QecoolDecoder};
-    use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
+    use qecool_surface_code::{CodePatch, Lattice, NoiseSpec};
     use rand::SeedableRng;
 
     let lattice = Lattice::new(d).expect("valid distance");
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
     let mut patch = CodePatch::new(lattice.clone());
-    let noise = PhenomenologicalNoise::symmetric(p);
+    let noise = NoiseSpec::Phenomenological { p };
     let config = QecoolConfig::online()
         .with_thv(Some(thv))
         .with_reg_capacity(capacity);

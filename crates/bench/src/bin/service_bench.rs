@@ -71,7 +71,7 @@ use qecool_sim::campaign::derive_seed;
 use qecool_sim::service::{DecodeService, ServiceBackend, ServiceConfig, SessionId, WindowConfig};
 use qecool_sim::shard::{ShardStats, ShardedDecodeService, ShardedServiceConfig};
 use qecool_surface_code::{
-    CodePatch, DetectionRound, Edge, Lattice, NoiseModel, NoiseSpec, PackedReader, PackedWriter,
+    CodePatch, DetectionRound, Edge, Lattice, NoiseSpec, PackedReader, PackedWriter,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -165,7 +165,7 @@ impl BenchOptions {
                     let v = require_value(&mut args, "--p");
                     // Routed through the NoiseSpec validator so an
                     // out-of-range rate is a named exit-2 error, not a
-                    // noise-constructor panic downstream.
+                    // sampling panic downstream.
                     opts.p = parse_rate(&v, "--p");
                 }
                 "--noise" => {

@@ -21,7 +21,7 @@
 //! phenomenological. The 2-D rows stay code-capacity by construction:
 //! that is what a 2-D threshold *is*.
 
-use qecool_bench::{perf::BenchRecord, CampaignOpts, Options, TextTable};
+use qecool_bench::{perf::BenchRecord, usage_error, CampaignOpts, Options, TextTable};
 use qecool_sfq::compare::{table4_literature_rows, table4_paper_qecool_row};
 use qecool_sim::{
     estimate_threshold, log_grid, sweep_on, CampaignJob, DecodeEngine, DecoderKind, NoiseSpec,
@@ -152,6 +152,9 @@ fn measured_thresholds_campaign(
 
 fn main() {
     let (opts, campaign) = Options::parse_campaign(800);
+    if campaign.results.is_some() {
+        usage_error("--results is a sweep flag: table4 writes no results JSON (use --out FILE)");
+    }
     let engine = opts.engine();
     let start = std::time::Instant::now();
 

@@ -160,8 +160,8 @@ impl Options {
 
 /// Parses a `--noise family[:k=v,…]` spec, exiting 2 through the
 /// [`qecool::FatalError`] path on malformed input — the error names the
-/// offending family/key/value, and a validated spec can never reach a
-/// noise-model constructor's panic.
+/// offending family/key/value, and a validated spec can never reach
+/// [`NoiseSpec::build`](qecool_surface_code::NoiseSpec::build)'s panic.
 pub fn parse_noise(value: &str) -> qecool_surface_code::NoiseSpec {
     match qecool_surface_code::NoiseSpec::parse(value) {
         Ok(spec) => spec,
@@ -170,10 +170,9 @@ pub fn parse_noise(value: &str) -> qecool_surface_code::NoiseSpec {
 }
 
 /// Parses a bare physical-error-rate flag (`--p`), exiting 2 through
-/// the [`qecool::FatalError`] path when the rate is outside `[0, 1)` —
-/// previously an unvalidated value rode straight into
-/// [`PhenomenologicalNoise::new`](qecool_surface_code::PhenomenologicalNoise::new)'s
-/// panic.
+/// the [`qecool::FatalError`] path when the rate is outside `[0, 1)`, so
+/// an unvalidated value never reaches
+/// [`NoiseSpec::build`](qecool_surface_code::NoiseSpec::build)'s panic.
 pub fn parse_rate(value: &str, flag: &str) -> f64 {
     let p: f64 = parse_or_die(value, flag, "a physical error rate in [0, 1)");
     if let Err(e) = (qecool_surface_code::NoiseSpec::Phenomenological { p }).validate() {

@@ -176,3 +176,18 @@ fn bad_campaign_flags_exit_two() {
     let out = sweep(&["--out", unwritable.to_str().unwrap()]);
     assert_exit_2(&out, "cannot write");
 }
+
+#[test]
+fn table4_rejects_results_instead_of_writing_nothing() {
+    // table4 shares the campaign flag set but has no results JSON to
+    // write: --results must be a named exit-2 error, not a silent no-op.
+    let results = temp_path("table4_results.json");
+    let _ = fs::remove_file(&results);
+    let out = Command::new(env!("CARGO_BIN_EXE_table4"))
+        .args(["--smoke", "--threads", "2", "--results"])
+        .arg(&results)
+        .output()
+        .expect("spawn table4 binary");
+    assert_exit_2(&out, "--results");
+    assert!(!results.exists(), "table4 must not create the results file");
+}

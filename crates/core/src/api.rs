@@ -43,7 +43,7 @@
 //! The mirror image of [`Decoder`] is [`SyndromeSource`]: *where the
 //! detection rounds come from*. The decode fabric drives any source the
 //! same way it drives any backend, so the internal simulator
-//! ([`SimulatedSource`], a `CodePatch` + noise model + seeded RNG) and a
+//! ([`SimulatedSource`], a `CodePatch` + `NoiseSpec` + seeded RNG) and a
 //! bit-packed recording or externally sampled event file
 //! (`qecool_surface_code::packed::PackedReader`) are interchangeable —
 //! that is what makes record/replay byte-identical and cross-validation
@@ -60,7 +60,7 @@
 //! watermark in `decode_step`/`finish` and return an accurate hint so
 //! callers can size ring buffers against the `W − S` lookahead.
 
-use qecool_surface_code::{AnyNoise, BitVec, CodePatch, DetectionRound, Edge, NoiseModel};
+use qecool_surface_code::{BitVec, CodePatch, DetectionRound, Edge, NoiseSpec};
 use rand_chacha::ChaCha8Rng;
 use std::io::Read;
 
@@ -351,7 +351,7 @@ impl Decoder for QecoolDecoder {
 /// implementations exist:
 ///
 /// * [`SimulatedSource`] — the internal simulator: a `CodePatch`, a
-///   noise model and a seeded RNG. Decoder corrections feed back into
+///   `NoiseSpec` and a seeded RNG. Decoder corrections feed back into
 ///   the patch through [`SyndromeSource::apply_corrections`], because a
 ///   correction changes the reference syndrome of every later round.
 /// * `qecool_surface_code::packed::PackedReader` — a bit-packed
@@ -403,13 +403,13 @@ pub trait SyndromeSource {
 }
 
 /// The internal simulator behind the [`SyndromeSource`] seam: a
-/// [`CodePatch`] advanced by a noise model and a seeded RNG, producing
+/// [`CodePatch`] advanced by a [`NoiseSpec`] and a seeded RNG, producing
 /// exactly the round stream the pre-seam inline loops produced (same
 /// per-round RNG draws, so digests are unchanged).
 #[derive(Debug, Clone)]
 pub struct SimulatedSource {
     patch: CodePatch,
-    noise: AnyNoise,
+    noise: NoiseSpec,
     rng: ChaCha8Rng,
     limit: Option<u64>,
     produced: u64,
@@ -420,7 +420,7 @@ impl SimulatedSource {
     /// An unbounded source over `patch` under `noise`, drawing from
     /// `rng`. An erasure plane is allocated iff the noise family
     /// heralds erasures.
-    pub fn new(patch: CodePatch, noise: AnyNoise, rng: ChaCha8Rng) -> Self {
+    pub fn new(patch: CodePatch, noise: NoiseSpec, rng: ChaCha8Rng) -> Self {
         let erasure_plane = noise
             .tracks_erasures()
             .then(|| BitVec::zeros(patch.lattice().num_data_qubits()));
@@ -451,11 +451,6 @@ impl SimulatedSource {
     /// Mutable access to the patch (fault injection, closing rounds).
     pub fn patch_mut(&mut self) -> &mut CodePatch {
         &mut self.patch
-    }
-
-    /// The noise model driving this source.
-    pub fn noise(&self) -> &AnyNoise {
-        &self.noise
     }
 }
 
@@ -750,7 +745,7 @@ mod tests {
         assert_eq!(out.corrections, first);
     }
 
-    use qecool_surface_code::{NoiseSpec, PackedReader, PackedWriter, PhenomenologicalNoise};
+    use qecool_surface_code::{NoiseSpec, PackedReader, PackedWriter};
     use rand::SeedableRng as _;
     use std::io::Cursor;
 
@@ -767,7 +762,7 @@ mod tests {
             ChaCha8Rng::seed_from_u64(77),
         );
         let mut inline_patch = CodePatch::new(lattice.clone());
-        let inline_noise = PhenomenologicalNoise::symmetric(0.05);
+        let inline_noise = NoiseSpec::Phenomenological { p: 0.05 };
         let mut inline_rng = ChaCha8Rng::seed_from_u64(77);
 
         let mut via_seam = DetectionRound::zeros(lattice.num_ancillas());

@@ -538,7 +538,7 @@ fn direction_rank(sink: Ancilla, from: Ancilla) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qecool_surface_code::{CodePatch, PhenomenologicalNoise, SyndromeHistory};
+    use qecool_surface_code::{CodePatch, NoiseSpec, SyndromeHistory};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -665,7 +665,7 @@ mod tests {
     #[test]
     fn always_returns_to_code_space_under_noise() {
         let lattice = Lattice::new(7).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.05);
+        let noise = NoiseSpec::Phenomenological { p: 0.05 };
         for seed in 0..30u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut patch = CodePatch::new(lattice.clone());
@@ -810,7 +810,7 @@ mod tests {
     fn history_round_trip_matches_push_loop() {
         // Pushing a SyndromeHistory round-by-round equals what the sim does.
         let lattice = Lattice::new(5).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.03);
+        let noise = NoiseSpec::Phenomenological { p: 0.03 };
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut patch = CodePatch::new(lattice.clone());
         let mut history = SyndromeHistory::new(lattice.clone());
@@ -845,7 +845,7 @@ mod tests {
             ) {
                 let lattice = Lattice::new(d).unwrap();
                 let noise =
-                    qecool_surface_code::PhenomenologicalNoise::symmetric(p);
+                    qecool_surface_code::NoiseSpec::Phenomenological { p };
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 let mut patch = CodePatch::new(lattice.clone());
                 let mut decoder =
@@ -903,7 +903,7 @@ mod tests {
             ) {
                 let lattice = Lattice::new(5).unwrap();
                 let noise =
-                    qecool_surface_code::PhenomenologicalNoise::symmetric(0.05);
+                    qecool_surface_code::NoiseSpec::Phenomenological { p: 0.05 };
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 let mut patch = CodePatch::new(lattice.clone());
                 let mut decoder =
@@ -929,7 +929,7 @@ mod tests {
             ) {
                 let lattice = Lattice::new(5).unwrap();
                 let noise =
-                    qecool_surface_code::PhenomenologicalNoise::symmetric(0.06);
+                    qecool_surface_code::NoiseSpec::Phenomenological { p: 0.06 };
                 let mut corrections = Vec::new();
                 for capacity in [4usize, 8, 16] {
                     let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -32,7 +32,7 @@ impl FatalError for RegOverflow {}
 
 // A malformed `--noise` spec or packed syndrome file is an invalid
 // operation, not a gate verdict: both exit 2 with the offending field
-// named by the error's Display, never a model constructor's panic.
+// named by the error's Display, never a sampling panic.
 impl FatalError for NoiseSpecError {}
 
 impl FatalError for PackedError {}

@@ -394,7 +394,7 @@ fn append_corrections(lattice: &Lattice, m: &Match, out: &mut Vec<Edge>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qecool_surface_code::{Ancilla, PhenomenologicalNoise};
+    use qecool_surface_code::{Ancilla, NoiseSpec};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -501,7 +501,7 @@ mod tests {
     #[test]
     fn capped_and_exact_agree_on_moderate_noise() {
         let lat = Lattice::new(7).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.02);
+        let noise = NoiseSpec::Phenomenological { p: 0.02 };
         let mut failures = 0;
         for seed in 0..30u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -532,7 +532,7 @@ mod tests {
     fn always_returns_to_code_space_under_heavy_noise() {
         let lat = Lattice::new(5).unwrap();
         let mut decoder = MwpmDecoder::new(lat.clone());
-        let noise = PhenomenologicalNoise::symmetric(0.1);
+        let noise = NoiseSpec::Phenomenological { p: 0.1 };
         for seed in 0..25u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut patch = CodePatch::new(lat.clone());
@@ -570,7 +570,7 @@ mod tests {
     #[test]
     fn per_match_corrections_compose_to_the_decode_corrections() {
         let lat = Lattice::new(7).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.04);
+        let noise = NoiseSpec::Phenomenological { p: 0.04 };
         let mut decoder = MwpmDecoder::new(lat.clone());
         for seed in 0..10u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -833,7 +833,7 @@ mod tests {
     use crate::blossom::BlossomMatcher;
     use crate::{Match, MwpmDecoder, PerfectMatcher};
     use proptest::prelude::*;
-    use qecool_surface_code::{CodePatch, PhenomenologicalNoise, SyndromeHistory};
+    use qecool_surface_code::{CodePatch, NoiseSpec, SyndromeHistory};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -853,7 +853,7 @@ mod tests {
 
     /// A d-round phenomenological history closed by a perfect round.
     fn sampled_history(lattice: &Lattice, p: f64, seed: u64) -> SyndromeHistory {
-        let noise = PhenomenologicalNoise::symmetric(p);
+        let noise = NoiseSpec::Phenomenological { p };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut patch = CodePatch::new(lattice.clone());
         let mut history = SyndromeHistory::new(lattice.clone());

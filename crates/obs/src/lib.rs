@@ -18,7 +18,7 @@
 //!    decoding: no RNG, no ordering decisions, no budget arithmetic.
 //!    Enabling telemetry cannot perturb the byte-identical determinism
 //!    guarantees the fabric makes (pinned by `tests/determinism.rs` and
-//!    the CI `metrics-smoke` leg).
+//!    `crates/bench/tests/metrics_cli.rs`).
 //!
 //! Wall-clock stage timings ([`tracer`]) are additionally **sampled**
 //! (1 round in [`tracer::STAGE_SAMPLE_PERIOD`]) so the `Instant` reads

@@ -47,7 +47,7 @@
 //! ```
 //! use qecool_sim::service::{DecodeService, ServiceBackend, ServiceConfig};
 //! use qecool_sfq::budget::CycleBudget;
-//! use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
+//! use qecool_surface_code::{CodePatch, Lattice, NoiseSpec};
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,7 +56,7 @@
 //! let session = service.open_session();
 //!
 //! let mut patch = CodePatch::new(Lattice::new(5)?);
-//! let noise = PhenomenologicalNoise::symmetric(0.01);
+//! let noise = NoiseSpec::Phenomenological { p: 0.01 };
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! for _ in 0..5 {
 //!     let round = patch.noisy_round(&noise, &mut rng);
@@ -1171,7 +1171,7 @@ impl DecodeService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qecool_surface_code::{CodePatch, PhenomenologicalNoise};
+    use qecool_surface_code::{CodePatch, NoiseSpec};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::panic::AssertUnwindSafe;
@@ -1194,7 +1194,7 @@ mod tests {
     ) -> (CodePatch, SessionReport) {
         let lattice = Lattice::new(service.config().d).unwrap();
         let mut patch = CodePatch::new(lattice.clone());
-        let noise = PhenomenologicalNoise::symmetric(p);
+        let noise = NoiseSpec::Phenomenological { p };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut round = DetectionRound::zeros(lattice.num_ancillas());
         let id = service.open_session();
@@ -1275,7 +1275,7 @@ mod tests {
         let id = service.open_session();
         let lattice = Lattice::new(5).unwrap();
         let mut patch = CodePatch::new(lattice.clone());
-        let noise = PhenomenologicalNoise::symmetric(0.2);
+        let noise = NoiseSpec::Phenomenological { p: 0.2 };
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut overflowed = false;
         for _ in 0..20 {
@@ -1307,7 +1307,7 @@ mod tests {
         let id = service.open_session();
         let lattice = Lattice::new(5).unwrap();
         let mut patch = CodePatch::new(lattice.clone());
-        let noise = PhenomenologicalNoise::symmetric(0.08);
+        let noise = NoiseSpec::Phenomenological { p: 0.08 };
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let mut round = DetectionRound::zeros(lattice.num_ancillas());
         let mut max_live = 0usize;
@@ -1342,7 +1342,7 @@ mod tests {
         let sessions = 8usize;
         let rounds = 6usize;
         let lattice = Lattice::new(5).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.03);
+        let noise = NoiseSpec::Phenomenological { p: 0.03 };
 
         let mut per_thread_results: Vec<Vec<Vec<Edge>>> = Vec::new();
         for threads in [1usize, 2, 8] {
@@ -1394,7 +1394,7 @@ mod tests {
         rngs: &mut [ChaCha8Rng],
         round: &mut DetectionRound,
     ) {
-        let noise = PhenomenologicalNoise::symmetric(0.05);
+        let noise = NoiseSpec::Phenomenological { p: 0.05 };
         for (s, &id) in ids.iter().enumerate() {
             patches[s].noisy_round_into(&noise, &mut rngs[s], round);
             service.push_round(id, round).unwrap();
@@ -1489,7 +1489,7 @@ mod tests {
         let _idle_a = service.open_session();
         let _idle_b = service.open_session();
         let mut patch = CodePatch::new(lattice.clone());
-        let noise = PhenomenologicalNoise::symmetric(0.05);
+        let noise = NoiseSpec::Phenomenological { p: 0.05 };
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut round = DetectionRound::zeros(lattice.num_ancillas());
         for _ in 0..20 {
@@ -1730,7 +1730,7 @@ mod tests {
         // pump, in cross-thread pairs: the caller and the worker each
         // drain panicking sessions and must both go on claiming.
         let lattice = Lattice::new(5).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.05);
+        let noise = NoiseSpec::Phenomenological { p: 0.05 };
         let sessions = 8usize;
         let panicking = [0usize, 3, 5, 7];
         let arrivals = Arrivals::default();
@@ -1816,7 +1816,7 @@ mod tests {
     #[test]
     fn feed_is_equivalent_to_pushing_each_round() {
         let lattice = Lattice::new(5).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.04);
+        let noise = NoiseSpec::Phenomenological { p: 0.04 };
         // Pre-generate the stream so both paths see identical rounds.
         let mut patch = CodePatch::new(lattice.clone());
         let mut rng = ChaCha8Rng::seed_from_u64(77);

@@ -439,7 +439,7 @@ mod tests {
     use super::*;
     use crate::service::ServiceBackend;
     use qecool_sfq::budget::CycleBudget;
-    use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
+    use qecool_surface_code::{CodePatch, Lattice, NoiseSpec};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -477,7 +477,7 @@ mod tests {
     #[test]
     fn sharded_sessions_match_the_solo_service() {
         let lattice = Lattice::new(5).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.04);
+        let noise = NoiseSpec::Phenomenological { p: 0.04 };
         let sessions = 6usize;
         let rounds = 5usize;
 
@@ -593,7 +593,7 @@ mod tests {
     #[test]
     fn lock_contention_preserves_per_session_fifo() {
         let lattice = Lattice::new(5).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.04);
+        let noise = NoiseSpec::Phenomenological { p: 0.04 };
         let sessions = 4usize;
         let rounds = 16usize;
         let streams: Vec<Vec<DetectionRound>> = (0..sessions)
@@ -646,7 +646,7 @@ mod tests {
         // fabric while the main thread pumps; the result must equal the
         // single-threaded serve of the same streams.
         let lattice = Lattice::new(5).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.04);
+        let noise = NoiseSpec::Phenomenological { p: 0.04 };
         let sessions = 8usize;
         let rounds = 12usize;
         let streams: Vec<Vec<DetectionRound>> = (0..sessions)

@@ -282,8 +282,8 @@ pub fn run_trial_into(
         DecoderKind::OnlineQecool { budget_cycles } => Some(budget_cycles),
         _ => None,
     };
-    // Every noise family flows through the same enum-dispatched model —
-    // no per-call fan-out over noise kinds.
+    // Every noise family flows through the same validated spec — no
+    // per-call fan-out over noise kinds.
     let noise = cfg.noise.build();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     patch.reset();

@@ -356,7 +356,7 @@ impl<B: WindowBackend> Decoder for Windowed<B> {
 mod tests {
     use super::*;
     use qecool::api::CommitCadence;
-    use qecool_surface_code::{CodePatch, Edge, PhenomenologicalNoise};
+    use qecool_surface_code::{CodePatch, Edge, NoiseSpec};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -365,7 +365,7 @@ mod tests {
     fn stream(d: usize, p: f64, rounds: usize, seed: u64) -> (CodePatch, Vec<DetectionRound>) {
         let lattice = Lattice::new(d).unwrap();
         let mut patch = CodePatch::new(lattice);
-        let noise = PhenomenologicalNoise::symmetric(p);
+        let noise = NoiseSpec::Phenomenological { p };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut out: Vec<DetectionRound> = (0..rounds)
             .map(|_| patch.noisy_round(&noise, &mut rng))

@@ -8,9 +8,7 @@ use qecool::api::{DecodeOutput, Decoder};
 use qecool_mwpm::MwpmDecoder;
 use qecool_sim::stats::RateEstimate;
 use qecool_sim::{StreamingMwpm, StreamingUf, WindowConfig};
-use qecool_surface_code::{
-    CodePatch, DetectionRound, Lattice, PhenomenologicalNoise, SyndromeHistory,
-};
+use qecool_surface_code::{CodePatch, DetectionRound, Lattice, NoiseSpec, SyndromeHistory};
 use qecool_uf::UnionFindDecoder;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -20,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 fn stream(d: usize, p: f64, rounds: usize, seed: u64) -> (CodePatch, Vec<DetectionRound>) {
     let lattice = Lattice::new(d).unwrap();
     let mut patch = CodePatch::new(lattice);
-    let noise = PhenomenologicalNoise::symmetric(p);
+    let noise = NoiseSpec::Phenomenological { p };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut out: Vec<DetectionRound> = (0..rounds)
         .map(|_| patch.noisy_round(&noise, &mut rng))

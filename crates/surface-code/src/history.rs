@@ -13,7 +13,7 @@ use crate::syndrome::{DetectionEvent, DetectionRound};
 /// # Example
 ///
 /// ```
-/// use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise, SyndromeHistory};
+/// use qecool_surface_code::{CodePatch, Lattice, NoiseSpec, SyndromeHistory};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), qecool_surface_code::LatticeError> {
@@ -21,7 +21,7 @@ use crate::syndrome::{DetectionEvent, DetectionRound};
 /// let mut patch = CodePatch::new(lattice.clone());
 /// let mut history = SyndromeHistory::new(lattice);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let noise = PhenomenologicalNoise::symmetric(0.02);
+/// let noise = NoiseSpec::Phenomenological { p: 0.02 };
 /// for _ in 0..3 {
 ///     history.push(patch.noisy_round(&noise, &mut rng));
 /// }

@@ -31,13 +31,13 @@
 //! # Example
 //!
 //! ```
-//! use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
+//! use qecool_surface_code::{CodePatch, Lattice, NoiseSpec};
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), qecool_surface_code::LatticeError> {
 //! let lattice = Lattice::new(5)?;
 //! let mut patch = CodePatch::new(lattice);
-//! let noise = PhenomenologicalNoise::symmetric(0.001);
+//! let noise = NoiseSpec::Phenomenological { p: 0.001 };
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //!
 //! // One noisy QEC round: inject noise, then measure all stabilizers.
@@ -61,10 +61,7 @@ pub mod syndrome;
 pub use bitvec::BitVec;
 pub use geometry::{Ancilla, Boundary, Edge, EdgeKind, Lattice, LatticeError, SupportMasks};
 pub use history::SyndromeHistory;
-pub use noise::{
-    AnyNoise, BiasedNoise, BurstNoise, CodeCapacityNoise, ErasureNoise, NoiseModel, NoiseSpec,
-    NoiseSpecError, PhenomenologicalNoise,
-};
+pub use noise::{NoiseSpec, NoiseSpecError};
 pub use packed::{PackedError, PackedHeader, PackedReader, PackedWriter};
 pub use patch::CodePatch;
 pub use syndrome::DetectionRound;

@@ -1,6 +1,6 @@
-//! Noise models for the quantum error simulator: a matrix of noise
-//! *families*, each a [`NoiseModel`], named and parameterized by the
-//! serializable [`NoiseSpec`] enum.
+//! The noise model for the quantum error simulator: a matrix of noise
+//! *families*, each a variant of the serializable [`NoiseSpec`] enum,
+//! which names, validates and samples itself.
 //!
 //! The paper evaluates QECOOL under the **phenomenological noise model**
 //! (Dennis et al. \[4\]): in every measurement round each data qubit
@@ -10,113 +10,46 @@
 //! are equal", §III-C). That model is still the default, but it is now
 //! one row of a family matrix:
 //!
-//! | family             | spec variant                       | model                    |
-//! |--------------------|------------------------------------|--------------------------|
-//! | `phenomenological` | [`NoiseSpec::Phenomenological`]    | [`PhenomenologicalNoise`] with `q = p` |
-//! | `asymmetric`       | [`NoiseSpec::Asymmetric`]          | [`PhenomenologicalNoise`] with `q ≠ p` |
-//! | `code_capacity`    | [`NoiseSpec::CodeCapacity`]        | [`CodeCapacityNoise`] (perfect measurement, the "2-D" Table IV columns) |
-//! | `biased`           | [`NoiseSpec::Biased`]              | [`BiasedNoise`] (Z-heavy bias `eta` starves the X sector) |
-//! | `erasure`          | [`NoiseSpec::Erasure`]             | [`ErasureNoise`] (heralded erasures flagged per data qubit) |
-//! | `burst`            | [`NoiseSpec::Burst`]               | [`BurstNoise`] (correlated runs with geometric lengths) |
+//! | family             | spec variant                    | per round                                               |
+//! |--------------------|---------------------------------|---------------------------------------------------------|
+//! | `phenomenological` | [`NoiseSpec::Phenomenological`] | data and measurement flips at `p`                       |
+//! | `asymmetric`       | [`NoiseSpec::Asymmetric`]       | data flips at `p`, measurement flips at `q`             |
+//! | `code_capacity`    | [`NoiseSpec::CodeCapacity`]     | data flips at `p`, perfect measurement (the "2-D" Table IV columns) |
+//! | `biased`           | [`NoiseSpec::Biased`]           | data flips at `p / (1 + eta)` (Z-heavy bias starves the X sector), measurement at `p` |
+//! | `erasure`          | [`NoiseSpec::Erasure`]          | phenomenological at `p`, plus heralded erasures flagged per data qubit |
+//! | `burst`            | [`NoiseSpec::Burst`]            | phenomenological at `p`, plus correlated runs with geometric lengths |
 //!
-//! [`NoiseSpec`] is the one construction site for all of them: it parses
-//! the CLI `family[:k=v,…]` syntax ([`NoiseSpec::parse`]), validates
-//! every rate with the offending field named ([`NoiseSpec::validate`],
-//! so the CLI path never reaches a model constructor's panic), and
-//! builds the enum-dispatched [`AnyNoise`] ([`NoiseSpec::build`]).
-//! Every model reports its spec back via [`NoiseModel::spec`], so perf
-//! and campaign artifacts can name the family they ran under.
-//!
-//! Families that go beyond i.i.d. per-qubit flips implement
-//! [`NoiseModel::apply_data_round`], which owns the whole per-round data
-//! error pass (and the optional per-data-qubit erasure flags). The
-//! default body reproduces, draw for draw, the loop `CodePatch` has
-//! always run, so i.i.d. models keep byte-identical RNG streams.
+//! [`NoiseSpec`] parses the CLI `family[:k=v,…]` syntax
+//! ([`NoiseSpec::parse`]) and validates every field with the offending
+//! one named ([`NoiseSpec::validate`]), so the CLI path never reaches a
+//! sampling panic. It then samples the rounds it describes:
+//! [`NoiseSpec::apply_data_round`] owns the whole per-round data error
+//! pass (and the optional per-data-qubit erasure flags), and
+//! [`NoiseSpec::measurement_error_rate`] drives the readout flips. The
+//! data pass starts with, draw for draw, the loop `CodePatch` has always
+//! run, so the i.i.d. families keep byte-identical RNG streams.
 
 use crate::bitvec::BitVec;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A per-round error process for the simulator.
+/// A noise family and its parameters: the workspace's one noise model.
 ///
-/// A noise model answers two questions for each round: with what probability
-/// does each data qubit flip, and with what probability is each syndrome
-/// readout wrong. Correlated families additionally override
-/// [`NoiseModel::apply_data_round`] to own the whole data-error pass.
-pub trait NoiseModel {
-    /// Probability that a given data qubit suffers an X flip in one round.
-    fn data_error_rate(&self) -> f64;
-
-    /// Probability that a given syndrome measurement is misread in one round.
-    fn measurement_error_rate(&self) -> f64;
-
-    /// The serializable spec this model was built from, for artifacts that
-    /// must name the noise family they ran under.
-    fn spec(&self) -> NoiseSpec;
-
-    /// Whether [`NoiseModel::apply_data_round`] produces erasure flags.
-    /// Sources use this to decide whether to allocate a flag plane.
-    fn tracks_erasures(&self) -> bool {
-        false
-    }
-
-    /// Applies one round of data-qubit noise to `errors` (one bit per data
-    /// qubit), optionally writing per-qubit erasure flags to `erasures`
-    /// (same length; cleared first).
-    ///
-    /// The default body is the exact independent-flip loop `CodePatch`
-    /// historically ran inline — read the rate once, early-return at zero,
-    /// one `gen_bool` per data qubit — so models that don't override this
-    /// keep byte-identical RNG streams with pre-`NoiseSpec` builds.
-    fn apply_data_round<R: Rng + ?Sized>(
-        &self,
-        errors: &mut BitVec,
-        erasures: Option<&mut BitVec>,
-        rng: &mut R,
-    ) {
-        if let Some(flags) = erasures {
-            flags.clear();
-        }
-        let p = self.data_error_rate();
-        if p == 0.0 {
-            return;
-        }
-        for q in 0..errors.len() {
-            if rng.gen_bool(p) {
-                errors.toggle(q);
-            }
-        }
-    }
-
-    /// Samples whether a single data qubit flips this round.
-    fn sample_data_flip<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen_bool(self.data_error_rate())
-    }
-
-    /// Samples whether a single measurement is misread this round.
-    fn sample_measurement_flip<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen_bool(self.measurement_error_rate())
-    }
-}
-
-/// A serializable description of a noise family and its parameters: the
-/// one construction site for every [`NoiseModel`] in the workspace.
-///
-/// Specs flow through `TrialConfig`, campaign checkpoints (hashed into the
-/// job-list fingerprint) and the bench `--noise family[:k=v,…]` flag; a
-/// model hands its spec back via [`NoiseModel::spec`].
+/// Specs flow through `TrialConfig`, the simulated syndrome source,
+/// campaign checkpoints (hashed into the job-list fingerprint) and the
+/// bench `--noise family[:k=v,…]` flag, and they sample the rounds they
+/// describe.
 ///
 /// # Example
 ///
 /// ```
-/// use qecool_surface_code::{NoiseModel, NoiseSpec};
+/// use qecool_surface_code::NoiseSpec;
 ///
-/// let spec = NoiseSpec::parse("asymmetric:p=0.01,q=0.03")?;
-/// let noise = spec.build();
-/// assert_eq!(noise.data_error_rate(), 0.01);
+/// let noise = NoiseSpec::parse("asymmetric:p=0.01,q=0.03")?;
+/// assert_eq!(noise, NoiseSpec::Asymmetric { p: 0.01, q: 0.03 });
 /// assert_eq!(noise.measurement_error_rate(), 0.03);
-/// assert_eq!(noise.spec(), spec);
+/// assert!(!noise.tracks_erasures());
 /// # Ok::<(), qecool_surface_code::NoiseSpecError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -173,8 +106,8 @@ pub enum NoiseSpec {
 }
 
 /// A malformed [`NoiseSpec`]: the reject reason always names the field,
-/// so CLI parsing can exit with a usable message instead of a model
-/// constructor's panic.
+/// so CLI parsing can exit with a usable message instead of a sampling
+/// panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NoiseSpecError {
     /// A probability field outside `[0, 1]` (or not finite).
@@ -428,28 +361,125 @@ impl NoiseSpec {
         })
     }
 
-    /// Builds the model this spec describes — the workspace's single
-    /// noise construction site.
+    /// This spec after [`NoiseSpec::validate`]: the value handed to the
+    /// samplers.
     ///
     /// # Panics
     ///
-    /// Panics if the spec was never validated and a rate is out of
-    /// domain; [`NoiseSpec::parse`] and [`NoiseSpec::validate`] are the
-    /// non-panicking gates in front of this.
-    pub fn build(&self) -> AnyNoise {
+    /// Panics with the [`NoiseSpec::validate`] error, which names the
+    /// field, if one is out of domain; [`NoiseSpec::parse`] and
+    /// [`NoiseSpec::validate`] are the non-panicking gates in front of
+    /// this.
+    #[must_use]
+    pub fn build(&self) -> Self {
+        if let Err(err) = self.validate() {
+            panic!("{err}");
+        }
+        *self
+    }
+
+    /// Probability that a given syndrome measurement is misread in one
+    /// round.
+    pub fn measurement_error_rate(&self) -> f64 {
         match *self {
-            Self::Phenomenological { p } => {
-                AnyNoise::Phenomenological(PhenomenologicalNoise::symmetric(p))
+            Self::Asymmetric { q, .. } => q,
+            Self::CodeCapacity { .. } => 0.0,
+            _ => self.rate(),
+        }
+    }
+
+    /// Whether [`NoiseSpec::apply_data_round`] produces erasure flags.
+    /// Sources use this to decide whether to allocate a flag plane.
+    pub fn tracks_erasures(&self) -> bool {
+        matches!(self, Self::Erasure { .. })
+    }
+
+    /// Applies one round of data-qubit noise to `errors` (one bit per data
+    /// qubit), optionally writing per-qubit erasure flags to `erasures`
+    /// (same length; cleared first).
+    ///
+    /// Every family starts with the independent-flip loop `CodePatch`
+    /// historically ran inline — read the rate once, skip at zero, one
+    /// `gen_bool` per data qubit — so the i.i.d. families keep
+    /// byte-identical RNG streams with pre-`NoiseSpec` builds. Erasure
+    /// and burst then add their own pass.
+    pub fn apply_data_round<R: Rng + ?Sized>(
+        &self,
+        errors: &mut BitVec,
+        mut erasures: Option<&mut BitVec>,
+        rng: &mut R,
+    ) {
+        if let Some(flags) = erasures.as_deref_mut() {
+            flags.clear();
+        }
+        let p = match *self {
+            Self::Biased { p, eta } => p / (1.0 + eta),
+            _ => self.rate(),
+        };
+        if p != 0.0 {
+            for q in 0..errors.len() {
+                if rng.gen_bool(p) {
+                    errors.toggle(q);
+                }
             }
-            Self::Asymmetric { p, q } => {
-                AnyNoise::Phenomenological(PhenomenologicalNoise::new(p, q))
+        }
+        match *self {
+            Self::Erasure { e, .. } => erase(e, errors, erasures, rng),
+            Self::Burst {
+                burst, mean_len, ..
+            } => burst_runs(burst, mean_len, errors, rng),
+            _ => {}
+        }
+    }
+}
+
+/// Heralded erasures: each data qubit is erased with probability `e`,
+/// flagged in `flags` when a flag plane is offered (unheralded
+/// otherwise), and depolarizes — in the X sector, a 50/50 flip.
+fn erase<R: Rng + ?Sized>(
+    e: f64,
+    errors: &mut BitVec,
+    mut flags: Option<&mut BitVec>,
+    rng: &mut R,
+) {
+    if e == 0.0 {
+        return;
+    }
+    for q in 0..errors.len() {
+        if rng.gen_bool(e) {
+            if let Some(flags) = flags.as_deref_mut() {
+                flags.set(q, true);
             }
-            Self::CodeCapacity { p } => AnyNoise::CodeCapacity(CodeCapacityNoise::new(p)),
-            Self::Biased { p, eta } => AnyNoise::Biased(BiasedNoise::new(p, eta)),
-            Self::Erasure { p, e } => AnyNoise::Erasure(ErasureNoise::new(p, e)),
-            Self::Burst { p, burst, mean_len } => {
-                AnyNoise::Burst(BurstNoise::new(p, burst, mean_len))
+            if rng.gen_bool(0.5) {
+                errors.toggle(q);
             }
+        }
+    }
+}
+
+/// Bursts: a burst starts at any data qubit with probability `burst` and
+/// flips a run of consecutive qubits whose length is geometric with mean
+/// `mean_len`. Runs of index-consecutive data qubits are spatially local
+/// in the lattice's row-major edge order, giving the correlated stripes
+/// that stress a nearest-pair decoder.
+fn burst_runs<R: Rng + ?Sized>(burst: f64, mean_len: f64, errors: &mut BitVec, rng: &mut R) {
+    if burst == 0.0 {
+        return;
+    }
+    // Geometric run lengths: continue the run with probability
+    // 1 - 1/mean_len, so E[len] = mean_len.
+    let cont = 1.0 - 1.0 / mean_len;
+    let mut q = 0;
+    while q < errors.len() {
+        if rng.gen_bool(burst) {
+            errors.toggle(q);
+            q += 1;
+            while q < errors.len() && cont > 0.0 && rng.gen_bool(cont) {
+                errors.toggle(q);
+                q += 1;
+            }
+        } else {
+            q += 1;
         }
     }
 }
@@ -460,449 +490,58 @@ impl fmt::Display for NoiseSpec {
     }
 }
 
-/// Phenomenological noise: data flips with probability `p` *and* measurement
-/// flips with probability `q` per round.
-///
-/// # Example
-///
-/// ```
-/// use qecool_surface_code::{NoiseModel, PhenomenologicalNoise};
-///
-/// let noise = PhenomenologicalNoise::symmetric(0.01);
-/// assert_eq!(noise.data_error_rate(), 0.01);
-/// assert_eq!(noise.measurement_error_rate(), 0.01);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhenomenologicalNoise {
-    p: f64,
-    q: f64,
-}
-
-impl PhenomenologicalNoise {
-    /// Creates a model with independent data (`p`) and measurement (`q`)
-    /// error rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both rates lie in `[0, 1]`. CLI paths must validate
-    /// through [`NoiseSpec::parse`] instead of reaching this assert.
-    pub fn new(p: f64, q: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "data error rate out of [0,1]");
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "measurement error rate out of [0,1]"
-        );
-        Self { p, q }
-    }
-
-    /// The paper's setting: equal data and measurement error rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` lies in `[0, 1]`.
-    pub fn symmetric(p: f64) -> Self {
-        Self::new(p, p)
-    }
-}
-
-impl NoiseModel for PhenomenologicalNoise {
-    fn data_error_rate(&self) -> f64 {
-        self.p
-    }
-
-    fn measurement_error_rate(&self) -> f64 {
-        self.q
-    }
-
-    fn spec(&self) -> NoiseSpec {
-        if self.p == self.q {
-            NoiseSpec::Phenomenological { p: self.p }
-        } else {
-            NoiseSpec::Asymmetric {
-                p: self.p,
-                q: self.q,
-            }
-        }
-    }
-}
-
-/// Code-capacity noise: data flips with probability `p`, measurements are
-/// perfect. Used for "2-D" (single-layer) threshold experiments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CodeCapacityNoise {
-    p: f64,
-}
-
-impl CodeCapacityNoise {
-    /// Creates a code-capacity model with data error rate `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` lies in `[0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "data error rate out of [0,1]");
-        Self { p }
-    }
-}
-
-impl NoiseModel for CodeCapacityNoise {
-    fn data_error_rate(&self) -> f64 {
-        self.p
-    }
-
-    fn measurement_error_rate(&self) -> f64 {
-        0.0
-    }
-
-    fn spec(&self) -> NoiseSpec {
-        NoiseSpec::CodeCapacity { p: self.p }
-    }
-}
-
-/// Z-biased noise in an X-sector simulation: of the total physical error
-/// rate `p`, X flips get the `1 / (1 + eta)` fraction (`eta = p_Z / p_X`);
-/// measurements still flip at the full `p`. `eta = 0` recovers the
-/// phenomenological model; large `eta` starves this sector, which is
-/// exactly how biased-noise hardware buys distance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BiasedNoise {
-    p: f64,
-    eta: f64,
-}
-
-impl BiasedNoise {
-    /// Creates a biased model with total rate `p` and bias ratio `eta`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` lies in `[0, 1]` and `eta >= 0` is finite.
-    pub fn new(p: f64, eta: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "data error rate out of [0,1]");
-        assert!(eta.is_finite() && eta >= 0.0, "bias ratio out of [0,inf)");
-        Self { p, eta }
-    }
-}
-
-impl NoiseModel for BiasedNoise {
-    fn data_error_rate(&self) -> f64 {
-        self.p / (1.0 + self.eta)
-    }
-
-    fn measurement_error_rate(&self) -> f64 {
-        self.p
-    }
-
-    fn spec(&self) -> NoiseSpec {
-        NoiseSpec::Biased {
-            p: self.p,
-            eta: self.eta,
-        }
-    }
-}
-
-/// Heralded-erasure noise: background phenomenological noise at `p`, plus
-/// each data qubit is *erased* with probability `e` per round. An erased
-/// qubit is flagged in the erasure plane and depolarizes — in the X
-/// sector, a 50/50 flip on top of the background.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ErasureNoise {
-    p: f64,
-    e: f64,
-}
-
-impl ErasureNoise {
-    /// Creates an erasure model with background rate `p` and erasure
-    /// rate `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both rates lie in `[0, 1]`.
-    pub fn new(p: f64, e: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "data error rate out of [0,1]");
-        assert!((0.0..=1.0).contains(&e), "erasure rate out of [0,1]");
-        Self { p, e }
-    }
-}
-
-impl NoiseModel for ErasureNoise {
-    fn data_error_rate(&self) -> f64 {
-        self.p
-    }
-
-    fn measurement_error_rate(&self) -> f64 {
-        self.p
-    }
-
-    fn spec(&self) -> NoiseSpec {
-        NoiseSpec::Erasure {
-            p: self.p,
-            e: self.e,
-        }
-    }
-
-    fn tracks_erasures(&self) -> bool {
-        true
-    }
-
-    fn apply_data_round<R: Rng + ?Sized>(
-        &self,
-        errors: &mut BitVec,
-        erasures: Option<&mut BitVec>,
-        rng: &mut R,
-    ) {
-        if self.p > 0.0 {
-            for q in 0..errors.len() {
-                if rng.gen_bool(self.p) {
-                    errors.toggle(q);
-                }
-            }
-        }
-        let Some(flags) = erasures else {
-            // No flag plane offered: erasures still flip, just unheralded.
-            if self.e > 0.0 {
-                for q in 0..errors.len() {
-                    if rng.gen_bool(self.e) && rng.gen_bool(0.5) {
-                        errors.toggle(q);
-                    }
-                }
-            }
-            return;
-        };
-        flags.clear();
-        if self.e == 0.0 {
-            return;
-        }
-        for q in 0..errors.len() {
-            if rng.gen_bool(self.e) {
-                flags.set(q, true);
-                if rng.gen_bool(0.5) {
-                    errors.toggle(q);
-                }
-            }
-        }
-    }
-}
-
-/// Burst/correlated noise: background phenomenological noise at `p`, plus
-/// bursts — a burst starts at any data qubit with probability `burst` per
-/// round and flips a run of consecutive qubits whose length is geometric
-/// with mean `mean_len`. Runs of index-consecutive data qubits are
-/// spatially local in the lattice's row-major edge order, giving the
-/// correlated stripes that stress a nearest-pair decoder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstNoise {
-    p: f64,
-    burst: f64,
-    mean_len: f64,
-}
-
-impl BurstNoise {
-    /// Creates a burst model with background rate `p`, burst-start rate
-    /// `burst`, and mean run length `mean_len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` and `burst` lie in `[0, 1]` and
-    /// `mean_len >= 1` is finite.
-    pub fn new(p: f64, burst: f64, mean_len: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "data error rate out of [0,1]");
-        assert!((0.0..=1.0).contains(&burst), "burst rate out of [0,1]");
-        assert!(
-            mean_len.is_finite() && mean_len >= 1.0,
-            "mean burst length out of [1,inf)"
-        );
-        Self { p, burst, mean_len }
-    }
-}
-
-impl NoiseModel for BurstNoise {
-    fn data_error_rate(&self) -> f64 {
-        self.p
-    }
-
-    fn measurement_error_rate(&self) -> f64 {
-        self.p
-    }
-
-    fn spec(&self) -> NoiseSpec {
-        NoiseSpec::Burst {
-            p: self.p,
-            burst: self.burst,
-            mean_len: self.mean_len,
-        }
-    }
-
-    fn apply_data_round<R: Rng + ?Sized>(
-        &self,
-        errors: &mut BitVec,
-        erasures: Option<&mut BitVec>,
-        rng: &mut R,
-    ) {
-        if let Some(flags) = erasures {
-            flags.clear();
-        }
-        if self.p > 0.0 {
-            for q in 0..errors.len() {
-                if rng.gen_bool(self.p) {
-                    errors.toggle(q);
-                }
-            }
-        }
-        if self.burst == 0.0 {
-            return;
-        }
-        // Geometric run lengths: continue the run with probability
-        // 1 - 1/mean_len, so E[len] = mean_len.
-        let cont = 1.0 - 1.0 / self.mean_len;
-        let mut q = 0;
-        while q < errors.len() {
-            if rng.gen_bool(self.burst) {
-                errors.toggle(q);
-                q += 1;
-                while q < errors.len() && cont > 0.0 && rng.gen_bool(cont) {
-                    errors.toggle(q);
-                    q += 1;
-                }
-            } else {
-                q += 1;
-            }
-        }
-    }
-}
-
-/// Enum dispatch over every noise family, so one concrete type can flow
-/// through `TrialConfig` and the simulated syndrome source. Built by
-/// [`NoiseSpec::build`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AnyNoise {
-    /// Phenomenological (symmetric or asymmetric rates).
-    Phenomenological(PhenomenologicalNoise),
-    /// Code capacity (perfect measurement).
-    CodeCapacity(CodeCapacityNoise),
-    /// Z-biased.
-    Biased(BiasedNoise),
-    /// Heralded erasure.
-    Erasure(ErasureNoise),
-    /// Burst/correlated.
-    Burst(BurstNoise),
-}
-
-impl NoiseModel for AnyNoise {
-    fn data_error_rate(&self) -> f64 {
-        match self {
-            Self::Phenomenological(n) => n.data_error_rate(),
-            Self::CodeCapacity(n) => n.data_error_rate(),
-            Self::Biased(n) => n.data_error_rate(),
-            Self::Erasure(n) => n.data_error_rate(),
-            Self::Burst(n) => n.data_error_rate(),
-        }
-    }
-
-    fn measurement_error_rate(&self) -> f64 {
-        match self {
-            Self::Phenomenological(n) => n.measurement_error_rate(),
-            Self::CodeCapacity(n) => n.measurement_error_rate(),
-            Self::Biased(n) => n.measurement_error_rate(),
-            Self::Erasure(n) => n.measurement_error_rate(),
-            Self::Burst(n) => n.measurement_error_rate(),
-        }
-    }
-
-    fn spec(&self) -> NoiseSpec {
-        match self {
-            Self::Phenomenological(n) => n.spec(),
-            Self::CodeCapacity(n) => n.spec(),
-            Self::Biased(n) => n.spec(),
-            Self::Erasure(n) => n.spec(),
-            Self::Burst(n) => n.spec(),
-        }
-    }
-
-    fn tracks_erasures(&self) -> bool {
-        match self {
-            Self::Phenomenological(n) => n.tracks_erasures(),
-            Self::CodeCapacity(n) => n.tracks_erasures(),
-            Self::Biased(n) => n.tracks_erasures(),
-            Self::Erasure(n) => n.tracks_erasures(),
-            Self::Burst(n) => n.tracks_erasures(),
-        }
-    }
-
-    // Explicit delegation (not the trait default) so families that
-    // override the data pass keep their override behind the enum.
-    fn apply_data_round<R: Rng + ?Sized>(
-        &self,
-        errors: &mut BitVec,
-        erasures: Option<&mut BitVec>,
-        rng: &mut R,
-    ) {
-        match self {
-            Self::Phenomenological(n) => n.apply_data_round(errors, erasures, rng),
-            Self::CodeCapacity(n) => n.apply_data_round(errors, erasures, rng),
-            Self::Biased(n) => n.apply_data_round(errors, erasures, rng),
-            Self::Erasure(n) => n.apply_data_round(errors, erasures, rng),
-            Self::Burst(n) => n.apply_data_round(errors, erasures, rng),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
-    #[test]
-    fn symmetric_sets_both_rates() {
-        let n = PhenomenologicalNoise::symmetric(0.02);
-        assert_eq!(n.data_error_rate(), 0.02);
-        assert_eq!(n.measurement_error_rate(), 0.02);
+    /// Flips of one data round over `n` qubits.
+    fn data_flips(noise: NoiseSpec, n: usize, seed: u64) -> BitVec {
+        let mut errors = BitVec::zeros(n);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        noise.apply_data_round(&mut errors, None, &mut rng);
+        errors
     }
 
     #[test]
-    fn asymmetric_rates_are_independent() {
-        let n = PhenomenologicalNoise::new(0.01, 0.05);
-        assert_eq!(n.data_error_rate(), 0.01);
-        assert_eq!(n.measurement_error_rate(), 0.05);
+    fn measurement_rates_follow_the_family() {
+        let rate = |text| NoiseSpec::parse(text).unwrap().measurement_error_rate();
+        assert_eq!(rate("phenomenological:p=0.02"), 0.02);
+        assert_eq!(rate("asymmetric:p=0.01,q=0.05"), 0.05);
+        assert_eq!(rate("code_capacity:p=0.1"), 0.0);
+        assert_eq!(rate("biased:p=0.1,eta=9"), 0.1);
+        assert_eq!(rate("erasure:p=0.03,e=0.2"), 0.03);
+        assert_eq!(rate("burst:p=0.04"), 0.04);
     }
 
     #[test]
-    fn code_capacity_has_perfect_measurement() {
-        let n = CodeCapacityNoise::new(0.1);
-        assert_eq!(n.data_error_rate(), 0.1);
-        assert_eq!(n.measurement_error_rate(), 0.0);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            assert!(!n.sample_measurement_flip(&mut rng));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of [0,1]")]
-    fn rejects_invalid_rate() {
-        PhenomenologicalNoise::symmetric(1.5);
+    #[should_panic(expected = "'p' = 1.5 is out of [0,1]")]
+    fn build_rejects_invalid_rate_naming_the_field() {
+        let _ = NoiseSpec::Phenomenological { p: 1.5 }.build();
     }
 
     #[test]
     fn sample_statistics_are_plausible() {
-        // 10k samples at p = 0.3: expect ~3000 hits; allow a wide band.
-        let n = PhenomenologicalNoise::symmetric(0.3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let hits = (0..10_000).filter(|_| n.sample_data_flip(&mut rng)).count();
+        // 10k qubits at p = 0.3: expect ~3000 flips; allow a wide band.
+        let hits = data_flips(NoiseSpec::Phenomenological { p: 0.3 }, 10_000, 42).count_ones();
         assert!((2500..3500).contains(&hits), "got {hits} hits");
     }
 
     #[test]
-    fn zero_rate_never_fires() {
-        let n = PhenomenologicalNoise::symmetric(0.0);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        assert!((0..1000).all(|_| !n.sample_data_flip(&mut rng)));
+    fn zero_rate_never_fires_or_draws() {
+        let mut errors = BitVec::zeros(1000);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        NoiseSpec::Phenomenological { p: 0.0 }.apply_data_round(&mut errors, None, &mut rng);
+        assert!(errors.is_zero());
+        let untouched = ChaCha8Rng::seed_from_u64(3).next_u64();
+        assert_eq!(rng.next_u64(), untouched, "a zero rate must not draw");
     }
 
     #[test]
     fn unit_rate_always_fires() {
-        let n = PhenomenologicalNoise::symmetric(1.0);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        assert!((0..1000).all(|_| n.sample_data_flip(&mut rng)));
+        let flips = data_flips(NoiseSpec::Phenomenological { p: 1.0 }, 1000, 4);
+        assert_eq!(flips.count_ones(), 1000);
     }
 
     #[test]
@@ -911,8 +550,8 @@ mod tests {
             let spec = NoiseSpec::parse(family).expect(family);
             assert_eq!(spec.family(), *family);
             spec.validate().expect(family);
-            // Building a validated spec never panics.
-            let _ = spec.build();
+            // Building a validated spec never panics, and changes nothing.
+            assert_eq!(spec.build(), spec, "{family}");
         }
     }
 
@@ -962,21 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_through_every_model() {
-        for text in [
-            "phenomenological:p=0.02",
-            "asymmetric:p=0.01,q=0.03",
-            "code_capacity:p=0.1",
-            "biased:p=0.01,eta=4",
-            "erasure:p=0.001,e=0.02",
-            "burst:p=0.001,burst=0.0005,mean_len=5",
-        ] {
-            let spec = NoiseSpec::parse(text).expect(text);
-            assert_eq!(spec.build().spec(), spec, "{text}");
-        }
-    }
-
-    #[test]
     fn with_rate_keeps_shape_parameters() {
         let spec = NoiseSpec::parse("burst:p=0.001,burst=0.0005,mean_len=5").unwrap();
         assert_eq!(
@@ -997,64 +621,90 @@ mod tests {
 
     #[test]
     fn biased_noise_starves_the_x_sector() {
-        let n = BiasedNoise::new(0.1, 9.0);
-        assert!((n.data_error_rate() - 0.01).abs() < 1e-12);
-        assert_eq!(n.measurement_error_rate(), 0.1);
+        // The biased data pass is the i.i.d. loop at p / (1 + eta).
+        let (p, eta) = (0.3, 2.0);
+        let biased = data_flips(NoiseSpec::Biased { p, eta }, 4096, 8);
+        let thinned = data_flips(NoiseSpec::CodeCapacity { p: p / (1.0 + eta) }, 4096, 8);
+        assert_eq!(biased.words(), thinned.words());
+        let full = data_flips(NoiseSpec::CodeCapacity { p }, 4096, 8);
+        assert!(biased.count_ones() < full.count_ones());
     }
 
     #[test]
-    fn default_apply_data_round_matches_the_inline_loop() {
-        // The default trait body must reproduce the historical CodePatch
+    fn iid_data_round_matches_the_inline_loop() {
+        // The i.i.d. data pass must reproduce the historical CodePatch
         // loop draw for draw: same rate, same per-qubit gen_bool order.
-        let n = PhenomenologicalNoise::symmetric(0.3);
-        let mut via_trait = BitVec::zeros(130);
+        let p = 0.3;
+        let mut via_spec = BitVec::zeros(130);
         let mut inline = BitVec::zeros(130);
-        let mut rng_a = rand_chacha::ChaCha8Rng::seed_from_u64(11);
-        let mut rng_b = rand_chacha::ChaCha8Rng::seed_from_u64(11);
-        n.apply_data_round(&mut via_trait, None, &mut rng_a);
-        let p = n.data_error_rate();
+        let mut rng_a = ChaCha8Rng::seed_from_u64(11);
+        let mut rng_b = ChaCha8Rng::seed_from_u64(11);
+        NoiseSpec::Phenomenological { p }.apply_data_round(&mut via_spec, None, &mut rng_a);
         for q in 0..inline.len() {
             if rng_b.gen_bool(p) {
                 inline.toggle(q);
             }
         }
-        assert_eq!(via_trait.words(), inline.words());
-        use rand::RngCore;
+        assert_eq!(via_spec.words(), inline.words());
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "rng streams diverged");
     }
 
     #[test]
+    fn only_erasure_writes_flags_and_every_family_clears_them() {
+        for family in NoiseSpec::FAMILIES {
+            let spec = NoiseSpec::parse(family).unwrap().with_rate(0.5);
+            let mut errors = BitVec::zeros(64);
+            let mut flags = BitVec::zeros(64);
+            flags.set(7, true);
+            let mut rng = ChaCha8Rng::seed_from_u64(2);
+            spec.apply_data_round(&mut errors, Some(&mut flags), &mut rng);
+            assert_eq!(spec.tracks_erasures(), *family == "erasure", "{family}");
+            if !spec.tracks_erasures() {
+                assert!(flags.is_zero(), "{family} left a stale flag");
+            }
+        }
+    }
+
+    #[test]
     fn erasure_noise_flags_and_flips() {
-        let n = ErasureNoise::new(0.0, 1.0);
+        let n = NoiseSpec::Erasure { p: 0.0, e: 1.0 };
         let mut errors = BitVec::zeros(200);
         let mut flags = BitVec::zeros(200);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
         n.apply_data_round(&mut errors, Some(&mut flags), &mut rng);
         // e = 1: every qubit erased; about half flip.
         assert_eq!(flags.count_ones(), 200);
         let flips = errors.count_ones();
         assert!((60..=140).contains(&flips), "got {flips} flips");
-        assert!(n.tracks_erasures());
     }
 
     #[test]
     fn erasure_noise_flips_even_without_a_flag_plane() {
-        let n = ErasureNoise::new(0.0, 1.0);
-        let mut errors = BitVec::zeros(200);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        n.apply_data_round(&mut errors, None, &mut rng);
-        let flips = errors.count_ones();
-        assert!((60..=140).contains(&flips), "got {flips} flips");
+        // Same draws with or without a plane: the flips match the
+        // flagged run above.
+        let flips = data_flips(NoiseSpec::Erasure { p: 0.0, e: 1.0 }, 200, 5);
+        let mut flagged = BitVec::zeros(200);
+        let mut flags = BitVec::zeros(200);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        NoiseSpec::Erasure { p: 0.0, e: 1.0 }.apply_data_round(
+            &mut flagged,
+            Some(&mut flags),
+            &mut rng,
+        );
+        assert_eq!(flips.words(), flagged.words());
+        assert!((60..=140).contains(&flips.count_ones()));
     }
 
     #[test]
     fn burst_noise_produces_runs() {
         // Pure bursts, no background: every 1-region is a consecutive
         // run, and with mean_len = 4 the average run is well above 1.
-        let n = BurstNoise::new(0.0, 0.02, 4.0);
-        let mut errors = BitVec::zeros(4096);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-        n.apply_data_round(&mut errors, None, &mut rng);
+        let noise = NoiseSpec::Burst {
+            p: 0.0,
+            burst: 0.02,
+            mean_len: 4.0,
+        };
+        let errors = data_flips(noise, 4096, 9);
         let ones = errors.count_ones();
         assert!(ones > 0, "no bursts fired");
         let mut runs = 0usize;
@@ -1068,19 +718,5 @@ mod tests {
         }
         let mean_run = ones as f64 / runs as f64;
         assert!(mean_run > 1.5, "mean run {mean_run} too short for bursts");
-    }
-
-    #[test]
-    fn any_noise_dispatches_the_override() {
-        // Through AnyNoise, the erasure model must still produce flags —
-        // i.e. enum dispatch reaches the override, not the default body.
-        let spec = NoiseSpec::Erasure { p: 0.0, e: 1.0 };
-        let n = spec.build();
-        let mut errors = BitVec::zeros(64);
-        let mut flags = BitVec::zeros(64);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
-        n.apply_data_round(&mut errors, Some(&mut flags), &mut rng);
-        assert_eq!(flags.count_ones(), 64);
-        assert!(n.tracks_erasures());
     }
 }

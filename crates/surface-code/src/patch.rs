@@ -17,7 +17,7 @@ use rand::Rng;
 
 use crate::bitvec::BitVec;
 use crate::geometry::{Ancilla, Boundary, Edge, Lattice, SupportMasks};
-use crate::noise::NoiseModel;
+use crate::noise::NoiseSpec;
 use crate::syndrome::DetectionRound;
 
 /// A simulated distance-`d` surface-code patch (X sector).
@@ -25,13 +25,13 @@ use crate::syndrome::DetectionRound;
 /// # Example
 ///
 /// ```
-/// use qecool_surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
+/// use qecool_surface_code::{CodePatch, Lattice, NoiseSpec};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), qecool_surface_code::LatticeError> {
 /// let mut patch = CodePatch::new(Lattice::new(3)?);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let noise = PhenomenologicalNoise::symmetric(0.05);
+/// let noise = NoiseSpec::Phenomenological { p: 0.05 };
 /// for _ in 0..3 {
 ///     let _round = patch.noisy_round(&noise, &mut rng);
 /// }
@@ -118,25 +118,24 @@ impl CodePatch {
         self.errors.toggle(e.index());
     }
 
-    /// Applies one round of data noise, delegating the whole pass to the
-    /// model ([`NoiseModel::apply_data_round`]): i.i.d. families flip
-    /// each data qubit independently with the model's data error rate
-    /// (via the trait's default body, which keeps the historical RNG
-    /// stream draw for draw); correlated families own their own loop.
-    pub fn apply_data_noise<N: NoiseModel, R: Rng + ?Sized>(&mut self, noise: &N, rng: &mut R) {
+    /// Applies one round of data noise, delegating the whole pass to
+    /// [`NoiseSpec::apply_data_round`]: i.i.d. families flip each data
+    /// qubit independently (the historical RNG stream, draw for draw);
+    /// erasure and burst add their own pass.
+    pub fn apply_data_noise<R: Rng + ?Sized>(&mut self, noise: &NoiseSpec, rng: &mut R) {
         noise.apply_data_round(&mut self.errors, None, rng);
     }
 
     /// [`Self::apply_data_noise`] with a per-data-qubit erasure flag
-    /// plane: models that herald erasures write them into `erasures`
+    /// plane: families that herald erasures write them into `erasures`
     /// (cleared first); all other families just clear it.
     ///
     /// # Panics
     ///
     /// Panics if `erasures` does not have one bit per data qubit.
-    pub fn apply_data_noise_flagged<N: NoiseModel, R: Rng + ?Sized>(
+    pub fn apply_data_noise_flagged<R: Rng + ?Sized>(
         &mut self,
-        noise: &N,
+        noise: &NoiseSpec,
         erasures: &mut BitVec,
         rng: &mut R,
     ) {
@@ -217,11 +216,7 @@ impl CodePatch {
 
     /// Measures every stabilizer with measurement noise and returns the
     /// detection events (`reported ⊕ last_reported`).
-    pub fn measure<N: NoiseModel, R: Rng + ?Sized>(
-        &mut self,
-        noise: &N,
-        rng: &mut R,
-    ) -> DetectionRound {
+    pub fn measure<R: Rng + ?Sized>(&mut self, noise: &NoiseSpec, rng: &mut R) -> DetectionRound {
         let mut out = DetectionRound::zeros(self.lattice.num_ancillas());
         self.measure_into(noise, rng, &mut out);
         out
@@ -234,9 +229,9 @@ impl CodePatch {
     /// # Panics
     ///
     /// Panics if `out` does not have one bit per ancilla.
-    pub fn measure_into<N: NoiseModel, R: Rng + ?Sized>(
+    pub fn measure_into<R: Rng + ?Sized>(
         &mut self,
-        noise: &N,
+        noise: &NoiseSpec,
         rng: &mut R,
         out: &mut DetectionRound,
     ) {
@@ -254,9 +249,9 @@ impl CodePatch {
     }
 
     /// One full noisy QEC round: data noise, then noisy measurement.
-    pub fn noisy_round<N: NoiseModel, R: Rng + ?Sized>(
+    pub fn noisy_round<R: Rng + ?Sized>(
         &mut self,
-        noise: &N,
+        noise: &NoiseSpec,
         rng: &mut R,
     ) -> DetectionRound {
         self.apply_data_noise(noise, rng);
@@ -269,9 +264,9 @@ impl CodePatch {
     /// # Panics
     ///
     /// Panics if `out` does not have one bit per ancilla.
-    pub fn noisy_round_into<N: NoiseModel, R: Rng + ?Sized>(
+    pub fn noisy_round_into<R: Rng + ?Sized>(
         &mut self,
-        noise: &N,
+        noise: &NoiseSpec,
         rng: &mut R,
         out: &mut DetectionRound,
     ) {
@@ -287,9 +282,9 @@ impl CodePatch {
     ///
     /// Panics if `out` does not have one bit per ancilla or `erasures`
     /// one bit per data qubit.
-    pub fn noisy_round_flagged_into<N: NoiseModel, R: Rng + ?Sized>(
+    pub fn noisy_round_flagged_into<R: Rng + ?Sized>(
         &mut self,
-        noise: &N,
+        noise: &NoiseSpec,
         erasures: &mut BitVec,
         rng: &mut R,
         out: &mut DetectionRound,
@@ -382,7 +377,6 @@ impl CodePatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noise::{CodeCapacityNoise, PhenomenologicalNoise};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -501,7 +495,7 @@ mod tests {
         // round, so events alternate all-on / all-off? No: reported is the
         // same wrong value both rounds, so round 2 sees no change.
         let mut p = patch(3);
-        let noise = PhenomenologicalNoise::new(0.0, 1.0);
+        let noise = NoiseSpec::Asymmetric { p: 0.0, q: 1.0 };
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let r1 = p.measure(&noise, &mut rng);
         assert_eq!(r1.num_events(), p.lattice().num_ancillas());
@@ -513,7 +507,7 @@ mod tests {
     fn code_capacity_measurements_are_deterministic() {
         let mut p = patch(5);
         p.inject_error(p.lattice().vertical_edge(1, 1));
-        let noise = CodeCapacityNoise::new(0.0);
+        let noise = NoiseSpec::CodeCapacity { p: 0.0 };
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let r = p.measure(&noise, &mut rng);
         assert_eq!(r.num_events(), 2);
@@ -522,7 +516,7 @@ mod tests {
     #[test]
     fn rounds_counter_increments() {
         let mut p = patch(3);
-        let noise = PhenomenologicalNoise::symmetric(0.0);
+        let noise = NoiseSpec::Phenomenological { p: 0.0 };
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         p.measure(&noise, &mut rng);
         p.perfect_round();
@@ -563,7 +557,7 @@ mod tests {
         #[test]
         fn prop_events_telescope(seed in any::<u64>(), rounds in 1usize..6) {
             let mut p = patch(5);
-            let noise = PhenomenologicalNoise::symmetric(0.08);
+            let noise = NoiseSpec::Phenomenological { p: 0.08 };
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut acc = BitVec::zeros(p.lattice().num_ancillas());
             for _ in 0..rounds {
@@ -590,7 +584,7 @@ mod tests {
             n_correct in 0usize..8,
         ) {
             let mut patch = CodePatch::new(Lattice::new(d).unwrap());
-            let noise = PhenomenologicalNoise::new(p, 0.0);
+            let noise = NoiseSpec::Asymmetric { p, q: 0.0 };
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let nq = patch.lattice().num_data_qubits();
             let n_anc = patch.lattice().num_ancillas();
@@ -624,7 +618,7 @@ mod tests {
             rounds in 1usize..6,
         ) {
             let lattice = Lattice::new(d).unwrap();
-            let noise = PhenomenologicalNoise::new(p, q);
+            let noise = NoiseSpec::Asymmetric { p, q };
             let mut alloc_patch = CodePatch::new(lattice.clone());
             let mut reuse_patch = CodePatch::new(lattice.clone());
             let mut alloc_rng = ChaCha8Rng::seed_from_u64(seed);

@@ -416,7 +416,7 @@ mod tests {
     use super::*;
     use crate::reference;
     use proptest::prelude::*;
-    use qecool_surface_code::{Ancilla, BitVec, DetectionRound, NoiseSpec, PhenomenologicalNoise};
+    use qecool_surface_code::{Ancilla, BitVec, DetectionRound, NoiseSpec};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -581,7 +581,7 @@ mod tests {
     #[test]
     fn always_clears_syndrome_under_noise() {
         let lat = Lattice::new(9).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.04);
+        let noise = NoiseSpec::Phenomenological { p: 0.04 };
         let decoder = UnionFindDecoder::new(lat.clone());
         for seed in 0..40u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -625,7 +625,7 @@ mod tests {
     #[test]
     fn components_compose_to_the_monolithic_decode() {
         let lat = Lattice::new(9).unwrap();
-        let noise = PhenomenologicalNoise::symmetric(0.04);
+        let noise = NoiseSpec::Phenomenological { p: 0.04 };
         let decoder = UnionFindDecoder::new(lat.clone());
         for seed in 0..20u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -15,7 +15,7 @@ use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
 use qecool_repro::sfq::power::{
     cycles_per_measurement, ersfq_power_w, FIG7_FREQUENCIES_HZ, MEASUREMENT_INTERVAL_S,
 };
-use qecool_repro::surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
+use qecool_repro::surface_code::{CodePatch, Lattice, NoiseSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
 
         let lattice = Lattice::new(D)?;
-        let noise = PhenomenologicalNoise::symmetric(P);
+        let noise = NoiseSpec::Phenomenological { p: P };
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut patch = CodePatch::new(lattice.clone());
         let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::online());

@@ -4,9 +4,7 @@
 
 use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
 use qecool_repro::mwpm::MwpmDecoder;
-use qecool_repro::surface_code::{
-    CodePatch, Edge, Lattice, PhenomenologicalNoise, SyndromeHistory,
-};
+use qecool_repro::surface_code::{CodePatch, Edge, Lattice, NoiseSpec, SyndromeHistory};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -53,7 +51,7 @@ fn both_decoders_fix_all_single_errors() {
 #[test]
 fn both_decoders_always_clear_the_syndrome() {
     let lattice = Lattice::new(9).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(0.03);
+    let noise = NoiseSpec::Phenomenological { p: 0.03 };
     for seed in 0..40u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut patch = CodePatch::new(lattice.clone());
@@ -73,7 +71,7 @@ fn both_decoders_always_clear_the_syndrome() {
 #[test]
 fn measurement_noise_only_is_harmless() {
     let lattice = Lattice::new(7).unwrap();
-    let noise = PhenomenologicalNoise::new(0.0, 0.05);
+    let noise = NoiseSpec::Asymmetric { p: 0.0, q: 0.05 };
     for seed in 0..25u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut patch = CodePatch::new(lattice.clone());

@@ -4,7 +4,7 @@
 use qecool_repro::sim::{
     run_monte_carlo, run_trial, DecodeEngine, DecoderKind, EngineConfig, McResult, TrialConfig,
 };
-use qecool_repro::surface_code::{CodePatch, DetectionRound, Edge, Lattice, PhenomenologicalNoise};
+use qecool_repro::surface_code::{CodePatch, DetectionRound, Edge, Lattice, NoiseSpec};
 use qecool_repro::{
     CycleBudget, DecodeService, ServiceBackend, ServiceConfig, SessionId, ShardedDecodeService,
     ShardedServiceConfig, TelemetryHandle, WindowConfig,
@@ -49,7 +49,7 @@ fn monte_carlo_is_schedule_independent() {
 #[test]
 fn different_seeds_give_different_noise() {
     let lattice = Lattice::new(5).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(0.1);
+    let noise = NoiseSpec::Phenomenological { p: 0.1 };
     let sample = |seed: u64| {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut patch = CodePatch::new(lattice.clone());
@@ -104,7 +104,7 @@ fn service_sessions_identical_across_worker_counts() {
     let sessions = 6usize;
     let rounds = 5usize;
     let lattice = Lattice::new(5).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(0.04);
+    let noise = NoiseSpec::Phenomenological { p: 0.04 };
 
     let run = |threads: usize| -> Vec<Vec<Edge>> {
         let config = ServiceConfig::new(5, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9))
@@ -156,7 +156,7 @@ fn sharded_sessions_identical_across_shard_and_worker_counts() {
     let sessions = 6usize;
     let rounds = 5usize;
     let lattice = Lattice::new(5).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(0.04);
+    let noise = NoiseSpec::Phenomenological { p: 0.04 };
 
     let run = |shards: usize, threads: usize| -> Vec<Vec<Edge>> {
         let config = ServiceConfig::new(5, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9))
@@ -212,7 +212,7 @@ fn sharded_sessions_identical_with_telemetry_enabled() {
     let sessions = 6usize;
     let rounds = 5usize;
     let lattice = Lattice::new(5).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(0.04);
+    let noise = NoiseSpec::Phenomenological { p: 0.04 };
 
     let run = |shards: usize, threads: usize, telemetry: TelemetryHandle| -> Vec<Vec<Edge>> {
         let config = ServiceConfig::new(5, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9))
@@ -303,7 +303,7 @@ fn windowed_commit_streams_identical_across_shard_and_worker_counts() {
     let sessions = 4usize;
     let rounds = 24usize;
     let lattice = Lattice::new(5).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(0.04);
+    let noise = NoiseSpec::Phenomenological { p: 0.04 };
 
     type CommitStream = Vec<(Option<u64>, Vec<Edge>)>;
     let run = |backend: ServiceBackend,

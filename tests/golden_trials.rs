@@ -33,18 +33,30 @@ const KINDS: [DecoderKind; 4] = [
 
 /// One row per noise family, one column per entry of [`KINDS`].
 #[rustfmt::skip]
-const GOLDEN: [(NoiseSpec, [Golden; 4]); 4] = [
+const GOLDEN: [(NoiseSpec, [Golden; 4]); 6] = [
     (NoiseSpec::Phenomenological { p: 0.03 }, [
         (64, 15, 0, 528, (384, 18718, 3142666, 463), &[315, 206, 6, 1]),
         (64, 19, 0, 521, (384, 16713, 1798059, 279), &[281, 214, 18, 8]),
         (64, 6, 0, 528, (0, 0, 0, 0), &[343, 181, 4]),
         (64, 6, 0, 362, (0, 0, 0, 0), &[]),
     ]),
+    (NoiseSpec::Asymmetric { p: 0.01, q: 0.03 }, [
+        (64, 0, 0, 317, (384, 9964, 931486, 293), &[114, 194, 9]),
+        (64, 1, 0, 317, (384, 8872, 589344, 201), &[110, 193, 11, 3]),
+        (64, 1, 0, 318, (0, 0, 0, 0), &[124, 190, 4]),
+        (64, 1, 0, 137, (0, 0, 0, 0), &[]),
+    ]),
     (NoiseSpec::CodeCapacity { p: 0.05 }, [
         (64, 3, 0, 118, (128, 3413, 209867, 116), &[118]),
         (64, 3, 0, 118, (128, 3413, 209867, 116), &[118]),
         (64, 4, 0, 118, (0, 0, 0, 0), &[118]),
         (64, 3, 0, 141, (0, 0, 0, 0), &[]),
+    ]),
+    (NoiseSpec::Biased { p: 0.03, eta: 4.0 }, [
+        (64, 0, 0, 273, (384, 8155, 608229, 275), &[72, 193, 8]),
+        (64, 0, 0, 273, (384, 6959, 345583, 156), &[71, 192, 8, 2]),
+        (64, 1, 0, 273, (0, 0, 0, 0), &[79, 190, 4]),
+        (64, 1, 0, 81, (0, 0, 0, 0), &[]),
     ]),
     (NoiseSpec::Erasure { p: 0.01, e: 0.05 }, [
         (64, 11, 0, 459, (384, 19821, 3441829, 411), &[324, 125, 9, 1]),

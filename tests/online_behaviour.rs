@@ -2,7 +2,7 @@
 //! pause/resume equivalence, and drain invariants.
 
 use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
-use qecool_repro::surface_code::{CodePatch, Lattice, PhenomenologicalNoise};
+use qecool_repro::surface_code::{CodePatch, Lattice, NoiseSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -38,7 +38,7 @@ fn starved_decoder_overflows_at_capacity() {
 #[test]
 fn sliced_budget_equals_unbounded_run() {
     let lattice = Lattice::new(7).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(0.04);
+    let noise = NoiseSpec::Phenomenological { p: 0.04 };
 
     let run_with = |slice: Option<u64>| {
         let mut rng = ChaCha8Rng::seed_from_u64(99);
@@ -78,7 +78,7 @@ fn sliced_budget_equals_unbounded_run() {
 #[test]
 fn drain_leaves_reusable_decoder() {
     let lattice = Lattice::new(5).unwrap();
-    let noise = PhenomenologicalNoise::symmetric(0.05);
+    let noise = NoiseSpec::Phenomenological { p: 0.05 };
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let mut patch = CodePatch::new(lattice.clone());
     let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::online());

@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use qecool_repro::surface_code::{
-    CodePatch, DetectionRound, Edge, Lattice, NoiseModel, NoiseSpec, PackedReader, PackedWriter,
+    CodePatch, DetectionRound, Edge, Lattice, NoiseSpec, PackedReader, PackedWriter,
 };
 use qecool_repro::{
     CycleBudget, DecodeService, ServiceBackend, ServiceConfig, SimulatedSource, SyndromeSource,
@@ -198,4 +198,54 @@ fn erasure_recordings_carry_flag_planes() {
     let replayed = replay(&path);
     assert_eq!(live, replayed, "erasure: replay diverged");
     let _ = fs::remove_file(&path);
+}
+
+/// FNV-1a 64 over `SIM_ROUNDS` rounds of a d = 5 [`SimulatedSource`]:
+/// every detection plane's words, then (when the family heralds them)
+/// the erasure plane's words, little-endian. Pinned across commits, so a
+/// sampler change that moves one draw or one flag fails here.
+fn simulated_stream_digest(spec: NoiseSpec) -> u64 {
+    const SIM_ROUNDS: usize = 200;
+    let lattice = Lattice::new(D).unwrap();
+    let mut source = SimulatedSource::new(
+        CodePatch::new(lattice.clone()),
+        spec.build(),
+        ChaCha8Rng::seed_from_u64(2021),
+    );
+    assert_eq!(
+        source.has_erasures(),
+        matches!(spec, NoiseSpec::Erasure { .. }),
+        "only the erasure family carries a flag plane"
+    );
+    let mut round = DetectionRound::zeros(lattice.num_ancillas());
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut eat = |words: &[u64]| {
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for _ in 0..SIM_ROUNDS {
+        source.next_round_into(&mut round).unwrap();
+        eat(round.events().words());
+        if let Some(flags) = source.erasures() {
+            eat(flags.words());
+        }
+    }
+    hash
+}
+
+#[test]
+fn simulated_streams_and_flag_planes_match_their_pins() {
+    let erasure = NoiseSpec::parse("erasure:p=0.01,e=0.05").unwrap();
+    let burst = NoiseSpec::parse("burst:p=0.01,burst=0.02,mean_len=3").unwrap();
+    let got = (
+        simulated_stream_digest(erasure),
+        simulated_stream_digest(burst),
+    );
+    assert_eq!(
+        got,
+        (5_867_768_642_114_864_247, 2_565_663_017_179_367_245),
+        "erasure, burst stream digests"
+    );
 }

@@ -6,7 +6,7 @@
 use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
 use qecool_repro::sim::{run_trial, DecoderKind, TrialConfig};
 use qecool_repro::surface_code::{
-    CodePatch, DetectionRound, Edge, Lattice, PhenomenologicalNoise, SyndromeHistory,
+    CodePatch, DetectionRound, Edge, Lattice, NoiseSpec, SyndromeHistory,
 };
 use qecool_repro::{
     CycleBudget, DecodeService, ServiceBackend, ServiceConfig, ServiceError, ShardedDecodeService,
@@ -26,7 +26,7 @@ const BUDGET_CYCLES: u64 = 2000;
 fn offline_qecool_corrections(seed: u64) -> (Vec<Edge>, bool) {
     let lattice = Lattice::new(D).unwrap();
     let mut patch = CodePatch::new(lattice.clone());
-    let noise = PhenomenologicalNoise::symmetric(P);
+    let noise = NoiseSpec::Phenomenological { p: P };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::online());
     let mut all = Vec::new();
@@ -58,7 +58,7 @@ fn service_qecool_corrections(seed: u64, threads: usize) -> (Vec<Edge>, bool) {
 
     let lattice = Lattice::new(D).unwrap();
     let mut patch = CodePatch::new(lattice.clone());
-    let noise = PhenomenologicalNoise::symmetric(P);
+    let noise = NoiseSpec::Phenomenological { p: P };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut round = DetectionRound::zeros(lattice.num_ancillas());
     let mut all = Vec::new();
@@ -119,7 +119,7 @@ fn windowed_sessions_match_offline_window_decoders() {
         for seed in 0..6u64 {
             // Shared noise realization.
             let lattice = Lattice::new(D).unwrap();
-            let noise = PhenomenologicalNoise::symmetric(P);
+            let noise = NoiseSpec::Phenomenological { p: P };
             let mut patch = CodePatch::new(lattice.clone());
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut rounds: Vec<DetectionRound> = (0..ROUNDS)
@@ -176,7 +176,7 @@ fn overflowed_session_lifecycle_on_the_solo_fast_path() {
     let id = service.open_session();
     let lattice = Lattice::new(D).unwrap();
     let mut patch = CodePatch::new(lattice.clone());
-    let noise = PhenomenologicalNoise::symmetric(0.2);
+    let noise = NoiseSpec::Phenomenological { p: 0.2 };
     let mut rng = ChaCha8Rng::seed_from_u64(7);
 
     let mut round = DetectionRound::zeros(lattice.num_ancillas());
@@ -235,7 +235,7 @@ fn overflowed_session_lifecycle_through_the_sharded_pool() {
     let healthy = service.open_session();
     let lattice = Lattice::new(D).unwrap();
     let mut patch = CodePatch::new(lattice.clone());
-    let noise = PhenomenologicalNoise::symmetric(0.2);
+    let noise = NoiseSpec::Phenomenological { p: 0.2 };
     let mut rng = ChaCha8Rng::seed_from_u64(7);
 
     let quiet = DetectionRound::zeros(lattice.num_ancillas());
