@@ -9,8 +9,8 @@
 //! cargo run --release -p qecool-bench --bin fig4a [-- --shots N --fast --out fig4a.csv]
 //! ```
 
-use qecool_bench::{fmt_rate, Options, TextTable, PAPER_DISTANCES};
-use qecool_sim::{estimate_threshold, log_grid, sweep_on, DecoderKind, NoiseSpec};
+use qecool_bench::{fmt_rate, CampaignOpts, Options, TextTable, PAPER_DISTANCES};
+use qecool_sim::{curves, estimate_threshold, log_grid, CampaignJob, DecoderKind, NoiseSpec};
 
 fn main() {
     let opts = Options::parse(1000);
@@ -23,24 +23,20 @@ fn main() {
         ("MWPM", DecoderKind::Mwpm),
     ] {
         eprintln!("sweeping {name} ({} shots/point)...", opts.shots);
-        let result = sweep_on(
-            &engine,
-            decoder,
-            opts.noise_or(NoiseSpec::Phenomenological { p: 0.0 }),
-            &PAPER_DISTANCES,
-            &ps,
-            opts.seed,
-            |_, _| opts.shots,
-        );
-        for pt in &result.points {
+        let noise = opts.noise_or(NoiseSpec::Phenomenological { p: 0.0 });
+        let jobs = CampaignJob::grid(decoder, noise, &PAPER_DISTANCES, &ps, opts.shots);
+        let results = CampaignOpts::default()
+            .run(&engine, &jobs, opts.seed)
+            .results;
+        for (job, mc) in jobs.iter().zip(&results) {
             table.row([
                 name.to_owned(),
-                pt.d.to_string(),
-                format!("{:.5}", pt.p),
-                fmt_rate(pt.mc.logical_error_rate()),
+                job.trial.d.to_string(),
+                format!("{:.5}", job.trial.p()),
+                fmt_rate(mc.logical_error_rate()),
             ]);
         }
-        match estimate_threshold(&result.curves()) {
+        match estimate_threshold(&curves(&jobs, &results)) {
             Some(est) => {
                 println!(
                     "{name}: estimated threshold p_th = {:.4} (crossings: {:?})",

@@ -15,8 +15,8 @@
 //! cargo run --release -p qecool-bench --bin fig4b [-- --shots N --fast --out fig4b.csv]
 //! ```
 
-use qecool_bench::{Options, TextTable, PAPER_DISTANCES};
-use qecool_sim::{log_grid, sweep_on, DecoderKind, NoiseSpec};
+use qecool_bench::{CampaignOpts, Options, TextTable, PAPER_DISTANCES};
+use qecool_sim::{log_grid, CampaignJob, DecoderKind, NoiseSpec};
 
 fn main() {
     let opts = Options::parse(600);
@@ -34,22 +34,24 @@ fn main() {
         "sweeping batch-QECOOL match telemetry ({} shots/point)...",
         opts.shots
     );
-    let result = sweep_on(
-        &engine,
+    let noise = opts.noise_or(NoiseSpec::Phenomenological { p: 0.0 });
+    let jobs = CampaignJob::grid(
         DecoderKind::BatchQecool,
-        opts.noise_or(NoiseSpec::Phenomenological { p: 0.0 }),
+        noise,
         &PAPER_DISTANCES,
         &ps,
-        opts.seed,
-        |_, _| opts.shots,
+        opts.shots,
     );
-    for pt in &result.points {
+    let results = CampaignOpts::default()
+        .run(&engine, &jobs, opts.seed)
+        .results;
+    for (job, mc) in jobs.iter().zip(&results) {
         table.row([
-            pt.d.to_string(),
-            format!("{:.5}", pt.p),
-            pt.mc.matches.to_string(),
-            format!("{:.6}", pt.mc.vertical_extent_fraction(2)),
-            format!("{:.6}", pt.mc.vertical_extent_fraction(3)),
+            job.trial.d.to_string(),
+            format!("{:.5}", job.trial.p()),
+            mc.matches.to_string(),
+            format!("{:.6}", mc.vertical_extent_fraction(2)),
+            format!("{:.6}", mc.vertical_extent_fraction(3)),
         ]);
     }
     println!("{}", table.render());

@@ -10,9 +10,9 @@
 //! cargo run --release -p qecool-bench --bin fig7 [-- --shots N --fast --out fig7.csv]
 //! ```
 
-use qecool_bench::{fmt_rate, Options, TextTable, PAPER_DISTANCES};
+use qecool_bench::{fmt_rate, CampaignOpts, Options, TextTable, PAPER_DISTANCES};
 use qecool_sfq::power::{cycles_per_measurement, FIG7_FREQUENCIES_HZ, MEASUREMENT_INTERVAL_S};
-use qecool_sim::{estimate_threshold, log_grid, sweep_on, DecoderKind, NoiseSpec};
+use qecool_sim::{curves, estimate_threshold, log_grid, CampaignJob, DecoderKind, NoiseSpec};
 
 fn main() {
     let opts = Options::parse(1000);
@@ -30,27 +30,24 @@ fn main() {
         let budget = cycles_per_measurement(freq, MEASUREMENT_INTERVAL_S);
         let label = format!("{} MHz", (freq / 1e6).round() as u64);
         eprintln!("sweeping on-line QECOOL @ {label} ({budget} cycles/layer)...");
-        let result = sweep_on(
-            &engine,
-            DecoderKind::OnlineQecool {
-                budget_cycles: budget,
-            },
-            opts.noise_or(NoiseSpec::Phenomenological { p: 0.0 }),
-            &PAPER_DISTANCES,
-            &ps,
-            opts.seed,
-            |_, _| opts.shots,
-        );
-        for pt in &result.points {
+        let decoder = DecoderKind::OnlineQecool {
+            budget_cycles: budget,
+        };
+        let noise = opts.noise_or(NoiseSpec::Phenomenological { p: 0.0 });
+        let jobs = CampaignJob::grid(decoder, noise, &PAPER_DISTANCES, &ps, opts.shots);
+        let results = CampaignOpts::default()
+            .run(&engine, &jobs, opts.seed)
+            .results;
+        for (job, mc) in jobs.iter().zip(&results) {
             table.row([
                 label.clone(),
-                pt.d.to_string(),
-                format!("{:.5}", pt.p),
-                fmt_rate(pt.mc.logical_error_rate()),
-                format!("{:.4}", pt.mc.overflow_rate().rate()),
+                job.trial.d.to_string(),
+                format!("{:.5}", job.trial.p()),
+                fmt_rate(mc.logical_error_rate()),
+                format!("{:.4}", mc.overflow_rate().rate()),
             ]);
         }
-        match estimate_threshold(&result.curves()) {
+        match estimate_threshold(&curves(&jobs, &results)) {
             Some(est) => println!("{label}: estimated p_th = {:.4}", est.pth),
             None => println!("{label}: no crossing in range (overflow-dominated or sub-threshold)"),
         }

@@ -1,5 +1,6 @@
 //! Checkpointable logical-error-rate sweep: the campaign-runner front
-//! door, and the binary the CI kill/resume smoke leg drives.
+//! door, and the binary the kill/resume tests in
+//! `crates/bench/tests/campaign_cli.rs` drive.
 //!
 //! Runs a fixed `(d × p)` batch-QECOOL sweep — under phenomenological
 //! noise by default, or any `--noise family[:k=v,…]` of the
@@ -24,9 +25,7 @@
 
 use qecool::json::{obj, Json};
 use qecool_bench::{fmt_rate, perf::BenchRecord, Options, TextTable};
-use qecool_sim::{
-    CampaignJob, CampaignReport, CampaignStatus, DecoderKind, JobStatus, NoiseSpec, TrialConfig,
-};
+use qecool_sim::{CampaignJob, CampaignReport, CampaignStatus, DecoderKind, JobStatus, NoiseSpec};
 
 /// The sweep grid: small enough for CI smoke runs, wide enough to give
 /// the adaptive stop rule points of genuinely different CI widths.
@@ -88,36 +87,15 @@ fn render_results(noise: NoiseSpec, jobs: &[CampaignJob], report: &CampaignRepor
 }
 
 fn main() {
-    let (opts, campaign) = Options::parse_campaign(200);
+    let (opts, campaign) = Options::parse_campaign(200, true);
     let engine = opts.engine();
     let start = std::time::Instant::now();
     // The spec fixes family + shape parameters; the PS axis replaces
     // the rate per point. Swapping the family changes the job-list
     // hash, so checkpoints never resume across families.
     let noise = opts.noise_or(NoiseSpec::Phenomenological { p: 0.0 });
-
-    let jobs: Vec<CampaignJob> = DS
-        .iter()
-        .flat_map(|&d| {
-            PS.iter().map(move |&p| CampaignJob {
-                trial: TrialConfig {
-                    d,
-                    rounds: if matches!(noise, NoiseSpec::CodeCapacity { .. }) {
-                        1
-                    } else {
-                        d
-                    },
-                    decoder: DecoderKind::BatchQecool,
-                    noise: noise.with_rate(p),
-                    boundary_penalty: qecool::DEFAULT_BOUNDARY_PENALTY,
-                },
-                shots: opts.shots,
-            })
-        })
-        .collect();
-
-    let mut runner = campaign.runner(&engine, jobs.clone(), opts.seed);
-    let report = campaign.drive(&mut runner);
+    let jobs = CampaignJob::grid(DecoderKind::BatchQecool, noise, &DS, &PS, opts.shots);
+    let report = campaign.run(&engine, &jobs, opts.seed);
 
     let mut table = TextTable::new(["d", "p", "shots", "failures", "rate (CP 95%)", "status"]);
     for ((job, mc), &status) in jobs.iter().zip(&report.results).zip(&report.job_status) {

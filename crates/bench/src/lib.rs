@@ -51,20 +51,41 @@ impl Options {
     /// arguments — notably `--threads 0`, which is rejected rather than
     /// silently handed to the engine.
     pub fn parse(default_shots: usize) -> Self {
-        Self::parse_internal(default_shots, None)
+        Self::parse_internal(default_shots, None, "")
     }
 
     /// Like [`Self::parse`], but additionally accepts the campaign flag
     /// set (`--checkpoint`, `--resume`, `--target-ci`, …) used by the
     /// checkpoint/restart-capable bins (`sweep`, `table4`).
-    pub fn parse_campaign(default_shots: usize) -> (Self, CampaignOpts) {
+    /// `writes_results` says whether the binary writes a `--results`
+    /// JSON; if it does not, `--results` is left out of `--help` and
+    /// exits 2 instead of being accepted and ignored.
+    pub fn parse_campaign(default_shots: usize, writes_results: bool) -> (Self, CampaignOpts) {
         let mut campaign = CampaignOpts::default();
-        let opts = Self::parse_internal(default_shots, Some(&mut campaign));
+        let results_usage = if writes_results {
+            " [--results FILE]"
+        } else {
+            ""
+        };
+        let usage = format!(
+            " [--checkpoint FILE] [--resume] [--target-ci W] [--budget N] \
+             [--chunk-shots N] [--round-chunks N] [--kill-after-chunks K]{results_usage}"
+        );
+        let opts = Self::parse_internal(default_shots, Some(&mut campaign), &usage);
+        if !writes_results && campaign.results.is_some() {
+            usage_error(
+                "--results is a sweep flag: this binary writes no results JSON (use --out FILE)",
+            );
+        }
         campaign.validate();
         (opts, campaign)
     }
 
-    fn parse_internal(default_shots: usize, mut campaign: Option<&mut CampaignOpts>) -> Self {
+    fn parse_internal(
+        default_shots: usize,
+        mut campaign: Option<&mut CampaignOpts>,
+        campaign_usage: &str,
+    ) -> Self {
         let mut opts = Self {
             shots: default_shots,
             seed: 2021,
@@ -97,13 +118,6 @@ impl Options {
                     opts.noise = Some(parse_noise(&v));
                 }
                 "--help" | "-h" => {
-                    let campaign_usage = if campaign.is_some() {
-                        " [--checkpoint FILE] [--resume] [--target-ci W] [--budget N] \
-                         [--chunk-shots N] [--round-chunks N] [--kill-after-chunks K] \
-                         [--results FILE]"
-                    } else {
-                        ""
-                    };
                     eprintln!(
                         "usage: [--shots N] [--seed S] [--fast] [--smoke] [--threads N] \
                          [--out FILE] [--json FILE] [--noise SPEC]{campaign_usage}"
@@ -194,12 +208,14 @@ pub fn parse_rate(value: &str, flag: &str) -> f64 {
 ///   narrower than `W`;
 /// * `--budget N` — extra shots available to the stop rule (default 0);
 /// * `--chunk-shots N` / `--round-chunks N` — scheduling granularity
-///   (results never depend on either);
-/// * `--kill-after-chunks K` — crash simulation for the kill/resume CI
-///   leg: abort the process (after the round checkpoint at or after
+///   (results never depend on either; rounds only matter with a
+///   checkpoint, a stop rule or a kill);
+/// * `--kill-after-chunks K` — crash simulation for the kill/resume
+///   tests: abort the process (after the round checkpoint at or after
 ///   chunk `K`) the way SIGKILL would;
-/// * `--results FILE` — write the final per-point results as
-///   deterministic JSON (the byte-compare artifact of the CI leg).
+/// * `--results FILE` — `sweep` only: write the final per-point results
+///   as deterministic JSON (the byte-compare artifact of the kill/resume
+///   tests).
 #[derive(Debug, Clone)]
 pub struct CampaignOpts {
     /// Checkpoint file path (`--checkpoint`).
@@ -306,19 +322,27 @@ impl CampaignOpts {
         }
     }
 
-    /// Builds (or, under `--resume`, restores) the campaign runner,
-    /// wiring in the checkpoint path and the `--kill-after-chunks`
-    /// crash hook. Exits 2 with the named [`CampaignError`] message on
-    /// any checkpoint problem.
+    /// Runs `jobs` as one campaign to completion: built fresh or, under
+    /// `--resume`, restored from the checkpoint, with the checkpoint
+    /// path and the `--kill-after-chunks` crash hook wired in. Without
+    /// campaign flags (e.g. `CampaignOpts::default()`) the whole grid
+    /// runs as one engine batch.
+    ///
+    /// Exits 2 with the named [`CampaignError`] message on any
+    /// checkpoint problem. When `--kill-after-chunks` fires the process
+    /// **aborts** — the deterministic stand-in for SIGKILL (state is on
+    /// disk; the next `--resume` run must reproduce the uninterrupted
+    /// result byte-identically).
     ///
     /// [`CampaignError`]: qecool_sim::CampaignError
-    pub fn runner<'a>(
+    pub fn run(
         &self,
-        engine: &'a qecool_sim::DecodeEngine,
-        jobs: Vec<qecool_sim::CampaignJob>,
+        engine: &qecool_sim::DecodeEngine,
+        jobs: &[qecool_sim::CampaignJob],
         base_seed: u64,
-    ) -> qecool_sim::CampaignRunner<'a> {
+    ) -> qecool_sim::CampaignReport {
         let config = self.config(base_seed);
+        let jobs = jobs.to_vec();
         let mut runner = if self.resume {
             let path = self
                 .checkpoint
@@ -345,15 +369,6 @@ impl CampaignOpts {
         if let Some(k) = self.kill_after_chunks {
             runner = runner.interrupt_after_chunks(k);
         }
-        runner
-    }
-
-    /// Drives `runner` to completion. When `--kill-after-chunks` fires
-    /// the process **aborts** — the deterministic stand-in for SIGKILL
-    /// the CI crash leg uses (state is on disk; the next `--resume` run
-    /// must reproduce the uninterrupted result byte-identically). Exits
-    /// 2 with the named error message on checkpoint failures.
-    pub fn drive(&self, runner: &mut qecool_sim::CampaignRunner<'_>) -> qecool_sim::CampaignReport {
         match runner.run() {
             Ok(qecool_sim::RunOutcome::Complete(report)) => report,
             Ok(qecool_sim::RunOutcome::Interrupted { chunks_run }) => {

@@ -1,12 +1,14 @@
-//! Process-level campaign checks against the `sweep` binary: the
-//! crash/resume cycle produces byte-identical results files, and every
+//! Process-level campaign checks against the `sweep` and `table4`
+//! binaries: the crash/resume cycle (a deterministic abort and a real
+//! SIGKILL) produces byte-identical results files, every
 //! corrupt/mismatched-checkpoint failure exits 2 with a named error on
-//! stderr (never a silent fresh start). CI's `campaign-smoke` leg
-//! repeats the same recipe with a real `kill -9`.
+//! stderr (never a silent fresh start), and `table4` prints the same
+//! table with or without a checkpoint.
 
 use std::fs;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -90,6 +92,81 @@ fn crash_and_resume_produces_byte_identical_results() {
     ]);
     assert!(out.status.success(), "resume run: {}", stderr_of(&out));
 
+    let want = fs::read(&reference).expect("reference results");
+    let got = fs::read(&resumed).expect("resumed results");
+    assert_eq!(got, want, "resumed results differ from uninterrupted run");
+
+    for p in [&reference, &resumed, &checkpoint] {
+        let _ = fs::remove_file(p);
+    }
+}
+
+#[test]
+fn sigkill_mid_campaign_and_resume_produces_byte_identical_results() {
+    // 2 × 3 grid, 120 shots per point at chunk size 16: 48 chunks in
+    // rounds of 2.
+    let flags = [
+        "--shots",
+        "120",
+        "--threads",
+        "2",
+        "--seed",
+        "2021",
+        "--chunk-shots",
+        "16",
+        "--round-chunks",
+        "2",
+    ];
+    let sweep = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_sweep"));
+        cmd.args(flags);
+        cmd
+    };
+    let reference = temp_path("kill9_ref.json");
+    let resumed = temp_path("kill9_out.json");
+    let checkpoint = temp_path("kill9_cp.json");
+    for p in [&reference, &resumed, &checkpoint] {
+        let _ = fs::remove_file(p);
+    }
+
+    let out = sweep()
+        .arg("--results")
+        .arg(&reference)
+        .output()
+        .expect("spawn sweep binary");
+    assert!(out.status.success(), "reference run: {}", stderr_of(&out));
+
+    let mut victim = sweep()
+        .arg("--checkpoint")
+        .arg(&checkpoint)
+        .arg("--results")
+        .arg(&resumed)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn sweep binary");
+    // The runner writes a zero-progress checkpoint before round 1, and
+    // every write is an atomic rename, so a non-empty file is whole.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while fs::metadata(&checkpoint).map_or(true, |m| m.len() == 0) {
+        assert!(Instant::now() < deadline, "no checkpoint within 60 s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    victim.kill().expect("SIGKILL the sweep");
+    victim.wait().expect("reap the killed sweep");
+    // A victim that finished before the kill wrote its results; the
+    // resumed run must write them itself.
+    let _ = fs::remove_file(&resumed);
+
+    let out = sweep()
+        .arg("--checkpoint")
+        .arg(&checkpoint)
+        .arg("--resume")
+        .arg("--results")
+        .arg(&resumed)
+        .output()
+        .expect("spawn sweep binary");
+    assert!(out.status.success(), "resume run: {}", stderr_of(&out));
     let want = fs::read(&reference).expect("reference results");
     let got = fs::read(&resumed).expect("resumed results");
     assert_eq!(got, want, "resumed results differ from uninterrupted run");
@@ -190,4 +267,49 @@ fn table4_rejects_results_instead_of_writing_nothing() {
         .expect("spawn table4 binary");
     assert_exit_2(&out, "--results");
     assert!(!results.exists(), "table4 must not create the results file");
+}
+
+#[test]
+fn help_lists_results_only_for_sweep() {
+    let help = |bin: &str| {
+        let out = Command::new(bin)
+            .arg("--help")
+            .output()
+            .expect("spawn binary");
+        assert!(out.status.success(), "{bin} --help: {}", stderr_of(&out));
+        stderr_of(&out) + &String::from_utf8_lossy(&out.stdout)
+    };
+    let sweep = help(env!("CARGO_BIN_EXE_sweep"));
+    assert!(sweep.contains("--results"), "sweep --help:\n{sweep}");
+    let table4 = help(env!("CARGO_BIN_EXE_table4"));
+    assert!(table4.contains("--checkpoint"), "table4 --help:\n{table4}");
+    assert!(!table4.contains("--results"), "table4 --help:\n{table4}");
+}
+
+#[test]
+fn table4_prints_the_same_table_with_and_without_a_checkpoint() {
+    // table4 has one campaign path: a checkpoint only makes it
+    // resumable, it never changes the seeds or the result.
+    let checkpoint = temp_path("table4_cp.json");
+    let _ = fs::remove_file(&checkpoint);
+    let table4 = |extra: &[&std::ffi::OsStr]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_table4"))
+            .args(["--smoke", "--threads", "2"])
+            .args(extra)
+            .output()
+            .expect("spawn table4 binary");
+        assert!(out.status.success(), "table4: {}", stderr_of(&out));
+        out.stdout
+    };
+    let plain = table4(&[]);
+    let checkpointed = table4(&["--checkpoint".as_ref(), checkpoint.as_os_str()]);
+    assert!(
+        checkpoint.exists(),
+        "table4 --checkpoint wrote no checkpoint"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&plain),
+        String::from_utf8_lossy(&checkpointed)
+    );
+    let _ = fs::remove_file(&checkpoint);
 }

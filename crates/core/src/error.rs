@@ -39,9 +39,9 @@ impl FatalError for PackedError {}
 
 /// Prints `error: {err}` on stderr and exits with the error's
 /// [`FatalError::exit_code`]. The single exit path of every bench
-/// binary's error handling — the CI campaign-smoke leg greps the
-/// rendered message (e.g. `corrupt checkpoint`) and asserts the status,
-/// so both are fixed here rather than per binary.
+/// binary's error handling — the bench CLI tests match the rendered
+/// message (e.g. `corrupt checkpoint`) and assert the status, so both
+/// are fixed here rather than per binary.
 pub fn exit_with(err: &dyn FatalError) -> ! {
     eprintln!("error: {err}");
     std::process::exit(err.exit_code());

@@ -62,4 +62,4 @@ pub use config::{QecoolConfig, DEFAULT_BOUNDARY_PENALTY, PAPER_REG_CAPACITY, PAP
 pub use decoder::{QecoolDecoder, RunReport};
 pub use error::{exit_with, FatalError};
 pub use reg::{RegFile, RegOverflow};
-pub use stats::{CycleSummary, ExecStats, MatchKind, MatchRecord};
+pub use stats::{ExecStats, MatchKind, MatchRecord};

@@ -2,7 +2,8 @@
 //!
 //! Table III of the paper reports per-layer execution cycles (Max / Avg /
 //! σ); Fig. 4(b) reports the distribution of vertical (temporal) match
-//! extents. Both are gathered here while the decoder runs.
+//! extents. Both are gathered here while the decoder runs; the
+//! simulator's `CycleAggregate` reduces the cycles to Max / Avg / σ.
 
 use qecool_surface_code::{Ancilla, Boundary};
 use serde::{Deserialize, Serialize};
@@ -53,19 +54,6 @@ pub struct MatchRecord {
     pub layer: usize,
     /// How the event was resolved.
     pub kind: MatchKind,
-}
-
-/// Summary statistics of a cycle-count sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CycleSummary {
-    /// Largest per-layer cycle count observed.
-    pub max: u64,
-    /// Mean per-layer cycle count.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Number of retired layers in the sample.
-    pub count: usize,
 }
 
 /// Telemetry accumulated by one decoder instance.
@@ -132,11 +120,6 @@ impl ExecStats {
         self.timeouts
     }
 
-    /// Max / mean / σ of the per-layer cycle counts (Table III row).
-    pub fn layer_cycle_summary(&self) -> CycleSummary {
-        summarize(&self.layer_cycles)
-    }
-
     /// Histogram of vertical match extents: `hist[dt]` counts matches with
     /// temporal separation `dt` (Fig. 4(b) input).
     pub fn vertical_extent_histogram(&self) -> Vec<usize> {
@@ -173,55 +156,9 @@ impl ExecStats {
     }
 }
 
-/// Max / mean / σ of a sample of cycle counts.
-pub fn summarize(samples: &[u64]) -> CycleSummary {
-    if samples.is_empty() {
-        return CycleSummary {
-            max: 0,
-            mean: 0.0,
-            std_dev: 0.0,
-            count: 0,
-        };
-    }
-    let max = samples.iter().copied().max().unwrap_or(0);
-    let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
-    let var = samples
-        .iter()
-        .map(|&x| {
-            let d = x as f64 - mean;
-            d * d
-        })
-        .sum::<f64>()
-        / samples.len() as f64;
-    CycleSummary {
-        max,
-        mean,
-        std_dev: var.sqrt(),
-        count: samples.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_of_empty_sample() {
-        let s = summarize(&[]);
-        assert_eq!(s.max, 0);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let s = summarize(&[2, 4, 6]);
-        assert_eq!(s.max, 6);
-        assert_eq!(s.count, 3);
-        assert!((s.mean - 4.0).abs() < 1e-12);
-        // Population std of {2,4,6} is sqrt(8/3).
-        assert!((s.std_dev - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
 
     #[test]
     fn vertical_extent_accounting() {
@@ -283,8 +220,5 @@ mod tests {
         assert_eq!(st.layer_cycles(), &[10, 30]);
         assert_eq!(st.total_cycles(), 40);
         assert_eq!(st.timeouts(), 1);
-        let s = st.layer_cycle_summary();
-        assert_eq!(s.max, 30);
-        assert_eq!(s.count, 2);
     }
 }

@@ -18,7 +18,9 @@
 //!   seed and the trial's logical position only. Chunk boundaries,
 //!   thread counts and interruptions never touch seeds.
 //! * Work is planned in **rounds** of at most
-//!   [`CampaignConfig::round_chunks`] chunks. Every planning decision
+//!   [`CampaignConfig::round_chunks`] chunks; a campaign with no
+//!   checkpoint path, no stop rule and no injected interrupt plans its
+//!   whole quota as one round (one engine batch). Every planning decision
 //!   (including adaptive reallocation) is a pure function of the
 //!   accumulated per-job tallies, so replanning after a restart
 //!   reproduces the original schedule exactly.
@@ -116,8 +118,8 @@ fn splitmix(mut z: u64) -> u64 {
 /// base seed `base`.
 ///
 /// This is the **one** audited seed-splitting function of the
-/// workspace: the engine, the sweep drivers and the campaign runner all
-/// derive per-trial seeds through it. It replaces the historic
+/// workspace: the engine and the campaign runner derive per-trial
+/// seeds through it. It replaces the historic
 /// `base_seed + index` arithmetic, whose streams collided wholesale for
 /// adjacent base seeds (`base` and `base + 1` shared all but one trial
 /// seed) and for adjacent jobs seeded `base + k·stride`.
@@ -165,7 +167,9 @@ pub struct CampaignConfig {
     /// Chunk size never affects results, only granularity.
     pub chunk_shots: usize,
     /// Maximum chunks planned (and executed as one engine batch) per
-    /// round; a checkpoint is written after every round. Smaller values
+    /// round; a checkpoint is written after every round. Ignored, so
+    /// the whole quota is one round, when the runner has no checkpoint
+    /// path, stop rule or injected interrupt. Smaller values
     /// bound the work lost to preemption, larger values amortize
     /// serialization. Part of the checkpoint-compatibility config: the
     /// adaptive schedule replans at round boundaries, so resuming with
@@ -514,18 +518,23 @@ impl<'a> CampaignRunner<'a> {
     /// plan means the campaign is finished (converged, quota-complete,
     /// or out of budget).
     fn plan_round(&mut self) -> Vec<ChunkAlloc> {
-        let cap = self.config.round_chunks;
+        // Nothing can observe a campaign mid-run without a checkpoint,
+        // a stop rule or an interrupt, so its whole quota is one round:
+        // one engine batch, as wide as the pool.
+        let unobserved = self.checkpoint_path.is_none()
+            && self.config.stop.is_none()
+            && self.interrupt_after_chunks.is_none();
+        let cap = if unobserved {
+            usize::MAX
+        } else {
+            self.config.round_chunks
+        };
         let chunk = self.config.chunk_shots as u64;
         let mut round = Vec::new();
         // Phase 1: initial quotas, in job order.
         for (idx, job) in self.jobs.iter().enumerate() {
             let quota = job.shots as u64;
-            let mut start = self.state[idx].mc.shots as u64
-                + round
-                    .iter()
-                    .filter(|a: &&ChunkAlloc| a.job == idx)
-                    .map(|a| a.len as u64)
-                    .sum::<u64>();
+            let mut start = self.state[idx].mc.shots as u64;
             while start < quota && round.len() < cap {
                 let len = chunk.min(quota - start);
                 round.push(ChunkAlloc {
@@ -1022,6 +1031,33 @@ mod tests {
                 assert_eq!(report.status, CampaignStatus::QuotaComplete);
             }
         }
+    }
+
+    #[test]
+    fn unobserved_campaign_plans_its_whole_quota_as_one_round() {
+        // 130 + 70 shots at 16 per chunk: 9 + 5 chunks.
+        let jobs = vec![job(3, 0.02, 130), job(5, 0.05, 70)];
+        let engine = DecodeEngine::with_threads(1);
+        let config = CampaignConfig {
+            base_seed: 1,
+            chunk_shots: 16,
+            round_chunks: 2,
+            stop: None,
+        };
+        let runner = || CampaignRunner::new(&engine, jobs.clone(), config);
+        assert_eq!(runner().plan_round().len(), 14);
+        // Anything that can observe the campaign between rounds keeps
+        // the configured round size.
+        let never_written = std::env::temp_dir().join("qecool_plan_round_unused.json");
+        assert_eq!(runner().checkpoint_to(never_written).plan_round().len(), 2);
+        assert_eq!(runner().interrupt_after_chunks(99).plan_round().len(), 2);
+        let stop = Some(StopRule {
+            target_ci_width: 0.5,
+            extra_shot_budget: 0,
+        });
+        let mut stopped =
+            CampaignRunner::new(&engine, jobs.clone(), CampaignConfig { stop, ..config });
+        assert_eq!(stopped.plan_round().len(), 2);
     }
 
     proptest! {

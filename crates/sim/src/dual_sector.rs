@@ -121,7 +121,7 @@ mod tests {
     fn dual_rate_at_least_single_rate() {
         let cfg = TrialConfig::standard(3, 0.05, DecoderKind::BatchQecool);
         let dual = dual_sector_error_rate(&cfg, 150, 3);
-        let single = crate::montecarlo::run_monte_carlo(&cfg, 150, 3);
+        let single = crate::engine::DecodeEngine::new().run(&cfg, 150, 3);
         assert!(
             dual.rate() >= single.logical_error_rate().rate(),
             "dual {} < single {}",

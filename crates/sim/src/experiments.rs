@@ -1,116 +1,46 @@
-//! Sweep drivers: the reusable loops behind the paper's figures/tables.
+//! The `(d × p)` grids behind the paper's figures and tables.
+//!
+//! A grid is a list of [`CampaignJob`]s built by [`CampaignJob::grid`]
+//! over a rate axis such as [`log_grid`]; every benchmark binary runs
+//! its grids through a [`CampaignRunner`](crate::campaign::CampaignRunner)
+//! and reads threshold curves off the results with
+//! [`curves`](crate::threshold::curves).
 
-use crate::engine::{DecodeEngine, McJob};
-use crate::montecarlo::McResult;
-use crate::threshold::Curve;
+use crate::campaign::CampaignJob;
 use crate::trials::{DecoderKind, TrialConfig};
 use qecool_surface_code::NoiseSpec;
 
-/// One `(d, p)` sample of a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Code distance.
-    pub d: usize,
-    /// Physical error rate.
-    pub p: f64,
-    /// Monte-Carlo aggregate at this point.
-    pub mc: McResult,
-}
-
-/// Result of a full `(d × p)` sweep for one decoder.
-#[derive(Debug, Clone, Default)]
-pub struct Sweep {
-    /// All sampled points, grouped by `d` then ascending `p`.
-    pub points: Vec<SweepPoint>,
-}
-
-impl Sweep {
-    /// Extracts the logical-error-rate curves (one per distance), suitable
-    /// for [`estimate_threshold`](crate::threshold::estimate_threshold).
-    pub fn curves(&self) -> Vec<Curve> {
-        let mut ds: Vec<usize> = self.points.iter().map(|pt| pt.d).collect();
-        ds.sort_unstable();
-        ds.dedup();
-        ds.into_iter()
-            .map(|d| {
-                let pts = self
-                    .points
-                    .iter()
-                    .filter(|pt| pt.d == d)
-                    .map(|pt| (pt.p, pt.mc.logical_error_rate().rate()))
-                    .collect();
-                Curve::new(d, pts)
+impl CampaignJob {
+    /// The `(d × p)` grid of `decoder` under `noise`, `shots` trials per
+    /// point, in row-major order: job `di * ps.len() + pi` samples
+    /// `(ds[di], ps[pi])`, and the job index is the point's seed stream.
+    ///
+    /// Each point moves `noise` along the rate axis with
+    /// [`NoiseSpec::with_rate`]; shape parameters (`q`, `eta`, burst
+    /// geometry) stay fixed. Code-capacity points run one perfectly
+    /// measured round; every other family runs `d` noisy rounds.
+    pub fn grid(
+        decoder: DecoderKind,
+        noise: NoiseSpec,
+        ds: &[usize],
+        ps: &[f64],
+        shots: usize,
+    ) -> Vec<CampaignJob> {
+        let code_capacity = matches!(noise, NoiseSpec::CodeCapacity { .. });
+        ds.iter()
+            .flat_map(|&d| {
+                ps.iter().map(move |&p| CampaignJob {
+                    trial: TrialConfig {
+                        d,
+                        rounds: if code_capacity { 1 } else { d },
+                        decoder,
+                        noise: noise.with_rate(p),
+                        boundary_penalty: qecool::DEFAULT_BOUNDARY_PENALTY,
+                    },
+                    shots,
+                })
             })
             .collect()
-    }
-
-    /// Finds the sample at `(d, p)` if present.
-    pub fn point(&self, d: usize, p: f64) -> Option<&SweepPoint> {
-        self.points
-            .iter()
-            .find(|pt| pt.d == d && (pt.p - p).abs() < 1e-15)
-    }
-}
-
-/// Runs a full `(d × p)` logical-error-rate sweep on the given engine.
-///
-/// `shots_for(d, p)` lets callers spend more shots where rates are
-/// small. Each `(d, p)` point runs on seed stream `di * ps.len() + pi`
-/// (row-major grid index) of `base_seed` via
-/// [`campaign::derive_seed`](crate::campaign::derive_seed), so the sweep
-/// is reproducible and a [`CampaignRunner`](crate::campaign) built over
-/// the same grid, seed and quotas produces byte-identical aggregates.
-/// All points go onto the engine's queue as one batch, so workers drain
-/// cheap points and heavy points from the same pool instead of
-/// synchronizing per point.
-pub fn sweep_on<F>(
-    engine: &DecodeEngine,
-    decoder: DecoderKind,
-    noise: NoiseSpec,
-    ds: &[usize],
-    ps: &[f64],
-    base_seed: u64,
-    mut shots_for: F,
-) -> Sweep
-where
-    F: FnMut(usize, f64) -> usize,
-{
-    let mut jobs = Vec::with_capacity(ds.len() * ps.len());
-    for (di, &d) in ds.iter().enumerate() {
-        for (pi, &p) in ps.iter().enumerate() {
-            let trial = TrialConfig {
-                d,
-                rounds: if matches!(noise, NoiseSpec::CodeCapacity { .. }) {
-                    1
-                } else {
-                    d
-                },
-                decoder,
-                // The sweep moves the spec along the rate axis; shape
-                // parameters (q, eta, burst geometry) stay fixed.
-                noise: noise.with_rate(p),
-                boundary_penalty: qecool::DEFAULT_BOUNDARY_PENALTY,
-            };
-            jobs.push(McJob {
-                trial,
-                shots: shots_for(d, p),
-                base_seed,
-                stream: (di * ps.len() + pi) as u64,
-                first_trial: 0,
-            });
-        }
-    }
-    let results = engine.run_batch(&jobs);
-    Sweep {
-        points: jobs
-            .iter()
-            .zip(results)
-            .map(|(job, mc)| SweepPoint {
-                d: job.trial.d,
-                p: job.trial.p(),
-                mc,
-            })
-            .collect(),
     }
 }
 
@@ -130,6 +60,9 @@ pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CampaignConfig, CampaignRunner, RunOutcome};
+    use crate::engine::DecodeEngine;
+    use crate::threshold::curves;
 
     #[test]
     fn log_grid_endpoints_and_monotonicity() {
@@ -147,40 +80,56 @@ mod tests {
     }
 
     #[test]
-    fn small_sweep_produces_curves() {
-        let s = sweep_on(
-            &DecodeEngine::with_threads(2),
+    fn grid_is_row_major_and_sets_rounds_per_family() {
+        let ps = [0.002, 0.02];
+        let jobs = CampaignJob::grid(
+            DecoderKind::BatchQecool,
+            NoiseSpec::Asymmetric { p: 0.0, q: 0.03 },
+            &[3, 5],
+            &ps,
+            12,
+        );
+        let points: Vec<(usize, usize, f64)> = jobs
+            .iter()
+            .map(|j| (j.trial.d, j.trial.rounds, j.trial.p()))
+            .collect();
+        assert_eq!(
+            points,
+            [(3, 3, 0.002), (3, 3, 0.02), (5, 5, 0.002), (5, 5, 0.02)]
+        );
+        assert!(jobs.iter().all(|j| j.shots == 12));
+        assert_eq!(
+            jobs[1].trial.noise,
+            NoiseSpec::Asymmetric { p: 0.02, q: 0.03 }
+        );
+        let capacity = CampaignJob::grid(
+            DecoderKind::UnionFind,
+            NoiseSpec::CodeCapacity { p: 0.0 },
+            &[5],
+            &ps,
+            1,
+        );
+        assert!(capacity.iter().all(|j| j.trial.rounds == 1));
+    }
+
+    #[test]
+    fn small_grid_produces_curves() {
+        let jobs = CampaignJob::grid(
             DecoderKind::BatchQecool,
             NoiseSpec::Phenomenological { p: 0.0 },
             &[3, 5],
             &[0.002, 0.02],
-            1,
-            |_, _| 12,
+            12,
         );
-        assert_eq!(s.points.len(), 4);
-        let curves = s.curves();
+        let engine = DecodeEngine::with_threads(2);
+        let mut runner = CampaignRunner::new(&engine, jobs.clone(), CampaignConfig::with_seed(1));
+        let Ok(RunOutcome::Complete(report)) = runner.run() else {
+            panic!("no checkpoint or interrupt configured");
+        };
+        assert!(report.results.iter().all(|mc| mc.shots == 12));
+        let curves = curves(&jobs, &report.results);
         assert_eq!(curves.len(), 2);
         assert_eq!(curves[0].d, 3);
         assert_eq!(curves[0].points.len(), 2);
-        assert!(s.point(5, 0.02).is_some());
-        assert!(s.point(7, 0.02).is_none());
-    }
-
-    #[test]
-    fn sweep_is_reproducible() {
-        let run = || {
-            sweep_on(
-                &DecodeEngine::with_threads(2),
-                DecoderKind::BatchQecool,
-                NoiseSpec::Phenomenological { p: 0.0 },
-                &[3],
-                &[0.05],
-                9,
-                |_, _| 25,
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.points[0].mc.failures, b.points[0].mc.failures);
     }
 }

@@ -24,33 +24,51 @@
 //! * [`shard`] — the multi-tenant front end: N locked service shards
 //!   behind `&self`, sessions routed by id, so producers on different
 //!   shards never contend;
-//! * [`montecarlo`] — the [`McResult`] aggregate and the classic
-//!   single-campaign wrapper over the engine;
-//! * [`campaign`] — adaptive campaigns over the engine: chunked
-//!   deterministic execution, Clopper–Pearson stop rules, and versioned
-//!   JSON checkpoints whose resume is byte-identical to an
-//!   uninterrupted run (plus [`campaign::derive_seed`], the workspace's
-//!   one audited seed-splitting function);
+//! * [`montecarlo`] — the [`McResult`] aggregate of one job;
+//! * [`campaign`] — the one sweep driver: every `(d × p)` grid runs as
+//!   a campaign over the engine, with chunked deterministic execution,
+//!   Clopper–Pearson stop rules, and versioned JSON checkpoints whose
+//!   resume is byte-identical to an uninterrupted run (plus
+//!   [`campaign::derive_seed`], the workspace's one audited
+//!   seed-splitting function);
 //! * [`stats`] — binomial rate estimates (Wilson and exact
 //!   Clopper–Pearson intervals, width inversion for stop rules) and
 //!   streaming cycle aggregates;
 //! * [`threshold`] — accuracy-threshold (`p_th`) estimation from curve
 //!   crossings, the quantity Figs. 4(a) and 7 report;
-//! * [`experiments`] — the `(d × p)` sweep drivers the benchmark binaries
-//!   build on;
+//! * [`experiments`] — the `(d × p)` grids the benchmark binaries
+//!   build: [`CampaignJob::grid`] job lists over [`log_grid`] rate axes;
 //! * [`dual_sector`] — both-sector (X *and* Z) logical-qubit trials,
 //!   exploiting the paper's mirror-symmetry argument (§IV footnote 3).
 //!
 //! # Example
 //!
 //! ```
-//! use qecool_sim::montecarlo::run_monte_carlo;
-//! use qecool_sim::trials::{DecoderKind, TrialConfig};
+//! use qecool_sim::{
+//!     curves, estimate_threshold, CampaignConfig, CampaignJob, CampaignRunner, DecodeEngine,
+//!     DecoderKind, NoiseSpec, RunOutcome, TrialConfig,
+//! };
 //!
+//! let engine = DecodeEngine::with_threads(2);
 //! // 30 shots of a d = 3 memory experiment at p = 0.5% under batch-QECOOL.
 //! let cfg = TrialConfig::standard(3, 0.005, DecoderKind::BatchQecool);
-//! let result = run_monte_carlo(&cfg, 30, 42);
+//! let result = engine.run(&cfg, 30, 42);
 //! println!("logical error rate: {}", result.logical_error_rate());
+//!
+//! // A (d × p) grid, run as one campaign and read off as threshold curves.
+//! let jobs = CampaignJob::grid(
+//!     DecoderKind::BatchQecool,
+//!     NoiseSpec::Phenomenological { p: 0.0 },
+//!     &[3, 5],
+//!     &[0.01, 0.05],
+//!     20,
+//! );
+//! let mut runner = CampaignRunner::new(&engine, jobs.clone(), CampaignConfig::with_seed(42));
+//! let Ok(RunOutcome::Complete(report)) = runner.run() else {
+//!     unreachable!("no checkpoint or interrupt configured");
+//! };
+//! let estimate = estimate_threshold(&curves(&jobs, &report.results));
+//! println!("threshold: {:?}", estimate.map(|e| e.pth));
 //! ```
 
 #![deny(missing_docs)]
@@ -75,15 +93,15 @@ pub use campaign::{
 };
 pub use dual_sector::{dual_sector_error_rate, run_dual_sector_trial, DualSectorOutcome};
 pub use engine::{DecodeEngine, EngineConfig, EngineTally, McJob};
-pub use experiments::{log_grid, sweep_on, Sweep, SweepPoint};
-pub use montecarlo::{run_monte_carlo, McResult};
+pub use experiments::log_grid;
+pub use montecarlo::McResult;
 pub use service::{
     DecodeService, LatencyStats, Polled, ServiceBackend, ServiceConfig, ServiceError, SessionId,
     SessionReport,
 };
 pub use shard::{ShardStats, ShardedDecodeService, ShardedServiceConfig};
 pub use stats::{CycleAggregate, RateEstimate};
-pub use threshold::{estimate_threshold, Curve, ThresholdEstimate};
+pub use threshold::{curves, estimate_threshold, Curve, ThresholdEstimate};
 pub use trials::{run_trial, DecoderKind, TrialConfig, TrialOutcome};
 // The noise-family matrix lives in `qecool-surface-code`; re-exported
 // here because every `TrialConfig` carries one.

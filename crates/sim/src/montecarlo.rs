@@ -1,12 +1,9 @@
-//! Monte-Carlo aggregates and the classic single-campaign entry point.
-//!
-//! The actual parallel execution lives in [`crate::engine`]; this module
-//! keeps the [`McResult`] aggregate and the [`run_monte_carlo`]
-//! convenience wrapper every caller and test has always used.
+//! The Monte-Carlo aggregate: [`McResult`], what one job of
+//! [`DecodeEngine::run_batch`](crate::engine::DecodeEngine::run_batch)
+//! or one point of a [campaign](crate::campaign) adds up to.
 
-use crate::engine::DecodeEngine;
 use crate::stats::{CycleAggregate, RateEstimate};
-use crate::trials::{TrialConfig, TrialOutcome};
+use crate::trials::TrialOutcome;
 
 /// Aggregated result of a Monte-Carlo campaign at one parameter point.
 ///
@@ -83,37 +80,15 @@ impl McResult {
     }
 }
 
-/// Runs `shots` independent trials of `cfg` across all available CPU
-/// cores on a fresh [`DecodeEngine`]. Trial `i` uses seed
-/// [`derive_seed`](crate::campaign::derive_seed)`(base_seed, 0, i)`, so
-/// results are reproducible regardless of thread count and scheduling.
-///
-/// Callers running many campaigns should hold one engine and use
-/// [`DecodeEngine::run_batch`] so all campaigns share one worker pool.
-///
-/// # Example
-///
-/// ```
-/// use qecool_sim::montecarlo::run_monte_carlo;
-/// use qecool_sim::trials::{DecoderKind, TrialConfig};
-///
-/// let cfg = TrialConfig::standard(3, 0.01, DecoderKind::BatchQecool);
-/// let result = run_monte_carlo(&cfg, 20, 0);
-/// assert_eq!(result.shots, 20);
-/// ```
-pub fn run_monte_carlo(cfg: &TrialConfig, shots: usize, base_seed: u64) -> McResult {
-    DecodeEngine::new().run(cfg, shots, base_seed)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::trials::DecoderKind;
+    use crate::engine::DecodeEngine;
+    use crate::trials::{DecoderKind, TrialConfig};
 
     #[test]
     fn zero_noise_yields_zero_failures() {
         let cfg = TrialConfig::standard(3, 0.0, DecoderKind::BatchQecool);
-        let r = run_monte_carlo(&cfg, 50, 1);
+        let r = DecodeEngine::new().run(&cfg, 50, 1);
         assert_eq!(r.shots, 50);
         assert_eq!(r.failures, 0);
         assert_eq!(r.logical_error_rate().rate(), 0.0);
@@ -124,8 +99,8 @@ mod tests {
     #[test]
     fn results_reproducible_across_runs() {
         let cfg = TrialConfig::standard(5, 0.03, DecoderKind::BatchQecool);
-        let a = run_monte_carlo(&cfg, 60, 7);
-        let b = run_monte_carlo(&cfg, 60, 7);
+        let a = DecodeEngine::new().run(&cfg, 60, 7);
+        let b = DecodeEngine::new().run(&cfg, 60, 7);
         assert_eq!(a.failures, b.failures);
         assert_eq!(a.matches, b.matches);
         assert_eq!(a.layer_cycles, b.layer_cycles);
@@ -134,7 +109,7 @@ mod tests {
     #[test]
     fn high_noise_fails_often() {
         let cfg = TrialConfig::standard(3, 0.2, DecoderKind::BatchQecool);
-        let r = run_monte_carlo(&cfg, 60, 3);
+        let r = DecodeEngine::new().run(&cfg, 60, 3);
         assert!(
             r.failures > 10,
             "expected many failures at p = 0.2, got {}",
@@ -145,7 +120,7 @@ mod tests {
     #[test]
     fn vertical_fraction_sums_to_one_at_zero() {
         let cfg = TrialConfig::standard(5, 0.05, DecoderKind::BatchQecool);
-        let r = run_monte_carlo(&cfg, 30, 11);
+        let r = DecodeEngine::new().run(&cfg, 30, 11);
         assert!(r.matches > 0);
         assert!((r.vertical_extent_fraction(0) - 1.0).abs() < 1e-12);
         assert!(r.vertical_extent_fraction(3) <= r.vertical_extent_fraction(2));

@@ -9,6 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::campaign::CampaignJob;
+use crate::montecarlo::McResult;
+
 /// One decoder's logical-error-rate curve for a single code distance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Curve {
@@ -49,6 +52,26 @@ impl Curve {
         let t = (p.ln() - x0.ln()) / (x1.ln() - x0.ln());
         Some((y0.ln() + t * (y1.ln() - y0.ln())).exp())
     }
+}
+
+/// The logical-error-rate curves (one per distance, ascending) of a
+/// grid's jobs and their results, paired in order, suitable for
+/// [`estimate_threshold`].
+pub fn curves(jobs: &[CampaignJob], results: &[McResult]) -> Vec<Curve> {
+    let mut ds: Vec<usize> = jobs.iter().map(|job| job.trial.d).collect();
+    ds.sort_unstable();
+    ds.dedup();
+    ds.into_iter()
+        .map(|d| {
+            let points = jobs
+                .iter()
+                .zip(results)
+                .filter(|(job, _)| job.trial.d == d)
+                .map(|(job, mc)| (job.trial.p(), mc.logical_error_rate().rate()))
+                .collect();
+            Curve::new(d, points)
+        })
+        .collect()
 }
 
 /// The crossing point of two curves, if any.

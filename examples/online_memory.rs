@@ -15,6 +15,7 @@ use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
 use qecool_repro::sfq::power::{
     cycles_per_measurement, ersfq_power_w, FIG7_FREQUENCIES_HZ, MEASUREMENT_INTERVAL_S,
 };
+use qecool_repro::sim::CycleAggregate;
 use qecool_repro::surface_code::{CodePatch, Lattice, NoiseSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -66,12 +67,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = decoder.drain();
         corrections += report.corrections.len();
         patch.apply_corrections(report.corrections.iter().copied());
-        let s = decoder.stats().layer_cycle_summary();
+        let mut s = CycleAggregate::new();
+        for &cycles in decoder.stats().layer_cycles() {
+            s.push(cycles);
+        }
         println!(
             "ok — max backlog {max_backlog}/7 layers, {corrections} corrections, \
              per-layer cycles max {} avg {:.1}, logical error: {}",
             s.max,
-            s.mean,
+            s.mean(),
             patch.has_logical_error()
         );
     }

@@ -5,8 +5,9 @@
 //! at 1, 2 and 8 engine threads.
 //!
 //! CI re-runs this whole suite under `--test-threads 1/2/8` alongside
-//! `determinism.rs`, and a `campaign-smoke` leg repeats the kill/resume
-//! cycle at the process level (real SIGKILL on the `sweep` binary).
+//! `determinism.rs`, and `crates/bench/tests/campaign_cli.rs` repeats
+//! the kill/resume cycle at the process level (a real SIGKILL on the
+//! `sweep` binary).
 
 use std::fs;
 use std::path::PathBuf;
@@ -15,7 +16,7 @@ use qecool_repro::sim::campaign::{
     CampaignConfig, CampaignError, CampaignJob, CampaignRunner, RunOutcome, StopRule,
 };
 use qecool_repro::sim::{
-    sweep_on, DecodeEngine, DecoderKind, McJob, McResult, NoiseSpec, TrialConfig,
+    CycleAggregate, DecodeEngine, DecoderKind, McJob, McResult, NoiseSpec, TrialConfig,
 };
 
 /// A per-test scratch file in the OS temp dir (no tempfile crate in the
@@ -254,43 +255,62 @@ fn campaign_equals_monolithic_run_batch_across_threads() {
 }
 
 #[test]
-fn campaign_over_a_sweep_grid_reproduces_sweep_on() {
-    let ds = [3usize, 5];
-    let ps = [0.01f64, 0.03];
-    let engine = DecodeEngine::with_threads(2);
-    let sweep = sweep_on(
-        &engine,
+fn campaign_over_a_sweep_grid_reproduces_its_pinned_results() {
+    // The 2 × 2 batch-QECOOL grid at seed 7, 30 shots per point. The
+    // pins were recorded with the figure binaries' former grid driver,
+    // which ran the same row-major grid as one engine batch on seed
+    // stream `di * ps.len() + pi`, so they also pin that the figure
+    // grids kept their seeds when they moved onto the campaign runner.
+    let cycles = |count, sum, sum_sq, max| CycleAggregate {
+        count,
+        sum,
+        sum_sq,
+        max,
+    };
+    let pinned = [
+        (1, 18, cycles(120, 853, 17_981, 56), vec![9, 9]),
+        (3, 45, cycles(120, 1_408, 54_284, 89), vec![31, 13, 1]),
+        (0, 94, cycles(180, 4_160, 335_246, 250), vec![52, 41, 1]),
+        (
+            4,
+            247,
+            cycles(180, 7_836, 1_180_830, 334),
+            vec![133, 109, 3, 2],
+        ),
+    ];
+    let jobs = CampaignJob::grid(
         DecoderKind::BatchQecool,
         NoiseSpec::Phenomenological { p: 0.0 },
-        &ds,
-        &ps,
-        7,
-        |_, _| 30,
+        &[3, 5],
+        &[0.01, 0.03],
+        30,
     );
-    // The same grid as campaign jobs in row-major order: streams line
-    // up with sweep_on's, so the aggregates must be byte-identical.
-    let grid_jobs: Vec<CampaignJob> = ds
-        .iter()
-        .flat_map(|&d| {
-            ps.iter().map(move |&p| CampaignJob {
-                trial: TrialConfig {
-                    d,
-                    rounds: d,
-                    decoder: DecoderKind::BatchQecool,
-                    noise: NoiseSpec::Phenomenological { p },
-                    boundary_penalty: qecool_repro::decoder::DEFAULT_BOUNDARY_PENALTY,
-                },
-                shots: 30,
-            })
-        })
-        .collect();
     let mut campaign_config = config();
     campaign_config.base_seed = 7;
-    let mut runner = CampaignRunner::new(&engine, grid_jobs, campaign_config);
-    let results = complete(&mut runner);
-    assert_eq!(results.len(), sweep.points.len());
-    for (mc, point) in results.iter().zip(&sweep.points) {
-        assert_eq!(mc, &point.mc, "d = {}, p = {}", point.d, point.p);
+    for threads in [1usize, 2] {
+        let engine = DecodeEngine::with_threads(threads);
+        let mut runner = CampaignRunner::new(&engine, jobs.clone(), campaign_config);
+        let results = complete(&mut runner);
+        assert_eq!(results.len(), pinned.len());
+        for ((job, mc), (failures, matches, layer_cycles, vertical_hist)) in
+            jobs.iter().zip(&results).zip(pinned.clone())
+        {
+            let want = McResult {
+                shots: 30,
+                failures,
+                overflows: 0,
+                layer_cycles,
+                vertical_hist,
+                matches,
+            };
+            assert_eq!(
+                mc,
+                &want,
+                "threads {threads}, d = {}, p = {}",
+                job.trial.d,
+                job.trial.p()
+            );
+        }
     }
 }
 

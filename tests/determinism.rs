@@ -2,7 +2,7 @@
 //! physics, decoding decisions and telemetry across the whole stack.
 
 use qecool_repro::sim::{
-    run_monte_carlo, run_trial, DecodeEngine, DecoderKind, EngineConfig, McResult, TrialConfig,
+    run_trial, DecodeEngine, DecoderKind, EngineConfig, McResult, TrialConfig,
 };
 use qecool_repro::surface_code::{CodePatch, DetectionRound, Edge, Lattice, NoiseSpec};
 use qecool_repro::{
@@ -37,8 +37,8 @@ fn monte_carlo_is_schedule_independent() {
     // Thread scheduling must not leak into the aggregate: the per-trial
     // seeds are fixed, so repeated campaigns agree exactly.
     let cfg = TrialConfig::standard(5, 0.03, DecoderKind::BatchQecool);
-    let a = run_monte_carlo(&cfg, 200, 42);
-    let b = run_monte_carlo(&cfg, 200, 42);
+    let a = DecodeEngine::new().run(&cfg, 200, 42);
+    let b = DecodeEngine::new().run(&cfg, 200, 42);
     assert_eq!(a.failures, b.failures);
     assert_eq!(a.overflows, b.overflows);
     assert_eq!(a.matches, b.matches);
@@ -383,8 +383,8 @@ fn windowed_commit_streams_identical_across_shard_and_worker_counts() {
 #[test]
 fn base_seed_shifts_the_ensemble() {
     let cfg = TrialConfig::standard(5, 0.05, DecoderKind::BatchQecool);
-    let a = run_monte_carlo(&cfg, 300, 0);
-    let b = run_monte_carlo(&cfg, 300, 1_000_000);
+    let a = DecodeEngine::new().run(&cfg, 300, 0);
+    let b = DecodeEngine::new().run(&cfg, 300, 1_000_000);
     // Same distribution, different realizations: failure counts should
     // differ (with overwhelming probability) but stay in the same regime.
     assert_ne!(

@@ -2,7 +2,7 @@
 //! qualitative claims of the paper's evaluation must hold in this
 //! reproduction.
 
-use qecool_repro::sim::{run_monte_carlo, DecoderKind, TrialConfig};
+use qecool_repro::sim::{DecodeEngine, DecoderKind, TrialConfig};
 
 /// Below threshold, QEC must beat the unencoded qubit: the logical error
 /// rate over d rounds stays well under the physical per-round error rate.
@@ -17,7 +17,7 @@ fn qec_is_below_break_even_at_low_p() {
     ] {
         let p = 0.002;
         let cfg = TrialConfig::standard(7, p, decoder);
-        let mc = run_monte_carlo(&cfg, 600, 11);
+        let mc = DecodeEngine::new().run(&cfg, 600, 11);
         let (_, hi) = mc.logical_error_rate().wilson_interval();
         assert!(
             hi < p * cfg.rounds as f64,
@@ -32,12 +32,12 @@ fn qec_is_below_break_even_at_low_p() {
 #[test]
 fn distance_scaling_below_threshold() {
     let p = 0.003;
-    let small = run_monte_carlo(
+    let small = DecodeEngine::new().run(
         &TrialConfig::standard(3, p, DecoderKind::BatchQecool),
         1500,
         5,
     );
-    let large = run_monte_carlo(
+    let large = DecodeEngine::new().run(
         &TrialConfig::standard(9, p, DecoderKind::BatchQecool),
         1500,
         5,
@@ -57,12 +57,12 @@ fn distance_scaling_below_threshold() {
 #[test]
 fn mwpm_beats_qecool_near_threshold() {
     let p = 0.02;
-    let q = run_monte_carlo(
+    let q = DecodeEngine::new().run(
         &TrialConfig::standard(9, p, DecoderKind::BatchQecool),
         800,
         3,
     );
-    let m = run_monte_carlo(&TrialConfig::standard(9, p, DecoderKind::Mwpm), 800, 3);
+    let m = DecodeEngine::new().run(&TrialConfig::standard(9, p, DecoderKind::Mwpm), 800, 3);
     assert!(
         m.failures < q.failures,
         "MWPM ({}) should fail less than QECOOL ({}) at p = {p}",
@@ -77,7 +77,7 @@ fn mwpm_beats_qecool_near_threshold() {
 fn all_decoders_fail_above_threshold() {
     for decoder in [DecoderKind::BatchQecool, DecoderKind::Mwpm] {
         let cfg = TrialConfig::standard(5, 0.1, decoder);
-        let mc = run_monte_carlo(&cfg, 200, 17);
+        let mc = DecodeEngine::new().run(&cfg, 200, 17);
         assert!(
             mc.logical_error_rate().rate() > 0.2,
             "{decoder:?} suspiciously reliable at p = 0.1: {}",
@@ -92,12 +92,12 @@ fn all_decoders_fail_above_threshold() {
 #[test]
 fn online_at_2ghz_close_to_batch() {
     let p = 0.005;
-    let batch = run_monte_carlo(
+    let batch = DecodeEngine::new().run(
         &TrialConfig::standard(7, p, DecoderKind::BatchQecool),
         1200,
         23,
     );
-    let online = run_monte_carlo(
+    let online = DecodeEngine::new().run(
         &TrialConfig::standard(
             7,
             p,
@@ -125,19 +125,20 @@ fn lower_frequency_never_helps() {
     let rates: Vec<f64> = [500u64, 1000, 2000]
         .iter()
         .map(|&budget| {
-            run_monte_carlo(
-                &TrialConfig::standard(
-                    d,
-                    p,
-                    DecoderKind::OnlineQecool {
-                        budget_cycles: budget,
-                    },
-                ),
-                300,
-                31,
-            )
-            .logical_error_rate()
-            .rate()
+            DecodeEngine::new()
+                .run(
+                    &TrialConfig::standard(
+                        d,
+                        p,
+                        DecoderKind::OnlineQecool {
+                            budget_cycles: budget,
+                        },
+                    ),
+                    300,
+                    31,
+                )
+                .logical_error_rate()
+                .rate()
         })
         .collect();
     assert!(
@@ -147,7 +148,7 @@ fn lower_frequency_never_helps() {
         rates[2]
     );
     // And overflow must actually be the mechanism at 500 MHz, d = 13.
-    let slow = run_monte_carlo(
+    let slow = DecodeEngine::new().run(
         &TrialConfig::standard(d, p, DecoderKind::OnlineQecool { budget_cycles: 500 }),
         300,
         31,

@@ -7,7 +7,7 @@ use qecool_repro::sfq::power::{
     cycles_per_measurement, FIG7_FREQUENCIES_HZ, MEASUREMENT_INTERVAL_S,
 };
 use qecool_repro::sfq::timing::{max_clock_ghz, unit_critical_path_ps};
-use qecool_repro::sim::{run_monte_carlo, DecoderKind, TrialConfig};
+use qecool_repro::sim::{DecodeEngine, DecoderKind, TrialConfig};
 use qecool_repro::surface_code::Lattice;
 
 /// The hardware Unit count per logical qubit equals two sectors' worth of
@@ -53,7 +53,7 @@ fn average_layer_latency_fits_measurement_interval() {
             budget_cycles: 2000,
         },
     );
-    let mc = run_monte_carlo(&cfg, 200, 77);
+    let mc = DecodeEngine::new().run(&cfg, 200, 77);
     let avg_cycles = mc.layer_cycles.mean();
     let cycle_s = 1.0 / 2.0e9;
     assert!(
