@@ -113,6 +113,9 @@ pub struct DecodeStats {
     /// Matches resolved (union-find, which has no matches, counts its
     /// corrections).
     pub matches: usize,
+    /// Spike races that timed out and were left for a wider radius
+    /// (QECOOL only; 0 for the graph decoders).
+    pub timeouts: u64,
 }
 
 impl DecodeStats {
@@ -121,6 +124,7 @@ impl DecodeStats {
         self.layer_cycles.clear();
         self.vertical_hist.clear();
         self.matches = 0;
+        self.timeouts = 0;
     }
 
     /// Counts one match spanning `dt` time layers.
@@ -338,6 +342,7 @@ impl Decoder for QecoolDecoder {
         out.layer_cycles.extend_from_slice(stats.layer_cycles());
         stats.vertical_extent_histogram_into(&mut out.vertical_hist);
         out.matches = stats.matches().len();
+        out.timeouts = stats.timeouts();
     }
 }
 

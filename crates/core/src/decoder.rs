@@ -30,6 +30,14 @@
 //!   (`SHIFTREG`), retiring the layer; per-layer cycle counts feed
 //!   Table III.
 //!
+//! Like the hardware, the simulator pays for events, not for the grid.
+//! [`RegFile`] keeps two summaries in step with every push, clear and
+//! shift: the set of live units (bit `u` set iff unit `u` holds a
+//! pending event) and the count of units with a layer-0 event. A quiet
+//! row is a masked test of the live set, a race visits only live units,
+//! a push visits only the fired ones, and the `Pop` condition reads the
+//! count — no Controller step scans every unit.
+//!
 //! The decoder is *resumable*: [`QecoolDecoder::run`] accepts a cycle
 //! budget and pauses mid-scan when it is exhausted, which is how the
 //! frequency sweep of Fig. 7 (500 MHz / 1 GHz / 2 GHz against the 1 µs
@@ -242,8 +250,7 @@ impl QecoolDecoder {
             self.lattice.num_ancillas(),
             "round width does not match lattice"
         );
-        self.regs
-            .push_round_bits((0..self.lattice.num_ancillas()).map(|i| round.fired(i)))?;
+        self.regs.push_bits(round.events())?;
         self.rounds_pushed += 1;
         // New data changes eligibility; the Controller restarts its sweep
         // from radius 1 so fresh events get the tight-radius pass first.
@@ -381,8 +388,7 @@ impl QecoolDecoder {
 
         // Row Master: skip quiet rows in one cycle ("avoid giving the
         // Token to the row").
-        let row_quiet = (0..cols).all(|j| self.regs.unit_quiet(row_base + j));
-        if row_quiet {
+        if self.regs.range_quiet(row_base..row_base + cols) {
             return COST_ROW_CHECK;
         }
         if !self.eligible(b, ignore_thv) {
@@ -422,8 +428,10 @@ impl QecoolDecoder {
         };
 
         // Spikes from every other Unit with a pending event at depth >= b.
-        for u in 0..self.regs.num_units() {
-            if u == sink || self.regs.unit_quiet(u) {
+        // The key ends in the unit index, so visiting only the live units
+        // picks the same winner as visiting all of them.
+        for u in self.regs.live_units() {
+            if u == sink {
                 continue;
             }
             if let Some(t) = self.regs.first_event_at_or_after(u, b) {

@@ -10,6 +10,10 @@
 //! the Controller broadcasts Push/Pop to everyone simultaneously).
 
 use std::fmt;
+use std::ops::Range;
+
+use qecool_surface_code::bitvec::IterOnes;
+use qecool_surface_code::BitVec;
 
 /// Maximum register capacity supported by the packed representation.
 pub const MAX_REG_CAPACITY: usize = 64;
@@ -54,6 +58,18 @@ impl std::error::Error for RegOverflow {}
 /// Bit `t` of unit `u`'s word is the detection event of time layer `t`
 /// (0 = oldest pending layer).
 ///
+/// Next to the words the bank keeps two summaries, updated by every
+/// push, clear and shift so that reading them never scans the units:
+///
+/// * **live units** — bit `u` of a bitset is set iff unit `u` holds an
+///   event in some pending layer (its word is non-zero);
+/// * **layer-0 count** — the number of units whose layer-0 bit is set.
+///
+/// The Controller reads them for the `Pop` condition
+/// ([`Self::layer_zero_clear`]), the Row Master's quiet-row test
+/// ([`Self::range_quiet`]) and the spike race ([`Self::live_units`]),
+/// so a step costs what the live events cost, not what the grid costs.
+///
 /// # Example
 ///
 /// ```
@@ -63,6 +79,8 @@ impl std::error::Error for RegOverflow {}
 /// regs.push_round(&[true, false, false, true])?;
 /// assert_eq!(regs.occupancy(), 1);
 /// assert!(regs.get(0, 0));
+/// assert_eq!(regs.live_units().collect::<Vec<_>>(), [0, 3]);
+/// assert!(regs.range_quiet(1..3));
 /// regs.clear(0, 0);
 /// regs.clear(3, 0);
 /// assert!(regs.layer_zero_clear());
@@ -71,6 +89,10 @@ impl std::error::Error for RegOverflow {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegFile {
     words: Vec<u64>,
+    /// Bit `u` set iff `words[u] != 0`.
+    live: BitVec,
+    /// Number of units whose layer-0 bit is set.
+    layer_zero: usize,
     capacity: usize,
     occupancy: usize,
 }
@@ -89,6 +111,8 @@ impl RegFile {
         );
         Self {
             words: vec![0; num_units],
+            live: BitVec::zeros(num_units),
+            layer_zero: 0,
             capacity,
             occupancy: 0,
         }
@@ -103,6 +127,8 @@ impl RegFile {
     /// existing allocation (a hardware power-on reset).
     pub fn reset(&mut self) {
         self.words.fill(0);
+        self.live.clear();
+        self.layer_zero = 0;
         self.occupancy = 0;
     }
 
@@ -127,13 +153,12 @@ impl RegFile {
     ///
     /// Panics if `events.len() != self.num_units()`.
     pub fn push_round(&mut self, events: &[bool]) -> Result<(), RegOverflow> {
-        self.push_round_bits(events.iter().copied())
+        self.push_bits(&events.iter().copied().collect())
     }
 
-    /// [`Self::push_round`] from a bit iterator, so callers holding a
-    /// packed event vector (e.g. a
-    /// [`DetectionRound`](qecool_surface_code::DetectionRound)) can push
-    /// without materialising a `&[bool]` — the allocation-free hot path.
+    /// [`Self::push_round`] from a packed event vector (e.g. a
+    /// [`DetectionRound`](qecool_surface_code::DetectionRound)'s events):
+    /// visits the fired units only — the allocation-free hot path.
     ///
     /// # Errors
     ///
@@ -141,11 +166,8 @@ impl RegFile {
     ///
     /// # Panics
     ///
-    /// Panics if the iterator does not yield exactly one bit per Unit.
-    pub fn push_round_bits<I>(&mut self, events: I) -> Result<(), RegOverflow>
-    where
-        I: ExactSizeIterator<Item = bool>,
-    {
+    /// Panics if `events.len() != self.num_units()`.
+    pub fn push_bits(&mut self, events: &BitVec) -> Result<(), RegOverflow> {
         assert_eq!(events.len(), self.num_units(), "round width mismatch");
         if self.occupancy == self.capacity {
             return Err(RegOverflow {
@@ -153,10 +175,13 @@ impl RegFile {
             });
         }
         let bit = 1u64 << self.occupancy;
-        for (word, fired) in self.words.iter_mut().zip(events) {
-            if fired {
-                *word |= bit;
-            }
+        for u in events.iter_ones() {
+            self.words[u] |= bit;
+            self.live.set(u, true);
+        }
+        if self.occupancy == 0 {
+            // An empty bank holds no events, so layer 0 is this round.
+            self.layer_zero = events.count_ones();
         }
         self.occupancy += 1;
         Ok(())
@@ -174,9 +199,13 @@ impl RegFile {
             self.layer_zero_clear(),
             "shift while layer 0 still holds events"
         );
+        // Layer 0 is clear, so no word empties: the live set is unchanged.
+        let mut layer_zero = 0;
         for word in &mut self.words {
             *word >>= 1;
+            layer_zero += (*word & 1) as usize;
         }
+        self.layer_zero = layer_zero;
         self.occupancy -= 1;
     }
 
@@ -207,14 +236,57 @@ impl RegFile {
             "layer {t} >= occupancy {}",
             self.occupancy
         );
-        self.words[u] &= !(1u64 << t);
+        let mask = 1u64 << t;
+        let word = &mut self.words[u];
+        if *word & mask == 0 {
+            return;
+        }
+        *word &= !mask;
+        if t == 0 {
+            self.layer_zero -= 1;
+        }
+        if *word == 0 {
+            self.live.set(u, false);
+        }
     }
 
-    /// `true` when unit `u` holds no event in any pending layer (what the
-    /// Row Master checks before granting a Token to a row).
+    /// `true` when no unit in `units` holds an event in any pending
+    /// layer — what the Row Master checks before granting a Token to a
+    /// row. A masked test of the live-unit bitset, so a row that
+    /// straddles two of its words costs two word reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units.end > self.num_units()`.
     #[inline]
-    pub fn unit_quiet(&self, u: usize) -> bool {
-        self.words[u] == 0
+    pub fn range_quiet(&self, units: Range<usize>) -> bool {
+        assert!(
+            units.end <= self.num_units(),
+            "unit range {units:?} out of {} units",
+            self.num_units()
+        );
+        if units.is_empty() {
+            return true;
+        }
+        let words = self.live.words();
+        let (first, last) = (units.start / 64, (units.end - 1) / 64);
+        (first..=last).all(|w| {
+            let mut mask = !0u64;
+            if w == first {
+                mask &= !0u64 << (units.start % 64);
+            }
+            if w == last {
+                mask &= !0u64 >> (63 - (units.end - 1) % 64);
+            }
+            words[w] & mask == 0
+        })
+    }
+
+    /// The units holding an event in some pending layer, in ascending
+    /// order — the spike initiators of a race.
+    #[inline]
+    pub fn live_units(&self) -> IterOnes<'_> {
+        self.live.iter_ones()
     }
 
     /// Earliest layer `>= t` where unit `u` holds an event — the
@@ -234,18 +306,21 @@ impl RegFile {
     }
 
     /// `true` when no unit holds an event in layer 0 (the `Pop` condition).
+    #[inline]
     pub fn layer_zero_clear(&self) -> bool {
-        self.occupancy == 0 || self.words.iter().all(|w| w & 1 == 0)
+        self.layer_zero == 0
     }
 
     /// `true` when every register is empty (decoding fully drained).
     pub fn all_clear(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.live.is_zero()
     }
 
     /// Total number of pending events across all units and layers.
     pub fn pending_events(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.live_units()
+            .map(|u| self.words[u].count_ones() as usize)
+            .sum()
     }
 }
 
@@ -253,6 +328,8 @@ impl RegFile {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn push_get_roundtrip() {
@@ -307,8 +384,8 @@ mod tests {
         let mut regs = RegFile::new(2, 4);
         regs.push_round(&[true, true]).unwrap();
         regs.clear(0, 0);
-        assert!(regs.unit_quiet(0));
-        assert!(!regs.unit_quiet(1));
+        assert!(regs.range_quiet(0..1));
+        assert!(!regs.range_quiet(1..2));
         assert!(!regs.layer_zero_clear());
         regs.clear(1, 0);
         assert!(regs.layer_zero_clear());
@@ -421,7 +498,56 @@ mod tests {
         RegFile::new(1, MAX_REG_CAPACITY + 1);
     }
 
+    /// Checks the bank's incremental summaries against brute-force scans
+    /// of its words.
+    fn assert_summaries_match_words(regs: &RegFile) {
+        let n = regs.num_units();
+        let layer_zero_clear = regs.words.iter().all(|w| w & 1 == 0);
+        prop_assert_eq!(regs.layer_zero_clear(), layer_zero_clear);
+        let live: Vec<usize> = (0..n).filter(|&u| regs.words[u] != 0).collect();
+        prop_assert_eq!(regs.live_units().collect::<Vec<_>>(), live);
+        // Every row range of every grid width up to d = 14.
+        for cols in 1..=13 {
+            for start in 0..n {
+                let end = (start + cols).min(n);
+                let quiet = regs.words[start..end].iter().all(|&w| w == 0);
+                prop_assert_eq!(regs.range_quiet(start..end), quiet, "{}..{}", start, end);
+            }
+        }
+    }
+
     proptest! {
+        /// After every push, clear and shift, the layer-0 count, the
+        /// live-unit set and the quiet-row test agree with a scan of the
+        /// words — on banks of one word up to three.
+        #[test]
+        fn prop_summaries_track_the_words(n in 1usize..=160, seed in any::<u64>()) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut regs = RegFile::new(n, 7);
+            for _ in 0..40 {
+                match rng.gen_range(0..3u8) {
+                    0 => {
+                        let density = [0.0, 0.02, 0.1, 0.5][rng.gen_range(0..4usize)];
+                        let events: Vec<bool> = (0..n).map(|_| rng.gen_bool(density)).collect();
+                        let full = regs.occupancy() == regs.capacity();
+                        prop_assert_eq!(regs.push_round(&events).is_err(), full);
+                    }
+                    1 if regs.occupancy() > 0 => {
+                        let (u, t) = (rng.gen_range(0..n), rng.gen_range(0..regs.occupancy()));
+                        regs.clear(u, t);
+                    }
+                    2 if regs.occupancy() > 0 => {
+                        for u in 0..n {
+                            regs.clear(u, 0);
+                        }
+                        regs.shift();
+                    }
+                    _ => {}
+                }
+                assert_summaries_match_words(&regs);
+            }
+        }
+
         /// Pushing then shifting layer-by-layer preserves the event stream
         /// (a FIFO law).
         #[test]

@@ -162,30 +162,38 @@ struct Warm {
     decoder: Box<dyn Decoder + Send>,
 }
 
-/// Reusable per-worker trial state: lattice, code patch, round buffers
-/// and one warmed decoder per decoder kind, all recycled across shots so
-/// the Monte-Carlo hot loop performs no per-shot construction.
+/// Everything a trial at one code distance reuses: lattice, code
+/// patch, round buffer and at most one warmed decoder per
+/// [`DecoderKind`] variant.
+struct DistanceSet {
+    lattice: Lattice,
+    patch: CodePatch,
+    /// Reused detection-round buffer (the `measure_into` target).
+    round: DetectionRound,
+    decoders: Vec<Warm>,
+}
+
+/// Reusable per-worker trial state: for each code distance seen, a
+/// lattice, code patch, round buffer and one warmed decoder per
+/// [`DecoderKind`] variant, recycled across shots so the Monte-Carlo
+/// hot loop performs no per-shot construction.
 ///
-/// A scratch warmed for one `(d, decoder)` combination transparently
-/// re-warms when handed a different [`TrialConfig`], so one scratch per
-/// worker thread serves arbitrary job mixes.
+/// A scratch handed a [`TrialConfig`] it has not seen warms what is
+/// missing and keeps what it already holds, so a worker moving between
+/// the jobs of a mixed campaign never rebuilds a lattice, patch or
+/// decoder it has built before.
 #[derive(Default)]
 pub struct TrialScratch {
-    lattice: Option<Lattice>,
-    patch: Option<CodePatch>,
-    /// Reused detection-round buffer (the `measure_into` target).
-    round: Option<DetectionRound>,
-    /// At most one decoder per [`DecoderKind`] variant.
-    decoders: Vec<Warm>,
+    sets: Vec<DistanceSet>,
     /// Reused decode output.
     output: DecodeOutput,
 }
 
 impl std::fmt::Debug for TrialScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let distances: Vec<usize> = self.sets.iter().map(|s| s.lattice.distance()).collect();
         f.debug_struct("TrialScratch")
-            .field("d", &self.lattice.as_ref().map(Lattice::distance))
-            .field("decoders", &self.decoders.len())
+            .field("distances", &distances)
             .finish_non_exhaustive()
     }
 }
@@ -196,20 +204,27 @@ impl TrialScratch {
         Self::default()
     }
 
-    /// Warms the scratch for `cfg` — (re)builds whatever of the lattice,
-    /// patch and decoder is missing or built for a different
-    /// configuration — and returns the index of `cfg`'s decoder.
-    /// Idempotent and cheap when already warm.
-    fn ensure(&mut self, cfg: &TrialConfig) -> usize {
-        let stale = self.lattice.as_ref().is_none_or(|l| l.distance() != cfg.d);
-        if stale {
-            let lattice = Lattice::new(cfg.d).expect("valid code distance");
-            self.patch = Some(CodePatch::new(lattice.clone()));
-            self.round = Some(DetectionRound::zeros(lattice.num_ancillas()));
-            self.decoders.clear();
-            self.lattice = Some(lattice);
-        }
-        let lattice = self.lattice.as_ref().expect("lattice just warmed");
+    /// Warms the scratch for `cfg` — builds the distance set and the
+    /// decoder if missing, and rebuilds a decoder built for a different
+    /// window or boundary penalty — and returns the indices of `cfg`'s
+    /// distance set and decoder. Idempotent and cheap when already warm.
+    fn ensure(&mut self, cfg: &TrialConfig) -> (usize, usize) {
+        let set = match self.sets.iter().position(|s| s.lattice.distance() == cfg.d) {
+            Some(set) => set,
+            None => {
+                let lattice = Lattice::new(cfg.d).expect("valid code distance");
+                self.sets.push(DistanceSet {
+                    patch: CodePatch::new(lattice.clone()),
+                    round: DetectionRound::zeros(lattice.num_ancillas()),
+                    decoders: Vec::new(),
+                    lattice,
+                });
+                self.sets.len() - 1
+            }
+        };
+        let DistanceSet {
+            lattice, decoders, ..
+        } = &mut self.sets[set];
         let (window, boundary_penalty) = (cfg.window(), cfg.boundary_penalty);
         let build = || Warm {
             kind: cfg.decoder,
@@ -219,19 +234,20 @@ impl TrialScratch {
         };
         let same_kind =
             |w: &Warm| std::mem::discriminant(&w.kind) == std::mem::discriminant(&cfg.decoder);
-        match self.decoders.iter().position(same_kind) {
+        let slot = match decoders.iter().position(same_kind) {
             Some(i) => {
-                let warm = &self.decoders[i];
+                let warm = &decoders[i];
                 if warm.window != window || warm.boundary_penalty != boundary_penalty {
-                    self.decoders[i] = build();
+                    decoders[i] = build();
                 }
                 i
             }
             None => {
-                self.decoders.push(build());
-                self.decoders.len() - 1
+                decoders.push(build());
+                decoders.len() - 1
             }
-        }
+        };
+        (set, slot)
     }
 }
 
@@ -272,12 +288,16 @@ pub fn run_trial_into(
     scratch: &mut TrialScratch,
     out: &mut TrialOutcome,
 ) {
-    let slot = scratch.ensure(cfg);
+    let (set, slot) = scratch.ensure(cfg);
     out.reset();
-    let patch = scratch.patch.as_mut().expect("patch warmed");
-    let round = scratch.round.as_mut().expect("round buffer warmed");
+    let DistanceSet {
+        patch,
+        round,
+        decoders,
+        ..
+    } = &mut scratch.sets[set];
     let output = &mut scratch.output;
-    let decoder = scratch.decoders[slot].decoder.as_mut();
+    let decoder = decoders[slot].decoder.as_mut();
     let budget = match cfg.decoder {
         DecoderKind::OnlineQecool { budget_cycles } => Some(budget_cycles),
         _ => None,
@@ -451,9 +471,10 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_kinds_keep_their_warm_decoders() {
-        // One slot per kind: cycling through all four kinds must not
-        // rebuild any decoder after the first pass.
+    fn interleaved_kinds_and_distances_keep_their_warm_decoders() {
+        // One slot per kind per distance: cycling through all four kinds
+        // at two distances must not rebuild any decoder after the first
+        // pass.
         let kinds = [
             DecoderKind::BatchQecool,
             DecoderKind::OnlineQecool {
@@ -466,19 +487,22 @@ mod tests {
         let mut out = TrialOutcome::default();
         let addresses = |scratch: &TrialScratch| -> Vec<*const ()> {
             scratch
-                .decoders
+                .sets
                 .iter()
+                .flat_map(|set| &set.decoders)
                 .map(|w| std::ptr::from_ref(&*w.decoder).cast::<()>())
                 .collect()
         };
         let mut first = None;
         for seed in 0..3u64 {
-            for kind in kinds {
-                let cfg = TrialConfig::standard(5, 0.02, kind);
-                run_trial_into(&cfg, seed, &mut scratch, &mut out);
+            for d in [5, 3] {
+                for kind in kinds {
+                    let cfg = TrialConfig::standard(d, 0.02, kind);
+                    run_trial_into(&cfg, seed, &mut scratch, &mut out);
+                }
             }
             let now = addresses(&scratch);
-            assert_eq!(now.len(), kinds.len());
+            assert_eq!(now.len(), 2 * kinds.len());
             assert_eq!(first.get_or_insert(now.clone()), &now, "seed {seed}");
         }
     }

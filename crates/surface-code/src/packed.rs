@@ -446,7 +446,13 @@ pub struct PackedReader<R: Read> {
     source: R,
     header: PackedHeader,
     planes_read: u64,
+    /// One detector plane's bytes, sized at the first read — once the
+    /// caller's round has matched the header's width, so it is no larger
+    /// than a buffer the caller already holds.
     byte_buf: Vec<u8>,
+    /// One erasure plane's bytes. Its width comes from the header alone,
+    /// so this grows only as the plane's bytes arrive.
+    erasure_buf: Vec<u8>,
     erasures: BitVec,
     last_had_erasures: bool,
     pending_error: Option<PackedError>,
@@ -489,13 +495,13 @@ impl<R: Read> PackedReader<R> {
             }
         })?;
         let header = PackedHeader::decode(&bytes)?;
-        let widest = header.detector_words().max(header.erasure_words());
         Ok(Self {
             source,
             header,
             planes_read: 0,
-            byte_buf: vec![0u8; widest * 8],
-            erasures: BitVec::zeros(header.erasure_width as usize),
+            byte_buf: Vec::new(),
+            erasure_buf: Vec::new(),
+            erasures: BitVec::zeros(0),
             last_had_erasures: false,
             pending_error: None,
         })
@@ -545,30 +551,38 @@ impl<R: Read> PackedReader<R> {
                 found: out.events().len(),
             });
         }
-        let declared = self.header.rounds * u64::from(self.header.streams);
-        let words = self.header.detector_words();
-        read_words_into(
-            &mut self.source,
-            &mut self.byte_buf[..words * 8],
-            out.events_mut(),
+        let (planes_read, planes_declared) = (
             self.planes_read,
-            declared,
-        )?;
+            self.header.rounds * u64::from(self.header.streams),
+        );
+        let truncated = || PackedError::Truncated {
+            planes_read,
+            planes_declared,
+        };
+        self.byte_buf.resize(self.header.detector_words() * 8, 0);
+        self.source.read_exact(&mut self.byte_buf).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                truncated()
+            } else {
+                PackedError::Io(e)
+            }
+        })?;
+        load_words(&self.byte_buf, out.events_mut());
         self.last_had_erasures = self.header.has_erasures();
         if self.last_had_erasures {
-            let ewords = self.header.erasure_words();
-            // Scratch swap: read_words_into needs both the byte buffer
-            // and a target BitVec; the erasure plane lives in self.
-            let mut flags = std::mem::replace(&mut self.erasures, BitVec::zeros(0));
-            let result = read_words_into(
-                &mut self.source,
-                &mut self.byte_buf[..ewords * 8],
-                &mut flags,
-                self.planes_read,
-                declared,
-            );
-            self.erasures = flags;
-            result?;
+            let bytes = self.header.erasure_words() * 8;
+            self.erasure_buf.clear();
+            (&mut self.source)
+                .take(bytes as u64)
+                .read_to_end(&mut self.erasure_buf)?;
+            if self.erasure_buf.len() < bytes {
+                return Err(truncated());
+            }
+            let width = self.header.erasure_width as usize;
+            if self.erasures.len() != width {
+                self.erasures = BitVec::zeros(width);
+            }
+            load_words(&self.erasure_buf, &mut self.erasures);
         }
         Ok(())
     }
@@ -587,29 +601,14 @@ impl<R: Read> PackedReader<R> {
     }
 }
 
-fn read_words_into<R: Read>(
-    source: &mut R,
-    byte_buf: &mut [u8],
-    out: &mut BitVec,
-    planes_read: u64,
-    planes_declared: u64,
-) -> Result<(), PackedError> {
-    source.read_exact(byte_buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            PackedError::Truncated {
-                planes_read,
-                planes_declared,
-            }
-        } else {
-            PackedError::Io(e)
-        }
-    })?;
-    for (idx, chunk) in byte_buf.chunks_exact(8).enumerate() {
+/// Loads little-endian plane bytes into `out` word by word, through
+/// [`BitVec::set_word`] so stray tail bits are dropped.
+fn load_words(bytes: &[u8], out: &mut BitVec) {
+    for (idx, chunk) in bytes.chunks_exact(8).enumerate() {
         let mut word = [0u8; 8];
         word.copy_from_slice(chunk);
         out.set_word(idx, u64::from_le_bytes(word));
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -736,6 +735,39 @@ mod tests {
         }
         // Once parked, iteration stays ended even after take_error.
         assert_eq!(reader.next_round_into(&mut out), None);
+    }
+
+    #[test]
+    fn hostile_widths_over_a_bare_read_allocate_nothing_up_front() {
+        // 40 bytes declaring u32::MAX detectors: about 512 MiB per plane.
+        let mut huge = record(20, 1, 0, &[]);
+        huge[8..12].copy_from_slice(&0u32.to_le_bytes());
+        huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        huge[16..24].copy_from_slice(&1u64.to_le_bytes());
+        let mut reader = PackedReader::new(Cursor::new(huge)).unwrap();
+        let mut out = DetectionRound::zeros(20);
+        assert_eq!(reader.next_round_into(&mut out), None);
+        match reader.take_error() {
+            Some(PackedError::ShapeMismatch {
+                what: "detector plane",
+                expected,
+                found: 20,
+            }) => assert_eq!(expected, u32::MAX as usize),
+            other => panic!("expected ShapeMismatch, got {other:?}"),
+        }
+        // A u32::MAX-bit erasure plane behind a valid detector plane
+        // reads only the bytes that are there, then names the cut.
+        let mut wide = record(20, 1, 1, &[(bits(20, &[3]), Some(bits(1, &[0])))]);
+        wide[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut reader = PackedReader::new(Cursor::new(wide)).unwrap();
+        assert_eq!(reader.next_round_into(&mut out), None);
+        assert!(matches!(
+            reader.take_error(),
+            Some(PackedError::Truncated {
+                planes_read: 0,
+                planes_declared: 1,
+            })
+        ));
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! determinism tests (they compare a build against itself) cannot
 //! provide.
 
-use qecool_repro::sim::{CycleAggregate, DecodeEngine, DecoderKind, McResult, TrialConfig};
+use qecool_repro::sim::campaign::derive_seed;
+use qecool_repro::sim::trials::{run_trial_into, TrialScratch};
+use qecool_repro::sim::{
+    CycleAggregate, DecodeEngine, DecoderKind, McResult, TrialConfig, TrialOutcome,
+};
 use qecool_repro::surface_code::NoiseSpec;
 
 const SHOTS: usize = 64;
@@ -119,4 +123,69 @@ fn starved_online_qecool_reproduces_its_golden_overflows() {
     cfg.rounds = 15;
     let got = DecodeEngine::with_threads(2).run(&cfg, SHOTS, SEED);
     assert_eq!(got, expected(&STARVED));
+}
+
+/// Shots per configuration of the wide-lattice pins below.
+const WIDE_SHOTS: usize = 32;
+
+/// The QECOOL kinds pinned beyond one register word. The 20-cycle
+/// budget pauses the Controller mid-sweep every round; every shot at it
+/// overflows, so those pins cover the paused scan, its timeouts and the
+/// overflow exit.
+const WIDE_KINDS: [DecoderKind; 3] = [
+    DecoderKind::BatchQecool,
+    DecoderKind::OnlineQecool {
+        budget_cycles: 2000,
+    },
+    DecoderKind::OnlineQecool { budget_cycles: 20 },
+];
+
+/// `(golden, timeouts summed over shots)` at p = 0.01, one row per
+/// distance, one column per entry of [`WIDE_KINDS`].
+#[rustfmt::skip]
+const WIDE: [(usize, [(Golden, u64); 3]); 3] = [
+    (9, [
+        ((32, 0, 0, 623, (320, 40552, 24629794, 1352), &[381, 236, 5, 1]), 334),
+        ((32, 2, 0, 622, (320, 30287, 5998865, 647), &[369, 236, 13, 4]), 239),
+        ((32, 32, 32, 36, (5, 50, 500, 10), &[28, 8]), 15),
+    ]),
+    (11, [
+        ((32, 0, 0, 1130, (384, 97209, 119711093, 2613), &[675, 447, 7, 1]), 652),
+        ((32, 3, 0, 1125, (384, 67700, 21801772, 881), &[639, 452, 25, 9]), 439),
+        ((32, 32, 32, 27, (1, 12, 144, 12), &[18, 9]), 8),
+    ]),
+    (13, [
+        ((32, 0, 0, 1877, (448, 191882, 460444678, 4694), &[1114, 738, 24, 1]), 1117),
+        ((32, 4, 0, 1875, (448, 131507, 62072147, 1162), &[1057, 751, 47, 20]), 669),
+        ((32, 32, 32, 31, (0, 0, 0, 0), &[24, 7]), 15),
+    ]),
+];
+
+#[test]
+fn qecool_beyond_one_register_word_reproduces_its_golden_aggregates() {
+    // d = 9, 11 and 13 hold 72, 110 and 156 units: several 64-bit words,
+    // with rows that straddle a word boundary at d = 11 and 13. Shots run
+    // through one scratch with the engine's seeds, so the aggregate is
+    // the one `DecodeEngine::run` reports, and the per-shot timeouts can
+    // be summed alongside it.
+    let mut scratch = TrialScratch::new();
+    let mut outcome = TrialOutcome::default();
+    for (d, row) in &WIDE {
+        for (kind, (golden, timeouts)) in WIDE_KINDS.iter().zip(row) {
+            let cfg = TrialConfig::standard(*d, 0.01, *kind);
+            let mut got = McResult::default();
+            let mut got_timeouts = 0;
+            for i in 0..WIDE_SHOTS as u64 {
+                let seed = derive_seed(SEED, 0, i);
+                run_trial_into(&cfg, seed, &mut scratch, &mut outcome);
+                got.absorb(&outcome);
+                got_timeouts += outcome.stats.timeouts;
+            }
+            assert_eq!(
+                (&got, got_timeouts),
+                (&expected(golden), *timeouts),
+                "d = {d} {kind:?}"
+            );
+        }
+    }
 }
