@@ -259,6 +259,15 @@ impl BenchOptions {
             opts.sessions = header.streams as usize;
             opts.rounds = header.rounds as usize;
         }
+        // Validate the distance before anything is sized from it, naming
+        // where it came from.
+        if let Err(e) = Lattice::new(opts.d) {
+            let source = match &opts.replay {
+                Some(path) => format!("--replay {path}"),
+                None => "--d".to_owned(),
+            };
+            usage_error(&format!("{source}: {e}"));
+        }
         // Validate the window geometry eagerly so a bad pair is a CLI
         // error, not an assertion inside the fabric.
         if let Some((w, s)) = opts.window_override() {

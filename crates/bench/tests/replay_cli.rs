@@ -120,6 +120,24 @@ fn replay_of_a_header_declaring_more_than_the_file_is_a_named_error() {
 }
 
 #[test]
+fn replay_of_a_distance_above_the_maximum_names_the_file() {
+    // A consistent header: d = 257 with its d(d − 1) detectors.
+    let distance = 257u32;
+    let detectors = distance * (distance - 1);
+    let mut file = hostile_file(distance, 1);
+    file[12..16].copy_from_slice(&detectors.to_le_bytes());
+    file.resize(40 + 8 * detectors.div_ceil(64) as usize, 0);
+    let (code, stderr) = replay(&file, "d257");
+    assert_eq!(code, Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("--replay ")
+            && stderr.contains("code distance must be at most 255, got 257"),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("--d:"), "stderr:\n{stderr}");
+}
+
+#[test]
 fn replay_of_a_distance_contradicting_its_detectors_is_a_named_error() {
     // Sized from the distance alone, d = 100001 asks for hundreds of GB
     // and d = 2^31 − 1 overflows the capacity computation.

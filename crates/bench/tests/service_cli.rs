@@ -96,3 +96,21 @@ fn windowed_mwpm_digest_is_worker_count_invariant() {
         .collect();
     assert_one_digest(&grid);
 }
+
+#[test]
+fn a_distance_above_the_maximum_is_a_named_error() {
+    // d = 99999 once asked the lattice tables for 240 GB and aborted.
+    for d in ["99999", "257"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_service_bench"))
+            .args(["--smoke", "--d", d])
+            .output()
+            .expect("spawn service_bench");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "d = {d}, stderr:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("--d: code distance must be at most 255, got {d}")),
+            "d = {d}, stderr:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "d = {d}: rejected before serving");
+    }
+}

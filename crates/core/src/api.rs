@@ -116,6 +116,10 @@ pub struct DecodeStats {
     /// Spike races that timed out and were left for a wider radius
     /// (QECOOL only; 0 for the graph decoders).
     pub timeouts: u64,
+    /// Rounds decoded again because they lay in a sliding window's
+    /// overlap: `W − S` per committed window. 0 for whole-history decodes
+    /// and for QECOOL, which decodes every round once.
+    pub redecoded_rounds: u64,
 }
 
 impl DecodeStats {
@@ -125,6 +129,7 @@ impl DecodeStats {
         self.vertical_hist.clear();
         self.matches = 0;
         self.timeouts = 0;
+        self.redecoded_rounds = 0;
     }
 
     /// Counts one match spanning `dt` time layers.
@@ -343,6 +348,7 @@ impl Decoder for QecoolDecoder {
         stats.vertical_extent_histogram_into(&mut out.vertical_hist);
         out.matches = stats.matches().len();
         out.timeouts = stats.timeouts();
+        out.redecoded_rounds = 0;
     }
 }
 
@@ -728,6 +734,13 @@ mod tests {
             out.committed_through,
             Some(decoder.rounds_pushed() as u64 - 1)
         );
+        // Every round is decoded once: nothing is re-decoded.
+        let mut stats = DecodeStats {
+            redecoded_rounds: 7,
+            ..DecodeStats::default()
+        };
+        decoder.stats_into(&mut stats);
+        assert_eq!(stats.redecoded_rounds, 0);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!    the committed events are cleared from the buffered rounds —
 //!    including their partners in the overlap region `[S, W)`.
 //! 4. Matches living entirely in the overlap are **tentative**: they
-//!    are discarded and re-derived when the window slides.
+//!    are discarded and re-derived when the window slides. Union-find
+//!    grows its tentative components (they may merge with anchored ones)
+//!    but never peels them. The `W − S` re-decoded rounds per committed
+//!    window are counted in [`DecodeStats::redecoded_rounds`].
 //! 5. Drop the oldest S rounds and raise the commit watermark by S.
 //!
 //! Because a perfect matching (or the union-find erasure components)
@@ -140,10 +143,13 @@ impl WindowBackend for UnionFindDecoder {
         stats: &mut DecodeStats,
         mut clear: impl FnMut(usize, usize),
     ) {
-        for comp in &self.decode_components(window).components {
-            if comp.min_round() >= stride {
-                continue; // tentative: lives entirely in the overlap
-            }
+        // Only the components anchored in the stride are peeled; the
+        // tentative ones in the overlap are grown but never walked.
+        for comp in &self.decode_components(window, stride).components {
+            debug_assert!(
+                comp.min_round() < stride,
+                "a tentative component was peeled"
+            );
             out.extend_from_slice(&comp.corrections);
             stats.matches += comp.corrections.len();
             for &(ancilla, t) in &comp.defects {
@@ -286,6 +292,7 @@ impl<B: WindowBackend> Windowed<B> {
         }
         self.base_round += self.config.stride;
         self.committed_through = Some(self.base_round - 1);
+        self.stats.redecoded_rounds += self.config.window - self.config.stride;
     }
 
     /// Recycles every buffered round.
@@ -600,6 +607,40 @@ mod tests {
         uf.reset();
         uf.stats_into(&mut stats);
         assert_eq!(stats, DecodeStats::default(), "reset clears the stats");
+    }
+
+    #[test]
+    fn windowed_stats_count_the_redecoded_overlap() {
+        let d = 5;
+        let lattice = Lattice::new(d).unwrap();
+        let (_, rounds) = stream(d, 0.03, 24, 3);
+        let config = WindowConfig::new(7, 2);
+        let mut stats = DecodeStats::default();
+        let decoders: [Box<dyn Decoder>; 2] = [
+            Box::new(StreamingUf::with_config(lattice.clone(), config)),
+            Box::new(StreamingMwpm::with_config(lattice.clone(), config)),
+        ];
+        for mut decoder in decoders {
+            let mut out = DecodeOutput::default();
+            let mut windows = 0;
+            for round in &rounds {
+                decoder.ingest(round).unwrap();
+                decoder.decode_step(None, &mut out);
+                // Each committed window raises the watermark by S.
+                windows = out.committed_through.map_or(0, |w| (w + 1) / config.stride);
+            }
+            // 25 rounds: the first window fills at round 7, then every 2.
+            assert_eq!(windows, 10);
+            decoder.finish(&mut out);
+            decoder.stats_into(&mut stats);
+            assert_eq!(
+                stats.redecoded_rounds,
+                windows * (config.window - config.stride)
+            );
+            decoder.reset();
+            decoder.stats_into(&mut stats);
+            assert_eq!(stats.redecoded_rounds, 0, "reset zeroes the count");
+        }
     }
 
     #[test]

@@ -36,11 +36,20 @@ impl LatticeError {
 
 impl fmt::Display for LatticeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "code distance must be an odd integer >= 3, got {}",
-            self.distance
-        )
+        if self.distance > Lattice::MAX_DISTANCE {
+            write!(
+                f,
+                "code distance must be at most {}, got {}",
+                Lattice::MAX_DISTANCE,
+                self.distance
+            )
+        } else {
+            write!(
+                f,
+                "code distance must be an odd integer >= 3, got {}",
+                self.distance
+            )
+        }
     }
 }
 
@@ -158,13 +167,24 @@ pub struct Lattice {
 }
 
 impl Lattice {
+    /// The largest supported code distance, far above the paper's 13.
+    ///
+    /// The decoders index nodes and edges with `u32`: the union-find
+    /// graph of the default `3d`-round window has `3d²(d + 1)` nodes and
+    /// about `9d³` edges, about 5.0e7 and 1.5e8 at d = 255, well inside
+    /// `u32`. The bound also keeps a distance read from outside from
+    /// sizing the lattice tables, which grow as d², into an allocation
+    /// that cannot succeed.
+    pub const MAX_DISTANCE: usize = 255;
+
     /// Builds the lattice for code distance `d`.
     ///
     /// # Errors
     ///
-    /// Returns [`LatticeError`] unless `d` is an odd integer at least 3.
+    /// Returns [`LatticeError`] unless `d` is an odd integer with
+    /// `3 ≤ d ≤` [`Self::MAX_DISTANCE`].
     pub fn new(d: usize) -> Result<Self, LatticeError> {
-        if d < 3 || d.is_multiple_of(2) {
+        if d < 3 || d.is_multiple_of(2) || d > Self::MAX_DISTANCE {
             return Err(LatticeError { distance: d });
         }
         let mut lat = Self {
@@ -489,7 +509,24 @@ mod tests {
             let err = Lattice::new(d).unwrap_err();
             assert_eq!(err.distance(), d);
             assert!(err.to_string().contains(&d.to_string()));
+            assert!(err.to_string().contains("odd integer >= 3"));
         }
+        // Above the maximum, odd or even, the error names the bound and
+        // nothing is allocated.
+        for d in [
+            Lattice::MAX_DISTANCE + 1,
+            Lattice::MAX_DISTANCE + 2,
+            99_999,
+            usize::MAX,
+        ] {
+            let err = Lattice::new(d).unwrap_err();
+            assert_eq!(err.distance(), d);
+            assert_eq!(
+                err.to_string(),
+                format!("code distance must be at most 255, got {d}")
+            );
+        }
+        assert_eq!(Lattice::new(Lattice::MAX_DISTANCE).unwrap().distance(), 255);
     }
 
     #[test]

@@ -25,11 +25,13 @@
 //!   allocated. The graph is index arithmetic ([`DecodingGraph`]), so it
 //!   costs nothing to build. The scratch is a few flat arrays allocated
 //!   per decode; zeroing them is the only O(graph) work, a memset.
-//! * **Growth.** Each step lists the distinct active roots by walking the
-//!   defect list, then visits only the incident edges of those clusters'
-//!   members (intrusive member lists spliced on union, and a per-step
-//!   edge stamp so an edge is examined once per step): O(defects +
-//!   active cluster size) per step. Every increment is computed from the
+//! * **Growth.** Each step lists the distinct active roots as the roots
+//!   of the previous step's active roots that are still active (a union
+//!   of inactive clusters is inactive, so no active cluster is missed),
+//!   then visits only the incident edges of those clusters' members
+//!   (intrusive member lists spliced on union, and a per-step edge stamp
+//!   so an edge is examined once per step): O(active clusters + active
+//!   cluster size) per step. Every increment is computed from the
 //!   clusters as they stood at the start of the step and the unions are
 //!   applied after the scan, so the edges fused at each step are exactly
 //!   those a scan of the whole graph would fuse.
@@ -43,7 +45,11 @@
 //!   [`DecodingGraph::incident`] lists in ascending edge index. Each
 //!   component's flipped qubits are collected in a list and XOR-reduced
 //!   by sorting, so corrections stay sorted by qubit. Peeling touches
-//!   only the erasure's nodes.
+//!   only the erasure's nodes, and only the components a caller asks
+//!   for: [`UnionFindDecoder::decode_components`] roots, walks and
+//!   collects just the components anchored before its bound, so a
+//!   sliding window pays nothing for the tentative components of its
+//!   overlap.
 //!
 //! Union-by-size with path compression keeps the cluster operations
 //! near-constant amortised (inverse Ackermann).
@@ -106,7 +112,10 @@ impl UfComponent {
 /// ([`UnionFindDecoder::decode_components`]).
 #[derive(Debug, Clone, Default)]
 pub struct UfComponentOutcome {
-    /// The disjoint erasure components, in deterministic peel order.
+    /// The disjoint erasure components anchored before the decode's
+    /// bound (earliest defect round below it), in deterministic peel
+    /// order: exactly the full decode's components with that filter
+    /// applied, in the same order.
     pub components: Vec<UfComponent>,
     /// Growth iterations until all clusters neutralized.
     pub growth_steps: usize,
@@ -160,14 +169,14 @@ impl UnionFindDecoder {
     /// Decodes a full syndrome history.
     ///
     /// Equivalent to XOR-composing the corrections of every component
-    /// returned by [`Self::decode_components`].
+    /// returned by [`Self::decode_components`] with every round anchored.
     ///
     /// # Panics
     ///
     /// Panics if the history is empty or belongs to a different lattice
     /// size.
     pub fn decode(&self, history: &SyndromeHistory) -> UfOutcome {
-        let parts = self.decode_components(history);
+        let parts = self.decode_components(history, history.num_rounds());
         let mut flips: Vec<usize> = parts
             .components
             .iter()
@@ -181,20 +190,30 @@ impl UnionFindDecoder {
         }
     }
 
-    /// Decodes a full syndrome history, keeping the erasure components
-    /// separate.
+    /// Decodes a full syndrome history and peels the erasure components
+    /// *anchored* before round `anchored_before`: those whose earliest
+    /// defect round is below it.
     ///
     /// Each returned component holds the detection events it explains
-    /// and the corrections it contributes; components are disjoint, so
-    /// a sliding-window caller can commit some components (emitting
-    /// their corrections and clearing their defect events from the
-    /// buffered rounds) while discarding others as tentative.
+    /// and the corrections it contributes. Components are disjoint, so a
+    /// sliding-window caller commits the components anchored in its
+    /// stride (emitting their corrections and clearing their defect
+    /// events from the buffered rounds) and never pays to peel the
+    /// tentative rest. Growth always runs over the whole history, since a
+    /// tentative cluster can still merge with an anchored one, so the
+    /// work counters describe the whole history whatever the bound.
+    /// With `anchored_before ≥ history.num_rounds()` every component is
+    /// peeled; with 0, none is.
     ///
     /// # Panics
     ///
     /// Panics if the history is empty or belongs to a different lattice
     /// size.
-    pub fn decode_components(&self, history: &SyndromeHistory) -> UfComponentOutcome {
+    pub fn decode_components(
+        &self,
+        history: &SyndromeHistory,
+        anchored_before: usize,
+    ) -> UfComponentOutcome {
         assert_eq!(
             history.lattice().num_ancillas(),
             self.lattice.num_ancillas(),
@@ -219,7 +238,11 @@ impl UnionFindDecoder {
             sets.set_boundary(v);
         }
         let growth = grow(&graph, &mut sets, &defects);
-        let components = peel(&graph, &mut sets, &defects, &growth.support);
+        // Cell `(a, t)` is node `t·na + a`, so the anchored defects are a
+        // prefix of the ascending defect list.
+        let bound = anchored_before.min(graph.rounds()) * graph.num_ancillas();
+        let anchored = defects.partition_point(|&v| v < bound);
+        let components = peel(&graph, &mut sets, &defects, anchored, &growth.support);
         UfComponentOutcome {
             components,
             growth_steps: growth.steps,
@@ -243,7 +266,8 @@ fn grow(graph: &DecodingGraph, sets: &mut ClusterSets, defects: &[usize]) -> Gro
     let mut support = vec![0u8; graph.num_edges()];
     // The growth step that last examined each edge.
     let mut stamp = vec![0u32; graph.num_edges()];
-    let mut roots: Vec<usize> = Vec::new();
+    // Every defect starts as an active singleton (odd, off the boundary).
+    let mut roots: Vec<usize> = defects.to_vec();
     let mut members: Vec<usize> = Vec::new();
     // Endpoints of the edges fused in the current step.
     let mut fused: Vec<(usize, usize)> = Vec::new();
@@ -251,13 +275,13 @@ fn grow(graph: &DecodingGraph, sets: &mut ClusterSets, defects: &[usize]) -> Gro
     let mut steps = 0;
     let mut edges_scanned = 0;
     loop {
-        // Every active cluster has odd parity, so holds a defect.
-        roots.clear();
-        for &v in defects {
-            if sets.is_active(v) {
-                roots.push(sets.find(v));
-            }
-        }
+        // The active roots, from last step's: a union of inactive
+        // clusters (even, or touching the boundary) is inactive, so every
+        // cluster active now contains one that was active before.
+        roots.retain_mut(|r| {
+            *r = sets.find(*r);
+            sets.is_active(*r)
+        });
         if roots.is_empty() {
             break;
         }
@@ -307,11 +331,13 @@ fn grow(graph: &DecodingGraph, sets: &mut ClusterSets, defects: &[usize]) -> Gro
     }
 }
 
-/// Phase 2: peels a spanning forest of the erasure into components.
+/// Phase 2: peels a spanning forest of the erasure components that hold
+/// one of the first `anchored` defects.
 fn peel(
     graph: &DecodingGraph,
     sets: &mut ClusterSets,
     defects: &[usize],
+    anchored: usize,
     support: &[u8],
 ) -> Vec<UfComponent> {
     let n = graph.num_nodes();
@@ -320,8 +346,10 @@ fn peel(
     // defects are exactly the erasure's components. Each tree is rooted
     // at its component's lowest boundary stub, else its lowest cell, and
     // the trees are peeled in that root order (boundary roots first).
+    // Only the anchored defects' clusters are peeled; the components are
+    // disjoint, so their order and corrections are those of a full peel.
     let root_key = |v: usize| (!graph.is_boundary(v), v);
-    let mut clusters: Vec<usize> = defects.iter().map(|&v| sets.find(v)).collect();
+    let mut clusters: Vec<usize> = defects[..anchored].iter().map(|&v| sets.find(v)).collect();
     clusters.sort_unstable();
     clusters.dedup();
     let mut roots: Vec<usize> = clusters
@@ -395,7 +423,10 @@ fn peel(
     }
     debug_assert_eq!(
         components.iter().map(|c| c.defects.len()).sum::<usize>(),
-        defects.len(),
+        defects
+            .iter()
+            .filter(|&&v| clusters.binary_search(&sets.find(v)).is_ok())
+            .count(),
         "a cluster's defects were not all in its erasure component"
     );
     components
@@ -423,7 +454,7 @@ mod tests {
     /// Decodes `h` with the decoder and with the full-scan reference and
     /// asserts they agree on everything but the work counter.
     fn assert_matches_reference(lat: &Lattice, h: &SyndromeHistory) -> UfComponentOutcome {
-        let fast = UnionFindDecoder::new(lat.clone()).decode_components(h);
+        let fast = UnionFindDecoder::new(lat.clone()).decode_components(h, h.num_rounds());
         let slow = reference::decode_components(lat, h);
         assert_eq!(fast.components, slow.components);
         assert_eq!(fast.growth_steps, slow.growth_steps);
@@ -480,6 +511,75 @@ mod tests {
                 }
             }
             assert_matches_reference(&lat, &h);
+        }
+    }
+
+    /// `rounds` noisy rounds of `family` at rate `p`, the last one
+    /// perfect when `close`.
+    fn sampled_history(
+        lat: &Lattice,
+        rounds: usize,
+        p: f64,
+        family: usize,
+        close: bool,
+        seed: u64,
+    ) -> SyndromeHistory {
+        let noise = match family {
+            0 => NoiseSpec::Phenomenological { p },
+            1 => NoiseSpec::Biased { p, eta: 0.5 },
+            2 => NoiseSpec::Burst {
+                p,
+                burst: p / 4.0,
+                mean_len: 3.0,
+            },
+            _ => NoiseSpec::CodeCapacity { p },
+        }
+        .build();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut patch = CodePatch::new(lat.clone());
+        let mut h = SyndromeHistory::new(lat.clone());
+        for r in 0..rounds {
+            if close && r + 1 == rounds {
+                h.push(patch.perfect_round());
+            } else {
+                h.push(patch.noisy_round(&noise, &mut rng));
+            }
+        }
+        h
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn anchored_decode_is_the_filtered_full_decode(
+            d in prop_oneof![Just(3usize), Just(5), Just(9), Just(13)],
+            rounds_seed in any::<u64>(),
+            p in 0.0f64..0.1,
+            family in 0usize..4,
+            close in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let lat = Lattice::new(d).unwrap();
+            let rounds = 1 + (rounds_seed % (3 * d as u64 + 1)) as usize;
+            let h = sampled_history(&lat, rounds, p, family, close, seed);
+            let decoder = UnionFindDecoder::new(lat);
+            let full = decoder.decode_components(&h, rounds);
+            for anchored_before in 0..=rounds {
+                let part = decoder.decode_components(&h, anchored_before);
+                let expected: Vec<&UfComponent> = full
+                    .components
+                    .iter()
+                    .filter(|c| c.min_round() < anchored_before)
+                    .collect();
+                prop_assert_eq!(part.components.iter().collect::<Vec<_>>(), expected);
+                prop_assert_eq!(part.growth_steps, full.growth_steps);
+                prop_assert_eq!(part.erasure_edges, full.erasure_edges);
+                prop_assert_eq!(part.edges_scanned, full.edges_scanned);
+                if anchored_before == 0 {
+                    prop_assert!(part.components.is_empty());
+                }
+            }
         }
     }
 
@@ -637,7 +737,7 @@ mod tests {
             h.push(patch.perfect_round());
 
             let mono = decoder.decode(&h);
-            let parts = decoder.decode_components(&h);
+            let parts = decoder.decode_components(&h, h.num_rounds());
             assert_eq!(parts.growth_steps, mono.growth_steps);
             assert_eq!(parts.erasure_edges, mono.erasure_edges);
 

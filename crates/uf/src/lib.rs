@@ -17,14 +17,15 @@
 //! * [`decoder`] — growth + peeling and correction extraction.
 //!
 //! A decode's work follows the defects, not the window: growth visits
-//! only the edges around active clusters (O(defects + active cluster
-//! size) per step), peeling touches only the erasure, and a defect-free
-//! window returns before allocating anything. The only O(graph) cost is
-//! zeroing a few flat scratch arrays per decode; there is no graph to
-//! build and no state kept between decodes. The decoder is pinned bit
-//! for bit (components, defect order, corrections, growth steps, erasure
-//! size) to the original whole-graph-scan implementation, which its
-//! tests keep as a reference.
+//! only the edges around active clusters (O(active clusters + active
+//! cluster size) per step), peeling touches only the erasure components
+//! the caller asks for (a sliding window peels only the ones it
+//! commits), and a defect-free window returns before allocating
+//! anything. The only O(graph) cost is zeroing a few flat scratch arrays
+//! per decode; there is no graph to build and no state kept between
+//! decodes. The decoder is pinned bit for bit (components, defect order,
+//! corrections, growth steps, erasure size) to the original
+//! whole-graph-scan implementation, which its tests keep as a reference.
 //!
 //! # Example
 //!
