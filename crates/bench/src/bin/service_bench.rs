@@ -27,17 +27,14 @@
 //! serving loop, *before* sessions close, so gauges like
 //! `qecool_sessions_open` show the steady serving state.
 //! `--metrics-interval-ms` additionally re-emits to the same target(s)
-//! periodically while the loop runs. With `--json`, the bench also
-//! measures the telemetry overhead (paired enabled/disabled arms) and
-//! emits `telemetry_throughput_ratio` for the perf gate's absolute
-//! floor.
+//! periodically while the loop runs.
 //!
 //! ```text
 //! cargo run --release -p qecool-bench --bin service_bench -- \
 //!     [--sessions N] [--rounds N] [--threads N] [--shards N] [--d D] \
 //!     [--p P] [--noise SPEC] [--record FILE] [--replay FILE] [--ghz F] \
 //!     [--backend qecool|uf|mwpm] [--window W] [--stride S] \
-//!     [--seed S] [--smoke] [--json FILE] [--metrics FILE|-] \
+//!     [--seed S] [--smoke] [--metrics FILE|-] \
 //!     [--metrics-json FILE|-] [--metrics-interval-ms MS]
 //! ```
 //!
@@ -46,8 +43,9 @@
 //! (one stream per session, planes round-major).
 //!
 //! `--window W --stride S` set the sliding-window geometry of the
-//! UF/MWPM backends (default `W = 3d, S = d`): the session digest then
-//! also covers every poll's commit watermark, and the table/JSON report
+//! UF/MWPM backends (default `W = 3d, S = d`); QECOOL commits
+//! incrementally, so with it they exit 2. The session digest also
+//! covers every poll's commit watermark, and the table reports
 //! the commit-lag distribution (rounds behind the stream head when a
 //! round's corrections committed). Backends without a hardware cycle
 //! model (UF/MWPM) print `n/a (no cycle model)` for the decode-cycle
@@ -62,8 +60,8 @@ use std::time::{Duration, Instant};
 
 use qecool::{SimulatedSource, SyndromeSource};
 use qecool_bench::{
-    parse_ghz, parse_noise, parse_or_die, parse_rate, parse_threads, perf::write_records,
-    perf::BenchRecord, require_value, usage_error, TextTable,
+    parse_ghz, parse_noise, parse_or_die, parse_rate, parse_threads, require_value, usage_error,
+    TextTable,
 };
 use qecool_obs::{Snapshot, TelemetryHandle};
 use qecool_sfq::budget::{CycleBudget, CycleHistogram};
@@ -76,7 +74,6 @@ use qecool_surface_code::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-#[derive(Clone)]
 struct BenchOptions {
     sessions: usize,
     rounds: usize,
@@ -98,7 +95,6 @@ struct BenchOptions {
     /// Commit stride override for the UF/MWPM backends.
     stride: Option<u64>,
     seed: u64,
-    json: Option<String>,
     /// Prometheus-text snapshot target (`-` = stdout).
     metrics: Option<String>,
     /// Flat-JSON snapshot target (`-` = stdout).
@@ -124,7 +120,6 @@ impl BenchOptions {
             window: None,
             stride: None,
             seed: 2021,
-            json: None,
             metrics: None,
             metrics_json: None,
             metrics_interval_ms: 0,
@@ -205,7 +200,6 @@ impl BenchOptions {
                     opts.sessions = 8;
                     opts.rounds = 40;
                 }
-                "--json" => opts.json = Some(require_value(&mut args, "--json")),
                 "--metrics" => opts.metrics = Some(require_value(&mut args, "--metrics")),
                 "--metrics-json" => {
                     opts.metrics_json = Some(require_value(&mut args, "--metrics-json"));
@@ -223,7 +217,7 @@ impl BenchOptions {
                         "usage: [--sessions N] [--rounds N] [--threads N] [--shards N] [--d D] \
                          [--p P] [--noise SPEC] [--record FILE] [--replay FILE] [--ghz F] \
                          [--backend qecool|uf|mwpm] [--window W] [--stride S] \
-                         [--seed S] [--smoke] [--json FILE] [--metrics FILE|-] \
+                         [--seed S] [--smoke] [--metrics FILE|-] \
                          [--metrics-json FILE|-] [--metrics-interval-ms MS]"
                     );
                     std::process::exit(0);
@@ -267,6 +261,15 @@ impl BenchOptions {
                 None => "--d".to_owned(),
             };
             usage_error(&format!("{source}: {e}"));
+        }
+        // QECOOL would accept a window geometry and ignore it.
+        if matches!(opts.backend, ServiceBackend::Qecool)
+            && (opts.window.is_some() || opts.stride.is_some())
+        {
+            usage_error(
+                "--window/--stride set the sliding window of --backend uf|mwpm; \
+                 QECOOL commits incrementally and has no window",
+            );
         }
         // Validate the window geometry eagerly so a bad pair is a CLI
         // error, not an assertion inside the fabric.
@@ -640,61 +643,6 @@ fn emit_snapshot(opts: &BenchOptions, snapshot: &Snapshot) {
     }
 }
 
-/// Interleaved disabled/enabled arm pairs for the overhead ratio.
-const OVERHEAD_PAIRS: usize = 5;
-
-/// Minimum rounds pushed per overhead arm: small arms finish in a few
-/// milliseconds and the ratio drowns in scheduler noise, so the
-/// measurement floors the per-arm workload regardless of the requested
-/// `--rounds` (the main serve is unaffected).
-const OVERHEAD_MIN_ROUNDS_TOTAL: usize = 16_000;
-
-/// Measures the telemetry overhead with interleaved paired arms:
-/// disabled/enabled × [`OVERHEAD_PAIRS`], fresh fabric and identical
-/// seeds per arm, best-of per side (the interleaving cancels runner
-/// drift; best-of cancels one-off scheduler hiccups), workload floored
-/// at [`OVERHEAD_MIN_ROUNDS_TOTAL`] rounds per arm. Returns
-/// `best_enabled / best_disabled` — the `telemetry_throughput_ratio`
-/// the perf gate floors at its absolute constant.
-fn measure_telemetry_overhead(opts: &BenchOptions) -> f64 {
-    let mut opts = opts.clone();
-    // The arms are for timing only: never re-record (the main serve
-    // already wrote the file), and a replay arm cannot be floored past
-    // the file's recorded length.
-    opts.record = None;
-    if opts.replay.is_none() {
-        opts.rounds = opts
-            .rounds
-            .max(OVERHEAD_MIN_ROUNDS_TOTAL / opts.sessions.max(1));
-    }
-    let opts = &opts;
-    let mut best = [0.0f64; 2]; // [disabled, enabled]
-    let mut digests = [None::<u64>; 2];
-    for pair in 0..OVERHEAD_PAIRS {
-        for (arm, enabled) in [(0usize, false), (1usize, true)] {
-            let telemetry = if enabled {
-                TelemetryHandle::enabled()
-            } else {
-                TelemetryHandle::disabled()
-            };
-            let outcome = serve(opts, telemetry);
-            best[arm] = best[arm].max(outcome.throughput);
-            // The arms double as a determinism check: telemetry must
-            // not move a single correction byte.
-            let seen = digests[arm].get_or_insert(outcome.digest);
-            assert_eq!(
-                *seen, outcome.digest,
-                "pair {pair}: digest unstable across repeats"
-            );
-        }
-    }
-    assert_eq!(
-        digests[0], digests[1],
-        "telemetry changed the session digest — it must be observational only"
-    );
-    best[1] / best[0].max(f64::MIN_POSITIVE)
-}
-
 fn main() {
     let opts = BenchOptions::parse();
     let telemetry = if opts.telemetry_requested() {
@@ -877,57 +825,5 @@ fn main() {
 
     if let Some(snapshot) = &outcome.snapshot {
         emit_snapshot(&opts, snapshot);
-    }
-
-    if let Some(path) = &opts.json {
-        eprintln!("measuring telemetry overhead ({OVERHEAD_PAIRS} disabled/enabled pairs)...");
-        let telemetry_ratio = measure_telemetry_overhead(&opts);
-        eprintln!("telemetry throughput ratio: {telemetry_ratio:.3}");
-        // Non-QECOOL backends get their own record name: their cycle
-        // columns are structural zeros and their throughput regime is
-        // different, so gating them against the QECOOL baseline would
-        // compare unlike with unlike.
-        let record_name = match opts.backend {
-            ServiceBackend::Qecool => "service_bench",
-            ServiceBackend::UnionFind => "service_bench_uf",
-            ServiceBackend::Mwpm => "service_bench_mwpm",
-        };
-        let (window, stride) = match hint.cadence {
-            qecool::CommitCadence::Windowed { window, stride } => (window, stride),
-            _ => (0, 0),
-        };
-        let mean_lag = outcome.total_lag_rounds as f64 / outcome.committed_rounds.max(1) as f64;
-        // Provenance tags: which noise family the sessions ran under
-        // (or that they came from an external recording).
-        let (noise_family, noise_params) = match &opts.replay {
-            Some(path) => ("external".to_owned(), format!("file={path}")),
-            None => {
-                let spec = opts.noise_spec();
-                (spec.family().to_owned(), spec.params())
-            }
-        };
-        let record = BenchRecord::new(record_name, outcome.throughput)
-            .with("p99_cycles", outcome.p99_cycles as f64)
-            .with("budget_cycles", budget_cycles as f64)
-            .with("max_cycles", outcome.max_cycles as f64)
-            .with("overruns", outcome.overruns as f64)
-            .with("has_cycle_model", f64::from(u8::from(hint.has_cycle_model)))
-            .with("sessions", opts.sessions as f64)
-            .with("rounds_per_session", opts.rounds as f64)
-            .with("pump_workers", outcome.pump_workers as f64)
-            .with("worker_budget", cores as f64)
-            .with("shards", opts.shards as f64)
-            .with("sessions_per_core", sessions_per_core)
-            .with("window_rounds", window as f64)
-            .with("stride_rounds", stride as f64)
-            .with("committed_rounds", outcome.committed_rounds as f64)
-            .with("commit_lag_p99_rounds", outcome.p99_lag_rounds as f64)
-            .with("commit_lag_max_rounds", outcome.max_lag_rounds as f64)
-            .with("commit_lag_mean_rounds", mean_lag)
-            .with("telemetry_throughput_ratio", telemetry_ratio)
-            .with_tag("noise_family", noise_family)
-            .with_tag("noise_params", noise_params);
-        write_records(path, std::slice::from_ref(&record));
-        eprintln!("wrote {path}");
     }
 }

@@ -24,7 +24,7 @@
 //! 2 with a named error (never a silent fresh start).
 
 use qecool::json::{obj, Json};
-use qecool_bench::{fmt_rate, perf::BenchRecord, Options, TextTable};
+use qecool_bench::{fmt_rate, Options, TextTable};
 use qecool_sim::{CampaignJob, CampaignReport, CampaignStatus, DecoderKind, JobStatus, NoiseSpec};
 
 /// The sweep grid: small enough for CI smoke runs, wide enough to give
@@ -89,7 +89,6 @@ fn render_results(noise: NoiseSpec, jobs: &[CampaignJob], report: &CampaignRepor
 fn main() {
     let (opts, campaign) = Options::parse_campaign(200, true);
     let engine = opts.engine();
-    let start = std::time::Instant::now();
     // The spec fixes family + shape parameters; the PS axis replaces
     // the rate per point. Swapping the family changes the job-list
     // hash, so checkpoints never resume across families.
@@ -117,14 +116,4 @@ fn main() {
     );
     opts.write_csv(&table.to_csv());
     campaign.write_results(&render_results(noise, &jobs, &report));
-
-    let elapsed = start.elapsed().as_secs_f64();
-    let shots = engine.tally().shots();
-    opts.write_bench_json(
-        &BenchRecord::new("sweep", shots as f64 / elapsed.max(1e-12))
-            .with("shots", shots as f64)
-            .with("wall_seconds", elapsed)
-            .with_tag("noise_family", noise.family())
-            .with_tag("noise_params", noise.params()),
-    );
 }

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run --release -p qecool-bench --bin table4 \
-//!     [-- --shots N --fast --out table4.csv --json BENCH_table4.json]
+//!     [-- --shots N --fast --out table4.csv]
 //! ```
 //!
 //! The four threshold sweeps always run as **one campaign**: a single
@@ -24,7 +24,7 @@
 //! phenomenological. The 2-D rows stay code-capacity by construction:
 //! that is what a 2-D threshold *is*.
 
-use qecool_bench::{perf::BenchRecord, Options, TextTable};
+use qecool_bench::{Options, TextTable};
 use qecool_sfq::compare::{table4_literature_rows, table4_paper_qecool_row};
 use qecool_sim::{curves, estimate_threshold, log_grid, CampaignJob, DecoderKind, NoiseSpec};
 
@@ -51,7 +51,6 @@ fn specs(noise_3d: NoiseSpec) -> [(DecoderKind, NoiseSpec, Vec<f64>); 4] {
 fn main() {
     let (opts, campaign) = Options::parse_campaign(800, false);
     let engine = opts.engine();
-    let start = std::time::Instant::now();
 
     let noise_3d = opts.noise_or(NoiseSpec::Phenomenological { p: 0.0 });
     let mut jobs = Vec::new();
@@ -109,16 +108,4 @@ fn main() {
     ]);
     println!("{}", table.render());
     opts.write_csv(&table.to_csv());
-
-    // Perf record for the CI regression gate: Monte-Carlo decode
-    // throughput across the four threshold campaigns above.
-    let elapsed = start.elapsed().as_secs_f64();
-    let shots = engine.tally().shots();
-    opts.write_bench_json(
-        &BenchRecord::new("table4", shots as f64 / elapsed.max(1e-12))
-            .with("shots", shots as f64)
-            .with("wall_seconds", elapsed)
-            .with_tag("noise_family", noise_3d.family())
-            .with_tag("noise_params", noise_3d.params()),
-    );
 }

@@ -36,9 +36,6 @@ pub struct Options {
     pub threads: usize,
     /// Optional CSV output path.
     pub out: Option<String>,
-    /// Optional machine-readable perf-record output path (`--json`),
-    /// consumed by the `perf_gate` regression comparator.
-    pub json: Option<String>,
     /// Noise-family override (`--noise family[:k=v,…]`); `None` means
     /// the binary's own default family.
     pub noise: Option<qecool_surface_code::NoiseSpec>,
@@ -91,7 +88,6 @@ impl Options {
             seed: 2021,
             threads: 0,
             out: None,
-            json: None,
             noise: None,
         };
         let mut args = std::env::args().skip(1);
@@ -112,7 +108,6 @@ impl Options {
                     opts.threads = parse_threads(&v);
                 }
                 "--out" => opts.out = Some(require_value(&mut args, "--out")),
-                "--json" => opts.json = Some(require_value(&mut args, "--json")),
                 "--noise" => {
                     let v = require_value(&mut args, "--noise");
                     opts.noise = Some(parse_noise(&v));
@@ -120,7 +115,7 @@ impl Options {
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: [--shots N] [--seed S] [--fast] [--smoke] [--threads N] \
-                         [--out FILE] [--json FILE] [--noise SPEC]{campaign_usage}"
+                         [--out FILE] [--noise SPEC]{campaign_usage}"
                     );
                     std::process::exit(0);
                 }
@@ -148,15 +143,6 @@ impl Options {
             if let Err(e) = std::fs::write(path, csv) {
                 usage_error(&format!("cannot write {path}: {e}"));
             }
-            eprintln!("wrote {path}");
-        }
-    }
-
-    /// Writes a perf record to `--json` if given; reports the path on
-    /// stderr.
-    pub fn write_bench_json(&self, record: &perf::BenchRecord) {
-        if let Some(path) = &self.json {
-            perf::write_records(path, std::slice::from_ref(record));
             eprintln!("wrote {path}");
         }
     }
@@ -427,12 +413,20 @@ pub fn parse_threads(value: &str) -> usize {
 /// strictly positive** number. Zero, negatives, `nan` and `inf` all
 /// exit 2 with a clear message (like the `--threads 0` handling)
 /// instead of reaching [`CycleBudget::new`](qecool_sfq::budget::CycleBudget)'s
-/// panic (`nan` previously slipped through a plain `<= 0.0` check).
+/// panic (`nan` previously slipped through a plain `<= 0.0` check). So
+/// does a clock too slow to give a single decode cycle per measurement
+/// round (below 0.0005 GHz at the 1 µs round): every session would
+/// overrun a 0-cycle budget.
 pub fn parse_ghz(value: &str) -> f64 {
     let ghz: f64 = parse_or_die(value, "--ghz", "a clock frequency in GHz");
     if !ghz.is_finite() || ghz <= 0.0 {
         usage_error(&format!(
             "--ghz must be a finite positive clock frequency in GHz, got '{value}'"
+        ));
+    }
+    if qecool_sfq::budget::CycleBudget::at_clock(ghz * 1e9).cycles_per_round() == 0 {
+        usage_error(&format!(
+            "--ghz {value} gives a budget of 0 decode cycles per measurement round"
         ));
     }
     ghz
@@ -517,363 +511,6 @@ impl TextTable {
 /// The code distances evaluated throughout the paper's figures.
 pub const PAPER_DISTANCES: [usize; 5] = [5, 7, 9, 11, 13];
 
-/// Machine-readable perf records for the CI regression gate.
-///
-/// The vendored `serde` is a no-op stub (no registry access), so the
-/// workspace hand-rolls its JSON: records here render through a small
-/// writer and parse through the shared [`qecool::json`] tree (which the
-/// campaign checkpoints also use). The shape is an array of flat
-/// objects with a string `"name"`, numeric metrics, and optional
-/// string tags (provenance such as `noise_family`, ignored by the
-/// gate). `service_bench`
-/// and `table4` emit records via `--json`; the `perf_gate` binary merges
-/// them into `BENCH_pr.json` and compares throughput against the
-/// checked-in `BENCH_baseline.json`.
-pub mod perf {
-    use super::usage_error;
-
-    /// One benchmark's perf record: a name, the headline throughput
-    /// (whatever unit the bench serves — rounds/s, shots/s), and any
-    /// extra numeric metrics worth archiving in the artifact.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct BenchRecord {
-        /// Benchmark name, the join key against the baseline.
-        pub name: String,
-        /// Headline throughput (higher is better); what the gate
-        /// compares.
-        pub throughput: f64,
-        /// Extra `(key, value)` metrics, emitted verbatim.
-        pub extras: Vec<(String, f64)>,
-        /// Extra `(key, value)` **string** annotations — provenance like
-        /// `noise_family`/`noise_params`, never compared by the gate.
-        pub tags: Vec<(String, String)>,
-    }
-
-    impl BenchRecord {
-        /// A record with no extra metrics.
-        pub fn new(name: impl Into<String>, throughput: f64) -> Self {
-            Self {
-                name: name.into(),
-                throughput,
-                extras: Vec::new(),
-                tags: Vec::new(),
-            }
-        }
-
-        /// Adds one extra metric (builder-style).
-        #[must_use]
-        pub fn with(mut self, key: impl Into<String>, value: f64) -> Self {
-            self.extras.push((key.into(), value));
-            self
-        }
-
-        /// Adds one string tag (builder-style). Tags ride along in the
-        /// JSON so artifacts name e.g. the noise family they ran under;
-        /// the regression gate ignores them.
-        #[must_use]
-        pub fn with_tag(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-            self.tags.push((key.into(), value.into()));
-            self
-        }
-
-        fn to_json(&self) -> String {
-            use std::fmt::Write as _;
-            let mut out = String::new();
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"throughput\": {}",
-                self.name, self.throughput
-            );
-            for (key, value) in &self.extras {
-                let _ = write!(out, ", \"{key}\": {value}");
-            }
-            for (key, value) in &self.tags {
-                let _ = write!(out, ", \"{key}\": \"{value}\"");
-            }
-            out.push('}');
-            out
-        }
-    }
-
-    /// Renders records as a JSON array (the `BENCH_*.json` format).
-    pub fn render_records(records: &[BenchRecord]) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in records.iter().enumerate() {
-            out.push_str("  ");
-            out.push_str(&r.to_json());
-            if i + 1 < records.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]\n");
-        out
-    }
-
-    /// Writes records to `path`, exiting with a usage error on I/O
-    /// failure.
-    pub fn write_records(path: &str, records: &[BenchRecord]) {
-        if let Err(e) = std::fs::write(path, render_records(records)) {
-            usage_error(&format!("cannot write {path}: {e}"));
-        }
-    }
-
-    /// Parses a `BENCH_*.json` file body: a single record object or an
-    /// array of them, via the workspace's shared [`qecool::json`] tree
-    /// (the same parser the campaign checkpoints use). Flat objects
-    /// with a string `"name"` and numeric metrics — exactly what
-    /// [`render_records`] produces.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed construct.
-    pub fn parse_records(text: &str) -> Result<Vec<BenchRecord>, String> {
-        use qecool::json::Json;
-        let root = Json::parse(text)?;
-        let objects: Vec<&Json> = match &root {
-            Json::Arr(items) => items.iter().collect(),
-            Json::Obj(_) => vec![&root],
-            _ => return Err("expected '[' or '{' at top level".into()),
-        };
-        let mut records = Vec::with_capacity(objects.len());
-        for object in objects {
-            let Some(fields) = object.as_obj() else {
-                return Err("expected a record object".into());
-            };
-            let mut record = BenchRecord::new("", f64::NAN);
-            for (key, value) in fields {
-                if key == "name" {
-                    record.name = value
-                        .as_str()
-                        .ok_or_else(|| "record \"name\" must be a string".to_owned())?
-                        .to_owned();
-                } else if let Some(text) = value.as_str() {
-                    // String-valued fields are tags (provenance
-                    // annotations like `noise_family`); everything the
-                    // gate might compare stays numeric.
-                    if key == "throughput" {
-                        return Err("record \"throughput\" must be a number".into());
-                    }
-                    record.tags.push((key.clone(), text.to_owned()));
-                } else {
-                    let value = value
-                        .as_f64()
-                        .ok_or_else(|| format!("record field '{key}' must be a number"))?;
-                    if key == "throughput" {
-                        record.throughput = value;
-                    } else {
-                        record.extras.push((key.clone(), value));
-                    }
-                }
-            }
-            if record.name.is_empty() {
-                return Err("record missing \"name\"".into());
-            }
-            if record.throughput.is_nan() {
-                return Err(format!("record '{}' missing \"throughput\"", record.name));
-            }
-            records.push(record);
-        }
-        Ok(records)
-    }
-
-    /// The perf-regression comparison the `perf_gate` binary runs,
-    /// factored out of the binary so its failure modes are unit-testable.
-    ///
-    /// Two kinds of failure are kept distinct on purpose:
-    ///
-    /// * a **regression** (candidate below the floor, or a baseline
-    ///   benchmark with no candidate record) is a gate *verdict* —
-    ///   counted in [`gate::GateReport::failures`], exit 1 in the binary;
-    /// * a **broken comparison** (baseline metric that is zero, negative
-    ///   or non-finite; candidate missing a gated metric key) means the
-    ///   inputs cannot be gated at all — returned as `Err` with a
-    ///   message naming the record and metric, exit 2 in the binary,
-    ///   never a silently-computed `inf` ratio that would wave a dead
-    ///   baseline through.
-    pub mod gate {
-        use super::BenchRecord;
-
-        /// Extra metrics gated against an **absolute** floor instead of
-        /// a baseline's measured value. For ratio-shaped metrics the
-        /// meaningful bound is a constant, not a previous run:
-        /// `telemetry_throughput_ratio` (enabled-telemetry throughput ÷
-        /// disabled-telemetry throughput, measured by `service_bench`
-        /// under `--json`) must stay ≥ 0.90 regardless of what the
-        /// baseline runner measured. Typical measured overhead is 3–8%;
-        /// the floor leaves headroom for shared-runner scheduling noise,
-        /// which the paired best-of measurement cannot fully cancel.
-        ///
-        /// A key is armed per benchmark by the baseline record carrying
-        /// it; candidates must then keep emitting it. The baseline's
-        /// *value* is only checked for sanity — the floor compared
-        /// against is the constant here. Every other extra (measured
-        /// or a configuration echo like `sessions_per_core`) is
-        /// informational.
-        pub const ABS_FLOOR_EXTRAS: &[(&str, f64)] = &[("telemetry_throughput_ratio", 0.90)];
-
-        /// One compared metric, ready for table rendering.
-        #[derive(Debug, Clone, PartialEq)]
-        pub struct GateRow {
-            /// Benchmark name.
-            pub name: String,
-            /// Metric compared (`"throughput"` or a gated extra key).
-            pub metric: String,
-            /// Baseline value, if the baseline has this benchmark.
-            pub baseline: Option<f64>,
-            /// Candidate value, if the candidate run produced it.
-            pub candidate: Option<f64>,
-            /// `candidate / baseline` when both sides exist.
-            pub ratio: Option<f64>,
-            /// Human-readable verdict for the table.
-            pub verdict: String,
-            /// Whether this row counts against the gate.
-            pub failed: bool,
-        }
-
-        /// Outcome of a gate comparison that was at least well-formed.
-        #[derive(Debug, Clone, Default, PartialEq)]
-        pub struct GateReport {
-            /// Every compared metric, in evaluation order.
-            pub rows: Vec<GateRow>,
-            /// Rows that tripped the gate.
-            pub failures: usize,
-        }
-
-        fn extra(record: &BenchRecord, key: &str) -> Option<f64> {
-            record
-                .extras
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|&(_, v)| v)
-        }
-
-        /// Checks a baseline value is usable as a comparison floor.
-        fn check_floor(name: &str, metric: &str, value: f64) -> Result<(), String> {
-            if !value.is_finite() || value <= 0.0 {
-                return Err(format!(
-                    "baseline record '{name}' has unusable {metric} {value}: a floor must be \
-                     finite and positive (refresh BENCH_baseline.json from a green run)"
-                ));
-            }
-            Ok(())
-        }
-
-        fn compare_metric(
-            report: &mut GateReport,
-            name: &str,
-            metric: &str,
-            base: f64,
-            cand: f64,
-            floor: f64,
-        ) -> Result<(), String> {
-            check_floor(name, metric, base)?;
-            if !cand.is_finite() {
-                return Err(format!(
-                    "candidate record '{name}' has non-finite {metric} {cand}"
-                ));
-            }
-            let ratio = cand / base;
-            let failed = ratio < floor;
-            report.failures += usize::from(failed);
-            report.rows.push(GateRow {
-                name: name.to_owned(),
-                metric: metric.to_owned(),
-                baseline: Some(base),
-                candidate: Some(cand),
-                ratio: Some(ratio),
-                verdict: if failed { "REGRESSION" } else { "ok" }.to_owned(),
-                failed,
-            });
-            Ok(())
-        }
-
-        /// Compares candidate records against the baseline.
-        ///
-        /// For every candidate with a baseline entry, throughput is
-        /// gated at `1 - max_drop_pct / 100`, and each
-        /// [`ABS_FLOOR_EXTRAS`] key the baseline record carries is
-        /// gated at its constant floor. A candidate
-        /// with no baseline entry passes (new benchmarks need no
-        /// lockstep baseline update); a baseline entry with no candidate
-        /// record fails — a benchmark vanishing from the run is itself a
-        /// regression.
-        ///
-        /// # Errors
-        ///
-        /// A message naming the offending record and metric when the
-        /// comparison itself is invalid: a baseline floor that is zero,
-        /// negative or non-finite, a non-finite candidate value, or a
-        /// candidate missing a metric key the baseline gates.
-        pub fn compare(
-            baseline: &[BenchRecord],
-            candidates: &[BenchRecord],
-            max_drop_pct: f64,
-        ) -> Result<GateReport, String> {
-            let floor = 1.0 - max_drop_pct / 100.0;
-            let mut report = GateReport::default();
-            for record in candidates {
-                let Some(base) = baseline.iter().find(|b| b.name == record.name) else {
-                    report.rows.push(GateRow {
-                        name: record.name.clone(),
-                        metric: "throughput".to_owned(),
-                        baseline: None,
-                        candidate: Some(record.throughput),
-                        ratio: None,
-                        verdict: "no baseline (pass)".to_owned(),
-                        failed: false,
-                    });
-                    continue;
-                };
-                compare_metric(
-                    &mut report,
-                    &record.name,
-                    "throughput",
-                    base.throughput,
-                    record.throughput,
-                    floor,
-                )?;
-                for &(key, abs_floor) in ABS_FLOOR_EXTRAS {
-                    let Some(base_value) = extra(base, key) else {
-                        continue;
-                    };
-                    // The baseline value only arms the gate; sanity-check
-                    // it so a dead baseline is flagged, then compare the
-                    // candidate against the constant floor (base =
-                    // abs_floor, relative floor = 1.0 ⇒ cand ≥ abs_floor).
-                    check_floor(&record.name, key, base_value)?;
-                    let Some(cand_value) = extra(record, key) else {
-                        return Err(format!(
-                            "candidate record '{}' is missing gated metric '{key}' \
-                             (present in the baseline; the bench stopped emitting it?)",
-                            record.name
-                        ));
-                    };
-                    compare_metric(&mut report, &record.name, key, abs_floor, cand_value, 1.0)?;
-                }
-            }
-            // Coverage: a baseline benchmark with no candidate record
-            // means the bench silently vanished (renamed record, dropped
-            // --candidate) — that must trip the gate, not slide past it.
-            for base in baseline {
-                if !candidates.iter().any(|c| c.name == base.name) {
-                    report.failures += 1;
-                    report.rows.push(GateRow {
-                        name: base.name.clone(),
-                        metric: "throughput".to_owned(),
-                        baseline: Some(base.throughput),
-                        candidate: None,
-                        ratio: None,
-                        verdict: "MISSING CANDIDATE".to_owned(),
-                        failed: true,
-                    });
-                }
-            }
-            Ok(report)
-        }
-    }
-}
-
 /// Formats a rate with its Wilson 95% interval.
 pub fn fmt_rate(est: qecool_sim::RateEstimate) -> String {
     let (lo, hi) = est.wilson_interval();
@@ -925,185 +562,5 @@ mod tests {
     fn parse_ghz_accepts_positive_finite() {
         assert_eq!(parse_ghz("2"), 2.0);
         assert_eq!(parse_ghz("0.5"), 0.5);
-    }
-
-    #[test]
-    fn perf_records_roundtrip_through_json() {
-        let records = vec![
-            perf::BenchRecord::new("service_bench", 175234.5)
-                .with("p99_cycles", 15.0)
-                .with("budget_cycles", 2000.0)
-                .with_tag("noise_family", "burst")
-                .with_tag("noise_params", "p=0.005,burst=0.001,mean_len=3"),
-            perf::BenchRecord::new("table4", 812.0),
-        ];
-        let json = perf::render_records(&records);
-        let parsed = perf::parse_records(&json).unwrap();
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn perf_parse_rejects_a_string_throughput() {
-        let err = perf::parse_records("{\"name\": \"x\", \"throughput\": \"fast\"}").unwrap_err();
-        assert!(err.contains("throughput"), "{err}");
-    }
-
-    #[test]
-    fn gate_ignores_string_tags() {
-        // Same numbers, different provenance tags: never a gate row,
-        // never a failure.
-        let baseline = vec![
-            perf::BenchRecord::new("svc", 1000.0).with_tag("noise_family", "phenomenological")
-        ];
-        let candidate =
-            vec![perf::BenchRecord::new("svc", 1000.0).with_tag("noise_family", "burst")];
-        let report = perf::gate::compare(&baseline, &candidate, 20.0).unwrap();
-        assert_eq!(report.failures, 0);
-        assert_eq!(report.rows.len(), 1, "only throughput is compared");
-    }
-
-    #[test]
-    fn perf_parse_accepts_single_object() {
-        let parsed = perf::parse_records("{\"name\": \"x\", \"throughput\": 1e3}").unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].name, "x");
-        assert_eq!(parsed[0].throughput, 1000.0);
-    }
-
-    #[test]
-    fn perf_parse_rejects_malformed_input() {
-        assert!(perf::parse_records("").is_err());
-        assert!(perf::parse_records("{\"throughput\": 1}").is_err());
-        assert!(perf::parse_records("{\"name\": \"x\"}").is_err());
-        assert!(perf::parse_records("[{\"name\": \"x\", \"throughput\": oops}]").is_err());
-        assert!(perf::parse_records("{\"name\": \"x\", \"throughput\": 1} junk").is_err());
-    }
-
-    #[test]
-    fn gate_passes_when_candidate_holds_the_floor() {
-        let baseline = vec![perf::BenchRecord::new("svc", 1000.0)];
-        let candidate = vec![perf::BenchRecord::new("svc", 900.0)];
-        let report = perf::gate::compare(&baseline, &candidate, 20.0).unwrap();
-        assert_eq!(report.failures, 0);
-        assert_eq!(report.rows.len(), 1);
-        assert_eq!(report.rows[0].metric, "throughput");
-        assert!((report.rows[0].ratio.unwrap() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gate_flags_a_throughput_regression() {
-        let baseline = vec![perf::BenchRecord::new("svc", 1000.0)];
-        let candidate = vec![perf::BenchRecord::new("svc", 700.0)];
-        let report = perf::gate::compare(&baseline, &candidate, 20.0).unwrap();
-        assert_eq!(report.failures, 1);
-        assert!(report.rows[0].failed);
-        assert_eq!(report.rows[0].verdict, "REGRESSION");
-    }
-
-    #[test]
-    fn gate_flags_a_missing_candidate_and_passes_a_new_bench() {
-        let baseline = vec![perf::BenchRecord::new("old_bench", 1000.0)];
-        let candidate = vec![perf::BenchRecord::new("new_bench", 5.0)];
-        let report = perf::gate::compare(&baseline, &candidate, 20.0).unwrap();
-        assert_eq!(report.failures, 1);
-        let missing = report
-            .rows
-            .iter()
-            .find(|r| r.name == "old_bench")
-            .expect("missing-candidate row");
-        assert!(missing.failed);
-        assert_eq!(missing.verdict, "MISSING CANDIDATE");
-        assert!(missing.candidate.is_none());
-        let fresh = report.rows.iter().find(|r| r.name == "new_bench").unwrap();
-        assert!(!fresh.failed);
-        assert!(fresh.baseline.is_none());
-    }
-
-    #[test]
-    fn gate_rejects_a_zero_throughput_baseline() {
-        // The historic bug: `cand / base.max(f64::MIN_POSITIVE)` turned a
-        // dead baseline into a ~1e300 ratio that passed every floor.
-        let baseline = vec![perf::BenchRecord::new("svc", 0.0)];
-        let candidate = vec![perf::BenchRecord::new("svc", 900.0)];
-        let err = perf::gate::compare(&baseline, &candidate, 20.0).unwrap_err();
-        assert!(err.contains("svc"), "error should name the record: {err}");
-        assert!(
-            err.contains("throughput"),
-            "error should name the metric: {err}"
-        );
-    }
-
-    #[test]
-    fn gate_rejects_negative_and_non_finite_baselines() {
-        for bad in [-1.0, f64::NAN, f64::INFINITY] {
-            let baseline = vec![perf::BenchRecord::new("svc", bad)];
-            let candidate = vec![perf::BenchRecord::new("svc", 900.0)];
-            assert!(
-                perf::gate::compare(&baseline, &candidate, 20.0).is_err(),
-                "baseline throughput {bad} must not be a usable floor"
-            );
-        }
-    }
-
-    #[test]
-    fn gate_rejects_a_zero_baseline_extra() {
-        let baseline =
-            vec![perf::BenchRecord::new("svc", 1000.0).with("telemetry_throughput_ratio", 0.0)];
-        let candidate =
-            vec![perf::BenchRecord::new("svc", 1000.0).with("telemetry_throughput_ratio", 0.95)];
-        assert!(perf::gate::compare(&baseline, &candidate, 20.0).is_err());
-    }
-
-    #[test]
-    fn gate_floors_telemetry_ratio_at_the_absolute_constant() {
-        // The floor is the ABS_FLOOR_EXTRAS constant (0.90), not the
-        // baseline's measured value: a baseline of 1.0 with --max-drop-pct
-        // 20 would otherwise let the ratio sink to 0.80.
-        let baseline =
-            vec![perf::BenchRecord::new("svc", 1000.0).with("telemetry_throughput_ratio", 1.0)];
-        let pass =
-            vec![perf::BenchRecord::new("svc", 1000.0).with("telemetry_throughput_ratio", 0.93)];
-        let report = perf::gate::compare(&baseline, &pass, 20.0).unwrap();
-        assert_eq!(report.failures, 0, "0.93 >= 0.90 must pass");
-        let fail =
-            vec![perf::BenchRecord::new("svc", 1000.0).with("telemetry_throughput_ratio", 0.85)];
-        let report = perf::gate::compare(&baseline, &fail, 20.0).unwrap();
-        assert_eq!(report.failures, 1, "0.85 < 0.90 must trip the gate");
-        let row = report
-            .rows
-            .iter()
-            .find(|r| r.metric == "telemetry_throughput_ratio")
-            .unwrap();
-        assert!(row.failed);
-        assert_eq!(row.baseline, Some(0.90), "row shows the absolute floor");
-    }
-
-    #[test]
-    fn gate_abs_floor_requires_the_candidate_to_emit_the_metric() {
-        let baseline =
-            vec![perf::BenchRecord::new("svc", 1000.0).with("telemetry_throughput_ratio", 1.0)];
-        let candidate = vec![perf::BenchRecord::new("svc", 1000.0)];
-        let err = perf::gate::compare(&baseline, &candidate, 20.0).unwrap_err();
-        assert!(
-            err.contains("telemetry_throughput_ratio"),
-            "error should name the missing metric: {err}"
-        );
-        // And without the baseline carrying the key, the gate stays
-        // un-armed: no row, no failure.
-        let unarmed = vec![perf::BenchRecord::new("svc", 1000.0)];
-        let report = perf::gate::compare(&unarmed, &candidate, 20.0).unwrap();
-        assert_eq!(report.failures, 0);
-        assert_eq!(report.rows.len(), 1);
-    }
-
-    #[test]
-    fn gate_ignores_ungated_extras() {
-        // Only ABS_FLOOR_EXTRAS keys are floored; informational extras
-        // like p99_cycles must not create comparison rows.
-        let baseline = vec![perf::BenchRecord::new("svc", 1000.0).with("p99_cycles", 10.0)];
-        let candidate = vec![perf::BenchRecord::new("svc", 1000.0).with("p99_cycles", 9999.0)];
-        let report = perf::gate::compare(&baseline, &candidate, 20.0).unwrap();
-        assert_eq!(report.failures, 0);
-        assert_eq!(report.rows.len(), 1);
     }
 }

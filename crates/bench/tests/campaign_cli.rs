@@ -252,6 +252,18 @@ fn bad_campaign_flags_exit_two() {
     let unwritable = temp_path("missing_dir").join("x.csv");
     let out = sweep(&["--out", unwritable.to_str().unwrap()]);
     assert_exit_2(&out, "cannot write");
+
+    // No binary writes perf records: --json is unknown, and writes
+    // nothing.
+    let json = temp_path("fig4a.json");
+    let _ = fs::remove_file(&json);
+    let out = Command::new(env!("CARGO_BIN_EXE_fig4a"))
+        .args(["--smoke", "--json"])
+        .arg(&json)
+        .output()
+        .expect("spawn fig4a binary");
+    assert_exit_2(&out, "unknown argument: --json");
+    assert!(!json.exists(), "fig4a must not create the --json file");
 }
 
 #[test]

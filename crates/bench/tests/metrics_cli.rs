@@ -106,6 +106,11 @@ fn metrics_snapshots_carry_every_core_series() {
         json.contains(r#""name": "qecool_telemetry""#),
         "no qecool_telemetry record in:\n{json}"
     );
+    // A telemetry snapshot measures no throughput, so it reports none.
+    assert!(
+        !json.contains(r#""throughput""#),
+        "telemetry snapshot reports a throughput:\n{json}"
+    );
 }
 
 #[test]

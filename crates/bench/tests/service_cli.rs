@@ -97,20 +97,60 @@ fn windowed_mwpm_digest_is_worker_count_invariant() {
     assert_one_digest(&grid);
 }
 
+/// Runs `service_bench --smoke` with `args` and asserts it exits 2
+/// before serving, with `needle` in its error message.
+fn assert_rejected(args: &[&str], needle: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_service_bench"))
+        .arg("--smoke")
+        .args(args)
+        .output()
+        .expect("spawn service_bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}, stderr:\n{stderr}");
+    assert!(stderr.contains(needle), "{args:?}, stderr:\n{stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: rejected before serving");
+}
+
 #[test]
 fn a_distance_above_the_maximum_is_a_named_error() {
     // d = 99999 once asked the lattice tables for 240 GB and aborted.
     for d in ["99999", "257"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_service_bench"))
-            .args(["--smoke", "--d", d])
-            .output()
-            .expect("spawn service_bench");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "d = {d}, stderr:\n{stderr}");
-        assert!(
-            stderr.contains(&format!("--d: code distance must be at most 255, got {d}")),
-            "d = {d}, stderr:\n{stderr}"
+        assert_rejected(
+            &["--d", d],
+            &format!("--d: code distance must be at most 255, got {d}"),
         );
-        assert!(out.stdout.is_empty(), "d = {d}: rejected before serving");
     }
+}
+
+#[test]
+fn flags_that_would_be_ignored_are_named_errors() {
+    // There is no perf-record output: --json is an unknown argument and
+    // writes nothing.
+    let json = std::env::temp_dir().join(format!("qecool_service_cli_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&json);
+    assert_rejected(
+        &["--json", json.to_str().unwrap()],
+        "unknown argument: --json",
+    );
+    assert!(!json.exists(), "--json must not create its file");
+    // QECOOL commits incrementally: a window geometry would be ignored.
+    for args in [
+        &["--window", "27", "--stride", "9"][..],
+        &["--window", "27"],
+        &["--stride", "9"],
+        &["--backend", "qecool", "--window", "27"],
+    ] {
+        assert_rejected(args, "--window/--stride");
+    }
+}
+
+#[test]
+fn a_clock_with_no_cycle_per_round_is_a_named_error() {
+    // 1e-30 GHz once served with a 0-cycle budget: every session
+    // overflowed and the run still exited 0.
+    for ghz in ["1e-30", "0.0004"] {
+        assert_rejected(&["--ghz", ghz], "0 decode cycles per measurement round");
+    }
+    // One cycle per round is a tiny budget, but a real one.
+    digest(&["--ghz", "0.001"]);
 }

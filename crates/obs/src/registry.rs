@@ -411,20 +411,16 @@ impl Snapshot {
         out
     }
 
-    /// Renders the snapshot as one flat JSON record in the hand-rolled
-    /// shape `qecool_bench::perf::parse_records` reads: a single object
+    /// Renders the snapshot as one flat JSON record: a single object
     /// with a string `"name"` and numeric fields. Labels flatten into
     /// the key (`qecool_shard_enqueued_total_shard_0`); histograms
     /// flatten to `_count`, `_sum`, `_p50` and `_p99`.
     ///
-    /// `record_name` is the `"name"` field (the perf tooling's join
-    /// key). A `"throughput"` field of 0 is included so the record
-    /// satisfies the parser's schema; telemetry snapshots are not
-    /// throughput benchmarks.
+    /// `record_name` is the `"name"` field.
     pub fn to_flat_json(&self, record_name: &str) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = write!(out, "{{\"name\": \"{record_name}\", \"throughput\": 0");
+        let _ = write!(out, "{{\"name\": \"{record_name}\"");
         for entry in &self.entries {
             let key = match &entry.label {
                 Some((k, v)) => format!("{}_{k}_{v}", entry.name),
