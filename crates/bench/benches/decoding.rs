@@ -9,7 +9,7 @@
 //!   window (Fig. 4(a) baseline).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qecool::{QecoolConfig, QecoolDecoder};
+use qecool::{DecodeOutput, Decoder, QecoolConfig, QecoolDecoder};
 use qecool_mwpm::MwpmDecoder;
 use qecool_surface_code::{CodePatch, Lattice, NoiseSpec, SyndromeHistory};
 use qecool_uf::UnionFindDecoder;
@@ -43,9 +43,11 @@ fn bench_batch_qecool(c: &mut Criterion) {
                 let mut decoder =
                     QecoolDecoder::new(lattice.clone(), QecoolConfig::batch(history.num_rounds()));
                 for round in &history {
-                    decoder.push_round(round).unwrap();
+                    decoder.ingest(round).unwrap();
                 }
-                black_box(decoder.drain().corrections.len())
+                let mut out = DecodeOutput::default();
+                decoder.finish(&mut out);
+                black_box(out.corrections.len())
             })
         });
     }
@@ -64,18 +66,20 @@ fn bench_online_layer(c: &mut Criterion) {
                     let mut rng = ChaCha8Rng::seed_from_u64(7);
                     let mut patch = CodePatch::new(lattice.clone());
                     let mut decoder = QecoolDecoder::new(lattice.clone(), QecoolConfig::online());
+                    let mut out = DecodeOutput::default();
                     for _ in 0..3 {
                         let round = patch.noisy_round(&noise, &mut rng);
-                        decoder.push_round(&round).unwrap();
-                        let report = decoder.run(Some(2000));
-                        patch.apply_corrections(report.corrections.iter().copied());
+                        decoder.ingest(&round).unwrap();
+                        decoder.decode_step(Some(2000), &mut out);
+                        patch.apply_corrections(out.corrections.iter().copied());
                     }
-                    (patch, decoder, rng)
+                    (patch, decoder, rng, out)
                 },
-                |(mut patch, mut decoder, mut rng)| {
+                |(mut patch, mut decoder, mut rng, mut out)| {
                     let round = patch.noisy_round(&noise, &mut rng);
-                    let _ = decoder.push_round(&round);
-                    black_box(decoder.run(Some(2000)).cycles)
+                    let _ = decoder.ingest(&round);
+                    decoder.decode_step(Some(2000), &mut out);
+                    black_box(out.cycles)
                 },
             )
         });

@@ -116,7 +116,7 @@ fn run_custom_online(
     budget: u64,
     seed: u64,
 ) -> (bool, bool) {
-    use qecool::{QecoolConfig, QecoolDecoder};
+    use qecool::{DecodeOutput, Decoder, QecoolConfig, QecoolDecoder};
     use qecool_surface_code::{CodePatch, Lattice, NoiseSpec};
     use rand::SeedableRng;
 
@@ -128,19 +128,20 @@ fn run_custom_online(
         .with_thv(Some(thv))
         .with_reg_capacity(capacity);
     let mut decoder = QecoolDecoder::new(lattice, config);
+    let mut out = DecodeOutput::default();
     for _ in 0..d {
         let round = patch.noisy_round(&noise, &mut rng);
-        if decoder.push_round(&round).is_err() {
+        if decoder.ingest(&round).is_err() {
             return (true, true);
         }
-        let report = decoder.run(Some(budget));
-        patch.apply_corrections(report.corrections.iter().copied());
+        decoder.decode_step(Some(budget), &mut out);
+        patch.apply_corrections(out.corrections.iter().copied());
     }
     let closing = patch.perfect_round();
-    if decoder.push_round(&closing).is_err() {
+    if decoder.ingest(&closing).is_err() {
         return (true, true);
     }
-    let report = decoder.drain();
-    patch.apply_corrections(report.corrections.iter().copied());
+    decoder.finish(&mut out);
+    patch.apply_corrections(out.corrections.iter().copied());
     (patch.has_logical_error(), false)
 }

@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qecool::{SimulatedSource, SyndromeSource};
+use qecool::{CommitCadence, CommitHint, SimulatedSource, SyndromeSource};
 use qecool_bench::{
     parse_ghz, parse_noise, parse_or_die, parse_rate, parse_threads, require_value, usage_error,
     TextTable,
@@ -66,7 +66,7 @@ use qecool_bench::{
 use qecool_obs::{Snapshot, TelemetryHandle};
 use qecool_sfq::budget::{CycleBudget, CycleHistogram};
 use qecool_sim::campaign::derive_seed;
-use qecool_sim::service::{DecodeService, ServiceBackend, ServiceConfig, SessionId, WindowConfig};
+use qecool_sim::service::{ServiceBackend, ServiceConfig, SessionId, WindowConfig};
 use qecool_sim::shard::{ShardStats, ShardedDecodeService, ShardedServiceConfig};
 use qecool_surface_code::{
     CodePatch, DetectionRound, Edge, Lattice, NoiseSpec, PackedReader, PackedWriter,
@@ -481,6 +481,9 @@ struct ServeOutcome {
     p99_lag_rounds: u64,
     overflowed: usize,
     digest: u64,
+    /// The backend's commit hint: its cadence, and whether its
+    /// decode-cycle figures come from a real cycle model.
+    hint: CommitHint,
     per_shard: Vec<ShardStats>,
     total_stats: ShardStats,
     snapshot: Option<Snapshot>,
@@ -607,6 +610,7 @@ fn serve(opts: &BenchOptions, telemetry: TelemetryHandle) -> ServeOutcome {
         p99_lag_rounds: lag_hist.percentile(0.99).min(max_lag_rounds),
         overflowed,
         digest: fabric_digest.0,
+        hint: service.commit_hint(),
         per_shard: (0..service.num_shards())
             .map(|i| service.shard_stats(i))
             .collect(),
@@ -674,21 +678,6 @@ fn main() {
         }
     );
 
-    // The backend's commit hint (cadence + whether the decode-cycle
-    // figures come from a real cycle model), from a throwaway solo
-    // service.
-    let hint = {
-        let budget = CycleBudget::at_clock(opts.ghz * 1e9);
-        let mut config = ServiceConfig::new(opts.d, opts.backend, budget).with_threads(1);
-        if let Some((w, s)) = opts.window_override() {
-            config = config.with_window(WindowConfig::new(w, s));
-        }
-        match DecodeService::new(config) {
-            Ok(solo) => solo.commit_hint(),
-            Err(e) => usage_error(&format!("--d: {e}")),
-        }
-    };
-
     // Periodic emitter: re-render the live registry to the metrics
     // target(s) while the serving loop runs.
     let stop = Arc::new(AtomicBool::new(false));
@@ -751,18 +740,18 @@ fn main() {
     ]);
     table.row([
         "commit cadence",
-        &match hint.cadence {
-            qecool::CommitCadence::Incremental => "incremental".to_string(),
-            qecool::CommitCadence::Windowed { window, stride } => {
+        &match outcome.hint.cadence {
+            CommitCadence::Incremental => "incremental".to_string(),
+            CommitCadence::Windowed { window, stride } => {
                 format!("windowed (W = {window}, S = {stride})")
             }
-            qecool::CommitCadence::Deferred => "deferred".to_string(),
+            CommitCadence::Deferred => "deferred".to_string(),
         },
     ]);
     // Decode-cycle figures are only meaningful when the backend has a
     // real hardware cycle model; the graph decoders report structural
     // zeros that must not read as a measured zero-cycle decode.
-    if hint.has_cycle_model {
+    if outcome.hint.has_cycle_model {
         table.row(["max decode cycles", &outcome.max_cycles.to_string()]);
         table.row(["p99 decode cycles", &outcome.p99_cycles.to_string()]);
         table.row([

@@ -64,8 +64,8 @@ use qecool_surface_code::{BitVec, CodePatch, DetectionRound, Edge, NoiseSpec};
 use rand_chacha::ChaCha8Rng;
 use std::io::Read;
 
-use crate::decoder::QecoolDecoder;
 use crate::reg::RegOverflow;
+use crate::stats::CycleAggregate;
 
 /// Output of one [`Decoder::decode_step`] / [`Decoder::finish`] call.
 ///
@@ -103,11 +103,14 @@ impl DecodeOutput {
 /// the last [`Decoder::reset`] — what Table III (per-layer cycles) and
 /// Fig. 4(b) (vertical match extents) read off a decoder. Reported
 /// through [`Decoder::stats_into`].
+///
+/// Fixed-size however long the stream runs: the histogram is bounded by
+/// the deepest match a backend can make.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DecodeStats {
-    /// Decode cycles of each retired layer, in retirement order (empty
-    /// for backends without a cycle model).
-    pub layer_cycles: Vec<u64>,
+    /// Decode cycles of the retired layers, aggregated (all zero for
+    /// backends without a cycle model).
+    pub layer_cycles: CycleAggregate,
     /// `vertical_hist[dt]` counts matches spanning `dt` time layers.
     pub vertical_hist: Vec<usize>,
     /// Matches resolved (union-find, which has no matches, counts its
@@ -123,9 +126,9 @@ pub struct DecodeStats {
 }
 
 impl DecodeStats {
-    /// Empties the statistics, keeping vector allocations.
+    /// Empties the statistics, keeping the histogram's allocation.
     pub fn clear(&mut self) {
-        self.layer_cycles.clear();
+        self.layer_cycles = CycleAggregate::default();
         self.vertical_hist.clear();
         self.matches = 0;
         self.timeouts = 0;
@@ -293,62 +296,6 @@ pub trait Decoder {
     /// default reports nothing: it leaves `stats` empty.
     fn stats_into(&self, stats: &mut DecodeStats) {
         stats.clear();
-    }
-}
-
-impl QecoolDecoder {
-    /// The commit watermark implied by the register state: layers retire
-    /// FIFO, so every round pushed and no longer occupying a register
-    /// layer is final.
-    fn watermark(&self) -> Option<u64> {
-        let retired = self.rounds_pushed() - self.occupancy();
-        (retired > 0).then(|| retired as u64 - 1)
-    }
-}
-
-impl Decoder for QecoolDecoder {
-    fn ingest(&mut self, round: &DetectionRound) -> Result<(), RegOverflow> {
-        self.push_round(round)
-    }
-
-    fn decode_step(&mut self, budget: Option<u64>, out: &mut DecodeOutput) {
-        out.clear();
-        let mut report = std::mem::take(&mut self.api_scratch);
-        self.run_into(budget, &mut report);
-        out.corrections.extend_from_slice(&report.corrections);
-        out.cycles = report.cycles;
-        out.idle = report.idle;
-        out.committed_through = self.watermark();
-        self.api_scratch = report;
-    }
-
-    fn finish(&mut self, out: &mut DecodeOutput) {
-        out.clear();
-        let mut report = std::mem::take(&mut self.api_scratch);
-        self.drain_into(&mut report);
-        out.corrections.extend_from_slice(&report.corrections);
-        out.cycles = report.cycles;
-        out.idle = report.idle;
-        out.committed_through = self.watermark();
-        self.api_scratch = report;
-    }
-
-    fn reset(&mut self) {
-        QecoolDecoder::reset(self);
-    }
-
-    fn commit_hint(&self) -> CommitHint {
-        CommitHint::incremental().with_cycle_model()
-    }
-
-    fn stats_into(&self, out: &mut DecodeStats) {
-        let stats = self.stats();
-        out.layer_cycles.clear();
-        out.layer_cycles.extend_from_slice(stats.layer_cycles());
-        stats.vertical_extent_histogram_into(&mut out.vertical_hist);
-        out.matches = stats.matches().len();
-        out.timeouts = stats.timeouts();
-        out.redecoded_rounds = 0;
     }
 }
 
@@ -541,30 +488,8 @@ impl<R: Read> SyndromeSource for qecool_surface_code::PackedReader<R> {
 mod tests {
     use super::*;
     use crate::config::QecoolConfig;
+    use crate::decoder::QecoolDecoder;
     use qecool_surface_code::{CodePatch, Lattice};
-
-    #[test]
-    fn trait_drive_matches_inherent_api() {
-        let lattice = Lattice::new(5).unwrap();
-        let mut patch = CodePatch::new(lattice.clone());
-        patch.inject_error(lattice.horizontal_edge(2, 2));
-        patch.inject_error(lattice.horizontal_edge(0, 1));
-        let round = patch.perfect_round();
-
-        let mut direct = QecoolDecoder::new(lattice.clone(), QecoolConfig::batch(1));
-        direct.push_round(&round).unwrap();
-        let report = direct.drain();
-
-        let mut via_trait = QecoolDecoder::new(lattice, QecoolConfig::batch(1));
-        let dyn_decoder: &mut dyn Decoder = &mut via_trait;
-        dyn_decoder.ingest(&round).unwrap();
-        let mut out = DecodeOutput::default();
-        dyn_decoder.finish(&mut out);
-
-        assert_eq!(out.corrections, report.corrections);
-        assert_eq!(out.cycles, report.cycles);
-        assert!(out.idle);
-    }
 
     #[test]
     fn budgeted_steps_resume_until_idle() {

@@ -38,16 +38,18 @@
 //! a push visits only the fired ones, and the `Pop` condition reads the
 //! count — no Controller step scans every unit.
 //!
-//! The decoder is *resumable*: [`QecoolDecoder::run`] accepts a cycle
+//! The decoder is *resumable*: [`Decoder::decode_step`] accepts a cycle
 //! budget and pauses mid-scan when it is exhausted, which is how the
 //! frequency sweep of Fig. 7 (500 MHz / 1 GHz / 2 GHz against the 1 µs
-//! measurement interval) is reproduced.
+//! measurement interval) is reproduced. [`Decoder`] is the only way to
+//! drive it: steps write straight into the caller's [`DecodeOutput`], and
+//! the decoder keeps its own fixed-size [`DecodeStats`].
 
-use qecool_surface_code::{Ancilla, Boundary, DetectionRound, Edge, Lattice};
+use qecool_surface_code::{Ancilla, Boundary, DetectionRound, Lattice};
 
+use crate::api::{CommitHint, DecodeOutput, DecodeStats, Decoder};
 use crate::config::QecoolConfig;
 use crate::reg::{RegFile, RegOverflow};
-use crate::stats::{ExecStats, MatchKind, MatchRecord};
 
 /// Cycle cost of a Row Master row check / skip.
 const COST_ROW_CHECK: u64 = 1;
@@ -58,49 +60,12 @@ const COST_SHIFT: u64 = 1;
 /// Tie-break class of a vertical (own-register) hit in the spike race.
 const VERTICAL_CLASS: u8 = 0;
 
-/// Report of one [`QecoolDecoder::run`] call.
-#[derive(Debug, Clone, Default)]
-pub struct RunReport {
-    /// Data-qubit corrections the decoder issued during this run. The
-    /// caller applies them to the [`CodePatch`](qecool_surface_code::CodePatch)
-    /// (the hardware's "correct signal to an informational qubit").
-    pub corrections: Vec<Edge>,
-    /// Decode cycles consumed by this run.
-    pub cycles: u64,
-    /// Matches resolved during this run.
-    pub matches: Vec<MatchRecord>,
-    /// `true` when the run stopped because no further work was possible
-    /// (as opposed to exhausting the cycle budget).
-    pub idle: bool,
-}
-
-impl RunReport {
-    /// Empties the report for reuse, keeping the correction and match
-    /// allocations — what lets [`QecoolDecoder::run_into`] stay
-    /// allocation-free in steady state.
-    pub fn clear(&mut self) {
-        self.corrections.clear();
-        self.cycles = 0;
-        self.matches.clear();
-        self.idle = false;
-    }
-}
-
 /// How a sink's race was resolved.
 #[derive(Debug, Clone, Copy)]
 enum Winner {
-    Spatial {
-        unit: usize,
-        layer: usize,
-        dist: usize,
-    },
-    VerticalSelf {
-        layer: usize,
-    },
-    Boundary {
-        side: Boundary,
-        dist: usize,
-    },
+    Spatial { unit: usize, layer: usize },
+    VerticalSelf { layer: usize },
+    Boundary { side: Boundary },
 }
 
 /// Controller scan position (resumable across budgeted runs).
@@ -134,7 +99,7 @@ impl ScanState {
 /// Batch-decode a single data error:
 ///
 /// ```
-/// use qecool::{QecoolConfig, QecoolDecoder};
+/// use qecool::{DecodeOutput, Decoder, QecoolConfig, QecoolDecoder};
 /// use qecool_surface_code::{CodePatch, Lattice};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -143,9 +108,10 @@ impl ScanState {
 /// patch.inject_error(lattice.horizontal_edge(2, 2));
 ///
 /// let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(1));
-/// decoder.push_round(&patch.perfect_round())?;
-/// let report = decoder.run(None);
-/// patch.apply_corrections(report.corrections.iter().copied());
+/// decoder.ingest(&patch.perfect_round())?;
+/// let mut out = DecodeOutput::default();
+/// decoder.finish(&mut out);
+/// patch.apply_corrections(out.corrections.iter().copied());
 /// assert!(patch.syndrome_is_trivial());
 /// assert!(!patch.has_logical_error());
 /// # Ok(())
@@ -157,17 +123,12 @@ pub struct QecoolDecoder {
     config: QecoolConfig,
     regs: RegFile,
     scan: ScanState,
-    stats: ExecStats,
+    stats: DecodeStats,
     nlimit: u32,
     /// Total measurement rounds pushed since construction.
     rounds_pushed: usize,
-    /// Layers retired so far (absolute index of register layer 0).
-    layers_retired: usize,
     /// Cycles accumulated since the last shift (per-layer accounting).
     cycles_since_shift: u64,
-    /// Reused report buffer backing the [`Decoder`](crate::api::Decoder)
-    /// trait implementation.
-    pub(crate) api_scratch: RunReport,
 }
 
 impl QecoolDecoder {
@@ -180,27 +141,11 @@ impl QecoolDecoder {
             config,
             regs,
             scan: ScanState::restart(),
-            stats: ExecStats::new(),
+            stats: DecodeStats::default(),
             nlimit,
             rounds_pushed: 0,
-            layers_retired: 0,
             cycles_since_shift: 0,
-            api_scratch: RunReport::default(),
         }
-    }
-
-    /// Returns the decoder to its freshly-constructed state — registers,
-    /// scan position, telemetry and counters — without reallocating. This
-    /// is what lets a Monte-Carlo worker reuse one decoder instance for
-    /// millions of shots.
-    pub fn reset(&mut self) {
-        self.regs.reset();
-        self.scan = ScanState::restart();
-        self.stats.reset();
-        self.rounds_pushed = 0;
-        self.layers_retired = 0;
-        self.cycles_since_shift = 0;
-        self.api_scratch.clear();
     }
 
     /// The lattice this decoder operates on.
@@ -211,11 +156,6 @@ impl QecoolDecoder {
     /// The active configuration.
     pub fn config(&self) -> &QecoolConfig {
         &self.config
-    }
-
-    /// Accumulated telemetry (per-layer cycles, matches, timeouts).
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
     }
 
     /// Number of layers currently buffered in the registers.
@@ -233,72 +173,16 @@ impl QecoolDecoder {
         self.regs.occupancy() == 0
     }
 
-    /// Feeds one detection-event round into every Unit's register (the
-    /// `Push` broadcast of §IV-A).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegOverflow`] when the registers are full — the paper
-    /// counts the trial as a decoding failure (§V-B).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the round width does not match the lattice.
-    pub fn push_round(&mut self, round: &DetectionRound) -> Result<(), RegOverflow> {
-        assert_eq!(
-            round.events().len(),
-            self.lattice.num_ancillas(),
-            "round width does not match lattice"
-        );
-        self.regs.push_bits(round.events())?;
-        self.rounds_pushed += 1;
-        // New data changes eligibility; the Controller restarts its sweep
-        // from radius 1 so fresh events get the tight-radius pass first.
-        self.scan = ScanState::restart();
-        Ok(())
+    /// The commit watermark implied by the register state: layers retire
+    /// FIFO, so every round pushed and no longer occupying a register
+    /// layer is final.
+    fn watermark(&self) -> Option<u64> {
+        let retired = self.rounds_pushed - self.occupancy();
+        (retired > 0).then(|| retired as u64 - 1)
     }
 
-    /// Runs the decode loop for at most `budget` cycles (`None` =
-    /// unbounded: run until idle).
-    ///
-    /// Returns the corrections issued; apply them to the code patch before
-    /// the next measurement round.
-    pub fn run(&mut self, budget: Option<u64>) -> RunReport {
-        let mut report = RunReport::default();
-        self.run_inner(budget, false, &mut report);
-        report
-    }
-
-    /// [`Self::run`] into a reused report: the report is cleared, then
-    /// filled exactly as `run` would — zero allocations once its buffers
-    /// are warm. This is the per-round hot path of the decoding service.
-    pub fn run_into(&mut self, budget: Option<u64>, report: &mut RunReport) {
-        report.clear();
-        self.run_inner(budget, false, report);
-    }
-
-    /// Runs ignoring the vertical threshold until every layer is retired —
-    /// used to close out a trial after the final (perfect) measurement
-    /// round.
-    pub fn drain(&mut self) -> RunReport {
-        let mut report = RunReport::default();
-        self.drain_into(&mut report);
-        report
-    }
-
-    /// [`Self::drain`] into a reused report (see [`Self::run_into`]).
-    pub fn drain_into(&mut self, report: &mut RunReport) {
-        report.clear();
-        self.run_inner(None, true, report);
-        debug_assert!(self.is_drained(), "drain left layers pending");
-    }
-
-    /// `true` when a call to [`Self::run`] can make progress.
-    pub fn work_available(&self) -> bool {
-        self.work_available_inner(false)
-    }
-
-    fn work_available_inner(&self, ignore_thv: bool) -> bool {
+    /// `true` when a Controller step can make progress.
+    fn work_available(&self, ignore_thv: bool) -> bool {
         if self.regs.occupancy() == 0 {
             return false;
         }
@@ -312,37 +196,38 @@ impl QecoolDecoder {
         }
     }
 
-    fn run_inner(&mut self, budget: Option<u64>, ignore_thv: bool, report: &mut RunReport) {
+    /// Steps the Controller for at most `budget` cycles (`None` = until
+    /// idle), writing into a cleared `out`. `ignore_thv` closes a stream:
+    /// every layer decodes regardless of the vertical threshold.
+    fn run(&mut self, budget: Option<u64>, ignore_thv: bool, out: &mut DecodeOutput) {
+        out.clear();
         loop {
-            if !self.work_available_inner(ignore_thv) {
-                report.idle = true;
+            if !self.work_available(ignore_thv) {
+                out.idle = true;
                 break;
             }
-            if let Some(b) = budget {
-                if report.cycles >= b {
-                    break;
-                }
+            if budget.is_some_and(|b| out.cycles >= b) {
+                break;
             }
-            self.step(ignore_thv, report);
+            self.step(ignore_thv, out);
         }
-        self.stats.add_cycles(report.cycles);
+        out.committed_through = self.watermark();
     }
 
     /// Executes one Controller action: a row scan or a sweep-end decision.
-    fn step(&mut self, ignore_thv: bool, report: &mut RunReport) {
+    fn step(&mut self, ignore_thv: bool, out: &mut DecodeOutput) {
         if self.scan.row < self.lattice.rows() && self.scan.b < self.regs.occupancy() {
-            let cost = self.process_row(ignore_thv, report);
-            self.charge(cost, report);
+            let cost = self.process_row(ignore_thv, out);
+            self.charge(cost, out);
             self.scan.row += 1;
             return;
         }
         // Sweep over (c, b) finished (or b out of range): sweep-end logic.
         if self.scan.shift_ok && self.regs.occupancy() > 0 && self.regs.layer_zero_clear() {
             self.regs.shift();
-            self.charge(COST_SHIFT, report);
-            self.stats.record_layer(self.cycles_since_shift);
+            self.charge(COST_SHIFT, out);
+            self.stats.layer_cycles.push(self.cycles_since_shift);
             self.cycles_since_shift = 0;
-            self.layers_retired += 1;
             self.scan = ScanState::restart();
             return;
         }
@@ -359,8 +244,8 @@ impl QecoolDecoder {
         }
     }
 
-    fn charge(&mut self, cost: u64, report: &mut RunReport) {
-        report.cycles += cost;
+    fn charge(&mut self, cost: u64, out: &mut DecodeOutput) {
+        out.cycles += cost;
         self.cycles_since_shift += cost;
     }
 
@@ -380,7 +265,7 @@ impl QecoolDecoder {
 
     /// Processes one row at the current `(c, b)` scan position. Returns
     /// the cycle cost.
-    fn process_row(&mut self, ignore_thv: bool, report: &mut RunReport) -> u64 {
+    fn process_row(&mut self, ignore_thv: bool, out: &mut DecodeOutput) -> u64 {
         let row = self.scan.row;
         let b = self.scan.b;
         let cols = self.lattice.cols();
@@ -403,7 +288,7 @@ impl QecoolDecoder {
             let u = row_base + j;
             cost += COST_TOKEN;
             if self.regs.get(u, b) {
-                cost += self.race(u, b, report);
+                cost += self.race(u, b, out);
             }
             self.scan.shift_ok &= !self.regs.get(u, 0);
         }
@@ -412,7 +297,7 @@ impl QecoolDecoder {
 
     /// Runs the spike race for a sink Unit `u` holding an event at depth
     /// `b`, with the current radius timeout. Returns the cycle cost.
-    fn race(&mut self, sink: usize, b: usize, report: &mut RunReport) -> u64 {
+    fn race(&mut self, sink: usize, b: usize, out: &mut DecodeOutput) -> u64 {
         let timeout = self.scan.c as u64;
         let sink_a = self.lattice.ancilla_from_index(sink);
 
@@ -441,11 +326,7 @@ impl QecoolDecoder {
                 let dir = direction_rank(sink_a, from);
                 consider(
                     (arrival, 1, dir, u),
-                    Winner::Spatial {
-                        unit: u,
-                        layer: t,
-                        dist,
-                    },
+                    Winner::Spatial { unit: u, layer: t },
                     &mut best,
                 );
             }
@@ -471,56 +352,93 @@ impl QecoolDecoder {
             };
             consider(
                 (arrival, 2, dir, usize::MAX),
-                Winner::Boundary { side, dist },
+                Winner::Boundary { side },
                 &mut best,
             );
         }
 
         let Some(((arrival, ..), winner)) = best else {
             // Timed out: the event stays for a wider radius iteration.
-            self.stats.record_timeout();
+            self.stats.timeouts += 1;
             return timeout;
         };
 
         // Apply the match: Syndrome signal retraces the spike route,
         // correcting one data qubit per hop; both register bits clear.
-        let kind = match winner {
-            Winner::Spatial { unit, layer, dist } => {
+        // The match's vertical extent feeds Fig. 4(b).
+        let dt = match winner {
+            Winner::Spatial { unit, layer } => {
                 let from = self.lattice.ancilla_from_index(unit);
-                report.corrections.extend(self.lattice.route(from, sink_a));
+                out.corrections.extend(self.lattice.route(from, sink_a));
                 self.regs.clear(sink, b);
                 self.regs.clear(unit, layer);
-                MatchKind::Spatial {
-                    distance: dist,
-                    dt: layer - b,
-                }
+                layer - b
             }
             Winner::VerticalSelf { layer } => {
                 self.regs.clear(sink, b);
                 self.regs.clear(sink, layer);
-                MatchKind::VerticalSelf { dt: layer - b }
+                layer - b
             }
-            Winner::Boundary { side, dist } => {
-                report
-                    .corrections
+            Winner::Boundary { side } => {
+                out.corrections
                     .extend(self.lattice.route_to_boundary(sink_a, side));
                 self.regs.clear(sink, b);
-                MatchKind::Boundary {
-                    side,
-                    distance: dist,
-                }
+                0
             }
         };
-        let record = MatchRecord {
-            sink: sink_a,
-            layer: self.layers_retired + b,
-            kind,
-        };
-        self.stats.record_match(record);
-        report.matches.push(record);
+        self.stats.record_match(dt);
 
         // Spike in + Syndrome back, plus the request broadcast.
         2 * arrival + 1
+    }
+}
+
+impl Decoder for QecoolDecoder {
+    /// Feeds one detection-event round into every Unit's register (the
+    /// `Push` broadcast of §IV-A). New data changes eligibility, so the
+    /// Controller restarts its sweep from radius 1 and fresh events get
+    /// the tight-radius pass first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the round width does not match the lattice.
+    fn ingest(&mut self, round: &DetectionRound) -> Result<(), RegOverflow> {
+        assert_eq!(
+            round.events().len(),
+            self.lattice.num_ancillas(),
+            "round width does not match lattice"
+        );
+        self.regs.push_bits(round.events())?;
+        self.rounds_pushed += 1;
+        self.scan = ScanState::restart();
+        Ok(())
+    }
+
+    fn decode_step(&mut self, budget: Option<u64>, out: &mut DecodeOutput) {
+        self.run(budget, false, out);
+    }
+
+    fn finish(&mut self, out: &mut DecodeOutput) {
+        self.run(None, true, out);
+        debug_assert!(self.is_drained(), "finish left layers pending");
+    }
+
+    /// Returns the decoder to its freshly-constructed state — registers,
+    /// scan position, statistics and counters — without reallocating.
+    fn reset(&mut self) {
+        self.regs.reset();
+        self.scan = ScanState::restart();
+        self.stats.clear();
+        self.rounds_pushed = 0;
+        self.cycles_since_shift = 0;
+    }
+
+    fn commit_hint(&self) -> CommitHint {
+        CommitHint::incremental().with_cycle_model()
+    }
+
+    fn stats_into(&self, stats: &mut DecodeStats) {
+        stats.clone_from(&self.stats);
     }
 }
 
@@ -546,33 +464,57 @@ fn direction_rank(sink: Ancilla, from: Ancilla) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qecool_surface_code::{CodePatch, NoiseSpec, SyndromeHistory};
+    use qecool_surface_code::{CodePatch, Edge, NoiseSpec, SyndromeHistory};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn batch_decode(patch: &mut CodePatch, rounds: usize) -> RunReport {
+    /// The decoder's statistics so far.
+    fn stats_of(decoder: &QecoolDecoder) -> DecodeStats {
+        let mut stats = DecodeStats::default();
+        decoder.stats_into(&mut stats);
+        stats
+    }
+
+    /// Closes `decoder`'s stream and returns the closing output.
+    fn finish(decoder: &mut QecoolDecoder) -> DecodeOutput {
+        let mut out = DecodeOutput::default();
+        decoder.finish(&mut out);
+        out
+    }
+
+    /// One budgeted step.
+    fn step(decoder: &mut QecoolDecoder, budget: Option<u64>) -> DecodeOutput {
+        let mut out = DecodeOutput::default();
+        decoder.decode_step(budget, &mut out);
+        out
+    }
+
+    /// Batch-decodes `rounds` perfect rounds of `patch`, applies the
+    /// corrections and returns the closing output with the statistics.
+    fn batch_decode(patch: &mut CodePatch, rounds: usize) -> (DecodeOutput, DecodeStats) {
         let lattice = patch.lattice().clone();
         let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(rounds));
         for _ in 0..rounds {
-            let round = patch.perfect_round();
-            decoder.push_round(&round).unwrap();
+            decoder.ingest(&patch.perfect_round()).unwrap();
         }
-        let report = decoder.drain();
-        patch.apply_corrections(report.corrections.iter().copied());
-        report
+        let out = finish(&mut decoder);
+        patch.apply_corrections(out.corrections.iter().copied());
+        (out, stats_of(&decoder))
     }
 
     #[test]
     fn clean_patch_decodes_to_nothing() {
         let lattice = Lattice::new(5).unwrap();
         let mut patch = CodePatch::new(lattice);
-        let report = batch_decode(&mut patch, 1);
-        assert!(report.corrections.is_empty());
-        assert!(report.matches.is_empty());
-        assert!(report.idle);
+        let (out, stats) = batch_decode(&mut patch, 1);
+        assert!(out.corrections.is_empty());
+        assert_eq!(stats.matches, 0);
+        assert!(stats.vertical_hist.is_empty());
+        assert_eq!(stats.layer_cycles.count, 1);
+        assert!(out.idle);
         assert!(patch.syndrome_is_trivial());
         // Quiet layer still costs the row-master sweep + shift.
-        assert!(report.cycles >= 5);
+        assert!(out.cycles >= 5);
     }
 
     #[test]
@@ -616,19 +558,20 @@ mod tests {
 
         let mut r0 = patch.perfect_round().into_inner();
         r0.toggle(idx);
-        decoder.push_round(&DetectionRound::new(r0)).unwrap();
+        decoder.ingest(&DetectionRound::new(r0)).unwrap();
         let mut r1 = patch.perfect_round().into_inner();
         r1.toggle(idx);
-        decoder.push_round(&DetectionRound::new(r1)).unwrap();
-        decoder.push_round(&patch.perfect_round()).unwrap();
+        decoder.ingest(&DetectionRound::new(r1)).unwrap();
+        decoder.ingest(&patch.perfect_round()).unwrap();
 
-        let report = decoder.drain();
-        assert!(report.corrections.is_empty(), "{report:?}");
-        assert_eq!(report.matches.len(), 1);
-        assert!(matches!(
-            report.matches[0].kind,
-            MatchKind::VerticalSelf { dt: 1 }
-        ));
+        let out = finish(&mut decoder);
+        assert!(out.corrections.is_empty(), "{out:?}");
+        let stats = stats_of(&decoder);
+        assert_eq!(stats.matches, 1);
+        // One match spanning one layer (a vertical self-pair, dt = 1).
+        assert_eq!(stats.vertical_hist, vec![0, 1]);
+        assert_eq!(stats.timeouts, 0);
+        assert_eq!(stats.layer_cycles.count, 3);
     }
 
     #[test]
@@ -636,15 +579,13 @@ mod tests {
         let lattice = Lattice::new(7).unwrap();
         let mut patch = CodePatch::new(lattice.clone());
         patch.inject_error(lattice.horizontal_edge(3, 3));
-        let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(1));
-        decoder.push_round(&patch.perfect_round()).unwrap();
-        let report = decoder.drain();
-        assert_eq!(report.matches.len(), 1);
-        assert!(matches!(
-            report.matches[0].kind,
-            MatchKind::Spatial { distance: 1, dt: 0 }
-        ));
-        patch.apply_corrections(report.corrections.iter().copied());
+        let (out, stats) = batch_decode(&mut patch, 1);
+        // One spatial match at distance 1, dt = 0: the injected qubit.
+        assert_eq!(out.corrections, vec![lattice.horizontal_edge(3, 3)]);
+        assert_eq!(stats.matches, 1);
+        assert_eq!(stats.vertical_hist, vec![1]);
+        assert_eq!(stats.timeouts, 0);
+        assert_eq!(stats.layer_cycles.count, 1);
         assert!(patch.syndrome_is_trivial());
         assert!(!patch.has_logical_error());
     }
@@ -654,18 +595,16 @@ mod tests {
         let lattice = Lattice::new(7).unwrap();
         let mut patch = CodePatch::new(lattice.clone());
         patch.inject_error(lattice.horizontal_edge(2, 0));
-        let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(1));
-        decoder.push_round(&patch.perfect_round()).unwrap();
-        let report = decoder.drain();
-        assert_eq!(report.matches.len(), 1);
-        assert!(matches!(
-            report.matches[0].kind,
-            MatchKind::Boundary {
-                side: Boundary::West,
-                distance: 1
-            }
-        ));
-        patch.apply_corrections(report.corrections.iter().copied());
+        let (out, stats) = batch_decode(&mut patch, 1);
+        // One West-boundary match at distance 1: the injected qubit.
+        assert_eq!(out.corrections, vec![lattice.horizontal_edge(2, 0)]);
+        assert_eq!(lattice.endpoints(out.corrections[0]).1, None);
+        assert_eq!(stats.matches, 1);
+        assert_eq!(stats.vertical_hist, vec![1]);
+        // The boundary penalty makes the radius-1 and radius-2 races
+        // time out first.
+        assert_eq!(stats.timeouts, 2);
+        assert_eq!(stats.layer_cycles.count, 1);
         assert!(patch.syndrome_is_trivial());
         assert!(!patch.has_logical_error());
     }
@@ -680,12 +619,12 @@ mod tests {
             let mut decoder = QecoolDecoder::new(lattice.clone(), QecoolConfig::batch(8));
             for _ in 0..7 {
                 decoder
-                    .push_round(&patch.noisy_round(&noise, &mut rng))
+                    .ingest(&patch.noisy_round(&noise, &mut rng))
                     .unwrap();
             }
-            decoder.push_round(&patch.perfect_round()).unwrap();
-            let report = decoder.drain();
-            patch.apply_corrections(report.corrections.iter().copied());
+            decoder.ingest(&patch.perfect_round()).unwrap();
+            let out = finish(&mut decoder);
+            patch.apply_corrections(out.corrections.iter().copied());
             assert!(
                 patch.syndrome_is_trivial(),
                 "seed {seed}: decoder left residual syndrome"
@@ -703,14 +642,14 @@ mod tests {
         patch.inject_error(lattice.horizontal_edge(3, 2));
         let mut decoder =
             QecoolDecoder::new(lattice.clone(), QecoolConfig::online().with_thv(None));
-        decoder.push_round(&patch.perfect_round()).unwrap();
+        decoder.ingest(&patch.perfect_round()).unwrap();
 
         // Tiny budget: should pause without finishing.
-        let r1 = decoder.run(Some(3));
+        let r1 = step(&mut decoder, Some(3));
         assert!(!r1.idle);
         assert!(r1.cycles >= 3);
         // Unbounded continuation must finish the job.
-        let r2 = decoder.run(None);
+        let r2 = step(&mut decoder, None);
         assert!(r2.idle);
         let all: Vec<Edge> = r1
             .corrections
@@ -728,17 +667,17 @@ mod tests {
         let mut patch = CodePatch::new(lattice.clone());
         patch.inject_error(lattice.horizontal_edge(2, 1));
         let mut decoder = QecoolDecoder::new(lattice.clone(), QecoolConfig::online());
-        decoder.push_round(&patch.perfect_round()).unwrap();
+        decoder.ingest(&patch.perfect_round()).unwrap();
         // Only one round pushed: th_v = 3 blocks layer 0 (events pending).
-        let r = decoder.run(None);
+        let r = step(&mut decoder, None);
         assert!(r.idle);
         assert!(r.corrections.is_empty());
         assert_eq!(decoder.occupancy(), 1);
         // Three more quiet rounds unlock it (m = 4 > th_v = 3).
         for _ in 0..3 {
-            decoder.push_round(&patch.perfect_round()).unwrap();
+            decoder.ingest(&patch.perfect_round()).unwrap();
         }
-        let r = decoder.run(None);
+        let r = step(&mut decoder, None);
         assert!(!r.corrections.is_empty());
         patch.apply_corrections(r.corrections.iter().copied());
         assert!(patch.syndrome_is_trivial());
@@ -749,8 +688,8 @@ mod tests {
         let lattice = Lattice::new(5).unwrap();
         let mut patch = CodePatch::new(lattice.clone());
         let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::online());
-        decoder.push_round(&patch.perfect_round()).unwrap();
-        let r = decoder.run(None);
+        decoder.ingest(&patch.perfect_round()).unwrap();
+        let r = step(&mut decoder, None);
         assert!(r.idle);
         assert!(decoder.is_drained(), "quiet layer should pop immediately");
     }
@@ -768,11 +707,11 @@ mod tests {
         );
         // Layer 0 has an event; th_v = 3 can never be satisfied with
         // capacity 2, so the third push overflows.
-        decoder.push_round(&patch.perfect_round()).unwrap();
-        decoder.run(None);
-        decoder.push_round(&patch.perfect_round()).unwrap();
-        decoder.run(None);
-        let err = decoder.push_round(&patch.perfect_round());
+        decoder.ingest(&patch.perfect_round()).unwrap();
+        step(&mut decoder, None);
+        decoder.ingest(&patch.perfect_round()).unwrap();
+        step(&mut decoder, None);
+        let err = decoder.ingest(&patch.perfect_round());
         assert!(err.is_err());
     }
 
@@ -782,11 +721,13 @@ mod tests {
         let mut patch = CodePatch::new(lattice.clone());
         let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(3));
         for _ in 0..3 {
-            decoder.push_round(&patch.perfect_round()).unwrap();
+            decoder.ingest(&patch.perfect_round()).unwrap();
         }
-        decoder.drain();
-        assert_eq!(decoder.stats().layer_cycles().len(), 3);
-        assert!(decoder.stats().total_cycles() > 0);
+        let out = finish(&mut decoder);
+        let stats = stats_of(&decoder);
+        assert_eq!(stats.layer_cycles.count, 3);
+        assert!(stats.layer_cycles.sum > 0);
+        assert_eq!(stats.layer_cycles.sum, out.cycles);
     }
 
     #[test]
@@ -801,15 +742,15 @@ mod tests {
         for e in lattice.route(a, b) {
             patch.inject_error(e);
         }
-        let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(1));
-        decoder.push_round(&patch.perfect_round()).unwrap();
-        let report = decoder.drain();
-        assert_eq!(report.matches.len(), 1);
-        assert!(matches!(
-            report.matches[0].kind,
-            MatchKind::Spatial { distance: 3, dt: 0 }
-        ));
-        patch.apply_corrections(report.corrections.iter().copied());
+        let (out, stats) = batch_decode(&mut patch, 1);
+        // One spatial match at distance 3, dt = 0: the sink `a` (first in
+        // raster order) wins `b`'s spike and retraces its route.
+        assert_eq!(out.corrections, lattice.route(b, a));
+        assert_eq!(stats.matches, 1);
+        assert_eq!(stats.vertical_hist, vec![1]);
+        // Both sinks time out at radii 1 and 2 before radius 3 pairs them.
+        assert_eq!(stats.timeouts, 4);
+        assert_eq!(stats.layer_cycles.count, 1);
         assert!(patch.syndrome_is_trivial());
         assert!(!patch.has_logical_error());
     }
@@ -828,10 +769,10 @@ mod tests {
         history.push(patch.perfect_round());
         let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(5));
         for round in &history {
-            decoder.push_round(round).unwrap();
+            decoder.ingest(round).unwrap();
         }
-        let report = decoder.drain();
-        patch.apply_corrections(report.corrections.iter().copied());
+        let out = finish(&mut decoder);
+        patch.apply_corrections(out.corrections.iter().copied());
         assert!(patch.syndrome_is_trivial());
     }
 
@@ -860,18 +801,21 @@ mod tests {
                     QecoolDecoder::new(lattice, QecoolConfig::batch(rounds + 1));
                 for _ in 0..rounds {
                     decoder
-                        .push_round(&patch.noisy_round(&noise, &mut rng))
+                        .ingest(&patch.noisy_round(&noise, &mut rng))
                         .unwrap();
                 }
-                decoder.push_round(&patch.perfect_round()).unwrap();
-                let report = decoder.drain();
-                patch.apply_corrections(report.corrections.iter().copied());
+                decoder.ingest(&patch.perfect_round()).unwrap();
+                let out = finish(&mut decoder);
+                patch.apply_corrections(out.corrections.iter().copied());
                 prop_assert!(patch.syndrome_is_trivial());
                 prop_assert!(decoder.is_drained());
             }
 
             /// Every match clears exactly the register bits it claims:
-            /// after a drain, total matches account for all events.
+            /// after a drain, total matches account for all events. A
+            /// boundary match consumes one event and emits exactly one
+            /// boundary edge (its last hop); a pair match consumes two and
+            /// emits only bulk edges.
             #[test]
             fn prop_matches_consume_all_events(
                 seed in any::<u64>(),
@@ -887,23 +831,21 @@ mod tests {
                 let round = patch.perfect_round();
                 let events = round.num_events();
                 let mut decoder =
-                    QecoolDecoder::new(lattice, QecoolConfig::batch(1));
-                decoder.push_round(&round).unwrap();
-                let report = decoder.drain();
-                // Boundary matches consume 1 event, pair matches 2.
-                let consumed: usize = report
-                    .matches
+                    QecoolDecoder::new(lattice.clone(), QecoolConfig::batch(1));
+                decoder.ingest(&round).unwrap();
+                let out = finish(&mut decoder);
+                let boundary_matches = out
+                    .corrections
                     .iter()
-                    .map(|m| match m.kind {
-                        MatchKind::Boundary { .. } => 1,
-                        _ => 2,
-                    })
-                    .sum();
-                prop_assert_eq!(consumed, events);
+                    .filter(|&&e| lattice.endpoints(e).1.is_none())
+                    .count();
+                let matches = stats_of(&decoder).matches;
+                prop_assert_eq!(2 * matches - boundary_matches, events);
             }
 
-            /// Cycle accounting is conserved: per-layer records sum to the
-            /// total, and every retired layer is recorded.
+            /// Cycle accounting is conserved: the per-layer aggregate sums
+            /// to the cycles the steps reported, and every retired layer
+            /// is counted.
             #[test]
             fn prop_cycle_accounting_is_conserved(
                 seed in any::<u64>(),
@@ -918,15 +860,14 @@ mod tests {
                     QecoolDecoder::new(lattice, QecoolConfig::batch(rounds + 1));
                 for _ in 0..rounds {
                     decoder
-                        .push_round(&patch.noisy_round(&noise, &mut rng))
+                        .ingest(&patch.noisy_round(&noise, &mut rng))
                         .unwrap();
                 }
-                decoder.push_round(&patch.perfect_round()).unwrap();
-                decoder.drain();
-                let stats = decoder.stats();
-                prop_assert_eq!(stats.layer_cycles().len(), rounds + 1);
-                let sum: u64 = stats.layer_cycles().iter().sum();
-                prop_assert_eq!(sum, stats.total_cycles());
+                decoder.ingest(&patch.perfect_round()).unwrap();
+                let out = finish(&mut decoder);
+                let stats = stats_of(&decoder);
+                prop_assert_eq!(stats.layer_cycles.count, rounds as u64 + 1);
+                prop_assert_eq!(stats.layer_cycles.sum, out.cycles);
             }
 
             /// The same rounds pushed into batch decoders of different
@@ -948,11 +889,11 @@ mod tests {
                     );
                     for _ in 0..3 {
                         decoder
-                            .push_round(&patch.noisy_round(&noise, &mut rng))
+                            .ingest(&patch.noisy_round(&noise, &mut rng))
                             .unwrap();
                     }
-                    decoder.push_round(&patch.perfect_round()).unwrap();
-                    corrections.push(decoder.drain().corrections);
+                    decoder.ingest(&patch.perfect_round()).unwrap();
+                    corrections.push(finish(&mut decoder).corrections);
                 }
                 prop_assert_eq!(&corrections[0], &corrections[1]);
                 prop_assert_eq!(&corrections[1], &corrections[2]);

@@ -11,15 +11,15 @@
 //! budget, with register overflow as the failure mode).
 //!
 //! * [`QecoolDecoder`] — the decoder itself ([`decoder`] module docs
-//!   describe the hardware mapping).
+//!   describe the hardware mapping), driven only through [`api::Decoder`].
 //! * [`api::Decoder`] — the streaming ingest/step/finish trait the
 //!   decoding service drives; implemented here for [`QecoolDecoder`] and
 //!   by the windowed baseline adapters in `qecool-sim`.
 //! * [`QecoolConfig`] — operating-mode presets (batch / on-line with the
 //!   paper's 7-bit `Reg` and `th_v = 3`).
 //! * [`reg`] — the per-Unit measurement register bank.
-//! * [`stats`] — per-layer cycle accounting (Table III) and match
-//!   telemetry (Fig. 4(b)).
+//! * [`stats`] — the fixed-size per-layer cycle aggregate (Table III)
+//!   that [`DecodeStats`] carries beside the match histogram (Fig. 4(b)).
 //! * [`json`] — the workspace's shared hand-rolled JSON tree (the
 //!   vendored `serde` is a stub), used by the bench perf records and the
 //!   campaign checkpoint files.
@@ -27,7 +27,7 @@
 //! # Example
 //!
 //! ```
-//! use qecool::{QecoolConfig, QecoolDecoder};
+//! use qecool::{DecodeOutput, Decoder, QecoolConfig, QecoolDecoder};
 //! use qecool_surface_code::{CodePatch, Lattice};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,9 +36,10 @@
 //! patch.inject_error(lattice.vertical_edge(1, 2));
 //!
 //! let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(1));
-//! decoder.push_round(&patch.perfect_round())?;
-//! let report = decoder.drain();
-//! patch.apply_corrections(report.corrections.iter().copied());
+//! decoder.ingest(&patch.perfect_round())?;
+//! let mut out = DecodeOutput::default();
+//! decoder.finish(&mut out);
+//! patch.apply_corrections(out.corrections.iter().copied());
 //! assert!(patch.syndrome_is_trivial());
 //! # Ok(())
 //! # }
@@ -59,7 +60,7 @@ pub use api::{
     CommitCadence, CommitHint, DecodeOutput, DecodeStats, Decoder, SimulatedSource, SyndromeSource,
 };
 pub use config::{QecoolConfig, DEFAULT_BOUNDARY_PENALTY, PAPER_REG_CAPACITY, PAPER_THV};
-pub use decoder::{QecoolDecoder, RunReport};
+pub use decoder::QecoolDecoder;
 pub use error::{exit_with, FatalError};
 pub use reg::{RegFile, RegOverflow};
-pub use stats::{ExecStats, MatchKind, MatchRecord};
+pub use stats::CycleAggregate;

@@ -1,224 +1,118 @@
-//! Execution-cycle accounting and match telemetry.
+//! Fixed-size decode statistics.
 //!
-//! Table III of the paper reports per-layer execution cycles (Max / Avg /
-//! σ); Fig. 4(b) reports the distribution of vertical (temporal) match
-//! extents. Both are gathered here while the decoder runs; the
-//! simulator's `CycleAggregate` reduces the cycles to Max / Avg / σ.
+//! Table III of the paper reports per-layer execution cycles only as
+//! Max / Avg / σ, so the decoder folds each retired layer's cycle count
+//! into a [`CycleAggregate`] as it goes — a decoder's statistics stay the
+//! same size however long its stream runs. The aggregate is carried by
+//! [`DecodeStats::layer_cycles`](crate::api::DecodeStats::layer_cycles)
+//! and summed across trials by the simulator's `McResult`.
 
-use qecool_surface_code::{Ancilla, Boundary};
 use serde::{Deserialize, Serialize};
 
-/// How a sink Unit's event was resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MatchKind {
-    /// Matched to another Unit's event via a spike race.
-    Spatial {
-        /// Spatial Manhattan hop count between the Units.
-        distance: usize,
-        /// Temporal layer separation of the two events.
-        dt: usize,
-    },
-    /// Matched to a later event on the *same* Unit (pure measurement-error
-    /// pair — the `t != b && Reg[t] == 1` branch of Algorithm 1).
-    VerticalSelf {
-        /// Temporal layer separation.
-        dt: usize,
-    },
-    /// Matched to a Boundary Unit.
-    Boundary {
-        /// Which boundary won the race.
-        side: Boundary,
-        /// Spatial hop count to that boundary.
-        distance: usize,
-    },
+/// Streaming aggregate of cycle counts (per-layer execution cycles).
+///
+/// Every field is an order-independent integer sum or maximum, so
+/// merging partial aggregates in any order gives the same result.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CycleAggregate {
+    /// Number of samples.
+    pub count: u64,
+    /// Sum of samples.
+    pub sum: u64,
+    /// Sum of squared samples.
+    pub sum_sq: u128,
+    /// Maximum sample.
+    pub max: u64,
 }
 
-impl MatchKind {
-    /// Temporal extent of the match in measurement layers (0 for boundary
-    /// matches, which are purely spatial).
-    pub fn vertical_extent(&self) -> usize {
-        match *self {
-            MatchKind::Spatial { dt, .. } | MatchKind::VerticalSelf { dt } => dt,
-            MatchKind::Boundary { .. } => 0,
-        }
-    }
-}
-
-/// One resolved match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MatchRecord {
-    /// The sink Unit that held the Token.
-    pub sink: Ancilla,
-    /// Base layer (`b`) the sink's event lived in, counted in absolute
-    /// rounds since the start of the trial.
-    pub layer: usize,
-    /// How the event was resolved.
-    pub kind: MatchKind,
-}
-
-/// Telemetry accumulated by one decoder instance.
-#[derive(Debug, Clone, Default)]
-pub struct ExecStats {
-    layer_cycles: Vec<u64>,
-    total_cycles: u64,
-    matches: Vec<MatchRecord>,
-    timeouts: u64,
-}
-
-impl ExecStats {
-    /// Creates empty telemetry.
+impl CycleAggregate {
+    /// Creates an empty aggregate.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Discards all telemetry, keeping allocations for reuse.
-    pub fn reset(&mut self) {
-        self.layer_cycles.clear();
-        self.total_cycles = 0;
-        self.matches.clear();
-        self.timeouts = 0;
+    /// Adds one sample.
+    pub fn push(&mut self, x: u64) {
+        self.count += 1;
+        self.sum += x;
+        self.sum_sq += u128::from(x) * u128::from(x);
+        self.max = self.max.max(x);
     }
 
-    /// Records the retirement of one layer after `cycles` of decode work.
-    pub(crate) fn record_layer(&mut self, cycles: u64) {
-        self.layer_cycles.push(cycles);
+    /// Merges another aggregate into this one.
+    pub fn merge(&mut self, other: &CycleAggregate) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
+        self.max = self.max.max(other.max);
     }
 
-    /// Adds decode work to the running total.
-    pub(crate) fn add_cycles(&mut self, cycles: u64) {
-        self.total_cycles += cycles;
-    }
-
-    /// Records a resolved match.
-    pub(crate) fn record_match(&mut self, record: MatchRecord) {
-        self.matches.push(record);
-    }
-
-    /// Records a sink that timed out waiting for a spike.
-    pub(crate) fn record_timeout(&mut self) {
-        self.timeouts += 1;
-    }
-
-    /// Per-layer cycle counts, in retirement order.
-    pub fn layer_cycles(&self) -> &[u64] {
-        &self.layer_cycles
-    }
-
-    /// Total decode cycles consumed so far.
-    pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
-    }
-
-    /// All resolved matches.
-    pub fn matches(&self) -> &[MatchRecord] {
-        &self.matches
-    }
-
-    /// Number of sink timeouts (failed races that will be retried at a
-    /// larger radius).
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    /// Histogram of vertical match extents: `hist[dt]` counts matches with
-    /// temporal separation `dt` (Fig. 4(b) input).
-    pub fn vertical_extent_histogram(&self) -> Vec<usize> {
-        let mut hist = Vec::new();
-        self.vertical_extent_histogram_into(&mut hist);
-        hist
-    }
-
-    /// Allocation-free variant of [`Self::vertical_extent_histogram`]:
-    /// clears `hist` and fills it in place (the Monte-Carlo hot path).
-    pub fn vertical_extent_histogram_into(&self, hist: &mut Vec<usize>) {
-        hist.clear();
-        for m in &self.matches {
-            let dt = m.kind.vertical_extent();
-            if hist.len() <= dt {
-                hist.resize(dt + 1, 0);
-            }
-            hist[dt] += 1;
+    /// Sample mean (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
         }
     }
 
-    /// Fraction of matches whose vertical extent is at least `min_dt`.
-    /// Returns 0 when no matches were recorded.
-    pub fn vertical_extent_fraction(&self, min_dt: usize) -> f64 {
-        if self.matches.is_empty() {
+    /// Population standard deviation (0 when empty).
+    pub fn std_dev(&self) -> f64 {
+        if self.count == 0 {
             return 0.0;
         }
-        let hits = self
-            .matches
-            .iter()
-            .filter(|m| m.kind.vertical_extent() >= min_dt)
-            .count();
-        hits as f64 / self.matches.len() as f64
+        let mean = self.mean();
+        let ex2 = self.sum_sq as f64 / self.count as f64;
+        (ex2 - mean * mean).max(0.0).sqrt()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
-    fn vertical_extent_accounting() {
-        let mut st = ExecStats::new();
-        let a = Ancilla::new(0, 0);
-        st.record_match(MatchRecord {
-            sink: a,
-            layer: 0,
-            kind: MatchKind::Spatial { distance: 2, dt: 0 },
-        });
-        st.record_match(MatchRecord {
-            sink: a,
-            layer: 1,
-            kind: MatchKind::VerticalSelf { dt: 3 },
-        });
-        st.record_match(MatchRecord {
-            sink: a,
-            layer: 2,
-            kind: MatchKind::Boundary {
-                side: Boundary::West,
-                distance: 1,
-            },
-        });
-        assert_eq!(st.vertical_extent_histogram(), vec![2, 0, 0, 1]);
-        assert!((st.vertical_extent_fraction(3) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(st.vertical_extent_fraction(0), 1.0);
-        assert_eq!(st.matches().len(), 3);
+    fn cycle_aggregate_matches_direct_computation() {
+        let mut agg = CycleAggregate::new();
+        let data = [3u64, 7, 1, 9, 4];
+        for &x in &data {
+            agg.push(x);
+        }
+        let mean = data.iter().sum::<u64>() as f64 / data.len() as f64;
+        assert!((agg.mean() - mean).abs() < 1e-12);
+        assert_eq!(agg.max, 9);
+        assert_eq!(agg.count, 5);
+        let var = data.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / data.len() as f64;
+        assert!((agg.std_dev() - var.sqrt()).abs() < 1e-9);
     }
 
     #[test]
-    fn empty_fraction_is_zero() {
-        assert_eq!(ExecStats::new().vertical_extent_fraction(1), 0.0);
-    }
-
-    #[test]
-    fn match_kind_extent() {
-        assert_eq!(
-            MatchKind::Spatial { distance: 5, dt: 2 }.vertical_extent(),
-            2
-        );
-        assert_eq!(MatchKind::VerticalSelf { dt: 4 }.vertical_extent(), 4);
-        assert_eq!(
-            MatchKind::Boundary {
-                side: Boundary::East,
-                distance: 2
+    fn merge_equals_sequential_push() {
+        let mut a = CycleAggregate::new();
+        let mut b = CycleAggregate::new();
+        let mut whole = CycleAggregate::new();
+        for x in 0..10u64 {
+            if x % 2 == 0 {
+                a.push(x);
+            } else {
+                b.push(x);
             }
-            .vertical_extent(),
-            0
-        );
+            whole.push(x);
+        }
+        a.merge(&b);
+        assert_eq!(a, whole);
     }
 
-    #[test]
-    fn layer_recording() {
-        let mut st = ExecStats::new();
-        st.record_layer(10);
-        st.record_layer(30);
-        st.add_cycles(40);
-        st.record_timeout();
-        assert_eq!(st.layer_cycles(), &[10, 30]);
-        assert_eq!(st.total_cycles(), 40);
-        assert_eq!(st.timeouts(), 1);
+    proptest! {
+        #[test]
+        fn prop_aggregate_std_nonnegative(xs in proptest::collection::vec(0u64..10_000, 0..50)) {
+            let mut agg = CycleAggregate::new();
+            for &x in &xs {
+                agg.push(x);
+            }
+            prop_assert!(agg.std_dev() >= 0.0);
+            prop_assert!(agg.mean() <= agg.max as f64 + 1e-9);
+        }
     }
 }

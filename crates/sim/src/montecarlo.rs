@@ -52,9 +52,7 @@ impl McResult {
         self.failures += usize::from(outcome.logical_error);
         self.overflows += usize::from(outcome.overflow);
         let stats = &outcome.stats;
-        for &c in &stats.layer_cycles {
-            self.layer_cycles.push(c);
-        }
+        self.layer_cycles.merge(&stats.layer_cycles);
         if self.vertical_hist.len() < stats.vertical_hist.len() {
             self.vertical_hist.resize(stats.vertical_hist.len(), 0);
         }

@@ -35,12 +35,14 @@
 //!
 //! The per-round path is allocation-free once a session is warm: pushed
 //! rounds land in recycled [`DetectionRound`] buffers
-//! ([`DetectionRound::copy_from`]), the QECOOL backend decodes through
-//! [`QecoolDecoder::run_into`](qecool::QecoolDecoder::run_into) into a
-//! reused report, and emitted corrections append to a session-owned
-//! vector whose already-polled prefix is reclaimed on the next drain —
-//! a session's memory stays bounded by one poll interval's worth of
-//! corrections however long it lives.
+//! ([`DetectionRound::copy_from`]), every backend decodes straight into
+//! a reused [`DecodeOutput`], decoder statistics are fixed-size (a
+//! [`CycleAggregate`](qecool::CycleAggregate) of per-layer cycles and a
+//! match histogram, never a per-round or per-match log), and emitted
+//! corrections append to a session-owned vector whose already-polled
+//! prefix is reclaimed on the next drain — a session's memory stays
+//! bounded by one poll interval's worth of corrections however long it
+//! lives. `tests/session_memory.rs` holds every backend to that.
 //!
 //! # Example
 //!

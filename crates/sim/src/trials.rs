@@ -432,7 +432,7 @@ mod tests {
         assert_eq!(cfg.rounds, 1);
         let out = run_trial(&cfg, 3);
         // One closing layer + the noisy layer = 2 retired layers.
-        assert_eq!(out.stats.layer_cycles.len(), 2);
+        assert_eq!(out.stats.layer_cycles.count, 2);
     }
 
     #[test]
@@ -545,7 +545,7 @@ mod tests {
     fn qecool_telemetry_is_populated() {
         let cfg = TrialConfig::standard(5, 0.05, DecoderKind::BatchQecool);
         let out = run_trial(&cfg, 7);
-        assert_eq!(out.stats.layer_cycles.len(), cfg.rounds + 1);
+        assert_eq!(out.stats.layer_cycles.count, cfg.rounds as u64 + 1);
         // At p = 0.05 on d = 5 some matches almost surely happened.
         assert!(out.stats.matches > 0);
         assert!(!out.stats.vertical_hist.is_empty());

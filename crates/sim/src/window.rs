@@ -568,7 +568,7 @@ mod tests {
             }
             assert_eq!(stats.matches, mono.matches.len(), "seed {seed}");
             assert_eq!(stats.vertical_hist, hist, "seed {seed}");
-            assert!(stats.layer_cycles.is_empty());
+            assert_eq!(stats.layer_cycles.count, 0);
 
             let mono = UnionFindDecoder::new(lattice.clone()).decode(&history);
             let mut uf = StreamingUf::with_config(lattice.clone(), config);

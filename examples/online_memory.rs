@@ -11,11 +11,10 @@
 //! cargo run --release --example online_memory
 //! ```
 
-use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
+use qecool_repro::decoder::{DecodeOutput, DecodeStats, Decoder, QecoolConfig, QecoolDecoder};
 use qecool_repro::sfq::power::{
     cycles_per_measurement, ersfq_power_w, FIG7_FREQUENCIES_HZ, MEASUREMENT_INTERVAL_S,
 };
-use qecool_repro::sim::CycleAggregate;
 use qecool_repro::surface_code::{CodePatch, Lattice, NoiseSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,20 +38,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut patch = CodePatch::new(lattice.clone());
         let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::online());
+        let mut out = DecodeOutput::default();
 
         let mut max_backlog = 0;
         let mut corrections = 0usize;
         let mut overflowed = false;
         for _ in 0..ROUNDS {
             let round = patch.noisy_round(&noise, &mut rng);
-            if decoder.push_round(&round).is_err() {
+            if decoder.ingest(&round).is_err() {
                 overflowed = true;
                 break;
             }
             max_backlog = max_backlog.max(decoder.occupancy());
-            let report = decoder.run(Some(budget));
-            corrections += report.corrections.len();
-            patch.apply_corrections(report.corrections.iter().copied());
+            decoder.decode_step(Some(budget), &mut out);
+            corrections += out.corrections.len();
+            patch.apply_corrections(out.corrections.iter().copied());
         }
 
         if overflowed {
@@ -63,14 +63,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         // Close out the experiment.
-        decoder.push_round(&patch.perfect_round())?;
-        let report = decoder.drain();
-        corrections += report.corrections.len();
-        patch.apply_corrections(report.corrections.iter().copied());
-        let mut s = CycleAggregate::new();
-        for &cycles in decoder.stats().layer_cycles() {
-            s.push(cycles);
-        }
+        decoder.ingest(&patch.perfect_round())?;
+        decoder.finish(&mut out);
+        corrections += out.corrections.len();
+        patch.apply_corrections(out.corrections.iter().copied());
+        let mut stats = DecodeStats::default();
+        decoder.stats_into(&mut stats);
+        let s = stats.layer_cycles;
         println!(
             "ok — max backlog {max_backlog}/7 layers, {corrections} corrections, \
              per-layer cycles max {} avg {:.1}, logical error: {}",

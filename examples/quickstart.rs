@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
+use qecool_repro::decoder::{DecodeOutput, DecodeStats, Decoder, QecoolConfig, QecoolDecoder};
 use qecool_repro::surface_code::{CodePatch, Lattice};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,27 +26,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("injected {} X errors", patch.error_weight());
 
     // One (perfect) syndrome measurement feeds every Unit's register...
-    let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(1));
+    let mut decoder = QecoolDecoder::new(lattice.clone(), QecoolConfig::batch(1));
     let round = patch.perfect_round();
     println!("detection events: {}", round.num_events());
-    decoder.push_round(&round)?;
+    decoder.ingest(&round)?;
 
     // ...and the spike race resolves the matching.
-    let report = decoder.drain();
+    let mut out = DecodeOutput::default();
+    decoder.finish(&mut out);
+    let mut stats = DecodeStats::default();
+    decoder.stats_into(&mut stats);
     println!(
-        "decode finished in {} hardware cycles, {} matches:",
-        report.cycles,
-        report.matches.len()
+        "decode finished in {} hardware cycles: {} matches, {} timed-out races",
+        out.cycles, stats.matches, stats.timeouts
     );
-    for m in &report.matches {
-        println!(
-            "  sink {} at layer {} resolved as {:?}",
-            m.sink, m.layer, m.kind
-        );
+    for &edge in &out.corrections {
+        let (a, b) = lattice.endpoints(edge);
+        match b {
+            Some(b) => println!("  correct {edge:?} between Units {a} and {b}"),
+            None => println!("  correct {edge:?} between Unit {a} and the boundary"),
+        }
     }
 
     // Apply the corrections and verify the patch is clean again.
-    patch.apply_corrections(report.corrections.iter().copied());
+    patch.apply_corrections(out.corrections.iter().copied());
     assert!(patch.syndrome_is_trivial());
     assert!(!patch.has_logical_error());
     println!("patch restored to the code space with no logical error");

@@ -2,7 +2,7 @@
 //! cases and both uphold the decoder contract (always return the patch to
 //! the code space).
 
-use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
+use qecool_repro::decoder::{DecodeOutput, Decoder, QecoolConfig, QecoolDecoder};
 use qecool_repro::mwpm::MwpmDecoder;
 use qecool_repro::surface_code::{CodePatch, Edge, Lattice, NoiseSpec, SyndromeHistory};
 use rand::SeedableRng;
@@ -15,10 +15,11 @@ fn decode_both(patch: &CodePatch, history: &SyndromeHistory) -> (CodePatch, Code
     let mut decoder =
         QecoolDecoder::new(lattice.clone(), QecoolConfig::batch(history.num_rounds()));
     for round in history {
-        decoder.push_round(round).expect("capacity");
+        decoder.ingest(round).expect("capacity");
     }
-    let report = decoder.drain();
-    qecool_patch.apply_corrections(report.corrections.iter().copied());
+    let mut out = DecodeOutput::default();
+    decoder.finish(&mut out);
+    qecool_patch.apply_corrections(out.corrections.iter().copied());
 
     let mut mwpm_patch = patch.clone();
     let outcome = MwpmDecoder::new(lattice)

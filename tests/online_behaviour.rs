@@ -1,7 +1,7 @@
 //! On-line decoder behaviour under budget pressure: overflow injection,
 //! pause/resume equivalence, and drain invariants.
 
-use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
+use qecool_repro::decoder::{DecodeOutput, DecodeStats, Decoder, QecoolConfig, QecoolDecoder};
 use qecool_repro::surface_code::{CodePatch, Lattice, NoiseSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -14,14 +14,15 @@ fn starved_decoder_overflows_at_capacity() {
     let mut patch = CodePatch::new(lattice.clone());
     patch.inject_error(lattice.horizontal_edge(2, 1));
     let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::online());
+    let mut out = DecodeOutput::default();
     // The event sits in layer 0; with th_v = 3 it only becomes decodable
     // at occupancy >= 4, but we grant zero cycles, so nothing ever clears.
     let mut pushes = 0;
     loop {
-        match decoder.push_round(&patch.perfect_round()) {
+        match decoder.ingest(&patch.perfect_round()) {
             Ok(()) => {
                 pushes += 1;
-                let _ = decoder.run(Some(0));
+                decoder.decode_step(Some(0), &mut out);
                 assert!(pushes <= 7, "overflow should hit at the 8th push");
             }
             Err(err) => {
@@ -46,17 +47,21 @@ fn sliced_budget_equals_unbounded_run() {
         let mut decoder = QecoolDecoder::new(lattice.clone(), QecoolConfig::batch(8));
         for _ in 0..7 {
             decoder
-                .push_round(&patch.noisy_round(&noise, &mut rng))
+                .ingest(&patch.noisy_round(&noise, &mut rng))
                 .unwrap();
         }
-        decoder.push_round(&patch.perfect_round()).unwrap();
+        decoder.ingest(&patch.perfect_round()).unwrap();
+        let mut out = DecodeOutput::default();
         let mut corrections = Vec::new();
         match slice {
-            None => corrections.extend(decoder.drain().corrections),
+            None => {
+                decoder.finish(&mut out);
+                corrections.extend_from_slice(&out.corrections);
+            }
             Some(s) => loop {
-                let report = decoder.run(Some(s));
-                corrections.extend(report.corrections);
-                if report.idle {
+                decoder.decode_step(Some(s), &mut out);
+                corrections.extend_from_slice(&out.corrections);
+                if out.idle {
                     break;
                 }
             },
@@ -82,43 +87,50 @@ fn drain_leaves_reusable_decoder() {
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let mut patch = CodePatch::new(lattice.clone());
     let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::online());
+    let mut out = DecodeOutput::default();
     for window in 0..3 {
         for _ in 0..5 {
             let round = patch.noisy_round(&noise, &mut rng);
             decoder
-                .push_round(&round)
+                .ingest(&round)
                 .unwrap_or_else(|e| panic!("window {window}: {e}"));
-            let report = decoder.run(Some(2000));
-            patch.apply_corrections(report.corrections.iter().copied());
+            decoder.decode_step(Some(2000), &mut out);
+            patch.apply_corrections(out.corrections.iter().copied());
         }
-        decoder.push_round(&patch.perfect_round()).unwrap();
-        let report = decoder.drain();
-        patch.apply_corrections(report.corrections.iter().copied());
+        decoder.ingest(&patch.perfect_round()).unwrap();
+        decoder.finish(&mut out);
+        patch.apply_corrections(out.corrections.iter().copied());
         assert!(decoder.is_drained());
         assert!(patch.syndrome_is_trivial(), "window {window}");
     }
-    // Telemetry accumulated across all three windows.
+    // Statistics accumulated across all three windows.
     assert_eq!(decoder.rounds_pushed(), 18);
-    assert_eq!(decoder.stats().layer_cycles().len(), 18);
+    let mut stats = DecodeStats::default();
+    decoder.stats_into(&mut stats);
+    assert_eq!(stats.layer_cycles.count, 18);
 }
 
-/// The work_available predicate gates correctly around th_v.
+/// Decode work is gated correctly around th_v: with no work available a
+/// step goes idle at once, spending no cycles.
 #[test]
 fn work_available_respects_thv() {
     let lattice = Lattice::new(5).unwrap();
     let mut patch = CodePatch::new(lattice.clone());
     patch.inject_error(lattice.horizontal_edge(1, 1));
     let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::online());
-    decoder.push_round(&patch.perfect_round()).unwrap();
+    let mut out = DecodeOutput::default();
+    decoder.ingest(&patch.perfect_round()).unwrap();
     // Events pending but th_v blocks layer 0, and layer 0 is dirty so no
     // shift is possible either.
-    assert!(!decoder.work_available());
+    decoder.decode_step(None, &mut out);
+    assert!(out.idle);
+    assert_eq!(out.cycles, 0);
     for _ in 0..3 {
-        decoder.push_round(&patch.perfect_round()).unwrap();
+        decoder.ingest(&patch.perfect_round()).unwrap();
     }
-    assert!(decoder.work_available());
-    let report = decoder.run(None);
-    assert!(report.idle);
-    patch.apply_corrections(report.corrections.iter().copied());
+    decoder.decode_step(None, &mut out);
+    assert!(out.idle);
+    assert!(out.cycles > 0);
+    patch.apply_corrections(out.corrections.iter().copied());
     assert!(patch.syndrome_is_trivial());
 }

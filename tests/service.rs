@@ -3,7 +3,7 @@
 //! byte-identical corrections — whatever the worker-thread count — and
 //! reach the same logical outcome.
 
-use qecool_repro::decoder::{QecoolConfig, QecoolDecoder};
+use qecool_repro::decoder::{DecodeOutput, Decoder, QecoolConfig, QecoolDecoder};
 use qecool_repro::sim::{run_trial, DecoderKind, TrialConfig};
 use qecool_repro::surface_code::{
     CodePatch, DetectionRound, Edge, Lattice, NoiseSpec, SyndromeHistory,
@@ -29,21 +29,20 @@ fn offline_qecool_corrections(seed: u64) -> (Vec<Edge>, bool) {
     let noise = NoiseSpec::Phenomenological { p: P };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::online());
+    let mut out = DecodeOutput::default();
     let mut all = Vec::new();
     for _ in 0..ROUNDS {
         let round = patch.noisy_round(&noise, &mut rng);
-        decoder.push_round(&round).expect("no overflow at this p/d");
-        let report = decoder.run(Some(BUDGET_CYCLES));
-        patch.apply_corrections(report.corrections.iter().copied());
-        all.extend(report.corrections);
+        decoder.ingest(&round).expect("no overflow at this p/d");
+        decoder.decode_step(Some(BUDGET_CYCLES), &mut out);
+        patch.apply_corrections(out.corrections.iter().copied());
+        all.extend_from_slice(&out.corrections);
     }
     let closing = patch.perfect_round();
-    decoder
-        .push_round(&closing)
-        .expect("no overflow at closing");
-    let report = decoder.drain();
-    patch.apply_corrections(report.corrections.iter().copied());
-    all.extend(report.corrections);
+    decoder.ingest(&closing).expect("no overflow at closing");
+    decoder.finish(&mut out);
+    patch.apply_corrections(out.corrections.iter().copied());
+    all.extend_from_slice(&out.corrections);
     assert!(patch.syndrome_is_trivial());
     (all, patch.has_logical_error())
 }
