@@ -711,8 +711,8 @@ fn main() {
         handle.join().expect("metrics emitter panicked");
     }
 
-    // Worker budget the fabric divides between shards; the denominator
-    // for session density. Mirrors ShardedDecodeService::new.
+    // The fabric-wide worker budget (the one `threads` rule), which the
+    // fabric divides between shards: the denominator for session density.
     let cores = qecool_sim::pool::worker_count(opts.threads);
     let sessions_per_core = opts.sessions as f64 / cores as f64;
     let stats = outcome.total_stats;

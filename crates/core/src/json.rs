@@ -2,9 +2,10 @@
 //!
 //! The build environment has no registry access, so the vendored `serde`
 //! is a no-op stub; every JSON shape the workspace needs is hand-rolled.
-//! This module is the one shared implementation: `qecool_bench::perf`
-//! parses its flat benchmark records through it, and
-//! `qecool_sim::campaign` serializes checkpoint files with it.
+//! This module is the one shared implementation: `qecool_sim::campaign`
+//! serializes its checkpoint files with it, the `sweep` binary writes
+//! its `--results` file with it, and perfbench parses its pins and
+//! `BENCHMARK.json` and renders its result lines with it.
 //!
 //! Two properties matter to those callers and are guaranteed here:
 //!

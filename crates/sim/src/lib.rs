@@ -12,18 +12,19 @@
 //! * [`engine`] — the parallel streaming decode engine: a lock-free
 //!   shard queue feeding zero-per-shot-allocation workers, with
 //!   thread-count-independent aggregation;
-//! * [`service`] — the long-lived decoding service: per-logical-qubit
-//!   syndrome-stream sessions decoded under the SFQ cycle budget, with
-//!   all three backends behind the [`qecool::api::Decoder`] trait;
+//! * [`service`] — the long-lived decoding service's sessions:
+//!   per-logical-qubit syndrome streams decoded under the SFQ cycle
+//!   budget, with all three backends behind the
+//!   [`qecool::api::Decoder`] trait;
 //! * [`window`] — true overlapping sliding-window streaming decoders
 //!   for the UF/MWPM baselines: decode W rounds, commit the oldest
 //!   S < W, slide — bounded commit latency with seam-free overlap;
 //! * [`pool`] — the one persistent worker pool the engine and the
 //!   service pump both run on, and [`pool::worker_count`], the one
 //!   "`threads == 0` means all cores" rule;
-//! * [`shard`] — the multi-tenant front end: N locked service shards
-//!   behind `&self`, sessions routed by id, so producers on different
-//!   shards never contend;
+//! * [`shard`] — the service's one front end, [`ShardedDecodeService`]:
+//!   N locked shards behind `&self`, sessions routed by id, so producers
+//!   on different shards never contend;
 //! * [`montecarlo`] — the [`McResult`] aggregate of one job;
 //! * [`campaign`] — the one sweep driver: every `(d × p)` grid runs as
 //!   a campaign over the engine, with chunked deterministic execution,
@@ -96,8 +97,7 @@ pub use engine::{DecodeEngine, EngineConfig, EngineTally, McJob};
 pub use experiments::log_grid;
 pub use montecarlo::McResult;
 pub use service::{
-    DecodeService, LatencyStats, Polled, ServiceBackend, ServiceConfig, ServiceError, SessionId,
-    SessionReport,
+    LatencyStats, Polled, ServiceBackend, ServiceConfig, ServiceError, SessionId, SessionReport,
 };
 pub use shard::{ShardStats, ShardedDecodeService, ShardedServiceConfig};
 pub use stats::{CycleAggregate, RateEstimate};

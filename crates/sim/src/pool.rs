@@ -1,7 +1,8 @@
 //! The one persistent worker pool. [`DecodeEngine`](crate::DecodeEngine)
-//! batches and [`DecodeService::pump`](crate::DecodeService::pump) both
-//! run their parallel work on it, and [`worker_count`] is the one rule
-//! that turns a `threads` setting into a worker count.
+//! batches and
+//! [`ShardedDecodeService::pump`](crate::ShardedDecodeService::pump)
+//! both run their parallel work on it, and [`worker_count`] is the one
+//! rule that turns a `threads` setting into a worker count.
 //!
 //! The pool owns the one dispatch pattern. It holds a persistent batch
 //! value (the crate-private `Batch` trait: an item count and a step per

@@ -1,35 +1,36 @@
 //! The long-lived decoding service: syndrome-stream sessions under a
-//! cycle budget.
+//! cycle budget, served through
+//! [`ShardedDecodeService`](crate::shard::ShardedDecodeService).
 //!
 //! Monte-Carlo campaigns run trial-at-a-time; real control hardware does
-//! not. A [`DecodeService`] owns a pool of independent **sessions**, one
-//! per logical qubit under protection. Each session ingests detection
-//! rounds as they arrive ([`DecodeService::push_round`] /
-//! [`DecodeService::feed`]), decodes them under the per-round SFQ cycle
-//! budget ([`CycleBudget`]), and hands corrections back through
-//! [`DecodeService::poll_corrections`]. All three decoder backends —
-//! QECOOL, union-find, MWPM — serve behind the [`Decoder`] trait.
+//! not. The service owns independent **sessions**, one per logical qubit
+//! under protection. Each session ingests detection rounds as they
+//! arrive, decodes them under the per-round SFQ cycle budget
+//! ([`CycleBudget`]), and hands corrections back at the next poll. All
+//! three decoder backends — QECOOL, union-find, MWPM — serve behind the
+//! [`Decoder`] trait. This module holds the session types and the body
+//! of one shard: its session table, its hot loop and its pump pool.
 //!
 //! # Determinism
 //!
 //! Sessions are fully independent: each owns its decoder state and its
-//! rounds are decoded in arrival order. [`DecodeService::pump`] fans the
-//! pending sessions out across the worker pool, but a session is only
-//! ever advanced by one thread per pump, so every session's corrections
-//! are byte-identical whatever the thread count — the same guarantee the
+//! rounds are decoded in arrival order. A pump fans the pending sessions
+//! out across the shard's worker pool, but a session is only ever
+//! advanced by one thread per pump, so every session's corrections are
+//! byte-identical whatever the thread count — the same guarantee the
 //! Monte-Carlo engine makes for aggregates.
 //!
 //! # The persistent pump pool
 //!
-//! [`DecodeService::pump`] runs on the service's own persistent
-//! [worker pool](crate::pool), the pool type the Monte-Carlo engine also
-//! runs on (see there for the spawn, wake-up, panic and shutdown rules).
-//! Sessions are boxed in their slots; a parallel pump moves the boxes of
-//! the busy ones into the session table the pool keeps between calls,
-//! and the draining threads — the caller is one of them — claim table
-//! entries off the pool's atomic cursor and drain them where they are.
-//! Pumps where at most one session has pending work drain inline on the
-//! calling thread without touching (or creating) the pool.
+//! A shard's pump runs on its own persistent [worker pool](crate::pool),
+//! the pool type the Monte-Carlo engine also runs on (see there for the
+//! spawn, wake-up, panic and shutdown rules). Sessions are boxed in
+//! their slots; a parallel pump moves the boxes of the busy ones into
+//! the session table the pool keeps between calls, and the draining
+//! threads — the caller is one of them — claim table entries off the
+//! pool's atomic cursor and drain them where they are. Pumps where at
+//! most one session has pending work drain inline on the calling thread
+//! without touching (or creating) the pool.
 //!
 //! # Steady-state allocation
 //!
@@ -47,29 +48,27 @@
 //! # Example
 //!
 //! ```
-//! use qecool_sim::service::{DecodeService, ServiceBackend, ServiceConfig};
+//! use qecool_sim::service::{ServiceBackend, ServiceConfig};
+//! use qecool_sim::shard::{ShardedDecodeService, ShardedServiceConfig};
 //! use qecool_sfq::budget::CycleBudget;
 //! use qecool_surface_code::{CodePatch, Lattice, NoiseSpec};
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = ServiceConfig::new(5, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9));
-//! let mut service = DecodeService::new(config)?;
+//! let service = ShardedDecodeService::new(ShardedServiceConfig::new(config, 1))?;
 //! let session = service.open_session();
 //!
 //! let mut patch = CodePatch::new(Lattice::new(5)?);
 //! let noise = NoiseSpec::Phenomenological { p: 0.01 };
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! for _ in 0..5 {
-//!     let round = patch.noisy_round(&noise, &mut rng);
-//!     service.push_round(session, &round)?;
-//!     let corrections: Vec<_> = service.poll_corrections(session)?.to_vec();
-//!     patch.apply_corrections(corrections);
+//!     service.push_round(session, &patch.noisy_round(&noise, &mut rng));
+//!     patch.apply_corrections(service.poll_corrections(session)?);
 //! }
-//! let closing = patch.perfect_round();
-//! service.push_round(session, &closing)?;
+//! service.push_round(session, &patch.perfect_round());
 //! let report = service.close_session(session)?;
-//! patch.apply_corrections(report.corrections.iter().copied());
+//! patch.apply_corrections(report.corrections);
 //! assert!(patch.syndrome_is_trivial());
 //! # Ok(())
 //! # }
@@ -113,7 +112,8 @@ pub enum ServiceBackend {
     Mwpm,
 }
 
-/// Configuration of a [`DecodeService`].
+/// Configuration of a service's sessions, shared by every shard of a
+/// [`ShardedDecodeService`](crate::shard::ShardedDecodeService).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Code distance of every session's patch.
@@ -122,7 +122,9 @@ pub struct ServiceConfig {
     pub backend: ServiceBackend,
     /// Per-round decode-cycle budget (clock × measurement interval).
     pub budget: CycleBudget,
-    /// Worker threads for [`DecodeService::pump`]; `0` uses all cores.
+    /// Pump worker threads, divided across the shards (see
+    /// [`ShardedServiceConfig::service`](crate::shard::ShardedServiceConfig::service));
+    /// `0` uses all cores.
     pub threads: usize,
     /// Window geometry for the sliding-window baselines (UF/MWPM).
     /// `None` uses [`WindowConfig::default_for`] the configured
@@ -313,9 +315,10 @@ impl std::error::Error for ServiceError {}
 /// exit-code mapping (2) applies.
 impl FatalError for ServiceError {}
 
-/// What [`DecodeService::poll_corrections`] hands back: the fresh
-/// corrections plus the session's commit watermark at the time of the
-/// poll.
+/// What
+/// [`ShardedDecodeService::poll_corrections`](crate::shard::ShardedDecodeService::poll_corrections)
+/// hands back: the fresh corrections plus the session's commit
+/// watermark at the time of the poll.
 ///
 /// Derefs to the correction slice, so call sites that only want the
 /// edges keep reading naturally (`polled.to_vec()`, `polled.iter()`,
@@ -447,13 +450,14 @@ impl LatencyStats {
     }
 }
 
-/// Final report handed back by [`DecodeService::close_session`].
+/// Final report handed back by
+/// [`ShardedDecodeService::close_session`](crate::shard::ShardedDecodeService::close_session).
 #[derive(Debug, Clone)]
 pub struct SessionReport {
     /// Corrections emitted since the last poll, including everything the
     /// closing drain resolved. Empty when the session overflowed — a
-    /// failed stream's corrections are withdrawn, consistent with
-    /// [`DecodeService::poll_corrections`] erroring after overflow.
+    /// failed stream's corrections are withdrawn, consistent with the
+    /// poll erroring after overflow.
     pub corrections: Vec<Edge>,
     /// Latency accounting over the session's budget-bound serving
     /// rounds. The closing drain is *not* included — see
@@ -467,11 +471,9 @@ pub struct SessionReport {
     pub overflowed: bool,
     /// Rounds ingested over the session's lifetime.
     pub rounds_ingested: u64,
-    /// Rounds discarded at ingest. The solo push path reports failures
-    /// as errors instead and never drops, so this stays 0 there; the
-    /// sharded path is fire-and-forget, and rounds pushed into an
-    /// already-failed session are counted here rather than lost
-    /// silently.
+    /// Rounds discarded at ingest: pushes are fire-and-forget, so rounds
+    /// pushed into an already-failed session are counted here rather
+    /// than lost silently.
     pub rounds_dropped: u64,
     /// The session's final commit watermark. For a non-overflowed
     /// session the closing drain commits everything remaining, so this
@@ -736,9 +738,11 @@ impl Batch for PumpTable {
     }
 }
 
-/// The long-lived decoding service. See the module docs for the session
-/// lifecycle and guarantees.
-pub struct DecodeService {
+/// The body of one shard of a
+/// [`ShardedDecodeService`](crate::shard::ShardedDecodeService): its
+/// session table and its persistent pump pool. The fabric holds each
+/// core behind a lock and documents the serving calls.
+pub(crate) struct ShardCore {
     lattice: Lattice,
     config: ServiceConfig,
     budget_cycles: u64,
@@ -746,28 +750,14 @@ pub struct DecodeService {
     free: Vec<u32>,
     /// The parallel pump's persistent pool over its session table,
     /// created at the first pump with parallel work and reused until the
-    /// service drops.
+    /// core drops.
     pool: Option<WorkerPool<PumpTable>>,
     /// Telemetry bundle; `None` when the config's handle is disabled.
     obs: Option<Arc<ServiceTelemetry>>,
 }
 
-impl fmt::Debug for DecodeService {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DecodeService")
-            .field("config", &self.config)
-            .field("open_sessions", &self.num_sessions())
-            .finish()
-    }
-}
-
-impl DecodeService {
-    /// Creates a service for the configured code distance and backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LatticeError`] when the code distance is invalid.
-    pub fn new(config: ServiceConfig) -> Result<Self, LatticeError> {
+impl ShardCore {
+    pub(crate) fn new(config: ServiceConfig) -> Result<Self, LatticeError> {
         let lattice = Lattice::new(config.d)?;
         let budget_cycles = config.budget.cycles_per_round();
         let obs = config
@@ -785,21 +775,12 @@ impl DecodeService {
         })
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
-    /// Decode cycles every round is budgeted (clock × interval).
-    pub fn budget_cycles(&self) -> u64 {
-        self.budget_cycles
-    }
-
-    /// Number of currently open sessions.
-    pub fn num_sessions(&self) -> usize {
+    pub(crate) fn num_sessions(&self) -> usize {
         self.slots.iter().filter(|s| s.session.is_some()).count()
     }
 
+    /// A fresh session decoder. The UF/MWPM baselines slide the
+    /// configured window, or `W = 3d, S = d`.
     fn make_backend(&self) -> Box<dyn Decoder + Send> {
         let kind = match self.config.backend {
             ServiceBackend::Qecool => DecoderKind::OnlineQecool {
@@ -808,32 +789,20 @@ impl DecodeService {
             ServiceBackend::UnionFind => DecoderKind::UnionFind,
             ServiceBackend::Mwpm => DecoderKind::Mwpm,
         };
-        kind.build(
-            &self.lattice,
-            self.window_config(),
-            DEFAULT_BOUNDARY_PENALTY,
-        )
-    }
-
-    /// The effective sliding-window geometry of the UF/MWPM baselines:
-    /// the configured override, or `W = 3d, S = d`.
-    pub fn window_config(&self) -> WindowConfig {
-        self.config
+        let window = self
+            .config
             .window
-            .unwrap_or_else(|| WindowConfig::default_for(self.config.d))
+            .unwrap_or_else(|| WindowConfig::default_for(self.config.d));
+        kind.build(&self.lattice, window, DEFAULT_BOUNDARY_PENALTY)
     }
 
-    /// The [`CommitHint`] a fresh session's decoder would advertise —
-    /// lets callers (e.g. the bench binaries) distinguish
-    /// cycle-modelled backends from wall-clock-only ones, and read the
-    /// effective commit cadence, without opening a session.
-    pub fn commit_hint(&self) -> CommitHint {
+    pub(crate) fn commit_hint(&self) -> CommitHint {
         self.make_backend().commit_hint()
     }
 
-    /// Opens a new session and returns its handle. Slots of closed
-    /// sessions are recycled; their old handles stay invalid.
-    pub fn open_session(&mut self) -> SessionId {
+    /// Opens a session, recycling a closed slot under a bumped
+    /// generation.
+    pub(crate) fn open_session(&mut self) -> SessionId {
         if let Some(t) = self.obs.as_deref() {
             t.sessions_opened.add(thread_stripe(), 1);
             t.sessions_open.inc();
@@ -860,14 +829,10 @@ impl DecodeService {
         }
     }
 
-    fn session_mut(&mut self, id: SessionId) -> Result<&mut Session, ServiceError> {
-        Self::session_mut_in(&mut self.slots, id)
-    }
-
-    /// Slot-table-only variant of [`Self::session_mut`], so hot paths
-    /// can borrow the telemetry handle (`self.obs`) immutably alongside
-    /// the mutable session borrow instead of cloning the `Arc` per call.
-    fn session_mut_in(slots: &mut [Slot], id: SessionId) -> Result<&mut Session, ServiceError> {
+    /// Takes the slot table rather than `self`, so hot paths can borrow
+    /// the telemetry handle (`self.obs`) immutably alongside the mutable
+    /// session borrow instead of cloning the `Arc` per call.
+    fn session_mut(slots: &mut [Slot], id: SessionId) -> Result<&mut Session, ServiceError> {
         slots
             .get_mut(id.index as usize)
             .filter(|slot| slot.generation == id.generation)
@@ -883,23 +848,11 @@ impl DecodeService {
             .ok_or(ServiceError::UnknownSession)
     }
 
-    /// Accepts one detection round into a session's stream. The round is
-    /// copied into a recycled buffer; decoding happens on the next
-    /// [`Self::poll_corrections`] or [`Self::pump`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for stale handles,
-    /// [`ServiceError::Overflowed`] once the session has failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the round width does not match the service's lattice.
-    pub fn push_round(
-        &mut self,
-        id: SessionId,
-        round: &DetectionRound,
-    ) -> Result<(), ServiceError> {
+    /// Copies one round into a session's inbox and returns `true`, or
+    /// drops it and returns `false`: a failed session's drop is billed to
+    /// its [`SessionReport::rounds_dropped`]; a stale handle has no
+    /// session to bill.
+    pub(crate) fn push_round(&mut self, id: SessionId, round: &DetectionRound) -> bool {
         let width = self.lattice.num_ancillas();
         // Queue-wait sampling: 1 push in STAGE_SAMPLE_PERIOD (per
         // stripe) is stamped; `max(1)` so 0 keeps meaning "unsampled".
@@ -913,9 +866,12 @@ impl DecodeService {
                 0
             }
         });
-        let session = self.session_mut(id)?;
+        let Ok(session) = Self::session_mut(&mut self.slots, id) else {
+            return false;
+        };
         if session.overflowed {
-            return Err(ServiceError::Overflowed);
+            session.rounds_dropped += 1;
+            return false;
         }
         assert_eq!(
             round.events().len(),
@@ -923,40 +879,17 @@ impl DecodeService {
             "round width does not match service lattice"
         );
         session.enqueue(round, stamp);
-        Ok(())
+        true
     }
 
-    /// Batch ingest: pushes every round of `rounds` in order.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::push_round`]; ingestion stops at the first error.
-    pub fn feed<'a, I>(&mut self, id: SessionId, rounds: I) -> Result<(), ServiceError>
-    where
-        I: IntoIterator<Item = &'a DetectionRound>,
-    {
-        for round in rounds {
-            self.push_round(id, round)?;
-        }
-        Ok(())
-    }
-
-    /// Decodes a session's pending rounds (in arrival order, each under
-    /// the cycle budget) and returns the corrections emitted since the
-    /// previous poll, together with the session's commit watermark
-    /// ([`Polled::committed_through`]). The returned slice is consumed:
-    /// the next poll only reports newer corrections.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for stale handles,
-    /// [`ServiceError::Overflowed`] when the drain hit a register
-    /// overflow (the stream is failed; corrections are withdrawn).
-    pub fn poll_corrections(&mut self, id: SessionId) -> Result<Polled<&[Edge]>, ServiceError> {
+    pub(crate) fn poll_corrections(
+        &mut self,
+        id: SessionId,
+    ) -> Result<Polled<Vec<Edge>>, ServiceError> {
         let budget = self.budget_cycles;
         let obs = self.obs.as_deref();
         let stripe = if obs.is_some() { thread_stripe() } else { 0 };
-        let session = Self::session_mut_in(&mut self.slots, id)?;
+        let session = Self::session_mut(&mut self.slots, id)?;
         // Poll-to-drain: corrections produced by an earlier (sampled)
         // pump drain have been sitting since `last_emit_ns`; this poll
         // is the moment the caller finally collects them.
@@ -971,60 +904,24 @@ impl DecodeService {
         if session.overflowed {
             return Err(ServiceError::Overflowed);
         }
-        let committed_through = session.committed_through;
-        let fresh = &session.corrections[session.consumed..];
+        let fresh = session.corrections[session.consumed..].to_vec();
         session.consumed = session.corrections.len();
         Ok(Polled {
             corrections: fresh,
-            committed_through,
+            committed_through: session.committed_through,
         })
     }
 
-    /// The session's commit watermark: the highest round index whose
-    /// corrections are final (`None` while nothing has committed).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for stale handles.
-    pub fn committed_through(&self, id: SessionId) -> Result<Option<u64>, ServiceError> {
-        Ok(self.session(id)?.committed_through)
-    }
-
-    /// Latency accounting of one session so far.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for stale handles.
-    pub fn latency(&self, id: SessionId) -> Result<LatencyStats, ServiceError> {
+    pub(crate) fn latency(&self, id: SessionId) -> Result<LatencyStats, ServiceError> {
         Ok(self.session(id)?.latency)
     }
 
-    /// `true` once the session has failed by register overflow.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for stale handles.
-    pub fn is_overflowed(&self, id: SessionId) -> Result<bool, ServiceError> {
+    pub(crate) fn is_overflowed(&self, id: SessionId) -> Result<bool, ServiceError> {
         Ok(self.session(id)?.overflowed)
     }
 
-    /// Drives every session's pending rounds to completion on the worker
-    /// pool. Each session is drained by exactly one thread, in arrival
-    /// order, so results are independent of the thread count.
-    ///
-    /// When at most one session has pending work (or the service is
-    /// configured single-threaded) the pump drains inline on the
-    /// caller's thread and the pool is neither consulted nor spawned.
-    /// Otherwise it runs `n` = min(busy sessions, configured threads)
-    /// draining threads: the caller plus `n − 1` pool threads, spawned at
-    /// the first such pump and grown when a later one needs more. The
-    /// busy sessions' boxes go into the pool's session table, the
-    /// draining threads claim them off the pool's atomic cursor and drain
-    /// them in place, and they go back to their slots once no thread
-    /// holds the table. Once warm, a pump allocates nothing. A drain that
-    /// panics loses its session, frees that slot and re-raises the panic
-    /// on the pump caller, after every other busy session has drained.
-    pub fn pump(&mut self) {
+    /// See [`ShardedDecodeService::pump`](crate::shard::ShardedDecodeService::pump).
+    pub(crate) fn pump(&mut self) {
         let budget = self.budget_cycles;
         let obs = self.obs.as_deref();
         let stripe = if obs.is_some() { thread_stripe() } else { 0 };
@@ -1096,29 +993,15 @@ impl DecodeService {
         }
     }
 
-    /// Threads that drain sessions in a parallel pump: the pool's
-    /// threads plus the pump caller (0 until the first parallel pump
-    /// creates the pool). The pool never respawns or shrinks, so
-    /// consecutive pumps leave it unchanged unless the busy-session count
-    /// outgrows it.
-    pub fn pool_workers(&self) -> usize {
+    /// Draining threads of the parallel pump: pool threads plus the
+    /// caller, 0 until the first parallel pump creates the pool.
+    pub(crate) fn pool_workers(&self) -> usize {
         self.pool.as_ref().map_or(0, |pool| pool.workers() + 1)
     }
 
-    /// Closes a session: ingests everything still queued, finishes the
-    /// backend (windowed baselines decode their whole window here; the
-    /// QECOOL backend drains its remaining layers without a cycle
-    /// deadline — teardown is not real-time), and frees the slot.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for stale handles. An overflowed
-    /// session closes *successfully* — the failure is reported in the
-    /// [`SessionReport`], mirroring how a Monte-Carlo trial records
-    /// overflow as a failed shot rather than a harness error.
-    pub fn close_session(&mut self, id: SessionId) -> Result<SessionReport, ServiceError> {
+    pub(crate) fn close_session(&mut self, id: SessionId) -> Result<SessionReport, ServiceError> {
         // Validate the handle before taking the session out.
-        self.session_mut(id)?;
+        Self::session_mut(&mut self.slots, id)?;
         let slot = &mut self.slots[id.index as usize];
         let mut session = slot.session.take().expect("session just validated");
         self.release_slot(id.index);
@@ -1147,17 +1030,6 @@ impl DecodeService {
         })
     }
 
-    /// Counts one round discarded at ingest against a session. Used by
-    /// the sharded front end: its ingest is fire-and-forget, so a round
-    /// pushed into a session whose stream has already failed is
-    /// accounted here (and in the [`SessionReport`]) instead of
-    /// vanishing.
-    pub(crate) fn record_dropped_round(&mut self, id: SessionId) -> Result<(), ServiceError> {
-        let session = self.session_mut(id)?;
-        session.rounds_dropped += 1;
-        Ok(())
-    }
-
     /// Swaps a live session's backend — a test hook for injecting
     /// panicking or otherwise misbehaving decoders into the pump path.
     #[cfg(test)]
@@ -1166,7 +1038,9 @@ impl DecodeService {
         id: SessionId,
         backend: Box<dyn Decoder + Send>,
     ) {
-        self.session_mut(id).expect("live session").backend = backend;
+        Self::session_mut(&mut self.slots, id)
+            .expect("live session")
+            .backend = backend;
     }
 }
 
@@ -1179,22 +1053,22 @@ mod tests {
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::Ordering;
 
-    fn service(backend: ServiceBackend, threads: usize) -> DecodeService {
+    fn service(backend: ServiceBackend, threads: usize) -> ShardCore {
         let config =
             ServiceConfig::new(5, backend, CycleBudget::at_clock(2.0e9)).with_threads(threads);
-        DecodeService::new(config).unwrap()
+        ShardCore::new(config).unwrap()
     }
 
     /// Drives one session end-to-end over a seeded noise stream,
     /// applying corrections round by round, and returns the final patch
     /// plus the close report.
     fn drive_session(
-        service: &mut DecodeService,
+        service: &mut ShardCore,
         seed: u64,
         rounds: usize,
         p: f64,
     ) -> (CodePatch, SessionReport) {
-        let lattice = Lattice::new(service.config().d).unwrap();
+        let lattice = Lattice::new(5).unwrap();
         let mut patch = CodePatch::new(lattice.clone());
         let noise = NoiseSpec::Phenomenological { p };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -1202,12 +1076,12 @@ mod tests {
         let id = service.open_session();
         for _ in 0..rounds {
             patch.noisy_round_into(&noise, &mut rng, &mut round);
-            service.push_round(id, &round).unwrap();
+            assert!(service.push_round(id, &round));
             let corrections: Vec<Edge> = service.poll_corrections(id).unwrap().to_vec();
             patch.apply_corrections(corrections);
         }
         patch.perfect_round_into(&mut round);
-        service.push_round(id, &round).unwrap();
+        assert!(service.push_round(id, &round));
         let report = service.close_session(id).unwrap();
         patch.apply_corrections(report.corrections.iter().copied());
         (patch, report)
@@ -1249,10 +1123,7 @@ mod tests {
         let mut service = service(ServiceBackend::Qecool, 1);
         let id = service.open_session();
         service.close_session(id).unwrap();
-        assert_eq!(
-            service.push_round(id, &DetectionRound::zeros(40)),
-            Err(ServiceError::UnknownSession)
-        );
+        assert!(!service.push_round(id, &DetectionRound::zeros(40)));
         assert_eq!(
             service.poll_corrections(id).unwrap_err(),
             ServiceError::UnknownSession
@@ -1273,7 +1144,7 @@ mod tests {
             ServiceBackend::Qecool,
             CycleBudget::new(1.0, 1.0), // 1 cycle per round: starved
         );
-        let mut service = DecodeService::new(config).unwrap();
+        let mut service = ShardCore::new(config).unwrap();
         let id = service.open_session();
         let lattice = Lattice::new(5).unwrap();
         let mut patch = CodePatch::new(lattice.clone());
@@ -1282,7 +1153,7 @@ mod tests {
         let mut overflowed = false;
         for _ in 0..20 {
             let round = patch.noisy_round(&noise, &mut rng);
-            if service.push_round(id, &round).is_err() {
+            if !service.push_round(id, &round) {
                 overflowed = true;
                 break;
             }
@@ -1316,7 +1187,7 @@ mod tests {
         let mut total = 0usize;
         for _ in 0..200 {
             patch.noisy_round_into(&noise, &mut rng, &mut round);
-            service.push_round(id, &round).unwrap();
+            assert!(service.push_round(id, &round));
             let fresh: Vec<Edge> = service.poll_corrections(id).unwrap().to_vec();
             total += fresh.len();
             patch.apply_corrections(fresh.iter().copied());
@@ -1361,7 +1232,7 @@ mod tests {
             for _ in 0..rounds {
                 for s in 0..sessions {
                     patches[s].noisy_round_into(&noise, &mut rngs[s], &mut round);
-                    service.push_round(ids[s], &round).unwrap();
+                    assert!(service.push_round(ids[s], &round));
                 }
                 service.pump();
                 for s in 0..sessions {
@@ -1372,7 +1243,7 @@ mod tests {
             }
             for s in 0..sessions {
                 patches[s].perfect_round_into(&mut round);
-                service.push_round(ids[s], &round).unwrap();
+                assert!(service.push_round(ids[s], &round));
                 let report = service.close_session(ids[s]).unwrap();
                 collected[s].extend(report.corrections);
             }
@@ -1390,7 +1261,7 @@ mod tests {
 
     /// Pushes one noisy round into each of `sessions` open sessions.
     fn push_round_per_session(
-        service: &mut DecodeService,
+        service: &mut ShardCore,
         ids: &[SessionId],
         patches: &mut [CodePatch],
         rngs: &mut [ChaCha8Rng],
@@ -1399,7 +1270,7 @@ mod tests {
         let noise = NoiseSpec::Phenomenological { p: 0.05 };
         for (s, &id) in ids.iter().enumerate() {
             patches[s].noisy_round_into(&noise, &mut rngs[s], round);
-            service.push_round(id, round).unwrap();
+            assert!(service.push_round(id, round));
         }
     }
 
@@ -1496,7 +1367,7 @@ mod tests {
         let mut round = DetectionRound::zeros(lattice.num_ancillas());
         for _ in 0..20 {
             patch.noisy_round_into(&noise, &mut rng, &mut round);
-            service.push_round(busy, &round).unwrap();
+            assert!(service.push_round(busy, &round));
             service.pump();
         }
         assert_eq!(service.pool_workers(), 0, "no pool, so no thread spawned");
@@ -1620,7 +1491,7 @@ mod tests {
         fn reset(&mut self) {}
     }
 
-    fn assert_free_list_consistent(service: &DecodeService) {
+    fn assert_free_list_consistent(service: &ShardCore) {
         let mut seen = std::collections::HashSet::new();
         for &idx in &service.free {
             assert!(seen.insert(idx), "slot {idx} on the free list twice");
@@ -1683,7 +1554,7 @@ mod tests {
 
         // The survivors and replacements still serve.
         for id in replacements {
-            service.push_round(id, &round).unwrap();
+            assert!(service.push_round(id, &round));
         }
         service.pump();
         assert_free_list_consistent(&service);
@@ -1749,8 +1620,8 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(600 + s as u64);
             for _ in 0..3 {
                 let round = patch.noisy_round(&noise, &mut rng);
-                reference.push_round(ref_ids[s], &round).unwrap();
-                service.push_round(ids[s], &round).unwrap();
+                assert!(reference.push_round(ref_ids[s], &round));
+                assert!(service.push_round(ids[s], &round));
             }
         }
         reference.pump();
@@ -1804,7 +1675,7 @@ mod tests {
         let round =
             CodePatch::new(lattice.clone()).noisy_round(&noise, &mut ChaCha8Rng::seed_from_u64(6));
         for &id in &live {
-            service.push_round(id, &round).unwrap();
+            assert!(service.push_round(id, &round));
         }
         service.pump();
         for &id in &live {
@@ -1813,32 +1684,5 @@ mod tests {
         }
         assert_eq!(service.num_sessions(), 0);
         assert_free_list_consistent(&service);
-    }
-
-    #[test]
-    fn feed_is_equivalent_to_pushing_each_round() {
-        let lattice = Lattice::new(5).unwrap();
-        let noise = NoiseSpec::Phenomenological { p: 0.04 };
-        // Pre-generate the stream so both paths see identical rounds.
-        let mut patch = CodePatch::new(lattice.clone());
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let mut rounds: Vec<DetectionRound> = (0..5)
-            .map(|_| patch.noisy_round(&noise, &mut rng))
-            .collect();
-        rounds.push(patch.perfect_round());
-
-        let run = |batch: bool| -> Vec<Edge> {
-            let mut service = service(ServiceBackend::UnionFind, 1);
-            let id = service.open_session();
-            if batch {
-                service.feed(id, rounds.iter()).unwrap();
-            } else {
-                for r in &rounds {
-                    service.push_round(id, r).unwrap();
-                }
-            }
-            service.close_session(id).unwrap().corrections
-        };
-        assert_eq!(run(true), run(false));
     }
 }

@@ -1,13 +1,13 @@
-//! The sharded multi-tenant front end over [`DecodeService`].
+//! The decoding service's front end: sessions served through `&self`
+//! across N shards.
 //!
-//! One [`DecodeService`] owns one worker pool and one session table, and
-//! every ingest goes through `&mut self`. A [`ShardedDecodeService`]
-//! scales that out behind `&self`: it owns `N` internal service
-//! **shards**, each a [`DecodeService`] behind its own lock with its own
-//! session table and persistent pump pool. [`SessionId`]s route by
-//! `index % N`, so tenants on different shards never contend, and a
-//! push locks only its session's shard and delivers the round straight
-//! into the session inbox.
+//! A [`ShardedDecodeService`] owns `N` **shards**, each behind its own
+//! lock with its own session table and persistent pump pool (see the
+//! [`service`](crate::service) module for the session model).
+//! [`SessionId`]s route by `index % N`, so tenants on different shards
+//! never contend, and a push locks only its session's shard and delivers
+//! the round straight into the session inbox. One shard is the plain
+//! single-table service.
 //!
 //! # Ingest semantics
 //!
@@ -31,8 +31,8 @@
 //!
 //! A session's corrections are a pure function of its round stream:
 //! each producer's pushes land in its sessions' inboxes in call order,
-//! every session lives on exactly one shard, and each shard's pump
-//! preserves the solo service's guarantees — so per-session output is
+//! every session lives on exactly one shard, and each shard drains a
+//! session on one thread per pump — so per-session output is
 //! byte-identical across **any** shard count × pump-worker count
 //! combination (enforced in `tests/determinism.rs` over 1/2/8 workers ×
 //! 1/2/4 shards).
@@ -57,20 +57,19 @@ use qecool_obs::{Counter, MetricsRegistry};
 use qecool_surface_code::{DetectionRound, Edge, LatticeError};
 
 use crate::service::{
-    DecodeService, LatencyStats, Polled, ServiceConfig, ServiceError, SessionId, SessionReport,
+    LatencyStats, Polled, ServiceConfig, ServiceError, SessionId, SessionReport, ShardCore,
 };
 
 /// Configuration of a [`ShardedDecodeService`]: the per-shard service
 /// configuration plus the shard count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedServiceConfig {
-    /// Configuration every shard's [`DecodeService`] is built from. Its
-    /// `threads` field is the **total** worker budget: it is divided
-    /// across shards (at least one worker each) so `--shards` does not
-    /// multiply the thread count. A shard's pump drains on its share:
-    /// the pumping thread plus share − 1 pool threads, so a share of one
-    /// drains inline. [`ShardedDecodeService::pool_workers`] reports the
-    /// actual count.
+    /// Configuration every shard is built from. Its `threads` field is
+    /// the **total** worker budget: it is divided across shards (at least
+    /// one worker each) so `--shards` does not multiply the thread count.
+    /// A shard's pump drains on its share: the pumping thread plus
+    /// share − 1 pool threads, so a share of one drains inline.
+    /// [`ShardedDecodeService::pool_workers`] reports the actual count.
     pub service: ServiceConfig,
     /// Number of service shards (≥ 1).
     pub shards: usize,
@@ -130,9 +129,9 @@ impl ShardTelemetry {
     }
 }
 
-/// One shard: a solo service behind a lock, plus its ingest accounting.
+/// One shard: its core behind a lock, plus its ingest accounting.
 struct Shard {
-    service: Mutex<DecodeService>,
+    core: Mutex<ShardCore>,
     enqueued: AtomicU64,
     stalls: AtomicU64,
     dropped: AtomicU64,
@@ -148,26 +147,25 @@ impl Shard {
         }
     }
 
-    /// Locks the service for a push, counting a stall when the lock is
+    /// Locks the core for a push, counting a stall when the lock is
     /// already held.
-    fn lock_for_push(&self) -> MutexGuard<'_, DecodeService> {
-        if let Some(service) = self.service.try_lock() {
-            return service;
+    fn lock_for_push(&self) -> MutexGuard<'_, ShardCore> {
+        if let Some(core) = self.core.try_lock() {
+            return core;
         }
         self.stalls.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.stalls.add(thread_stripe(), 1);
         }
-        self.service.lock()
+        self.core.lock()
     }
 }
 
-/// The sharded decoding fabric. See the module docs for routing, ingest
+/// The decoding service. See the module docs for routing, ingest
 /// semantics and the determinism guarantee.
 pub struct ShardedDecodeService {
     shards: Vec<Shard>,
     num_shards: u32,
-    config: ShardedServiceConfig,
     /// Round-robin cursor for [`Self::open_session`] shard placement.
     next_shard: AtomicU32,
 }
@@ -182,8 +180,8 @@ impl std::fmt::Debug for ShardedDecodeService {
 }
 
 impl ShardedDecodeService {
-    /// Builds the fabric: `shards` independent [`DecodeService`]s, each
-    /// with a slice of the worker budget.
+    /// Builds the service: `shards` independent shards, each with a
+    /// slice of the worker budget.
     ///
     /// # Errors
     ///
@@ -201,12 +199,11 @@ impl ShardedDecodeService {
         let registry = config.service.telemetry.registry().cloned();
         let shard_config = config
             .service
-            .clone()
             .with_threads((total_workers / config.shards).max(1));
         let shards = (0..config.shards)
             .map(|i| {
                 Ok(Shard {
-                    service: Mutex::new(DecodeService::new(shard_config.clone())?),
+                    core: Mutex::new(ShardCore::new(shard_config.clone())?),
                     enqueued: AtomicU64::new(0),
                     stalls: AtomicU64::new(0),
                     dropped: AtomicU64::new(0),
@@ -217,14 +214,8 @@ impl ShardedDecodeService {
         Ok(Self {
             shards,
             num_shards: config.shards as u32,
-            config,
             next_shard: AtomicU32::new(0),
         })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ShardedServiceConfig {
-        &self.config
     }
 
     /// Number of service shards.
@@ -232,15 +223,12 @@ impl ShardedDecodeService {
         self.shards.len()
     }
 
-    /// Decode cycles every round is budgeted (clock × interval).
-    pub fn budget_cycles(&self) -> u64 {
-        self.config.service.budget.cycles_per_round()
-    }
-
     /// The [`CommitHint`](qecool::CommitHint) a fresh session's decoder
-    /// would advertise (identical across shards).
+    /// would advertise — lets callers (e.g. the bench binaries) tell
+    /// cycle-modelled backends from wall-clock-only ones, and read the
+    /// effective commit cadence, without opening a session.
     pub fn commit_hint(&self) -> qecool::CommitHint {
-        self.shards[0].service.lock().commit_hint()
+        self.shards[0].core.lock().commit_hint()
     }
 
     /// A global session id encodes its shard in the low bits of the
@@ -259,16 +247,18 @@ impl ShardedDecodeService {
     }
 
     /// Opens a new session, placing it on the next shard round-robin,
-    /// and returns its (shard-encoding) handle.
+    /// and returns its (shard-encoding) handle. Slots of closed sessions
+    /// are recycled; their old handles stay invalid.
     pub fn open_session(&self) -> SessionId {
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.num_shards;
-        let local = self.shards[shard as usize].service.lock().open_session();
+        let local = self.shards[shard as usize].core.lock().open_session();
         self.globalize(local, shard)
     }
 
-    /// Delivers one round into `id`'s session inbox under its shard's
-    /// lock. A push that finds the lock held waits for it, counted in
-    /// [`ShardStats::stalls`].
+    /// Copies one round into `id`'s session inbox (a recycled buffer)
+    /// under its shard's lock; decoding happens at the next poll, pump
+    /// or close. A push that finds the lock held waits for it, counted
+    /// in [`ShardStats::stalls`].
     ///
     /// Ingest is fire-and-forget: a failed or stale session's rounds are
     /// discarded (and accounted), and the failure surfaces on the next
@@ -276,26 +266,14 @@ impl ShardedDecodeService {
     ///
     /// # Panics
     ///
-    /// Panics if the round width does not match the fabric's lattice
-    /// (checked for live sessions, as [`DecodeService::push_round`]
-    /// does).
+    /// Panics if a live session's round width does not match the
+    /// service's lattice.
     pub fn push_round(&self, id: SessionId, round: &DetectionRound) {
         let shard = self.shard_for(id);
-        let local = self.localize(id);
-        let mut service = shard.lock_for_push();
+        let mut core = shard.lock_for_push();
         shard.enqueued.fetch_add(1, Ordering::Relaxed);
-        let dropped = match service.push_round(local, round) {
-            Ok(()) => false,
-            Err(ServiceError::Overflowed) => {
-                // The stream already failed; bill the drop to the
-                // session so its close report accounts for it.
-                let _ = service.record_dropped_round(local);
-                true
-            }
-            // Stale or never-opened handle: nothing to bill.
-            Err(ServiceError::UnknownSession) => true,
-        };
-        drop(service);
+        let dropped = !core.push_round(self.localize(id), round);
+        drop(core);
         if dropped {
             shard.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -320,39 +298,22 @@ impl ShardedDecodeService {
         }
     }
 
-    /// Decodes a session's pending rounds and returns the corrections
-    /// emitted since the previous poll, together with the session's
-    /// commit watermark ([`Polled::committed_through`]).
-    ///
-    /// Returns an owned vector (the solo service hands out a borrow; a
-    /// sharded fabric cannot, since the slice lives behind the shard
-    /// lock).
+    /// Decodes a session's pending rounds (in arrival order, each under
+    /// the cycle budget) and returns the corrections emitted since the
+    /// previous poll, together with the session's commit watermark
+    /// ([`Polled::committed_through`]). The next poll only reports newer
+    /// corrections.
     ///
     /// # Errors
     ///
-    /// As [`DecodeService::poll_corrections`].
+    /// [`ServiceError::UnknownSession`] for stale handles,
+    /// [`ServiceError::Overflowed`] once the session has hit a register
+    /// overflow (the stream is failed; corrections are withdrawn).
     pub fn poll_corrections(&self, id: SessionId) -> Result<Polled<Vec<Edge>>, ServiceError> {
         self.shard_for(id)
-            .service
+            .core
             .lock()
             .poll_corrections(self.localize(id))
-            .map(|polled| Polled {
-                corrections: polled.corrections.to_vec(),
-                committed_through: polled.committed_through,
-            })
-    }
-
-    /// The session's commit watermark (see
-    /// [`DecodeService::committed_through`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for stale handles.
-    pub fn committed_through(&self, id: SessionId) -> Result<Option<u64>, ServiceError> {
-        self.shard_for(id)
-            .service
-            .lock()
-            .committed_through(self.localize(id))
     }
 
     /// Latency accounting of one session so far.
@@ -361,7 +322,7 @@ impl ShardedDecodeService {
     ///
     /// [`ServiceError::UnknownSession`] for stale handles.
     pub fn latency(&self, id: SessionId) -> Result<LatencyStats, ServiceError> {
-        self.shard_for(id).service.lock().latency(self.localize(id))
+        self.shard_for(id).core.lock().latency(self.localize(id))
     }
 
     /// `true` once the session has failed by register overflow.
@@ -371,29 +332,46 @@ impl ShardedDecodeService {
     /// [`ServiceError::UnknownSession`] for stale handles.
     pub fn is_overflowed(&self, id: SessionId) -> Result<bool, ServiceError> {
         self.shard_for(id)
-            .service
+            .core
             .lock()
             .is_overflowed(self.localize(id))
     }
 
-    /// Drives every session's pending rounds to completion on that
-    /// shard's persistent worker pool. Shards are pumped in index order;
-    /// within a shard the solo service's pump guarantees hold unchanged.
+    /// Drives every session's pending rounds to completion, shard by
+    /// shard in index order. Each session is drained by exactly one
+    /// thread, in arrival order, so results are independent of the
+    /// thread count.
+    ///
+    /// A shard where at most one session has pending work, or whose
+    /// worker share is one, drains inline on the caller's thread and
+    /// neither consults nor spawns its pool. Otherwise it runs `n` =
+    /// min(busy sessions, share) draining threads: the caller plus
+    /// `n − 1` pool threads, spawned at the first such pump and grown
+    /// when a later one needs more. Once warm, a pump allocates nothing.
+    /// A drain that panics loses its session, frees that slot and
+    /// re-raises the panic on the pump caller, after every other busy
+    /// session of its shard has drained.
     pub fn pump(&self) {
         for shard in &self.shards {
-            shard.service.lock().pump();
+            shard.core.lock().pump();
         }
     }
 
-    /// Closes a session and returns its report, including
-    /// [`SessionReport::rounds_dropped`].
+    /// Closes a session: ingests everything still queued, finishes the
+    /// backend (windowed baselines decode their whole window here; the
+    /// QECOOL backend drains its remaining layers without a cycle
+    /// deadline — teardown is not real-time), frees the slot and
+    /// returns the report, including [`SessionReport::rounds_dropped`].
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownSession`] for stale handles.
+    /// [`ServiceError::UnknownSession`] for stale handles. An overflowed
+    /// session closes *successfully* — the failure is reported in the
+    /// [`SessionReport`], mirroring how a Monte-Carlo trial records
+    /// overflow as a failed shot rather than a harness error.
     pub fn close_session(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
         self.shard_for(id)
-            .service
+            .core
             .lock()
             .close_session(self.localize(id))
     }
@@ -402,16 +380,18 @@ impl ShardedDecodeService {
     pub fn num_sessions(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.service.lock().num_sessions())
+            .map(|s| s.core.lock().num_sessions())
             .sum()
     }
 
     /// Pump draining threads (pool threads plus the pumping caller) of
-    /// every shard that has a pool, summed across shards.
+    /// every shard that has a pool, summed across shards. A shard's pool
+    /// never respawns or shrinks, so consecutive pumps leave this
+    /// unchanged unless the busy-session count outgrows it.
     pub fn pool_workers(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.service.lock().pool_workers())
+            .map(|s| s.core.lock().pool_workers())
             .sum()
     }
 
@@ -472,10 +452,11 @@ mod tests {
         assert_eq!(fabric.num_sessions(), 16);
     }
 
-    /// One session served through the fabric matches the same stream
-    /// through a solo service, whatever the shard count.
+    /// Sessions served through the fabric with pumps match the same
+    /// streams polled round by round on one core, whatever the shard
+    /// count.
     #[test]
-    fn sharded_sessions_match_the_solo_service() {
+    fn sharded_sessions_match_one_core_polled_per_round() {
         let lattice = Lattice::new(5).unwrap();
         let noise = NoiseSpec::Phenomenological { p: 0.04 };
         let sessions = 6usize;
@@ -497,17 +478,17 @@ mod tests {
             let config =
                 ServiceConfig::new(5, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9))
                     .with_threads(1);
-            let mut service = DecodeService::new(config).unwrap();
+            let mut core = ShardCore::new(config).unwrap();
             streams
                 .iter()
                 .map(|stream| {
-                    let id = service.open_session();
+                    let id = core.open_session();
                     let mut all = Vec::new();
                     for round in stream {
-                        service.push_round(id, round).unwrap();
-                        all.extend(service.poll_corrections(id).unwrap().iter().copied());
+                        assert!(core.push_round(id, round));
+                        all.extend(core.poll_corrections(id).unwrap());
                     }
-                    all.extend(service.close_session(id).unwrap().corrections);
+                    all.extend(core.close_session(id).unwrap().corrections);
                     all
                 })
                 .collect()
@@ -570,7 +551,7 @@ mod tests {
         let fabric = fabric(1, 1);
         let id = fabric.open_session();
         let round = DetectionRound::zeros(Lattice::new(5).unwrap().num_ancillas());
-        let held = fabric.shards[0].service.lock();
+        let held = fabric.shards[0].core.lock();
         std::thread::scope(|scope| {
             let producer = scope.spawn(|| fabric.push_round(id, &round));
             while fabric.shard_stats(0).stalls == 0 {

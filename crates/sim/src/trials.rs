@@ -13,9 +13,10 @@
 //!
 //! Trials drive the same [`Decoder`] objects, built by the same
 //! [`DecoderKind::build`], that serve
-//! [`DecodeService`](crate::service::DecodeService) sessions. The graph
-//! baselines run as sliding-window decoders whose window is longer than
-//! the trial, so [`Decoder::finish`] decodes the whole history at once.
+//! [`ShardedDecodeService`](crate::ShardedDecodeService) sessions. The
+//! graph baselines run as sliding-window decoders whose window is longer
+//! than the trial, so [`Decoder::finish`] decodes the whole history at
+//! once.
 
 use qecool::api::{DecodeOutput, DecodeStats, Decoder};
 use qecool::{QecoolConfig, QecoolDecoder, DEFAULT_BOUNDARY_PENALTY};

@@ -35,8 +35,7 @@ pub use qecool::{CommitCadence, CommitHint, FatalError, SimulatedSource, Syndrom
 pub use qecool_obs::{MetricsRegistry, Snapshot, TelemetryHandle};
 pub use qecool_sfq::budget::CycleBudget;
 pub use qecool_sim::service::{
-    DecodeService, LatencyStats, Polled, ServiceBackend, ServiceConfig, ServiceError, SessionId,
-    SessionReport,
+    LatencyStats, Polled, ServiceBackend, ServiceConfig, ServiceError, SessionId, SessionReport,
 };
 pub use qecool_sim::shard::{ShardStats, ShardedDecodeService, ShardedServiceConfig};
 pub use qecool_sim::window::{StreamingMwpm, StreamingUf, WindowConfig};

@@ -6,7 +6,7 @@ use qecool_repro::sim::{
 };
 use qecool_repro::surface_code::{CodePatch, DetectionRound, Edge, Lattice, NoiseSpec};
 use qecool_repro::{
-    CycleBudget, DecodeService, ServiceBackend, ServiceConfig, SessionId, ShardedDecodeService,
+    CycleBudget, ServiceBackend, ServiceConfig, SessionId, ShardedDecodeService,
     ShardedServiceConfig, TelemetryHandle, WindowConfig,
 };
 use rand::SeedableRng;
@@ -98,57 +98,9 @@ fn engine_aggregates_identical_across_worker_counts() {
 }
 
 /// The decoding service's per-session corrections are a pure function of
-/// the session's round stream — pump worker count must never leak in.
-#[test]
-fn service_sessions_identical_across_worker_counts() {
-    let sessions = 6usize;
-    let rounds = 5usize;
-    let lattice = Lattice::new(5).unwrap();
-    let noise = NoiseSpec::Phenomenological { p: 0.04 };
-
-    let run = |threads: usize| -> Vec<Vec<Edge>> {
-        let config = ServiceConfig::new(5, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9))
-            .with_threads(threads);
-        let mut service = DecodeService::new(config).unwrap();
-        let ids: Vec<SessionId> = (0..sessions).map(|_| service.open_session()).collect();
-        let mut patches: Vec<CodePatch> = (0..sessions)
-            .map(|_| CodePatch::new(lattice.clone()))
-            .collect();
-        let mut rngs: Vec<ChaCha8Rng> = (0..sessions)
-            .map(|s| ChaCha8Rng::seed_from_u64(4242 + s as u64))
-            .collect();
-        let mut collected: Vec<Vec<Edge>> = vec![Vec::new(); sessions];
-        let mut round = DetectionRound::zeros(lattice.num_ancillas());
-        for _ in 0..rounds {
-            for s in 0..sessions {
-                patches[s].noisy_round_into(&noise, &mut rngs[s], &mut round);
-                service.push_round(ids[s], &round).unwrap();
-            }
-            service.pump();
-            for s in 0..sessions {
-                let fresh: Vec<Edge> = service.poll_corrections(ids[s]).unwrap().to_vec();
-                patches[s].apply_corrections(fresh.iter().copied());
-                collected[s].extend(fresh);
-            }
-        }
-        for s in 0..sessions {
-            patches[s].perfect_round_into(&mut round);
-            service.push_round(ids[s], &round).unwrap();
-            collected[s].extend(service.close_session(ids[s]).unwrap().corrections);
-        }
-        collected
-    };
-
-    let reference = run(1);
-    for threads in [2usize, 8] {
-        assert_eq!(run(threads), reference, "{threads} pump workers");
-    }
-}
-
-/// The sharded fabric keeps the same purity guarantee across BOTH tuning
-/// knobs at once: per-session corrections are a pure function of the
-/// round stream, independent of how many shards the fabric splits into
-/// and how many pump workers each shard's pool runs. This is the
+/// the round stream, independent of both tuning knobs at once: how many
+/// shards the service splits into and how many pump workers each shard's
+/// pool runs. This is the
 /// byte-identity `crates/bench/tests/service_cli.rs` holds the
 /// `service_bench` binary to.
 #[test]

@@ -6,9 +6,9 @@
 //!
 //! CI's `replay-smoke` leg runs the same cycle at the process level
 //! (`service_bench --record` / `--replay`, comparing session digests);
-//! here the loop runs in-process against a multi-session
-//! [`DecodeService`] so the round-major stream interleave is covered by
-//! tier-1 `cargo test`.
+//! here the loop runs in-process against a multi-session, one-shard
+//! [`ShardedDecodeService`] so the round-major stream interleave is
+//! covered by tier-1 `cargo test`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -17,7 +17,8 @@ use qecool_repro::surface_code::{
     CodePatch, DetectionRound, Edge, Lattice, NoiseSpec, PackedReader, PackedWriter,
 };
 use qecool_repro::{
-    CycleBudget, DecodeService, ServiceBackend, ServiceConfig, SimulatedSource, SyndromeSource,
+    CycleBudget, ServiceBackend, ServiceConfig, ShardedDecodeService, ShardedServiceConfig,
+    SimulatedSource, SyndromeSource,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -41,13 +42,9 @@ fn temp_path(name: &str) -> PathBuf {
 /// poll, and each session's close-report corrections.
 type Observed = (Vec<Vec<Vec<Edge>>>, Vec<Vec<Edge>>);
 
-fn fresh_service() -> DecodeService {
-    DecodeService::new(ServiceConfig::new(
-        D,
-        ServiceBackend::Qecool,
-        CycleBudget::at_clock(2.0e9),
-    ))
-    .unwrap()
+fn fresh_service() -> ShardedDecodeService {
+    let config = ServiceConfig::new(D, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9));
+    ShardedDecodeService::new(ShardedServiceConfig::new(config, 1)).unwrap()
 }
 
 /// Live leg: simulate `SESSIONS` sessions under `spec`, record every
@@ -79,7 +76,7 @@ fn record_live(spec: NoiseSpec, path: &Path) -> Observed {
         })
         .collect();
 
-    let mut service = fresh_service();
+    let service = fresh_service();
     let ids: Vec<_> = (0..SESSIONS).map(|_| service.open_session()).collect();
     let mut round = DetectionRound::zeros(lattice.num_ancillas());
     let mut polls = vec![Vec::new(); SESSIONS];
@@ -89,10 +86,10 @@ fn record_live(spec: NoiseSpec, path: &Path) -> Observed {
             writer
                 .write_plane(round.events(), source.erasures())
                 .unwrap();
-            service.push_round(ids[s], &round).unwrap();
+            service.push_round(ids[s], &round);
         }
         for (s, source) in sources.iter_mut().enumerate() {
-            let fresh: Vec<Edge> = service.poll_corrections(ids[s]).unwrap().to_vec();
+            let fresh = service.poll_corrections(ids[s]).unwrap().corrections;
             source.apply_corrections(&fresh);
             polls[s].push(fresh);
         }
@@ -114,7 +111,7 @@ fn replay(path: &Path) -> Observed {
     assert_eq!(reader.header().rounds, ROUNDS as u64);
     assert_eq!(reader.header().streams, SESSIONS as u32);
 
-    let mut service = fresh_service();
+    let service = fresh_service();
     let ids: Vec<_> = (0..SESSIONS).map(|_| service.open_session()).collect();
     let mut round = DetectionRound::zeros(reader.header().num_detectors as usize);
     let mut polls = vec![Vec::new(); SESSIONS];
@@ -122,10 +119,10 @@ fn replay(path: &Path) -> Observed {
         for &id in &ids {
             let source: &mut dyn SyndromeSource = &mut reader;
             source.next_round_into(&mut round).expect("recorded round");
-            service.push_round(id, &round).unwrap();
+            service.push_round(id, &round);
         }
         for (s, &id) in ids.iter().enumerate() {
-            polls[s].push(service.poll_corrections(id).unwrap().to_vec());
+            polls[s].push(service.poll_corrections(id).unwrap().corrections);
         }
     }
     let closes = ids

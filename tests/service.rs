@@ -1,7 +1,7 @@
-//! Service ⇔ offline-engine equivalence: a [`DecodeService`] session fed
-//! the same seeded noise stream as a Monte-Carlo trial must produce
-//! byte-identical corrections — whatever the worker-thread count — and
-//! reach the same logical outcome.
+//! Service ⇔ offline-engine equivalence: a [`ShardedDecodeService`]
+//! session fed the same seeded noise stream as a Monte-Carlo trial must
+//! produce byte-identical corrections — whatever the worker-thread count
+//! — and reach the same logical outcome.
 
 use qecool_repro::decoder::{DecodeOutput, Decoder, QecoolConfig, QecoolDecoder};
 use qecool_repro::sim::{run_trial, DecoderKind, TrialConfig};
@@ -9,7 +9,7 @@ use qecool_repro::surface_code::{
     CodePatch, DetectionRound, Edge, Lattice, NoiseSpec, SyndromeHistory,
 };
 use qecool_repro::{
-    CycleBudget, DecodeService, ServiceBackend, ServiceConfig, ServiceError, ShardedDecodeService,
+    CycleBudget, ServiceBackend, ServiceConfig, ServiceError, ShardedDecodeService,
     ShardedServiceConfig,
 };
 use rand::SeedableRng;
@@ -47,12 +47,17 @@ fn offline_qecool_corrections(seed: u64) -> (Vec<Edge>, bool) {
     (all, patch.has_logical_error())
 }
 
-/// The same stream served through a `DecodeService` session.
+/// A one-shard service over `config`.
+fn one_shard(config: ServiceConfig) -> ShardedDecodeService {
+    ShardedDecodeService::new(ShardedServiceConfig::new(config, 1)).unwrap()
+}
+
+/// The same stream served through a one-shard service session.
 fn service_qecool_corrections(seed: u64, threads: usize) -> (Vec<Edge>, bool) {
     let config = ServiceConfig::new(D, ServiceBackend::Qecool, CycleBudget::at_clock(2.0e9))
         .with_threads(threads);
     assert_eq!(config.budget.cycles_per_round(), BUDGET_CYCLES);
-    let mut service = DecodeService::new(config).unwrap();
+    let service = one_shard(config);
     let id = service.open_session();
 
     let lattice = Lattice::new(D).unwrap();
@@ -63,13 +68,13 @@ fn service_qecool_corrections(seed: u64, threads: usize) -> (Vec<Edge>, bool) {
     let mut all = Vec::new();
     for _ in 0..ROUNDS {
         patch.noisy_round_into(&noise, &mut rng, &mut round);
-        service.push_round(id, &round).unwrap();
-        let fresh: Vec<Edge> = service.poll_corrections(id).unwrap().to_vec();
+        service.push_round(id, &round);
+        let fresh = service.poll_corrections(id).unwrap();
         patch.apply_corrections(fresh.iter().copied());
         all.extend(fresh);
     }
     patch.perfect_round_into(&mut round);
-    service.push_round(id, &round).unwrap();
+    service.push_round(id, &round);
     let report = service.close_session(id).unwrap();
     patch.apply_corrections(report.corrections.iter().copied());
     all.extend(report.corrections);
@@ -149,9 +154,9 @@ fn windowed_sessions_match_offline_window_decoders() {
             // Service window decode.
             let config =
                 ServiceConfig::new(D, backend, CycleBudget::at_clock(2.0e9)).with_threads(1);
-            let mut service = DecodeService::new(config).unwrap();
+            let service = one_shard(config);
             let id = service.open_session();
-            service.feed(id, rounds.iter()).unwrap();
+            service.push_rounds(rounds.iter().map(|round| (id, round)));
             let report = service.close_session(id).unwrap();
             assert_eq!(report.corrections, offline, "{backend:?} seed {seed}");
         }
@@ -164,14 +169,15 @@ fn starved_config(threads: usize) -> ServiceConfig {
     ServiceConfig::new(D, ServiceBackend::Qecool, CycleBudget::new(1.0, 1.0)).with_threads(threads)
 }
 
-/// Overflowed-session lifecycle on the **solo service fast path** (one
-/// session, single-threaded — the pump never consults the worker pool):
-/// poll errors with [`ServiceError::Overflowed`], close still succeeds
-/// and reports the failure with corrections withdrawn, and the stale
-/// handle is rejected afterwards.
+/// Overflowed-session lifecycle on the **single-worker fast path** (one
+/// session on one shard with one worker — the pump never consults the
+/// worker pool): poll errors with [`ServiceError::Overflowed`], later
+/// pushes are dropped and accounted, close still succeeds and reports
+/// the failure with corrections withdrawn, and the stale handle is
+/// rejected afterwards.
 #[test]
 fn overflowed_session_lifecycle_on_the_solo_fast_path() {
-    let mut service = DecodeService::new(starved_config(1)).unwrap();
+    let service = one_shard(starved_config(1));
     let id = service.open_session();
     let lattice = Lattice::new(D).unwrap();
     let mut patch = CodePatch::new(lattice.clone());
@@ -179,25 +185,33 @@ fn overflowed_session_lifecycle_on_the_solo_fast_path() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
 
     let mut round = DetectionRound::zeros(lattice.num_ancillas());
+    // Serve the same stream until the overflow surfaces; every round
+    // after that is pushed into a failed session and must be dropped.
+    let mut pushed_after_overflow = 0u64;
     for _ in 0..40 {
         patch.noisy_round_into(&noise, &mut rng, &mut round);
-        if service.push_round(id, &round).is_err() {
-            break;
+        service.push_round(id, &round);
+        if service.is_overflowed(id).unwrap() {
+            pushed_after_overflow += 1;
+            continue;
         }
         service.pump();
-        if service.poll_corrections(id).is_err() {
-            break;
-        }
+        let _ = service.poll_corrections(id);
     }
     assert!(
         service.is_overflowed(id).unwrap(),
         "starved budget should overflow the registers"
+    );
+    assert!(
+        pushed_after_overflow > 0,
+        "the stream outlives the overflow"
     );
     assert!(matches!(
         service.poll_corrections(id),
         Err(ServiceError::Overflowed)
     ));
     assert_eq!(service.pool_workers(), 0, "fast path must stay pool-free");
+    assert_eq!(service.total_stats().dropped, pushed_after_overflow);
 
     let report = service.close_session(id).unwrap();
     assert!(report.overflowed);
@@ -205,15 +219,18 @@ fn overflowed_session_lifecycle_on_the_solo_fast_path() {
         report.corrections.is_empty(),
         "a failed stream's corrections are withdrawn"
     );
+    assert_eq!(report.rounds_dropped, pushed_after_overflow);
     // The handle died with the session: every entry point rejects it.
     assert!(matches!(
         service.poll_corrections(id),
         Err(ServiceError::UnknownSession)
     ));
-    assert!(matches!(
-        service.push_round(id, &round),
-        Err(ServiceError::UnknownSession)
-    ));
+    service.push_round(id, &round);
+    assert_eq!(
+        service.total_stats().dropped,
+        pushed_after_overflow + 1,
+        "a stale handle's push is dropped and counted"
+    );
     assert!(matches!(
         service.close_session(id),
         Err(ServiceError::UnknownSession)

@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 
 use qecool_repro::surface_code::{CodePatch, DetectionRound, Lattice, NoiseSpec};
 use qecool_repro::{
-    CycleBudget, DecodeService, ServiceBackend, ServiceConfig, SimulatedSource, SyndromeSource,
+    CycleBudget, ServiceBackend, ServiceConfig, ShardedDecodeService, ShardedServiceConfig,
+    SimulatedSource, SyndromeSource,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -70,7 +71,7 @@ const MAX_GROWTH_BYTES: isize = 16 * 1024;
 /// Serves `rounds` rounds of `source` through `session`: push, poll,
 /// feed the corrections back.
 fn serve(
-    service: &mut DecodeService,
+    service: &ShardedDecodeService,
     session: qecool_repro::SessionId,
     source: &mut SimulatedSource,
     round: &mut DetectionRound,
@@ -78,10 +79,10 @@ fn serve(
 ) {
     for _ in 0..rounds {
         source.next_round_into(round).expect("unbounded source");
-        service
-            .push_round(session, round)
+        service.push_round(session, round);
+        let fresh = service
+            .poll_corrections(session)
             .expect("no overflow at p = 1 %");
-        let fresh = service.poll_corrections(session).expect("session open");
         source.apply_corrections(&fresh);
     }
 }
@@ -95,7 +96,7 @@ fn live_heap_stays_flat_over_a_long_session() {
         ServiceBackend::Mwpm,
     ] {
         let config = ServiceConfig::new(D, backend, CycleBudget::at_clock(2.0e9)).with_threads(1);
-        let mut service = DecodeService::new(config).unwrap();
+        let service = ShardedDecodeService::new(ShardedServiceConfig::new(config, 1)).unwrap();
         let session = service.open_session();
         let mut source = SimulatedSource::new(
             CodePatch::new(lattice.clone()),
@@ -104,21 +105,9 @@ fn live_heap_stays_flat_over_a_long_session() {
         );
         let mut round = DetectionRound::zeros(lattice.num_ancillas());
 
-        serve(
-            &mut service,
-            session,
-            &mut source,
-            &mut round,
-            WARMUP_ROUNDS,
-        );
+        serve(&service, session, &mut source, &mut round, WARMUP_ROUNDS);
         let before = LIVE.load(Ordering::Relaxed);
-        serve(
-            &mut service,
-            session,
-            &mut source,
-            &mut round,
-            MEASURED_ROUNDS,
-        );
+        serve(&service, session, &mut source, &mut round, MEASURED_ROUNDS);
         let growth = LIVE.load(Ordering::Relaxed) - before;
         assert!(
             growth < MAX_GROWTH_BYTES,
