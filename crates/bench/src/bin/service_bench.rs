@@ -540,9 +540,10 @@ fn serve(opts: &BenchOptions, telemetry: TelemetryHandle) -> ServeOutcome {
     }
     feed.finish();
     let elapsed = start.elapsed();
-    // Threads that actually drained sessions in the pumps above (pool
-    // threads plus the caller, per shard with a pool), so record
-    // reality, not the request.
+    // Threads that drained sessions in the pumps above that fanned out
+    // (pool threads plus the caller, per shard with a pool), so record
+    // reality, not the request. A pump drains inline until its sessions
+    // outweigh a pool wake-up, so 0 means no pump fanned out.
     let pump_workers = service.pool_workers();
 
     let mut worst_util = 0.0f64;

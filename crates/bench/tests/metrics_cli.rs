@@ -78,10 +78,20 @@ fn series_total(prom: &str, series: &str) -> Option<f64> {
 fn metrics_snapshots_carry_every_core_series() {
     let prom_path = temp_path("metrics.prom");
     let json_path = temp_path("metrics.json");
-    // 64 sessions over 200 rounds: at the 8-session smoke size a pool
-    // worker may not wake before the pump caller has drained every
-    // session, so `qecool_pool_steals_total` can truly be 0.
+    // A serve whose pumps fan out, so `qecool_pool_steals_total` moves:
+    // a pump drains inline until its sessions outweigh a pool wake-up,
+    // which QECOOL d = 5 pumps (about 0.4 µs a session) almost never
+    // reach. Union-find at d = 9 decodes a 27-round window per session
+    // every 9th round, and those pumps fan 64 sessions out.
     serve(&[
+        "--backend",
+        "uf",
+        "--d",
+        "9",
+        "--window",
+        "27",
+        "--stride",
+        "9",
         "--sessions",
         "64",
         "--rounds",

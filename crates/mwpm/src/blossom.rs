@@ -18,8 +18,8 @@
 //!
 //! `BlossomMatcher` owns every table the algorithm needs and reuses them
 //! from one call to the next: after the first few calls a matching
-//! allocates nothing. Incidence is a flat CSR array, blossom child lists
-//! keep their capacity when a blossom is recycled, and leaf walks write
+//! allocates nothing. Incidence is a flat CSR array, a blossom's lists
+//! come from and go back to one pool of spare lists, and leaf walks write
 //! straight into the queue or one scratch buffer.
 
 /// Sentinel for "no vertex / no endpoint / no edge".
@@ -64,6 +64,12 @@ pub(crate) struct BlossomMatcher {
     /// `blossombestedges[b]` is meaningful only while `hasbestedges[b]`.
     blossombestedges: Vec<Vec<usize>>,
     hasbestedges: Vec<bool>,
+    /// Cleared lists for the three per-blossom tables above. A blossom
+    /// takes its lists from here when it forms and returns them when it
+    /// expands or the next call starts, so the capacity kept follows the
+    /// most blossoms alive at once, not the largest blossom each blossom
+    /// number ever held (which crept up over a long-lived decoder).
+    spare_lists: Vec<Vec<usize>>,
     unusedblossoms: Vec<usize>,
     /// Dual variables (×2): `0..nvertex` = vertex `u`, rest = blossom `z`.
     dualvar: Vec<i64>,
@@ -128,6 +134,15 @@ pub fn max_weight_matching(
         out.extend_from_slice(edges)
     });
     (0..num_vertices).map(|v| m.mate(v)).collect()
+}
+
+/// Returns a blossom's list to the spare pool, cleared; a list that never
+/// allocated is just dropped.
+fn recycle(spare: &mut Vec<Vec<usize>>, mut list: Vec<usize>) {
+    if list.capacity() > 0 {
+        list.clear();
+        spare.push(list);
+    }
 }
 
 /// Appends the vertices of blossom `b` (recursively, in child order).
@@ -255,10 +270,12 @@ impl BlossomMatcher {
             &mut self.blossomendps,
             &mut self.blossombestedges,
         ] {
+            for list in lists.iter_mut() {
+                recycle(&mut self.spare_lists, std::mem::take(list));
+            }
             if lists.len() < nb {
                 lists.resize_with(nb, Vec::new);
             }
-            lists[..nb].iter_mut().for_each(Vec::clear);
         }
         self.blossombase.clear();
         self.blossombase.extend(0..nvertex as i64);
@@ -297,6 +314,12 @@ impl BlossomMatcher {
     fn slack(&self, k: usize) -> i64 {
         let (i, j, wt) = self.edges[k];
         self.dualvar[i] + self.dualvar[j] - 2 * wt
+    }
+
+    /// A cleared list for a forming blossom, from the spare pool when it
+    /// has one.
+    fn spare_list(&mut self) -> Vec<usize> {
+        self.spare_lists.pop().unwrap_or_default()
     }
 
     /// Refills `self.leaves` with the vertices of blossom `b`.
@@ -390,11 +413,9 @@ impl BlossomMatcher {
         self.blossomparent[b] = NONE;
         self.blossomparent[bb] = b as i64;
         // Make list of sub-blossoms and their interconnecting edge
-        // endpoints, in the recycled lists of blossom b.
-        let mut path = std::mem::take(&mut self.blossomchilds[b]);
-        let mut endps = std::mem::take(&mut self.blossomendps[b]);
-        path.clear();
-        endps.clear();
+        // endpoints, in spare lists.
+        let mut path = self.spare_list();
+        let mut endps = self.spare_list();
         // Trace back from v to base.
         while bv != bb {
             self.blossomparent[bv] = b as i64;
@@ -466,15 +487,17 @@ impl BlossomMatcher {
                 }
             }
             // Forget about least-slack edges of the subblossom.
-            self.blossombestedges[bv].clear();
+            recycle(
+                &mut self.spare_lists,
+                std::mem::take(&mut self.blossombestedges[bv]),
+            );
             self.hasbestedges[bv] = false;
             self.bestedge[bv] = NONE;
         }
         self.blossomchilds[b] = childs;
         // Collect the candidates in blossom order and reset the scratch.
         self.bestedgeto_set.sort_unstable();
-        let mut best = std::mem::take(&mut self.blossombestedges[b]);
-        best.clear();
+        let mut best = self.spare_list();
         for &bj in &self.bestedgeto_set {
             best.push(self.bestedgeto[bj] as usize);
             self.bestedgeto[bj] = NONE;
@@ -511,8 +534,8 @@ impl BlossomMatcher {
     /// Expands the given top-level blossom.
     fn expand_blossom(&mut self, b: usize, endstage: bool) {
         // Blossom b is recycled below; its lists are only read from here on.
-        let mut childs = std::mem::take(&mut self.blossomchilds[b]);
-        let mut endps = std::mem::take(&mut self.blossomendps[b]);
+        let childs = std::mem::take(&mut self.blossomchilds[b]);
+        let endps = std::mem::take(&mut self.blossomendps[b]);
         // Convert sub-blossoms into top-level blossoms.
         for &s in &childs {
             self.blossomparent[s] = NONE;
@@ -615,15 +638,16 @@ impl BlossomMatcher {
                 j += jstep;
             }
         }
-        // Recycle the blossom number, keeping its lists' capacity.
-        childs.clear();
-        endps.clear();
-        self.blossomchilds[b] = childs;
-        self.blossomendps[b] = endps;
+        // Recycle the blossom number; its lists go back to the pool.
+        recycle(&mut self.spare_lists, childs);
+        recycle(&mut self.spare_lists, endps);
+        recycle(
+            &mut self.spare_lists,
+            std::mem::take(&mut self.blossombestedges[b]),
+        );
         self.label[b] = 0;
         self.labelend[b] = NONE;
         self.blossombase[b] = NONE;
-        self.blossombestedges[b].clear();
         self.hasbestedges[b] = false;
         self.bestedge[b] = NONE;
         self.unusedblossoms.push(b);

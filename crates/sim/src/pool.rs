@@ -44,7 +44,7 @@ pub fn worker_count(threads: usize) -> usize {
 }
 
 /// A panic payload caught on a worker, for the caller to re-raise.
-type Panic = Box<dyn Any + Send>;
+pub(crate) type Panic = Box<dyn Any + Send>;
 
 /// The work of one pool run: `items()` independent items, each run once
 /// by whichever thread claims its index.

@@ -14,10 +14,11 @@
 //! # Determinism
 //!
 //! Sessions are fully independent: each owns its decoder state and its
-//! rounds are decoded in arrival order. A pump fans the pending sessions
-//! out across the shard's worker pool, but a session is only ever
-//! advanced by one thread per pump, so every session's corrections are
-//! byte-identical whatever the thread count — the same guarantee the
+//! rounds are decoded in arrival order. A pump drains some sessions
+//! inline and may hand the rest to the shard's worker pool, but a
+//! session is only ever advanced by one thread per pump, so every
+//! session's corrections are byte-identical whatever the thread count
+//! and whichever sessions a pump fans out — the same guarantee the
 //! Monte-Carlo engine makes for aggregates.
 //!
 //! # The persistent pump pool
@@ -25,12 +26,19 @@
 //! A shard's pump runs on its own persistent [worker pool](crate::pool),
 //! the pool type the Monte-Carlo engine also runs on (see there for the
 //! spawn, wake-up, panic and shutdown rules). Sessions are boxed in
-//! their slots; a parallel pump moves the boxes of the busy ones into
-//! the session table the pool keeps between calls, and the draining
-//! threads — the caller is one of them — claim table entries off the
-//! pool's atomic cursor and drain them where they are. Pumps where at
-//! most one session has pending work drain inline on the calling thread
-//! without touching (or creating) the pool.
+//! their slots; a pump that fans out moves the boxes of the sessions
+//! still busy into the session table the pool keeps between calls, and
+//! the draining threads — the caller is one of them — claim table
+//! entries off the pool's atomic cursor and drain them where they are.
+//!
+//! A fan-out is not free: on a 2-vCPU VM, waking the pool, the worker's
+//! first claim and the caller's end wait together cost tens of
+//! microseconds, more than a whole pump of 64 d = 5 QECOOL sessions
+//! decodes. So every pump first drains its busy sessions inline on the
+//! calling thread, in slot order, and hands the sessions still busy to
+//! the pool only once its own pace says they would outlast a fan-out
+//! (`FAN_OUT_COST`, 300 µs). A pump that never reaches that point
+//! neither consults nor creates the pool.
 //!
 //! # Steady-state allocation
 //!
@@ -77,7 +85,9 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -90,7 +100,7 @@ use qecool_obs::{
 use qecool_sfq::budget::{CycleBudget, CycleHistogram};
 use qecool_surface_code::{DetectionRound, Edge, Lattice, LatticeError};
 
-use crate::pool::{worker_count, Batch, PoolCounters, WorkerPool};
+use crate::pool::{worker_count, Batch, Panic, PoolCounters, WorkerPool};
 use crate::trials::DecoderKind;
 pub use crate::window::{StreamingMwpm, StreamingUf, WindowConfig};
 
@@ -124,7 +134,8 @@ pub struct ServiceConfig {
     pub budget: CycleBudget,
     /// Pump worker threads, divided across the shards (see
     /// [`ShardedServiceConfig::service`](crate::shard::ShardedServiceConfig::service));
-    /// `0` uses all cores.
+    /// `0` uses all cores. A cap, not a demand: a pump drains inline and
+    /// fans out to the pool only when its sessions outweigh a wake-up.
     pub threads: usize,
     /// Window geometry for the sliding-window baselines (UF/MWPM).
     /// `None` uses [`WindowConfig::default_for`] the configured
@@ -188,8 +199,8 @@ struct ServiceTelemetry {
     /// the decode stage.
     drains: Arc<Counter>,
     /// Busy sessions that pool workers, not the pump caller, claimed off
-    /// the pump cursor: over `drains`, the share of the parallel pumps'
-    /// drains the pool threads carried.
+    /// the cursor of a pump that fanned out: over `drains`, the share of
+    /// all drains the pool threads carried.
     steals: Arc<Counter>,
     /// The pump pool's `qecool_pool_{parks,wakes}_total` series.
     pool: PoolCounters,
@@ -722,8 +733,7 @@ impl Batch for PumpTable {
         self.cells.len()
     }
 
-    /// Drains one busy session in place. The session is out of its cell
-    /// while it drains, so a drain that panics leaves the cell empty.
+    /// Drains one busy session in place (see [`drain_in_cell`]).
     fn run(&self, index: usize, stripe: usize) {
         let obs = self.obs.as_deref().map(|t| (t, stripe));
         // Stripe 0 is the pump caller; every other stripe is a pool
@@ -731,11 +741,49 @@ impl Batch for PumpTable {
         if let Some((t, stripe @ 1..)) = obs {
             t.steals.add(stripe, 1);
         }
-        let mut cell = self.cells[index].1.lock();
-        let mut session = cell.take().expect("each entry is claimed once");
-        session.drain_inbox(self.budget, obs);
-        *cell = Some(session);
+        drain_in_cell(&mut self.cells[index].1.lock(), self.budget, obs);
     }
+}
+
+/// Drains the busy session in `cell` where it stands. The session is
+/// out of its cell while it drains, so a drain that panics loses it and
+/// leaves the cell empty — the pump's panic contract, the same whether
+/// the caller drains the session inline or a pool thread does.
+fn drain_in_cell(
+    cell: &mut Option<Box<Session>>,
+    budget: u64,
+    obs: Option<(&ServiceTelemetry, usize)>,
+) {
+    let mut session = cell.take().expect("each busy session drains once");
+    session.drain_inbox(budget, obs);
+    *cell = Some(session);
+}
+
+/// What one fan-out of a pump costs its caller: waking the pool, the
+/// wait for a worker's first claim and the end wait. On the 2-vCPU AVX2
+/// VM the caller's `notify_all` took about 11–15 µs once warm, the
+/// worker claimed its first session about 19 µs after it, and the end
+/// wait took 8–12 µs — more than the 28 µs the 64 d = 5 QECOOL sessions
+/// of a `serve_qecool_d5` pump decode serially, and the sessions the
+/// other core drains come back cache-cold. So the sessions still busy
+/// go to the pool only when, at the pump's own pace, draining them
+/// inline would take longer than this.
+///
+/// 300 µs was picked against 100 µs and 1 ms on both serving perfbench
+/// workloads (seed 1, alternating 10 s pairs on the same VM). The three
+/// read alike on `replay_uf_d9`, whose window ticks fan out at each of
+/// them. On `serve_qecool_d5`, 100 µs fanned out about 14k pumps in
+/// 108k (one slow first drain, extrapolated over the 63 sessions left,
+/// is enough), 300 µs 179 in 100k, and 1 ms served no faster.
+const FAN_OUT_COST: Duration = Duration::from_micros(300);
+
+/// Whether a pump that drained `drained` busy sessions inline in
+/// `elapsed` hands the `pending` sessions still busy to its pool: only
+/// when at least two are left to share, and only when, at the pace so
+/// far (`elapsed ÷ drained` each), they would take longer to drain
+/// inline than [`FAN_OUT_COST`].
+fn should_fan_out(elapsed: Duration, drained: usize, pending: usize) -> bool {
+    pending >= 2 && elapsed.as_nanos() * pending as u128 > FAN_OUT_COST.as_nanos() * drained as u128
 }
 
 /// The body of one shard of a
@@ -928,44 +976,40 @@ impl ShardCore {
         if let Some(t) = obs {
             t.pump_calls.add(stripe, 1);
         }
-        let pending = self
-            .slots
-            .iter()
-            .filter(|slot| slot.session.as_ref().is_some_and(|s| !s.inbox.is_empty()))
-            .count();
+        let busy = |slot: &Slot| slot.session.as_ref().is_some_and(|s| !s.inbox.is_empty());
+        let mut pending = self.slots.iter().filter(|slot| busy(slot)).count();
         if pending == 0 {
             return;
         }
         let configured = worker_count(self.config.threads);
-        if pending == 1 || configured <= 1 {
-            // Fast path: ≤ 1 busy session needs no pool at all.
-            for slot in &mut self.slots {
-                if let Some(session) = &mut slot.session {
-                    session.drain_inbox(budget, obs.map(|t| (t, stripe)));
-                }
+        let start = Instant::now();
+        let mut panic = None;
+        let mut drained = 0usize;
+        // Slots before `rest` have drained inline.
+        let mut rest = 0;
+        while pending > 0 {
+            let slot = &mut self.slots[rest];
+            rest += 1;
+            if !busy(slot) {
+                continue;
             }
-            return;
+            let drain = || drain_in_cell(&mut slot.session, budget, obs.map(|t| (t, stripe)));
+            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(drain)) {
+                panic.get_or_insert(payload);
+            }
+            drained += 1;
+            pending -= 1;
+            // The clock is read after drains 1, 2, 4, 8, …, so a pump
+            // of cheap sessions reads it a handful of times.
+            if configured > 1
+                && drained.is_power_of_two()
+                && should_fan_out(start.elapsed(), drained, pending)
+            {
+                break;
+            }
         }
-        let pool = self.pool.get_or_insert_with(|| {
-            let table = PumpTable {
-                cells: Vec::new(),
-                budget,
-                obs: self.obs.clone(),
-            };
-            WorkerPool::new(table, self.obs.as_ref().map(|t| t.pool.clone()))
-        });
-        pool.batch_mut()
-            .cells
-            .extend(self.slots.iter_mut().enumerate().filter_map(|(idx, slot)| {
-                let session = slot.session.take_if(|s| !s.inbox.is_empty())?;
-                Some((idx as u32, Mutex::new(Some(session))))
-            }));
-        // Sizing by busy sessions, not the slot table, keeps closed and
-        // idle slots from inflating the pool.
-        let threads = configured.min(pending);
-        let panic = pool.run(threads - 1);
-        for (idx, cell) in pool.batch_mut().cells.drain(..) {
-            self.slots[idx as usize].session = cell.into_inner();
+        if pending > 0 {
+            panic = panic.or(self.fan_out(rest, configured.min(pending)));
         }
         if let Some(payload) = panic {
             // The panicking session is gone; free its slot so it can be
@@ -982,6 +1026,38 @@ impl ShardCore {
         }
     }
 
+    /// Drains the busy sessions from slot `from` on across `threads`
+    /// draining threads (the caller and `threads − 1` pool threads) and
+    /// returns the first panic payload. The pool is created at the first
+    /// fan-out and reused until the core drops.
+    fn fan_out(&mut self, from: usize, threads: usize) -> Option<Panic> {
+        let pool = self.pool.get_or_insert_with(|| {
+            let table = PumpTable {
+                cells: Vec::new(),
+                budget: self.budget_cycles,
+                obs: self.obs.clone(),
+            };
+            WorkerPool::new(table, self.obs.as_ref().map(|t| t.pool.clone()))
+        });
+        pool.batch_mut()
+            .cells
+            .extend(
+                self.slots
+                    .iter_mut()
+                    .enumerate()
+                    .skip(from)
+                    .filter_map(|(idx, slot)| {
+                        let session = slot.session.take_if(|s| !s.inbox.is_empty())?;
+                        Some((idx as u32, Mutex::new(Some(session))))
+                    }),
+            );
+        let panic = pool.run(threads - 1);
+        for (idx, cell) in pool.batch_mut().cells.drain(..) {
+            self.slots[idx as usize].session = cell.into_inner();
+        }
+        panic
+    }
+
     /// Returns an emptied slot's index to the free list exactly once,
     /// however many times it is called — the per-slot `on_free` flag is
     /// the idempotence guard. No-op for slots that still hold a session.
@@ -993,8 +1069,8 @@ impl ShardCore {
         }
     }
 
-    /// Draining threads of the parallel pump: pool threads plus the
-    /// caller, 0 until the first parallel pump creates the pool.
+    /// Draining threads of a pump that fans out: pool threads plus the
+    /// caller, 0 until the first fan-out creates the pool.
     pub(crate) fn pool_workers(&self) -> usize {
         self.pool.as_ref().map_or(0, |pool| pool.workers() + 1)
     }
@@ -1050,7 +1126,6 @@ mod tests {
     use qecool_surface_code::{CodePatch, NoiseSpec};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::Ordering;
 
     fn service(backend: ServiceBackend, threads: usize) -> ShardCore {
@@ -1274,11 +1349,64 @@ mod tests {
         }
     }
 
+    /// Sleeps well past [`FAN_OUT_COST`] in every decode step, then steps
+    /// the real backend: a session that drains so slowly that a pump with
+    /// another busy session provably fans out.
+    struct Slow(Box<dyn Decoder + Send>);
+
+    impl Decoder for Slow {
+        fn ingest(&mut self, round: &DetectionRound) -> Result<(), RegOverflow> {
+            self.0.ingest(round)
+        }
+
+        fn decode_step(&mut self, budget: Option<u64>, out: &mut DecodeOutput) {
+            std::thread::sleep(FAN_OUT_COST * 4);
+            self.0.decode_step(budget, out);
+        }
+
+        fn finish(&mut self, out: &mut DecodeOutput) {
+            self.0.finish(out);
+        }
+
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+    }
+
+    /// Opens a session whose backend is the service's own, wrapped in
+    /// [`Slow`]: its corrections are the ones a plain session emits.
+    fn open_slow_session(service: &mut ShardCore) -> SessionId {
+        let id = service.open_session();
+        let backend = Slow(service.make_backend());
+        service.replace_backend_for_test(id, Box::new(backend));
+        id
+    }
+
+    #[test]
+    fn fan_out_needs_two_sessions_left_and_a_pace_past_its_cost() {
+        let ns = Duration::from_nanos;
+        // At the pace of one drain per `FAN_OUT_COST / 2`, two sessions
+        // left take exactly the cost: the pump stays inline. One
+        // nanosecond slower and it fans out.
+        assert!(!should_fan_out(FAN_OUT_COST / 2, 1, 2));
+        assert!(should_fan_out(FAN_OUT_COST / 2 + ns(1), 1, 2));
+        // The pace is per drain: 4 sessions drained in the cost leave 4
+        // that take it again.
+        assert!(!should_fan_out(FAN_OUT_COST, 4, 4));
+        assert!(should_fan_out(FAN_OUT_COST + ns(1), 4, 4));
+        // One session left has no one to share it with, however slow.
+        assert!(!should_fan_out(FAN_OUT_COST * 100, 1, 1));
+        assert!(!should_fan_out(FAN_OUT_COST * 100, 1, 0));
+        // A 64-session pump of 440 ns d = 5 QECOOL drains stays inline.
+        assert!(!should_fan_out(ns(440), 1, 63));
+        assert!(!should_fan_out(ns(440 * 32), 32, 32));
+    }
+
     #[test]
     fn pump_reuses_the_worker_pool_across_calls() {
         let mut service = service(ServiceBackend::Qecool, 4);
         let lattice = Lattice::new(5).unwrap();
-        let ids: Vec<SessionId> = (0..6).map(|_| service.open_session()).collect();
+        let ids: Vec<SessionId> = (0..6).map(|_| open_slow_session(&mut service)).collect();
         let mut patches: Vec<CodePatch> = (0..6).map(|_| CodePatch::new(lattice.clone())).collect();
         let mut rngs: Vec<ChaCha8Rng> = (0..6)
             .map(|s| ChaCha8Rng::seed_from_u64(50 + s as u64))
@@ -1294,6 +1422,7 @@ mod tests {
         push_round_per_session(&mut service, &ids, &mut patches, &mut rngs, &mut round);
         service.pump();
         let workers_after_first = service.pool_workers();
+        assert!(workers_after_first > 0, "the slow pump fanned out");
         assert_eq!(
             workers_after_first - 1,
             3,
@@ -1320,25 +1449,26 @@ mod tests {
 
     #[test]
     fn pool_grows_when_sessions_outnumber_it() {
-        // 4 configured threads, but only 2 sessions exist at the first
-        // parallel pump — it drains on 2 threads (the caller and one pool
-        // thread) and must grow (never respawn) to 4 when the session
-        // count catches up.
+        // 4 configured threads, but only 3 sessions exist at the first
+        // pump: the caller drains one inline and fans the 2 left out on
+        // 2 threads (the caller and one pool thread). The pool must grow
+        // (never respawn) to 4 when the session count catches up.
         let mut service = service(ServiceBackend::Qecool, 4);
         let lattice = Lattice::new(5).unwrap();
-        let mut ids: Vec<SessionId> = (0..2).map(|_| service.open_session()).collect();
-        let mut patches: Vec<CodePatch> = (0..2).map(|_| CodePatch::new(lattice.clone())).collect();
-        let mut rngs: Vec<ChaCha8Rng> = (0..2)
+        let mut ids: Vec<SessionId> = (0..3).map(|_| open_slow_session(&mut service)).collect();
+        let mut patches: Vec<CodePatch> = (0..3).map(|_| CodePatch::new(lattice.clone())).collect();
+        let mut rngs: Vec<ChaCha8Rng> = (0..3)
             .map(|s| ChaCha8Rng::seed_from_u64(80 + s as u64))
             .collect();
         let mut round = DetectionRound::zeros(lattice.num_ancillas());
         push_round_per_session(&mut service, &ids, &mut patches, &mut rngs, &mut round);
         service.pump();
-        assert_eq!(service.pool_workers(), 2, "capped by the 2 open sessions");
+        assert!(service.pool_workers() > 0, "the slow pump fanned out");
+        assert_eq!(service.pool_workers(), 2, "capped by the 2 sessions left");
         assert_eq!(service.pool_workers() - 1, 1, "the caller is the other");
 
-        for s in 2..4 {
-            ids.push(service.open_session());
+        for s in 3..5 {
+            ids.push(open_slow_session(&mut service));
             patches.push(CodePatch::new(lattice.clone()));
             rngs.push(ChaCha8Rng::seed_from_u64(80 + s as u64));
         }
@@ -1356,8 +1486,8 @@ mod tests {
     fn single_busy_session_never_spawns_the_pool() {
         let mut service = service(ServiceBackend::Qecool, 8);
         let lattice = Lattice::new(5).unwrap();
-        // Several sessions open, but only one ever has pending work: the
-        // ≤ 1-busy-session fast path must stay pool-free.
+        // Several sessions open, but only one ever has pending work: a
+        // pump has no second session to share, so it stays pool-free.
         let busy = service.open_session();
         let _idle_a = service.open_session();
         let _idle_b = service.open_session();
@@ -1377,7 +1507,7 @@ mod tests {
     fn drop_shuts_the_pool_down_cleanly() {
         let mut service = service(ServiceBackend::Qecool, 3);
         let lattice = Lattice::new(5).unwrap();
-        let ids: Vec<SessionId> = (0..4).map(|_| service.open_session()).collect();
+        let ids: Vec<SessionId> = (0..4).map(|_| open_slow_session(&mut service)).collect();
         let mut patches: Vec<CodePatch> = (0..4).map(|_| CodePatch::new(lattice.clone())).collect();
         let mut rngs: Vec<ChaCha8Rng> = (0..4)
             .map(|s| ChaCha8Rng::seed_from_u64(70 + s as u64))
@@ -1386,6 +1516,7 @@ mod tests {
         push_round_per_session(&mut service, &ids, &mut patches, &mut rngs, &mut round);
         service.pump();
 
+        assert!(service.pool_workers() > 0, "the slow pump fanned out");
         let spawned = service.pool_workers() - 1;
         assert!(spawned > 0);
         let shared = Arc::clone(&service.pool.as_ref().expect("pool live").shared);
@@ -1510,10 +1641,11 @@ mod tests {
         // sessions, and the second open would corrupt the first's
         // generation tag. Panic two pumps in a row (the rescan runs over
         // the whole table each time) and then exercise the recycled
-        // slots.
+        // slots. The slow first session makes both pumps fan out, so the
+        // panics unwind on the pool path.
         let mut service = service(ServiceBackend::Qecool, 2);
         let lattice = Lattice::new(5).unwrap();
-        let ids: Vec<SessionId> = (0..4).map(|_| service.open_session()).collect();
+        let ids: Vec<SessionId> = (0..4).map(|_| open_slow_session(&mut service)).collect();
         let round = {
             let mut patch = CodePatch::new(lattice.clone());
             patch.inject_error(lattice.horizontal_edge(1, 1));
@@ -1530,6 +1662,7 @@ mod tests {
                 service.pump();
             }));
             assert!(outcome.is_err(), "injected panic must reach the caller");
+            assert!(service.pool_workers() > 0, "the slow pump fanned out");
             assert_free_list_consistent(&service);
             // The panicked session is gone; its handle is dead.
             assert_eq!(
@@ -1601,16 +1734,20 @@ mod tests {
     fn drain_panics_on_the_caller_and_a_worker_lose_only_their_sessions() {
         // Eight busy sessions at threads = 2, four of which panic in one
         // pump, in cross-thread pairs: the caller and the worker each
-        // drain panicking sessions and must both go on claiming.
+        // drain panicking sessions and must both go on claiming. Session
+        // 0 is slow, so the caller's first inline drain (never a
+        // rendezvous) makes the pump fan the other seven out.
         let lattice = Lattice::new(5).unwrap();
         let noise = NoiseSpec::Phenomenological { p: 0.05 };
         let sessions = 8usize;
-        let panicking = [0usize, 3, 5, 7];
+        let panicking = [1usize, 3, 5, 7];
         let arrivals = Arrivals::default();
         let mut reference = service(ServiceBackend::Qecool, 2);
         let mut service = service(ServiceBackend::Qecool, 2);
         let ref_ids: Vec<SessionId> = (0..sessions).map(|_| reference.open_session()).collect();
-        let ids: Vec<SessionId> = (0..sessions).map(|_| service.open_session()).collect();
+        let ids: Vec<SessionId> = std::iter::once(open_slow_session(&mut service))
+            .chain((1..sessions).map(|_| service.open_session()))
+            .collect();
         for &s in &panicking {
             let backend = PanicInPairs(Arc::clone(&arrivals));
             service.replace_backend_for_test(ids[s], Box::new(backend));
@@ -1631,6 +1768,7 @@ mod tests {
             payload.downcast_ref::<&str>(),
             Some(&"injected decode panic")
         );
+        assert!(service.pool_workers() > 0, "the slow pump fanned out");
         let ran_on = arrivals.0.lock().unwrap().clone();
         assert_eq!(ran_on.len(), panicking.len(), "one drain each");
         assert!(
@@ -1684,5 +1822,56 @@ mod tests {
         }
         assert_eq!(service.num_sessions(), 0);
         assert_free_list_consistent(&service);
+    }
+
+    #[test]
+    fn inline_drain_panics_lose_only_their_session() {
+        // One worker, so every drain is inline on the caller: the panic
+        // of session 1 must not stop sessions 2 and 3 from draining in
+        // the same pump, must free its slot once, and must reach the
+        // caller once the pump has drained everything else.
+        let lattice = Lattice::new(5).unwrap();
+        let noise = NoiseSpec::Phenomenological { p: 0.05 };
+        let sessions = 4usize;
+        let mut reference = service(ServiceBackend::Qecool, 1);
+        let mut service = service(ServiceBackend::Qecool, 1);
+        let ref_ids: Vec<SessionId> = (0..sessions).map(|_| reference.open_session()).collect();
+        let ids: Vec<SessionId> = (0..sessions).map(|_| service.open_session()).collect();
+        service.replace_backend_for_test(ids[1], Box::new(PanicOnDecode));
+        for s in 0..sessions {
+            let mut patch = CodePatch::new(lattice.clone());
+            let mut rng = ChaCha8Rng::seed_from_u64(700 + s as u64);
+            for _ in 0..3 {
+                let round = patch.noisy_round(&noise, &mut rng);
+                assert!(reference.push_round(ref_ids[s], &round));
+                assert!(service.push_round(ids[s], &round));
+            }
+        }
+        reference.pump();
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| service.pump()))
+            .expect_err("the drain panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected decode panic")
+        );
+        assert_eq!(service.pool_workers(), 0, "one worker never fans out");
+        assert_free_list_consistent(&service);
+        assert_eq!(service.free, vec![ids[1].index], "freed once, alone");
+        assert_eq!(
+            service.poll_corrections(ids[1]).unwrap_err(),
+            ServiceError::UnknownSession
+        );
+        for s in [0, 2, 3] {
+            // Drained in the panicking pump, not by the poll below.
+            assert_eq!(service.latency(ids[s]).unwrap().rounds, 3, "session {s}");
+            assert_eq!(
+                service.poll_corrections(ids[s]).unwrap().to_vec(),
+                reference.poll_corrections(ref_ids[s]).unwrap().to_vec(),
+                "session {s}"
+            );
+        }
+        let recycled = service.open_session();
+        assert_eq!(recycled.index, ids[1].index);
+        assert!(service.free.is_empty());
     }
 }

@@ -67,9 +67,12 @@ pub struct ShardedServiceConfig {
     /// Configuration every shard is built from. Its `threads` field is
     /// the **total** worker budget: it is divided across shards (at least
     /// one worker each) so `--shards` does not multiply the thread count.
-    /// A shard's pump drains on its share: the pumping thread plus
-    /// share − 1 pool threads, so a share of one drains inline.
-    /// [`ShardedDecodeService::pool_workers`] reports the actual count.
+    /// A shard's pump drains inline on the pumping thread first and fans
+    /// out to at most its share (the pumping thread plus share − 1 pool
+    /// threads) only when its remaining sessions outweigh a wake-up (see
+    /// [`ShardedDecodeService::pump`]), so a share of one always drains
+    /// inline. [`ShardedDecodeService::pool_workers`] reports the actual
+    /// count.
     pub service: ServiceConfig,
     /// Number of service shards (≥ 1).
     pub shards: usize,
@@ -342,15 +345,23 @@ impl ShardedDecodeService {
     /// thread, in arrival order, so results are independent of the
     /// thread count.
     ///
-    /// A shard where at most one session has pending work, or whose
-    /// worker share is one, drains inline on the caller's thread and
-    /// neither consults nor spawns its pool. Otherwise it runs `n` =
-    /// min(busy sessions, share) draining threads: the caller plus
-    /// `n − 1` pool threads, spawned at the first such pump and grown
-    /// when a later one needs more. Once warm, a pump allocates nothing.
-    /// A drain that panics loses its session, frees that slot and
-    /// re-raises the panic on the pump caller, after every other busy
-    /// session of its shard has drained.
+    /// Each shard drains its busy sessions inline on the caller's
+    /// thread, in slot order, and reads the clock after drains 1, 2, 4,
+    /// 8, …. When, at the pace measured so far in this pump, the sessions
+    /// still busy would take longer to drain inline than one fan-out of
+    /// the pool is taken to cost (300 µs: on a 2-vCPU VM the wake-up and
+    /// hand-back alone took tens of microseconds, and the sessions come
+    /// back cache-cold), it hands just those to `n` = min(sessions left,
+    /// worker share) draining threads: the caller plus `n − 1` pool
+    /// threads, spawned at the first such pump and grown when a later one
+    /// needs more. A shard whose share is one, or with fewer than two
+    /// sessions left, never fans out and neither consults nor spawns its
+    /// pool. The rule reads only this pump's own pace, never the backend
+    /// or an earlier pump. Once warm, a pump allocates nothing.
+    ///
+    /// A drain that panics, inline or on the pool, loses its session,
+    /// frees that slot and re-raises the panic on the pump caller, after
+    /// every other busy session of its shard has drained.
     pub fn pump(&self) {
         for shard in &self.shards {
             shard.core.lock().pump();
@@ -385,9 +396,11 @@ impl ShardedDecodeService {
     }
 
     /// Pump draining threads (pool threads plus the pumping caller) of
-    /// every shard that has a pool, summed across shards. A shard's pool
-    /// never respawns or shrinks, so consecutive pumps leave this
-    /// unchanged unless the busy-session count outgrows it.
+    /// every shard that has a pool, summed across shards. A shard creates
+    /// its pool at its first pump that fans out, so 0 means no pump has
+    /// fanned out yet (see [`Self::pump`]). A shard's pool never respawns
+    /// or shrinks, so consecutive pumps leave this unchanged unless the
+    /// busy-session count outgrows it.
     pub fn pool_workers(&self) -> usize {
         self.shards
             .iter()

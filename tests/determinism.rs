@@ -249,7 +249,10 @@ fn sharded_sessions_identical_with_telemetry_enabled() {
 /// shard count, pump-worker count and window geometry may change *when*
 /// work happens, never *what* commits. One poll record per serving
 /// round keeps the per-poll boundaries in the comparison (a flat
-/// concatenation would hide a commit migrating between polls).
+/// concatenation would hide a commit migrating between polls). One
+/// geometry decodes windows so long that its pumps provably hand
+/// sessions to the worker pool, so the fanned-out drains are held to
+/// the same streams as the inline ones.
 #[test]
 fn windowed_commit_streams_identical_across_shard_and_worker_counts() {
     let sessions = 4usize;
@@ -262,7 +265,7 @@ fn windowed_commit_streams_identical_across_shard_and_worker_counts() {
                window: WindowConfig,
                shards: usize,
                threads: usize|
-     -> Vec<(CommitStream, Option<u64>)> {
+     -> (Vec<(CommitStream, Option<u64>)>, usize) {
         let config = ServiceConfig::new(5, backend, CycleBudget::at_clock(2.0e9))
             .with_threads(threads)
             .with_window(window);
@@ -288,22 +291,28 @@ fn windowed_commit_streams_identical_across_shard_and_worker_counts() {
                 streams[s].push((polled.committed_through, polled.corrections));
             }
         }
-        streams
+        let closed = streams
             .into_iter()
             .zip(ids)
             .map(|(stream, id)| {
                 let report = service.close_session(id).unwrap();
                 (stream, report.committed_through)
             })
-            .collect()
+            .collect();
+        (closed, service.pool_workers())
     };
 
-    for (backend, window) in [
-        (ServiceBackend::UnionFind, WindowConfig::new(9, 3)),
-        (ServiceBackend::UnionFind, WindowConfig::new(15, 5)),
-        (ServiceBackend::Mwpm, WindowConfig::new(9, 3)),
+    // `fans_out`: one 24-round MWPM window of a d = 5 session at p = 4 %
+    // decodes far slower than the pump's fan-out cost, so at one shard a
+    // pump that drained one of the 4 sessions hands the other 3 to the
+    // pool whenever it may use more than one thread.
+    for (backend, window, fans_out) in [
+        (ServiceBackend::UnionFind, WindowConfig::new(9, 3), false),
+        (ServiceBackend::UnionFind, WindowConfig::new(15, 5), false),
+        (ServiceBackend::Mwpm, WindowConfig::new(9, 3), false),
+        (ServiceBackend::Mwpm, WindowConfig::new(24, 8), true),
     ] {
-        let reference = run(backend, window, 1, 1);
+        let (reference, _) = run(backend, window, 1, 1);
         // The stream is long enough that windows must have committed
         // *during* serving, not only at close — otherwise this test
         // would vacuously compare empty watermarks.
@@ -320,13 +329,19 @@ fn windowed_commit_streams_identical_across_shard_and_worker_counts() {
                 "{backend:?} {window:?}: close must commit the whole stream"
             );
         }
-        for shards in [2usize, 4] {
+        for shards in [1usize, 2, 4] {
             for threads in [1usize, 2, 8] {
+                let (streams, pool_workers) = run(backend, window, shards, threads);
                 assert_eq!(
-                    run(backend, window, shards, threads),
-                    reference,
+                    streams, reference,
                     "{backend:?} {window:?} at {shards} shards x {threads} workers"
                 );
+                if fans_out && shards == 1 && threads > 1 {
+                    assert!(
+                        pool_workers > 0,
+                        "{backend:?} {window:?} at 1 shard x {threads} workers never fanned out"
+                    );
+                }
             }
         }
     }

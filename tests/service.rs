@@ -210,7 +210,7 @@ fn overflowed_session_lifecycle_on_the_solo_fast_path() {
         service.poll_corrections(id),
         Err(ServiceError::Overflowed)
     ));
-    assert_eq!(service.pool_workers(), 0, "fast path must stay pool-free");
+    assert_eq!(service.pool_workers(), 0, "one worker never fans out");
     assert_eq!(service.total_stats().dropped, pushed_after_overflow);
 
     let report = service.close_session(id).unwrap();

@@ -64,6 +64,11 @@ const D: usize = 5;
 const P: f64 = 0.01;
 const WARMUP_ROUNDS: usize = 1_000;
 const MEASURED_ROUNDS: usize = 5_000;
+/// The long MWPM run: the blossom matcher's per-blossom lists once
+/// stayed with their blossom numbers, each keeping the largest blossom
+/// it ever held, and the heap crept past the bound by 200k rounds
+/// (about 15 KB over this many).
+const LONG_MWPM_ROUNDS: usize = 40_000;
 /// Allowed rise in live heap bytes over the measured rounds: room for a
 /// late buffer doubling, far below one record per round.
 const MAX_GROWTH_BYTES: isize = 16 * 1024;
@@ -90,10 +95,11 @@ fn serve(
 #[test]
 fn live_heap_stays_flat_over_a_long_session() {
     let lattice = Lattice::new(D).unwrap();
-    for backend in [
-        ServiceBackend::Qecool,
-        ServiceBackend::UnionFind,
-        ServiceBackend::Mwpm,
+    for (backend, measured_rounds) in [
+        (ServiceBackend::Qecool, MEASURED_ROUNDS),
+        (ServiceBackend::UnionFind, MEASURED_ROUNDS),
+        (ServiceBackend::Mwpm, MEASURED_ROUNDS),
+        (ServiceBackend::Mwpm, LONG_MWPM_ROUNDS),
     ] {
         let config = ServiceConfig::new(D, backend, CycleBudget::at_clock(2.0e9)).with_threads(1);
         let service = ShardedDecodeService::new(ShardedServiceConfig::new(config, 1)).unwrap();
@@ -107,13 +113,13 @@ fn live_heap_stays_flat_over_a_long_session() {
 
         serve(&service, session, &mut source, &mut round, WARMUP_ROUNDS);
         let before = LIVE.load(Ordering::Relaxed);
-        serve(&service, session, &mut source, &mut round, MEASURED_ROUNDS);
+        serve(&service, session, &mut source, &mut round, measured_rounds);
         let growth = LIVE.load(Ordering::Relaxed) - before;
         assert!(
             growth < MAX_GROWTH_BYTES,
-            "{backend:?}: live heap grew {growth} B over {MEASURED_ROUNDS} rounds \
+            "{backend:?}: live heap grew {growth} B over {measured_rounds} rounds \
              ({:.1} B/round)",
-            growth as f64 / MEASURED_ROUNDS as f64
+            growth as f64 / measured_rounds as f64
         );
         service.close_session(session).unwrap();
     }
