@@ -6,7 +6,11 @@
 //! * `online_qecool_layer/d` — one on-line layer: push + budgeted run
 //!   (Fig. 7 / Table III inner loop);
 //! * `mwpm/d` — one MWPM decode (16-nearest-neighbour graph) of the same
-//!   window (Fig. 4(a) baseline).
+//!   window (Fig. 4(a) baseline);
+//! * `union_find_window/9` — one sliding-window union-find decode: a
+//!   27-round d = 9 window, committing the components anchored in its
+//!   first 9 rounds (the `replay_uf_d9` decode layer), cycling through
+//!   fixed seeded windows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qecool::{DecodeOutput, Decoder, QecoolConfig, QecoolDecoder};
@@ -111,11 +115,43 @@ fn bench_union_find(c: &mut Criterion) {
     group.finish();
 }
 
+/// Windows of `W = 3d` noisy rounds mid-stream (no perfect closing
+/// round), as a sliding window sees them.
+const WINDOWS: u64 = 32;
+
+fn bench_union_find_window(c: &mut Criterion) {
+    let mut group = c.benchmark_group("union_find_window");
+    let d = 9;
+    let lattice = Lattice::new(d).unwrap();
+    let noise = NoiseSpec::Phenomenological { p: P };
+    let windows: Vec<SyndromeHistory> = (0..WINDOWS)
+        .map(|seed| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut patch = CodePatch::new(lattice.clone());
+            let mut window = SyndromeHistory::new(lattice.clone());
+            for _ in 0..3 * d {
+                window.push(patch.noisy_round(&noise, &mut rng));
+            }
+            window
+        })
+        .collect();
+    let decoder = UnionFindDecoder::new(lattice);
+    let mut next = windows.iter().cycle();
+    group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, &d| {
+        b.iter(|| {
+            let window = next.next().expect("cycle never ends");
+            black_box(decoder.decode_components(window, d).components.len())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_batch_qecool,
     bench_online_layer,
     bench_mwpm,
-    bench_union_find
+    bench_union_find,
+    bench_union_find_window
 );
 criterion_main!(benches);

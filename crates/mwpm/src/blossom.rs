@@ -238,7 +238,10 @@ impl BlossomMatcher {
         for v in 0..nvertex {
             self.neighstart[v + 1] += self.neighstart[v];
         }
+        // A new largest graph grows the incidence to exactly its size:
+        // amortised doubling would keep up to twice the largest window.
         self.neighbend.clear();
+        self.neighbend.reserve_exact(2 * self.edges.len());
         self.neighbend
             .resize(2 * self.edges.len(), Incidence::default());
         for (k, &(i, j, _)) in self.edges.iter().enumerate() {
@@ -1038,6 +1041,16 @@ mod tests {
             Vec::<Option<usize>>::new()
         );
         assert_eq!(max_weight_matching(3, &[], false), vec![None, None, None]);
+    }
+
+    #[test]
+    fn incidence_grows_to_exactly_the_largest_graph() {
+        let path = |n: usize| -> Vec<WeightedEdge> { (1..n).map(|v| (v - 1, v, 1)).collect() };
+        let mut m = BlossomMatcher::new();
+        for (n, largest) in [(40, 39), (50, 49), (30, 49)] {
+            m.max_weight_matching(n, false, |out| out.extend(path(n)));
+            assert_eq!(m.neighbend.capacity(), 2 * largest, "after {n} vertices");
+        }
     }
 
     #[test]

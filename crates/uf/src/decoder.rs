@@ -21,10 +21,15 @@
 //! with the window: no step scans the whole graph.
 //!
 //! * **Set-up.** Detection events are unpacked from set bits only, and a
-//!   defect-free window returns before anything graph-sized is
-//!   allocated. The graph is index arithmetic ([`DecodingGraph`]), so it
-//!   costs nothing to build. The scratch is a few flat arrays allocated
-//!   per decode; zeroing them is the only O(graph) work, a memset.
+//!   defect-free window returns before touching anything graph-sized.
+//!   The graph is index arithmetic ([`DecodingGraph`]), so it costs
+//!   nothing to build, and incidence is read from an O(d²) template
+//!   shared by every decoder of the same distance. The scratch is a few
+//!   flat arrays kept per thread, not per decoder, and grown only to a
+//!   new largest window. No decode initialises them whole: the cluster
+//!   sets start a new epoch and initialise an element on first touch, an
+//!   edge's support counts only if its stamp is a step of this decode,
+//!   and the peel clears the flags it set. Set-up is O(defects).
 //! * **Growth.** Each step lists the distinct active roots as the roots
 //!   of the previous step's active roots that are still active (a union
 //!   of inactive clusters is inactive, so no active cluster is missed),
@@ -41,8 +46,8 @@
 //!   rooted at its cluster's lowest boundary stub, else its lowest cell,
 //!   and the trees are peeled in that root order — the order a sweep over
 //!   all boundary nodes, then all nodes, would find them. A node's
-//!   erasure edges are its incident edges with full support, which
-//!   [`DecodingGraph::incident`] lists in ascending edge index. Each
+//!   erasure edges are its incident edges with full support, in the
+//!   ascending edge order of [`DecodingGraph::incident`]. Each
 //!   component's flipped qubits are collected in a list and XOR-reduced
 //!   by sorting, so corrections stay sorted by qubit. Peeling touches
 //!   only the erasure's nodes, and only the components a caller asks
@@ -54,8 +59,11 @@
 //! Union-by-size with path compression keeps the cluster operations
 //! near-constant amortised (inverse Ackermann).
 
+use std::cell::Cell;
+use std::sync::Arc;
+
 use crate::dsu::ClusterSets;
-use crate::graph::{DecodingGraph, GraphEdgeKind};
+use crate::graph::{DecodingGraph, GraphEdgeKind, Incidence, IncidenceTemplate};
 use qecool_surface_code::{CodePatch, Edge, Lattice, SyndromeHistory};
 
 /// Result of one union-find decode.
@@ -153,12 +161,21 @@ pub struct UfComponentOutcome {
 #[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
     lattice: Lattice,
+    incidence: Arc<IncidenceTemplate>,
+}
+
+thread_local! {
+    /// The decode scratch of this thread, kept from one decode to the
+    /// next. A decode takes it out and puts it back when done, so a decode
+    /// that panics drops it rather than leave it half-reset.
+    static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
 impl UnionFindDecoder {
     /// Creates a decoder for the given lattice.
     pub fn new(lattice: Lattice) -> Self {
-        Self { lattice }
+        let incidence = IncidenceTemplate::shared(&lattice);
+        Self { lattice, incidence }
     }
 
     /// The lattice this decoder was built for.
@@ -220,29 +237,106 @@ impl UnionFindDecoder {
             "history lattice does not match decoder lattice"
         );
         let graph = DecodingGraph::new(&self.lattice, history.num_rounds());
+        let mut scratch = SCRATCH.take();
         // Detection events in ascending node order, from set bits only.
-        let defects: Vec<usize> = history
-            .iter()
-            .enumerate()
-            .flat_map(|(t, round)| round.events().iter_ones().map(move |a| graph.cell(a, t)))
-            .collect();
-        if defects.is_empty() {
-            return UfComponentOutcome::default();
-        }
+        scratch.defects.clear();
+        scratch.defects.extend(
+            history
+                .iter()
+                .enumerate()
+                .flat_map(|(t, round)| round.events().iter_ones().map(move |a| graph.cell(a, t))),
+        );
+        let outcome = if scratch.defects.is_empty() {
+            UfComponentOutcome::default()
+        } else {
+            scratch.decode(&graph, self.incidence.on(&graph), anchored_before)
+        };
+        SCRATCH.set(scratch);
+        outcome
+    }
+}
 
-        let mut sets = ClusterSets::new(graph.num_nodes());
-        for &v in &defects {
-            sets.set_defect(v);
+/// A thread's decode scratch. The node- and edge-sized arrays keep the
+/// largest window's size, and a decode resets only what it touched:
+/// the cluster sets start a new epoch, an edge's support counts only
+/// when its stamp is a step of the current decode, and the peel clears
+/// the nodes it flagged.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Detection events in ascending node order.
+    defects: Vec<usize>,
+    sets: ClusterSets,
+    /// Half-edges grown per edge (2 marks an erasure edge); meaningful
+    /// only where `stamp` is past `stale_through`.
+    support: Vec<u8>,
+    /// The growth step that last examined each edge, numbered on across
+    /// decodes.
+    stamp: Vec<u32>,
+    /// The last step number handed out.
+    step: u32,
+    /// Step numbers up to this one belong to earlier decodes: an edge
+    /// stamped no later has no support in this one.
+    stale_through: u32,
+    /// Active roots of the current growth step.
+    roots: Vec<usize>,
+    /// Members of the active clusters of the current growth step.
+    members: Vec<usize>,
+    /// Endpoints of the edges fused in the current growth step.
+    fused: Vec<(usize, usize)>,
+    /// `carry[v]`: v holds an unpaired defect. All false between decodes.
+    carry: Vec<bool>,
+    /// Nodes the peel's BFS reached. All false between decodes.
+    visited: Vec<bool>,
+    /// BFS tree parent and tree edge of each reached node.
+    parent: Vec<(u32, u32)>,
+    /// BFS order of the component being peeled.
+    order: Vec<usize>,
+    /// Qubits the component being peeled flips.
+    flips: Vec<usize>,
+}
+
+/// Growth's work counters.
+struct Growth {
+    erasure_edges: usize,
+    steps: usize,
+    edges_scanned: usize,
+}
+
+impl Scratch {
+    /// Grows and peels `self.defects` (non-empty) on `graph`.
+    fn decode(
+        &mut self,
+        graph: &DecodingGraph,
+        incidence: Incidence<'_>,
+        anchored_before: usize,
+    ) -> UfComponentOutcome {
+        let (n, edges) = (graph.num_nodes(), graph.num_edges());
+        self.sets.reset(n, graph.first_boundary_node());
+        if self.support.len() < edges {
+            self.support.resize(edges, 0);
+            self.stamp.resize(edges, 0);
         }
-        for v in graph.first_boundary_node()..graph.num_nodes() {
-            sets.set_boundary(v);
+        if self.carry.len() < n {
+            self.carry.resize(n, false);
+            self.visited.resize(n, false);
+            self.parent.resize(n, (0, 0));
         }
-        let growth = grow(&graph, &mut sets, &defects);
+        // Every growth step adds support to some edge, and an edge takes
+        // at most two, so this decode's step numbers cannot wrap.
+        if u64::from(self.step) + 2 * edges as u64 > u64::from(u32::MAX) {
+            self.stamp.fill(0);
+            self.step = 0;
+        }
+        self.stale_through = self.step;
+        for &v in &self.defects {
+            self.sets.set_defect(v);
+        }
+        let growth = self.grow(graph, incidence);
         // Cell `(a, t)` is node `t·na + a`, so the anchored defects are a
         // prefix of the ascending defect list.
         let bound = anchored_before.min(graph.rounds()) * graph.num_ancillas();
-        let anchored = defects.partition_point(|&v| v < bound);
-        let components = peel(&graph, &mut sets, &defects, anchored, &growth.support);
+        let anchored = self.defects.partition_point(|&v| v < bound);
+        let components = self.peel(graph, incidence, anchored);
         UfComponentOutcome {
             components,
             growth_steps: growth.steps,
@@ -250,186 +344,202 @@ impl UnionFindDecoder {
             edges_scanned: growth.edges_scanned,
         }
     }
-}
 
-/// What the growth phase hands to the peeler.
-struct Growth {
-    /// Half-edges grown per edge; 2 marks an erasure edge.
-    support: Vec<u8>,
-    erasure_edges: usize,
-    steps: usize,
-    edges_scanned: usize,
-}
-
-/// Phase 1: grows the active clusters until every cluster is neutral.
-fn grow(graph: &DecodingGraph, sets: &mut ClusterSets, defects: &[usize]) -> Growth {
-    let mut support = vec![0u8; graph.num_edges()];
-    // The growth step that last examined each edge.
-    let mut stamp = vec![0u32; graph.num_edges()];
-    // Every defect starts as an active singleton (odd, off the boundary).
-    let mut roots: Vec<usize> = defects.to_vec();
-    let mut members: Vec<usize> = Vec::new();
-    // Endpoints of the edges fused in the current step.
-    let mut fused: Vec<(usize, usize)> = Vec::new();
-    let mut erasure_edges = 0;
-    let mut steps = 0;
-    let mut edges_scanned = 0;
-    loop {
-        // The active roots, from last step's: a union of inactive
-        // clusters (even, or touching the boundary) is inactive, so every
-        // cluster active now contains one that was active before.
-        roots.retain_mut(|r| {
-            *r = sets.find(*r);
-            sets.is_active(*r)
-        });
-        if roots.is_empty() {
-            break;
-        }
-        roots.sort_unstable();
-        roots.dedup();
-        steps += 1;
-        let step = u32::try_from(steps).expect("growth steps fit in u32");
-        members.clear();
-        for &root in &roots {
-            members.extend(sets.members(root));
-        }
-        // No union happens during the scan, so every increment sees the
-        // clusters as they stood at the start of the step.
-        fused.clear();
-        for &x in &members {
-            for (e, w) in graph.incident(x) {
-                if stamp[e] == step {
-                    continue;
-                }
-                stamp[e] = step;
-                edges_scanned += 1;
-                if support[e] >= 2 {
-                    continue;
-                }
-                // `x` belongs to an active cluster.
-                let inc = 1 + u8::from(sets.is_active(w));
-                support[e] = (support[e] + inc).min(2);
-                if support[e] == 2 {
-                    fused.push((x, w));
-                }
+    /// Phase 1: grows the active clusters until every cluster is neutral.
+    fn grow(&mut self, graph: &DecodingGraph, incidence: Incidence<'_>) -> Growth {
+        let Self {
+            defects,
+            sets,
+            support,
+            stamp,
+            step,
+            stale_through,
+            roots,
+            members,
+            fused,
+            ..
+        } = self;
+        // Every defect starts as an active singleton (odd, off the boundary).
+        roots.clear();
+        roots.extend_from_slice(defects);
+        let mut erasure_edges = 0;
+        let mut steps = 0;
+        let mut edges_scanned = 0;
+        loop {
+            // The active roots, from last step's: a union of inactive
+            // clusters (even, or touching the boundary) is inactive, so every
+            // cluster active now contains one that was active before.
+            roots.retain_mut(|r| {
+                *r = sets.find(*r);
+                sets.is_active(*r)
+            });
+            if roots.is_empty() {
+                break;
+            }
+            roots.sort_unstable();
+            roots.dedup();
+            steps += 1;
+            *step += 1;
+            let this_step = *step;
+            members.clear();
+            for &root in roots.iter() {
+                members.extend(sets.members(root));
+            }
+            // No union happens during the scan, so every increment sees the
+            // clusters as they stood at the start of the step.
+            fused.clear();
+            for &x in members.iter() {
+                incidence.for_each(x, |e, w| {
+                    let seen = stamp[e];
+                    if seen == this_step {
+                        return;
+                    }
+                    stamp[e] = this_step;
+                    edges_scanned += 1;
+                    // An edge no step of this decode has examined has no
+                    // support yet.
+                    let grown = if seen > *stale_through { support[e] } else { 0 };
+                    if grown >= 2 {
+                        return;
+                    }
+                    // `x` belongs to an active cluster.
+                    let grown = (grown + 1 + u8::from(sets.is_active(w))).min(2);
+                    support[e] = grown;
+                    if grown == 2 {
+                        fused.push((x, w));
+                    }
+                });
+            }
+            assert!(
+                !fused.is_empty() || steps < 2 * graph.num_nodes(),
+                "union-find growth stalled"
+            );
+            erasure_edges += fused.len();
+            for &(u, v) in fused.iter() {
+                sets.union(u, v);
             }
         }
-        assert!(
-            !fused.is_empty() || steps < 2 * graph.num_nodes(),
-            "union-find growth stalled"
-        );
-        erasure_edges += fused.len();
-        for &(u, v) in &fused {
-            sets.union(u, v);
+        Growth {
+            erasure_edges,
+            steps,
+            edges_scanned,
         }
     }
-    Growth {
-        support,
-        erasure_edges,
-        steps,
-        edges_scanned,
-    }
-}
 
-/// Phase 2: peels a spanning forest of the erasure components that hold
-/// one of the first `anchored` defects.
-fn peel(
-    graph: &DecodingGraph,
-    sets: &mut ClusterSets,
-    defects: &[usize],
-    anchored: usize,
-    support: &[u8],
-) -> Vec<UfComponent> {
-    let n = graph.num_nodes();
-    let na = graph.num_ancillas();
-    // Unions happen on erasure edges only, so the clusters holding
-    // defects are exactly the erasure's components. Each tree is rooted
-    // at its component's lowest boundary stub, else its lowest cell, and
-    // the trees are peeled in that root order (boundary roots first).
-    // Only the anchored defects' clusters are peeled; the components are
-    // disjoint, so their order and corrections are those of a full peel.
-    let root_key = |v: usize| (!graph.is_boundary(v), v);
-    let mut clusters: Vec<usize> = defects[..anchored].iter().map(|&v| sets.find(v)).collect();
-    clusters.sort_unstable();
-    clusters.dedup();
-    let mut roots: Vec<usize> = clusters
-        .iter()
-        .map(|&c| {
-            sets.members(c)
-                .min_by_key(|&v| root_key(v))
-                .expect("a cluster has members")
-        })
-        .collect();
-    roots.sort_unstable_by_key(|&v| root_key(v));
-
-    // `carry[v]`: v holds an unpaired defect (the defects themselves,
-    // until peeling moves them).
-    let mut carry = vec![false; n];
-    for &v in defects {
-        carry[v] = true;
+    /// Whether edge `e` is fully grown in the current decode.
+    fn is_erasure(&self, e: usize) -> bool {
+        self.stamp[e] > self.stale_through && self.support[e] == 2
     }
-    let mut visited = vec![false; n];
-    let mut parent: Vec<(u32, u32)> = vec![(0, 0); n];
-    let mut order: Vec<usize> = Vec::new();
-    let mut flips: Vec<usize> = Vec::new();
-    let mut components: Vec<UfComponent> = Vec::with_capacity(roots.len());
-    for root in roots {
-        // BFS spanning tree of this erasure component, visiting each
-        // node's erasure edges in ascending edge index.
-        order.clear();
-        order.push(root);
-        visited[root] = true;
-        let mut head = 0;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            for (e, w) in graph.incident(v) {
-                if support[e] == 2 && !visited[w] {
-                    visited[w] = true;
-                    parent[w] = (v as u32, e as u32);
-                    order.push(w);
-                }
-            }
-        }
-        // The detection events this component explains, in BFS
-        // discovery order (boundary stubs never carry defects).
-        let comp_defects: Vec<(usize, usize)> = order
-            .iter()
-            .filter(|&&v| carry[v])
-            .map(|&v| (v % na, v / na))
+
+    /// Phase 2: peels a spanning forest of the erasure components that
+    /// hold one of the first `anchored` defects.
+    fn peel(
+        &mut self,
+        graph: &DecodingGraph,
+        incidence: Incidence<'_>,
+        anchored: usize,
+    ) -> Vec<UfComponent> {
+        let na = graph.num_ancillas();
+        // Unions happen on erasure edges only, so the clusters holding
+        // defects are exactly the erasure's components. Each tree is rooted
+        // at its component's lowest boundary stub, else its lowest cell, and
+        // the trees are peeled in that root order (boundary roots first).
+        // Only the anchored defects' clusters are peeled; the components are
+        // disjoint, so their order and corrections are those of a full peel.
+        let root_key = |v: usize| (!graph.is_boundary(v), v);
+        let mut clusters: Vec<usize> = (0..anchored)
+            .map(|i| self.sets.find(self.defects[i]))
             .collect();
-        // Peel leaf-first (reverse BFS order).
-        flips.clear();
-        for &v in order.iter().skip(1).rev() {
-            if carry[v] {
-                let (p, e) = parent[v];
-                carry[v] = false;
-                carry[p as usize] ^= true;
-                if let GraphEdgeKind::Data(q) = graph.edge(e as usize).kind {
-                    flips.push(q.index());
+        clusters.sort_unstable();
+        clusters.dedup();
+        let mut roots: Vec<usize> = clusters
+            .iter()
+            .map(|&c| {
+                self.sets
+                    .members(c)
+                    .min_by_key(|&v| root_key(v))
+                    .expect("a cluster has members")
+            })
+            .collect();
+        roots.sort_unstable_by_key(|&v| root_key(v));
+
+        // The defects carry themselves until peeling moves them.
+        for &v in &self.defects {
+            self.carry[v] = true;
+        }
+        let mut components: Vec<UfComponent> = Vec::with_capacity(roots.len());
+        let mut order = std::mem::take(&mut self.order);
+        let mut flips = std::mem::take(&mut self.flips);
+        for root in roots {
+            // BFS spanning tree of this erasure component, visiting each
+            // node's erasure edges in ascending edge index.
+            order.clear();
+            order.push(root);
+            self.visited[root] = true;
+            let mut head = 0;
+            while head < order.len() {
+                let v = order[head];
+                head += 1;
+                incidence.for_each(v, |e, w| {
+                    if self.is_erasure(e) && !self.visited[w] {
+                        self.visited[w] = true;
+                        self.parent[w] = (v as u32, e as u32);
+                        order.push(w);
+                    }
+                });
+            }
+            // The detection events this component explains, in BFS
+            // discovery order (boundary stubs never carry defects).
+            let comp_defects: Vec<(usize, usize)> = order
+                .iter()
+                .filter(|&&v| self.carry[v])
+                .map(|&v| (v % na, v / na))
+                .collect();
+            // Peel leaf-first (reverse BFS order).
+            flips.clear();
+            for &v in order.iter().skip(1).rev() {
+                if self.carry[v] {
+                    let (p, e) = self.parent[v];
+                    self.carry[v] = false;
+                    self.carry[p as usize] ^= true;
+                    if let GraphEdgeKind::Data(q) = graph.edge(e as usize).kind {
+                        flips.push(q.index());
+                    }
                 }
             }
+            // Defects drained into this component's root must end on a
+            // boundary (or cancel) — otherwise the cluster was not neutral.
+            assert!(
+                !self.carry[root] || graph.is_boundary(root),
+                "peeling left a defect on a non-boundary root"
+            );
+            for &v in &order {
+                self.visited[v] = false;
+                self.carry[v] = false;
+            }
+            components.push(UfComponent {
+                corrections: xor_reduce(&mut flips),
+                defects: comp_defects,
+            });
         }
-        // Defects drained into this component's root must end on a
-        // boundary (or cancel) — otherwise the cluster was not neutral.
-        assert!(
-            !carry[root] || graph.is_boundary(root),
-            "peeling left a defect on a non-boundary root"
+        // The defects of the tentative components still carry.
+        for &v in &self.defects {
+            self.carry[v] = false;
+        }
+        self.order = order;
+        self.flips = flips;
+        debug_assert_eq!(
+            components.iter().map(|c| c.defects.len()).sum::<usize>(),
+            (0..self.defects.len())
+                .filter(|&i| {
+                    let root = self.sets.find(self.defects[i]);
+                    clusters.binary_search(&root).is_ok()
+                })
+                .count(),
+            "a cluster's defects were not all in its erasure component"
         );
-        components.push(UfComponent {
-            corrections: xor_reduce(&mut flips),
-            defects: comp_defects,
-        });
+        components
     }
-    debug_assert_eq!(
-        components.iter().map(|c| c.defects.len()).sum::<usize>(),
-        defects
-            .iter()
-            .filter(|&&v| clusters.binary_search(&sets.find(v)).is_ok())
-            .count(),
-        "a cluster's defects were not all in its erasure component"
-    );
-    components
 }
 
 /// The qubits flipped an odd number of times, ascending.

@@ -4,47 +4,103 @@
 /// End-of-list marker for the intrusive member lists.
 const NONE: u32 = u32::MAX;
 
+/// One element's entry; the cluster fields are valid at roots.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    /// The [`ClusterSets::epoch`] this entry was last initialised in.
+    epoch: u32,
+    parent: u32,
+    size: u32,
+    /// Next member of the same cluster, or [`NONE`].
+    next: u32,
+    /// Last member of the cluster rooted here.
+    tail: u32,
+    /// Defect parity of the cluster rooted here.
+    odd: bool,
+    /// Whether the cluster rooted here contains a boundary node.
+    boundary: bool,
+}
+
 /// Union-find over `n` elements with union-by-size and path compression,
 /// carrying per-cluster defect parity, a touches-boundary flag, and an
 /// intrusive singly linked list of the cluster's members (headed by the
 /// root, spliced in O(1) on union) so growth can walk exactly the
 /// members of the clusters it grows.
-#[derive(Debug, Clone)]
+///
+/// One structure serves decode after decode: [`Self::reset`] starts a
+/// new epoch in O(1), and an element is initialised the first time the
+/// epoch reaches it, so a decode pays only for the elements it touches.
+#[derive(Debug, Clone, Default)]
 pub struct ClusterSets {
-    parent: Vec<u32>,
-    size: Vec<u32>,
-    /// Defect parity of the cluster rooted here (valid at roots).
-    odd: Vec<bool>,
-    /// Whether the cluster contains a boundary node (valid at roots).
-    boundary: Vec<bool>,
-    /// Next member of the same cluster, or [`NONE`].
-    next: Vec<u32>,
-    /// Last member of the cluster rooted here (valid at roots).
-    tail: Vec<u32>,
+    nodes: Vec<Node>,
+    len: usize,
+    first_boundary: usize,
+    /// Entries from an earlier epoch are untouched singletons.
+    epoch: u32,
 }
 
 impl ClusterSets {
-    /// Creates `n` singleton clusters. Mark defects and boundary nodes
-    /// with [`Self::set_defect`] / [`Self::set_boundary`] before growing.
-    pub fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-            odd: vec![false; n],
-            boundary: vec![false; n],
-            next: vec![NONE; n],
-            tail: (0..n as u32).collect(),
+    /// `n` singleton clusters, elements `first_boundary..n` on the
+    /// boundary. Mark defects with [`Self::set_defect`] before growing.
+    pub fn new(n: usize, first_boundary: usize) -> Self {
+        let mut sets = Self::default();
+        sets.reset(n, first_boundary);
+        sets
+    }
+
+    /// Starts over with `n` singleton clusters, elements
+    /// `first_boundary..n` on the boundary and no defects, keeping the
+    /// allocation. Costs nothing per element beyond growing to a new
+    /// largest `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` does not fit in `u32`.
+    pub fn reset(&mut self, n: usize, first_boundary: usize) {
+        assert!(u32::try_from(n).is_ok(), "{n} elements overflow u32");
+        if self.epoch == u32::MAX {
+            // Once in 2³² resets: age every entry out by hand.
+            self.nodes.fill(Node::default());
+            self.epoch = 0;
         }
+        self.epoch += 1;
+        if self.nodes.len() < n {
+            self.nodes.resize(n, Node::default());
+        }
+        self.len = n;
+        self.first_boundary = first_boundary;
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.len
     }
 
     /// `true` when the structure is empty.
     pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        self.len == 0
+    }
+
+    /// Element `x`'s entry, initialised as a singleton if this epoch has
+    /// not reached it yet.
+    #[inline]
+    fn touch(&mut self, x: usize) -> &mut Node {
+        assert!(x < self.len, "element {x} out of range");
+        let boundary = x >= self.first_boundary;
+        let epoch = self.epoch;
+        let node = &mut self.nodes[x];
+        if node.epoch != epoch {
+            *node = Node {
+                epoch,
+                parent: x as u32,
+                size: 1,
+                next: NONE,
+                tail: x as u32,
+                odd: false,
+                boundary,
+            };
+        }
+        node
     }
 
     /// Marks element `x` as a defect (flips its singleton parity).
@@ -53,30 +109,23 @@ impl ClusterSets {
     ///
     /// Panics if called after unions began and `x` is no longer a root.
     pub fn set_defect(&mut self, x: usize) {
-        assert_eq!(self.parent[x] as usize, x, "set_defect after unions");
-        self.odd[x] = !self.odd[x];
-    }
-
-    /// Marks element `x` as a boundary node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after unions began and `x` is no longer a root.
-    pub fn set_boundary(&mut self, x: usize) {
-        assert_eq!(self.parent[x] as usize, x, "set_boundary after unions");
-        self.boundary[x] = true;
+        let node = self.touch(x);
+        assert_eq!(node.parent as usize, x, "set_defect after unions");
+        node.odd = !node.odd;
     }
 
     /// Root of `x`'s cluster (with path compression).
     pub fn find(&mut self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] as usize != root {
-            root = self.parent[root] as usize;
+        // Every parent link of a touched element was set this epoch, so
+        // the whole path is touched.
+        let mut root = self.touch(x).parent as usize;
+        while self.nodes[root].parent as usize != root {
+            root = self.nodes[root].parent as usize;
         }
         let mut cur = x;
-        while self.parent[cur] as usize != cur {
-            let next = self.parent[cur] as usize;
-            self.parent[cur] = root as u32;
+        while cur != root {
+            let next = self.nodes[cur].parent as usize;
+            self.nodes[cur].parent = root as u32;
             cur = next;
         }
         root
@@ -88,19 +137,20 @@ impl ClusterSets {
         if ra == rb {
             return ra;
         }
-        let (big, small) = if self.size[ra] >= self.size[rb] {
+        let (big, small) = if self.nodes[ra].size >= self.nodes[rb].size {
             (ra, rb)
         } else {
             (rb, ra)
         };
-        self.parent[small] = big as u32;
-        self.size[big] += self.size[small];
-        let parity = self.odd[big] ^ self.odd[small];
-        self.odd[big] = parity;
-        self.boundary[big] |= self.boundary[small];
-        let big_tail = self.tail[big] as usize;
-        self.next[big_tail] = small as u32;
-        self.tail[big] = self.tail[small];
+        let s = self.nodes[small];
+        self.nodes[small].parent = big as u32;
+        let b = &mut self.nodes[big];
+        b.size += s.size;
+        b.odd ^= s.odd;
+        b.boundary |= s.boundary;
+        let big_tail = b.tail as usize;
+        b.tail = s.tail;
+        self.nodes[big_tail].next = small as u32;
         big
     }
 
@@ -110,10 +160,15 @@ impl ClusterSets {
     /// # Panics
     ///
     /// Panics if `root` is not a cluster root.
-    pub fn members(&self, root: usize) -> impl Iterator<Item = usize> + '_ {
-        assert_eq!(self.parent[root] as usize, root, "members of a non-root");
+    pub fn members(&mut self, root: usize) -> impl Iterator<Item = usize> + '_ {
+        assert_eq!(
+            self.touch(root).parent as usize,
+            root,
+            "members of a non-root"
+        );
+        let nodes = &self.nodes;
         std::iter::successors(Some(root), |&x| {
-            let next = self.next[x];
+            let next = nodes[x].next;
             (next != NONE).then_some(next as usize)
         })
     }
@@ -121,20 +176,24 @@ impl ClusterSets {
     /// Whether `x`'s cluster still needs to grow: odd defect parity and no
     /// boundary contact.
     pub fn is_active(&mut self, x: usize) -> bool {
+        debug_assert!(x < self.len, "element {x} out of range");
+        if self.nodes[x].epoch != self.epoch {
+            return false; // an untouched singleton holds no defect
+        }
         let r = self.find(x);
-        self.odd[r] && !self.boundary[r]
+        self.nodes[r].odd && !self.nodes[r].boundary
     }
 
     /// Defect parity of `x`'s cluster.
     pub fn parity(&mut self, x: usize) -> bool {
         let r = self.find(x);
-        self.odd[r]
+        self.nodes[r].odd
     }
 
     /// Boundary contact of `x`'s cluster.
     pub fn touches_boundary(&mut self, x: usize) -> bool {
         let r = self.find(x);
-        self.boundary[r]
+        self.nodes[r].boundary
     }
 }
 
@@ -144,7 +203,7 @@ mod tests {
 
     #[test]
     fn singletons_start_inactive() {
-        let mut s = ClusterSets::new(4);
+        let mut s = ClusterSets::new(4, 4);
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
         for i in 0..4 {
@@ -154,7 +213,7 @@ mod tests {
 
     #[test]
     fn defect_makes_cluster_active() {
-        let mut s = ClusterSets::new(4);
+        let mut s = ClusterSets::new(4, 4);
         s.set_defect(2);
         assert!(s.is_active(2));
         assert!(!s.is_active(1));
@@ -162,7 +221,7 @@ mod tests {
 
     #[test]
     fn pairing_two_defects_neutralizes() {
-        let mut s = ClusterSets::new(4);
+        let mut s = ClusterSets::new(4, 4);
         s.set_defect(0);
         s.set_defect(1);
         s.union(0, 1);
@@ -172,9 +231,8 @@ mod tests {
 
     #[test]
     fn boundary_contact_deactivates() {
-        let mut s = ClusterSets::new(4);
+        let mut s = ClusterSets::new(4, 3);
         s.set_defect(0);
-        s.set_boundary(3);
         s.union(0, 3);
         assert!(s.parity(0), "parity stays odd");
         assert!(s.touches_boundary(0));
@@ -183,7 +241,7 @@ mod tests {
 
     #[test]
     fn union_find_invariants() {
-        let mut s = ClusterSets::new(10);
+        let mut s = ClusterSets::new(10, 10);
         for i in 0..9 {
             s.union(i, i + 1);
         }
@@ -195,7 +253,7 @@ mod tests {
 
     #[test]
     fn member_lists_follow_unions() {
-        let mut s = ClusterSets::new(6);
+        let mut s = ClusterSets::new(6, 6);
         assert_eq!(s.members(4).collect::<Vec<_>>(), vec![4]);
         s.union(0, 1);
         s.union(2, 3);
@@ -209,8 +267,28 @@ mod tests {
     }
 
     #[test]
+    fn reset_forgets_every_union_and_defect() {
+        let mut s = ClusterSets::new(6, 6);
+        s.set_defect(0);
+        s.set_defect(4);
+        s.union(0, 1);
+        s.union(4, 5);
+        s.reset(8, 5);
+        assert_eq!(s.len(), 8);
+        for i in 0..8 {
+            assert_eq!(s.find(i), i, "element {i} is a singleton again");
+            assert!(!s.parity(i));
+            assert_eq!(s.touches_boundary(i), i >= 5);
+            assert_eq!(s.members(i).collect::<Vec<_>>(), vec![i]);
+        }
+        s.reset(3, 3);
+        s.set_defect(2);
+        assert!(s.is_active(2), "a defect set after the reset counts");
+    }
+
+    #[test]
     fn triple_defect_cluster_stays_odd() {
-        let mut s = ClusterSets::new(5);
+        let mut s = ClusterSets::new(5, 5);
         for i in 0..3 {
             s.set_defect(i);
         }

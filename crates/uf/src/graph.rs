@@ -33,6 +33,20 @@
 //! Endpoint lookup is O(1), and every node has at most six incident edges
 //! (four spatial, two temporal), listed with their far ends in ascending
 //! edge index.
+//!
+//! # Incidence template
+//!
+//! [`DecodingGraph::incident`] re-derives a node's row and column on every
+//! call. The decoder instead reads an incidence template: the incidence
+//! of a one-round graph, O(d²), built from [`DecodingGraph::incident`]
+//! itself and shared by the decoders of one distance. Every round
+//! repeats the same spatial edges, so a cell `(a, t)` of any window takes
+//! its template entries shifted by `t` rounds, with a temporal edge
+//! before them when `t > 0` and after them when `t + 1 < rounds`; a
+//! boundary stub looks up its one edge by rank. The lists come out
+//! exactly as [`DecodingGraph::incident`] gives them, in the same order.
+
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use qecool_surface_code::{Edge, Lattice};
 
@@ -84,7 +98,7 @@ impl DecodingGraph {
     }
 
     /// Data qubits per round (`d² + (d − 1)²`).
-    fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.d * self.d + (self.d - 1) * (self.d - 1)
     }
 
@@ -236,6 +250,140 @@ impl DecodingGraph {
     }
 }
 
+/// One round's incidence, the [`DecodingGraph::incident`] lists of a
+/// one-round graph, from which the lists of any window are shifted (see
+/// the module docs).
+#[derive(Debug)]
+pub(crate) struct IncidenceTemplate {
+    /// Code distance.
+    d: usize,
+    /// Ancillas per round.
+    na: u32,
+    /// Data qubits per round.
+    nq: u32,
+    /// Boundary stubs per round (`2d`).
+    stubs_per_round: u32,
+    /// `hops[starts[a]..starts[a + 1]]`: cell `a`'s spatial edges in a
+    /// one-round graph as `(edge, far node)`, ascending. A far node below
+    /// `na` is a cell; `na + rank` is the stub of that rank.
+    starts: Vec<u32>,
+    hops: Vec<(u32, u32)>,
+    /// `stubs[rank]`: the stub's one edge and the cell at its far end.
+    stubs: Vec<(u32, u32)>,
+}
+
+impl IncidenceTemplate {
+    /// The template for `lattice`, shared with every live decoder of the
+    /// same distance: a service's sessions hold one template between
+    /// them, not one each.
+    pub(crate) fn shared(lattice: &Lattice) -> Arc<Self> {
+        static LIVE: Mutex<Vec<Weak<IncidenceTemplate>>> = Mutex::new(Vec::new());
+        // Every update leaves the list valid, so a panic elsewhere while
+        // it was held does not spoil it.
+        let mut live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
+        live.retain(|t| t.strong_count() > 0);
+        let d = lattice.distance();
+        if let Some(t) = live.iter().filter_map(Weak::upgrade).find(|t| t.d == d) {
+            return t;
+        }
+        let t = Arc::new(Self::new(lattice));
+        live.push(Arc::downgrade(&t));
+        t
+    }
+
+    /// The template for `lattice`, read off a one-round [`DecodingGraph`].
+    fn new(lattice: &Lattice) -> Self {
+        let one = DecodingGraph::new(lattice, 1);
+        let na = one.num_ancillas();
+        let pair = |(e, w): (usize, usize)| (e as u32, w as u32);
+        let mut starts = Vec::with_capacity(na + 1);
+        starts.push(0);
+        let mut hops = Vec::new();
+        for a in 0..na {
+            hops.extend(one.incident(a).map(pair));
+            starts.push(hops.len() as u32);
+        }
+        hops.shrink_to_fit();
+        let stubs = (na..one.num_nodes())
+            .map(|stub| pair(one.incident(stub).next().expect("a stub has one edge")))
+            .collect();
+        Self {
+            d: lattice.distance(),
+            na: na as u32,
+            nq: one.num_qubits() as u32,
+            stubs_per_round: (one.num_nodes() - na) as u32,
+            starts,
+            hops,
+            stubs,
+        }
+    }
+
+    /// The template applied to `graph`, a graph of the same lattice.
+    pub(crate) fn on(&self, graph: &DecodingGraph) -> Incidence<'_> {
+        assert_eq!(
+            graph.num_ancillas(),
+            self.na as usize,
+            "graph of another lattice"
+        );
+        assert!(
+            u32::try_from(graph.num_edges()).is_ok(),
+            "graph too large for u32 indices"
+        );
+        Incidence {
+            template: self,
+            rounds: graph.rounds() as u32,
+            first_boundary: graph.first_boundary_node() as u32,
+            stride: self.nq + self.na,
+        }
+    }
+}
+
+/// An [`IncidenceTemplate`] shifted onto one window's [`DecodingGraph`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Incidence<'a> {
+    template: &'a IncidenceTemplate,
+    rounds: u32,
+    first_boundary: u32,
+    /// Edge-index stride between consecutive rounds.
+    stride: u32,
+}
+
+impl Incidence<'_> {
+    /// Calls `f(edge, neighbour)` for every edge incident to `node`, in
+    /// ascending edge index: the pairs [`DecodingGraph::incident`] lists.
+    #[inline]
+    pub(crate) fn for_each(&self, node: usize, mut f: impl FnMut(usize, usize)) {
+        let tpl = self.template;
+        let (na, stride) = (tpl.na, self.stride);
+        let node = node as u32;
+        if node >= self.first_boundary {
+            let b = node - self.first_boundary;
+            let t = b / tpl.stubs_per_round;
+            let (e, a) = tpl.stubs[(b - t * tpl.stubs_per_round) as usize];
+            f((t * stride + e) as usize, (t * na + a) as usize);
+            return;
+        }
+        let t = node / na;
+        let a = node - t * na;
+        let base = t * stride;
+        if t > 0 {
+            f((base - stride + tpl.nq + a) as usize, (node - na) as usize);
+        }
+        // A far cell `c` of the one-round graph is `t·na + c` here; a far
+        // stub `na + rank` is `first_boundary + t·2d + rank`.
+        let cells = t * na;
+        let stubs = self.first_boundary + t * tpl.stubs_per_round - na;
+        let hops = &tpl.hops[tpl.starts[a as usize] as usize..tpl.starts[a as usize + 1] as usize];
+        for &(e, far) in hops {
+            let shift = if far < na { cells } else { stubs };
+            f((base + e) as usize, (far + shift) as usize);
+        }
+        if t + 1 < self.rounds {
+            f((base + tpl.nq + a) as usize, (node + na) as usize);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +467,29 @@ mod tests {
                     let computed: Vec<(usize, usize)> = g.incident(n).collect();
                     assert_eq!(computed, expected, "d={d} rounds={rounds} node {n}");
                     assert_eq!(g.is_boundary(n), table.is_boundary(n));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_incidence_template_lists_what_the_oracle_lists() {
+        // Growth's `edges_scanned` and the peel's BFS order depend on the
+        // order of the lists, so they must match pair for pair.
+        for d in [3, 5, 9, 13] {
+            let lat = Lattice::new(d).unwrap();
+            let template = IncidenceTemplate::shared(&lat);
+            for rounds in 1..=3 * d + 1 {
+                let g = DecodingGraph::new(&lat, rounds);
+                let incidence = template.on(&g);
+                let mut listed = Vec::with_capacity(6);
+                for n in 0..g.num_nodes() {
+                    listed.clear();
+                    incidence.for_each(n, |e, w| listed.push((e, w)));
+                    assert!(
+                        listed.iter().copied().eq(g.incident(n)),
+                        "d={d} rounds={rounds} node {n}: {listed:?}"
+                    );
                 }
             }
         }

@@ -11,19 +11,21 @@
 //! FPGA-class contender against which cryogenic decoders are judged.
 //!
 //! * [`graph`] — the decoding graph (spatial/temporal/boundary edges),
-//!   computed from indices: O(1) endpoints and incidence, nothing stored;
+//!   computed from indices: O(1) endpoints and incidence, and one
+//!   round's incidence as an O(d²) template the decoder shifts by round;
 //! * [`dsu`] — union-find with defect-parity and boundary bookkeeping,
-//!   plus per-cluster member lists spliced in O(1) on union;
+//!   plus per-cluster member lists spliced in O(1) on union, reset for
+//!   the next decode in O(1) by starting a new epoch;
 //! * [`decoder`] — growth + peeling and correction extraction.
 //!
 //! A decode's work follows the defects, not the window: growth visits
 //! only the edges around active clusters (O(active clusters + active
 //! cluster size) per step), peeling touches only the erasure components
 //! the caller asks for (a sliding window peels only the ones it
-//! commits), and a defect-free window returns before allocating
-//! anything. The only O(graph) cost is zeroing a few flat scratch arrays
-//! per decode; there is no graph to build and no state kept between
-//! decodes. The decoder is pinned bit for bit (components, defect order,
+//! commits), and a defect-free window returns before touching anything
+//! graph-sized. Nothing is O(graph) per decode: the scratch arrays are
+//! kept per thread and reset only where the decode touched them, and
+//! there is no graph to build. The decoder is pinned bit for bit (components, defect order,
 //! corrections, growth steps, erasure size) to the original
 //! whole-graph-scan implementation, which its tests keep as a reference.
 //!

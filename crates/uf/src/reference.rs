@@ -125,17 +125,12 @@ pub(crate) fn decode_components(
 
     // Defects and cluster bookkeeping.
     let mut defect = vec![false; n];
-    let mut sets = ClusterSets::new(n);
+    let mut sets = ClusterSets::new(n, graph.first_boundary_node);
     for (t, round) in history.iter().enumerate() {
         for idx in round.events().iter_ones() {
             let node = graph.cell(idx, t);
             defect[node] = true;
             sets.set_defect(node);
-        }
-    }
-    for node in 0..n {
-        if graph.is_boundary(node) {
-            sets.set_boundary(node);
         }
     }
     let defects: Vec<usize> = (0..n).filter(|&v| defect[v]).collect();
