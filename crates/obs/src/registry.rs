@@ -515,6 +515,22 @@ mod tests {
         assert!(text.contains("qecool_wait_ns_bucket{le=\"1023\"} 2"));
     }
 
+    /// Flat-JSON percentiles are capped at the recorded maximum: a lone
+    /// 26 sits in the [16, 31] bucket but reads back as 26, while the
+    /// Prometheus buckets keep their log₂ edges.
+    #[test]
+    fn flat_json_percentiles_never_exceed_the_max() {
+        let reg = MetricsRegistry::new();
+        reg.histogram("qecool_lag_rounds", "lag").record(0, 26);
+        let snap = reg.snapshot();
+        let json = snap.to_flat_json("t");
+        assert!(json.contains("\"qecool_lag_rounds_p50\": 26"), "{json}");
+        assert!(json.contains("\"qecool_lag_rounds_p99\": 26"), "{json}");
+        assert!(snap
+            .to_prometheus()
+            .contains("qecool_lag_rounds_bucket{le=\"31\"} 1"));
+    }
+
     #[test]
     fn prometheus_labels_render_per_entry_with_one_family_header() {
         let reg = MetricsRegistry::new();

@@ -88,9 +88,10 @@ pub const CYCLE_HIST_BUCKETS: usize = 65;
 /// resolution for a fixed 65-word footprint, which keeps
 /// latency-accounting structs `Copy` and mergeable across sessions
 /// without allocation — percentiles come back as the inclusive upper
-/// bound of the bucket they land in, a conservative (never
-/// under-reporting) estimate that is exact for the budget questions the
-/// serving path asks ("did p99 stay within the round budget?").
+/// bound of the bucket they land in, capped at the exact maximum
+/// recorded: a conservative (never under-reporting) estimate that is
+/// exact for the budget questions the serving path asks ("did p99 stay
+/// within the round budget?") and never above the max.
 ///
 /// # Example
 ///
@@ -109,6 +110,8 @@ pub const CYCLE_HIST_BUCKETS: usize = 65;
 pub struct CycleHistogram {
     buckets: [u64; CYCLE_HIST_BUCKETS],
     total: u64,
+    /// Largest value recorded (0 when empty).
+    max: u64,
 }
 
 impl Default for CycleHistogram {
@@ -123,6 +126,7 @@ impl CycleHistogram {
         Self {
             buckets: [0; CYCLE_HIST_BUCKETS],
             total: 0,
+            max: 0,
         }
     }
 
@@ -134,6 +138,7 @@ impl CycleHistogram {
     pub fn record(&mut self, cycles: u64) {
         self.buckets[Self::bucket_of(cycles)] += 1;
         self.total += 1;
+        self.max = self.max.max(cycles);
     }
 
     /// Number of rounds recorded.
@@ -148,6 +153,7 @@ impl CycleHistogram {
             *a += *b;
         }
         self.total += other.total;
+        self.max = self.max.max(other.max);
     }
 
     /// The raw per-bucket counts, indexed by log₂ bucket (see the type
@@ -159,7 +165,8 @@ impl CycleHistogram {
 
     /// The inclusive upper cycle bound of bucket `b`: 0 for bucket 0,
     /// `2^b − 1` for buckets 1..=63, and `u64::MAX` for bucket 64 —
-    /// the same bounds [`CycleHistogram::percentile`] reports.
+    /// the bounds [`CycleHistogram::percentile`] reports, capped at the
+    /// recorded maximum.
     ///
     /// # Panics
     ///
@@ -180,13 +187,14 @@ impl CycleHistogram {
     }
 
     /// The inclusive upper cycle bound of the bucket containing the
-    /// `q`-quantile round, or 0 for an empty histogram (whatever `q`).
-    /// `percentile(0.99)` is the p99 round cost, rounded up to the next
-    /// power-of-two boundary.
+    /// `q`-quantile round, capped at the largest value recorded, or 0 for
+    /// an empty histogram (whatever `q`). `percentile(0.99)` is the p99
+    /// round cost, rounded up to the next power-of-two boundary but never
+    /// above the max.
     ///
     /// Out-of-range quantiles are defined, never a bucket-index panic:
     /// `q ≤ 0` clamps to the minimum recorded cost's bucket, `q ≥ 1` to
-    /// the maximum's, and a NaN `q` is treated as 1.0 — the conservative
+    /// the maximum, and a NaN `q` is treated as 1.0 — the conservative
     /// (never under-reporting) choice this histogram makes everywhere.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.total == 0 {
@@ -200,14 +208,10 @@ impl CycleHistogram {
         for (b, &count) in self.buckets.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                return match b {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => (1u64 << b) - 1,
-                };
+                return Self::bucket_upper_bound(b).min(self.max);
             }
         }
-        u64::MAX
+        self.max
     }
 }
 
@@ -331,7 +335,7 @@ mod tests {
         assert_eq!(h.total(), 8);
         // Ranks: p0..p12.5 → bucket 0 (cycles 0), p100 → bucket of 100.
         assert_eq!(h.percentile(0.0), 0);
-        assert_eq!(h.percentile(1.0), 127);
+        assert_eq!(h.percentile(1.0), 100);
         // Median of the 8 samples sits among the small values.
         assert!(h.percentile(0.5) <= 7);
         // Percentile is a conservative upper bound: never below the
@@ -371,9 +375,9 @@ mod tests {
         for c in [3u64, 5, 9, 1000] {
             h.record(c);
         }
-        // p0 is the minimum's bucket bound, p100 the maximum's.
+        // p0 is the minimum's bucket bound, p100 the maximum itself.
         assert_eq!(h.percentile(0.0), 3);
-        assert_eq!(h.percentile(1.0), 1023);
+        assert_eq!(h.percentile(1.0), 1000);
         // Out-of-range quantiles clamp to those same ends.
         assert_eq!(h.percentile(-1.0), h.percentile(0.0));
         assert_eq!(h.percentile(f64::NEG_INFINITY), h.percentile(0.0));
@@ -405,12 +409,12 @@ mod tests {
         assert_eq!(counts[10], 1, "512 <= 900 < 1024 lands in bucket 10");
         assert_eq!(counts.iter().sum::<u64>(), h.total());
         assert_eq!(h.max_bucket(), Some(10));
-        // Upper bounds line up with what percentile() reports.
         assert_eq!(CycleHistogram::bucket_upper_bound(0), 0);
         assert_eq!(CycleHistogram::bucket_upper_bound(1), 1);
         assert_eq!(CycleHistogram::bucket_upper_bound(10), 1023);
         assert_eq!(CycleHistogram::bucket_upper_bound(64), u64::MAX);
-        assert_eq!(h.percentile(1.0), CycleHistogram::bucket_upper_bound(10));
+        // The top bucket's edge is capped at the recorded maximum.
+        assert_eq!(h.percentile(1.0), 900);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! # Threading model
 //!
 //! A campaign is split into fixed-size **shards** of consecutive trial
-//! seeds. Shard boundaries depend only on
-//! [`EngineConfig::shard_shots`], never on the number of workers, so the
-//! same campaign produces byte-identical aggregates on 1, 2 or 64
-//! threads:
+//! seeds. Shard boundaries depend only on [`DEFAULT_SHARD_SHOTS`], never
+//! on the number of workers, so the same campaign produces byte-identical
+//! aggregates on 1, 2 or 64 threads:
 //!
 //! * the precomputed shard list is the batch of the engine's persistent
 //!   [worker pool](crate::pool), the pool the service pump runs on: N
@@ -56,28 +55,10 @@ use crate::montecarlo::McResult;
 use crate::pool::{worker_count, Batch, WorkerPool};
 use crate::trials::{run_trial_into, TrialConfig, TrialOutcome, TrialScratch};
 
-/// Default shard size: big enough to amortize queue traffic, small
-/// enough to load-balance the heavy tails of near-threshold campaigns.
+/// Trials per shard: big enough to amortize queue traffic, small enough
+/// to load-balance the heavy tails of near-threshold campaigns. Per-trial
+/// seeds are position-derived, so the shard size changes no result.
 pub const DEFAULT_SHARD_SHOTS: usize = 64;
-
-/// Tuning knobs of a [`DecodeEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Worker threads; `0` uses all available parallelism.
-    pub threads: usize,
-    /// Trials per shard. Changing this re-chunks the work queue but does
-    /// **not** change any result — per-trial seeds are position-derived.
-    pub shard_shots: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            shard_shots: DEFAULT_SHARD_SHOTS,
-        }
-    }
-}
 
 /// One Monte-Carlo job: `shots` trials of `trial` seeded from
 /// `base_seed`.
@@ -210,7 +191,8 @@ impl Batch for Shards {
 /// The parallel Monte-Carlo decode engine. See the module docs for the
 /// threading model.
 pub struct DecodeEngine {
-    config: EngineConfig,
+    /// Worker threads; `0` uses all available parallelism.
+    threads: usize,
     tally: Arc<EngineTally>,
     /// Held for a whole batch, so batches on one engine run one at a
     /// time.
@@ -220,7 +202,7 @@ pub struct DecodeEngine {
 impl fmt::Debug for DecodeEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DecodeEngine")
-            .field("config", &self.config)
+            .field("threads", &self.threads)
             .field("tally", &self.tally)
             .finish_non_exhaustive()
     }
@@ -228,7 +210,7 @@ impl fmt::Debug for DecodeEngine {
 
 impl Default for DecodeEngine {
     fn default() -> Self {
-        Self::with_config(EngineConfig::default())
+        Self::with_threads(0)
     }
 }
 
@@ -238,9 +220,9 @@ impl DecodeEngine {
         Self::default()
     }
 
-    /// An engine with explicit configuration. Spawns no thread.
-    pub fn with_config(config: EngineConfig) -> Self {
-        assert!(config.shard_shots > 0, "shard_shots must be positive");
+    /// An engine pinned to `threads` workers (`0` = all cores). Spawns no
+    /// thread.
+    pub fn with_threads(threads: usize) -> Self {
         let tally = Arc::<EngineTally>::default();
         let shards = Shards {
             jobs: Vec::new(),
@@ -249,23 +231,10 @@ impl DecodeEngine {
             tally: Arc::clone(&tally),
         };
         Self {
-            config,
+            threads,
             tally,
             pool: Mutex::new(WorkerPool::new(shards, None)),
         }
-    }
-
-    /// An engine pinned to `threads` workers (`0` = all cores).
-    pub fn with_threads(threads: usize) -> Self {
-        Self::with_config(EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// Live lifetime counters (streamed as shards retire).
@@ -293,7 +262,7 @@ impl DecodeEngine {
     /// Re-raises the payload of a trial that panicked (e.g. on an
     /// invalid code distance). The engine stays usable.
     pub fn run_batch(&self, jobs: &[McJob]) -> Vec<McResult> {
-        let size = self.config.shard_shots;
+        let size = DEFAULT_SHARD_SHOTS;
         let mut pool = self.pool.lock();
         let spawned = pool.workers();
         let batch = pool.batch_mut();
@@ -310,9 +279,7 @@ impl DecodeEngine {
                     partial: Mutex::new(McResult::default()),
                 })
             }));
-        let threads = worker_count(self.config.threads)
-            .min(batch.shards.len())
-            .max(1);
+        let threads = worker_count(self.threads).min(batch.shards.len()).max(1);
         // Any spawned pool thread may claim shards, not only the first
         // `threads - 1`, so the stripe table covers every one of them.
         let stripes = threads.max(spawned + 1);
@@ -353,36 +320,23 @@ mod tests {
     use super::*;
     use crate::trials::DecoderKind;
 
-    fn campaign(threads: usize, shard_shots: usize) -> McResult {
-        let engine = DecodeEngine::with_config(EngineConfig {
-            threads,
-            shard_shots,
-        });
+    fn campaign(threads: usize) -> McResult {
+        let engine = DecodeEngine::with_threads(threads);
         let cfg = TrialConfig::standard(5, 0.03, DecoderKind::BatchQecool);
         engine.run(&cfg, 150, 42)
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let reference = campaign(1, DEFAULT_SHARD_SHOTS);
+        let reference = campaign(1);
         for threads in [2, 4, 8] {
-            let parallel = campaign(threads, DEFAULT_SHARD_SHOTS);
+            let parallel = campaign(threads);
             assert_eq!(parallel.shots, reference.shots, "{threads} threads");
             assert_eq!(parallel.failures, reference.failures);
             assert_eq!(parallel.overflows, reference.overflows);
             assert_eq!(parallel.matches, reference.matches);
             assert_eq!(parallel.layer_cycles, reference.layer_cycles);
             assert_eq!(parallel.vertical_hist, reference.vertical_hist);
-        }
-    }
-
-    #[test]
-    fn shard_size_does_not_change_results() {
-        let reference = campaign(4, 64);
-        for shard_shots in [1, 7, 150, 1000] {
-            let chunked = campaign(4, shard_shots);
-            assert_eq!(chunked.failures, reference.failures, "shard {shard_shots}");
-            assert_eq!(chunked.layer_cycles, reference.layer_cycles);
         }
     }
 

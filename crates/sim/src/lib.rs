@@ -93,7 +93,7 @@ pub use campaign::{
     CampaignStatus, JobStatus, RunOutcome, StopRule,
 };
 pub use dual_sector::{dual_sector_error_rate, run_dual_sector_trial, DualSectorOutcome};
-pub use engine::{DecodeEngine, EngineConfig, EngineTally, McJob};
+pub use engine::{DecodeEngine, EngineTally, McJob};
 pub use experiments::log_grid;
 pub use montecarlo::McResult;
 pub use service::{

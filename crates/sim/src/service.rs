@@ -415,9 +415,9 @@ impl LatencyStats {
 
     /// Conservative p99 of the commit lag, in rounds behind the stream
     /// head: the inclusive upper bound of the histogram bucket the p99
-    /// committed round lands in, clamped to the observed maximum.
+    /// committed round lands in, capped at the observed maximum.
     pub fn commit_lag_p99_rounds(&self) -> u64 {
-        self.lag_histogram.percentile(0.99).min(self.max_lag_rounds)
+        self.lag_histogram.percentile(0.99)
     }
 
     /// The p99 commit lag converted to decode cycles via the per-round
@@ -437,9 +437,9 @@ impl LatencyStats {
 
     /// Conservative p99 of the per-round decode cost: the inclusive
     /// upper bound of the histogram bucket the p99 round lands in,
-    /// clamped to the observed maximum.
+    /// capped at the observed maximum.
     pub fn p99_cycles(&self) -> u64 {
-        self.histogram.percentile(0.99).min(self.max_cycles)
+        self.histogram.percentile(0.99)
     }
 
     /// Mean decode cycles per round (0 when no round was decoded).
@@ -1586,8 +1586,8 @@ mod tests {
         assert!(lat.mean_utilisation().is_finite());
     }
 
-    /// The p99 accessors report a bucket edge, which must never exceed
-    /// the maximum actually observed.
+    /// The p99 accessors report a bucket edge capped at the histogram's
+    /// own maximum, so they never exceed the maximum actually observed.
     #[test]
     fn p99_never_exceeds_the_observed_max() {
         let mut lat = LatencyStats::default();
@@ -1597,8 +1597,8 @@ mod tests {
         }
         assert_eq!(lat.max_cycles, 14);
         assert_eq!(lat.max_lag_rounds, 14);
-        // 14 lands in the [8, 15] bucket, whose edge is above the max.
-        assert_eq!(lat.histogram.percentile(0.99), 15);
+        // 14 lands in the [8, 15] bucket, whose edge is capped at the max.
+        assert_eq!(lat.histogram.percentile(0.99), 14);
         assert_eq!(lat.p99_cycles(), 14);
         assert_eq!(lat.commit_lag_p99_rounds(), 14);
         assert_eq!(lat.commit_lag_p99_cycles(), 14 * lat.budget_cycles);

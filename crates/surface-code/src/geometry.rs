@@ -330,13 +330,6 @@ impl Lattice {
         &self.supports[self.ancilla_index(a)]
     }
 
-    /// Precomputes the word-aligned stabilizer support masks used by the
-    /// bit-parallel syndrome extractor (see
-    /// [`SupportMasks`] and `CodePatch::true_syndrome_into`).
-    pub fn support_masks(&self) -> SupportMasks {
-        SupportMasks::build(self)
-    }
-
     /// The one or two ancillas flipped by an X error on `e`. Boundary
     /// horizontal edges flip a single ancilla.
     pub fn endpoints(&self, e: Edge) -> (Ancilla, Option<Ancilla>) {
@@ -432,69 +425,6 @@ impl Lattice {
         (0..self.d)
             .map(|pos| self.horizontal_edge(row, pos))
             .collect()
-    }
-}
-
-/// Word-aligned stabilizer support masks: for every ancilla, the set of
-/// data-qubit bits its parity check reads, expressed as `(word, mask)`
-/// pairs over the packed error vector
-/// ([`BitVec::words`](crate::BitVec::words) layout).
-///
-/// An ancilla's support touches at most four edges, and those edges land
-/// in at most three distinct `u64` words (the two horizontal edges are
-/// adjacent indices; the one or two vertical edges live in the vertical
-/// block), so the per-ancilla entry list is short and cache-resident. The
-/// parity of `errors & mask` over the entries — computable as the
-/// popcount parity of the XOR-fold of the masked words, since
-/// `|a ⊕ b| ≡ |a| + |b| (mod 2)` — is the ancilla's true syndrome bit.
-/// This turns syndrome extraction from an edge-by-edge walk with
-/// per-bit bounds checks into a handful of word ops per ancilla.
-///
-/// Entries are stored flattened (CSR-style) to keep the whole structure
-/// in two contiguous allocations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SupportMasks {
-    /// `offsets[a]..offsets[a + 1]` indexes `entries` for ancilla `a`.
-    offsets: Vec<u32>,
-    /// `(word index, bit mask)` pairs into the packed error vector.
-    entries: Vec<(u32, u64)>,
-}
-
-impl SupportMasks {
-    fn build(lattice: &Lattice) -> Self {
-        let mut offsets = Vec::with_capacity(lattice.num_ancillas() + 1);
-        let mut entries: Vec<(u32, u64)> = Vec::new();
-        offsets.push(0);
-        for a in lattice.ancillas() {
-            let start = entries.len();
-            for &e in lattice.support(a) {
-                let word = (e.index() / 64) as u32;
-                let bit = 1u64 << (e.index() % 64);
-                match entries[start..].iter_mut().find(|(w, _)| *w == word) {
-                    Some((_, mask)) => *mask |= bit,
-                    None => entries.push((word, bit)),
-                }
-            }
-            offsets.push(entries.len() as u32);
-        }
-        Self { offsets, entries }
-    }
-
-    /// Number of ancillas the masks cover.
-    pub fn num_ancillas(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The `(word, mask)` entries of one ancilla (dense index order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ancilla_idx >= self.num_ancillas()`.
-    #[inline]
-    pub fn entries_of(&self, ancilla_idx: usize) -> &[(u32, u64)] {
-        let lo = self.offsets[ancilla_idx] as usize;
-        let hi = self.offsets[ancilla_idx + 1] as usize;
-        &self.entries[lo..hi]
     }
 }
 
@@ -710,46 +640,6 @@ mod tests {
                 .count()
                 % 2;
             assert_eq!(parity, 0, "logical operator must commute with {a}");
-        }
-    }
-
-    #[test]
-    fn support_masks_cover_exactly_the_support() {
-        for d in [3, 5, 7, 9, 13] {
-            let lat = Lattice::new(d).unwrap();
-            let masks = lat.support_masks();
-            assert_eq!(masks.num_ancillas(), lat.num_ancillas());
-            for (idx, a) in lat.ancillas().enumerate() {
-                let mut from_mask: Vec<usize> = Vec::new();
-                for &(word, mask) in masks.entries_of(idx) {
-                    for bit in 0..64 {
-                        if mask >> bit & 1 == 1 {
-                            from_mask.push(word as usize * 64 + bit);
-                        }
-                    }
-                }
-                from_mask.sort_unstable();
-                let mut expected: Vec<usize> = lat.support(a).iter().map(|e| e.index()).collect();
-                expected.sort_unstable();
-                assert_eq!(from_mask, expected, "d={d} ancilla {a}");
-            }
-        }
-    }
-
-    #[test]
-    fn support_mask_entries_have_unique_words() {
-        let lat = Lattice::new(13).unwrap();
-        let masks = lat.support_masks();
-        for idx in 0..masks.num_ancillas() {
-            let entries = masks.entries_of(idx);
-            assert!(entries.len() <= 3, "at most 3 words per support");
-            for (i, &(w, m)) in entries.iter().enumerate() {
-                assert_ne!(m, 0, "empty mask entry");
-                assert!(
-                    entries[i + 1..].iter().all(|&(w2, _)| w2 != w),
-                    "duplicate word {w} in ancilla {idx}"
-                );
-            }
         }
     }
 

@@ -59,7 +59,7 @@ pub mod patch;
 pub mod syndrome;
 
 pub use bitvec::BitVec;
-pub use geometry::{Ancilla, Boundary, Edge, EdgeKind, Lattice, LatticeError, SupportMasks};
+pub use geometry::{Ancilla, Boundary, Edge, EdgeKind, Lattice, LatticeError};
 pub use history::SyndromeHistory;
 pub use noise::{NoiseSpec, NoiseSpecError};
 pub use packed::{PackedError, PackedHeader, PackedReader, PackedWriter};

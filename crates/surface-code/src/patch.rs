@@ -6,6 +6,12 @@
 //! hardware would: a stream of (possibly misread) detection events, plus an
 //! interface for the decoder to apply corrections.
 //!
+//! The patch keeps its **true syndrome** current under one rule: a
+//! data-qubit flip toggles its one or two endpoint ancillas
+//! ([`Lattice::endpoints`]). Every flip site — [`CodePatch::inject_error`],
+//! [`CodePatch::apply_correction`] and each noise pass — applies it, so
+//! reading the syndrome is a copy, not a recompute.
+//!
 //! The **latch** (`last_reported`) gives detection-event semantics: events
 //! are `raw ⊕ last_reported`, and when the decoder corrects a data qubit the
 //! latch of every adjacent ancilla is toggled so that the correction does not
@@ -16,7 +22,7 @@
 use rand::Rng;
 
 use crate::bitvec::BitVec;
-use crate::geometry::{Ancilla, Boundary, Edge, Lattice, SupportMasks};
+use crate::geometry::{Ancilla, Boundary, Edge, Lattice};
 use crate::noise::NoiseSpec;
 use crate::syndrome::DetectionRound;
 
@@ -42,22 +48,21 @@ use crate::syndrome::DetectionRound;
 #[derive(Debug, Clone)]
 pub struct CodePatch {
     lattice: Lattice,
-    /// Word-aligned stabilizer support masks, precomputed at
-    /// construction — what makes [`Self::true_syndrome_into`]
-    /// bit-parallel.
-    masks: SupportMasks,
     /// Word mask of the west-boundary logical cut, so
     /// [`Self::has_logical_error`] is a masked popcount instead of a
     /// bit-by-bit parity walk.
     logical_cut_mask: Vec<u64>,
     /// True X-error indicator per data qubit.
     errors: BitVec,
+    /// `errors` as it stood before the current noise pass: the pass's
+    /// flips are the set bits of `errors ⊕ pre_noise`.
+    pre_noise: BitVec,
+    /// True syndrome of `errors`, kept current by toggling a flipped
+    /// qubit's endpoint ancillas.
+    syndrome: BitVec,
     /// Last *reported* syndrome value per ancilla, corrected for decoder
     /// actions (the latch).
     last_reported: BitVec,
-    /// Reused staging buffer for the reported syndrome of the round being
-    /// measured — what makes [`Self::measure_into`] allocation-free.
-    reported_scratch: BitVec,
     rounds_measured: usize,
 }
 
@@ -66,18 +71,17 @@ impl CodePatch {
     pub fn new(lattice: Lattice) -> Self {
         let n_edges = lattice.num_data_qubits();
         let n_anc = lattice.num_ancillas();
-        let masks = lattice.support_masks();
         let mut logical_cut_mask = vec![0u64; n_edges.div_ceil(64)];
         for e in lattice.logical_cut() {
             logical_cut_mask[e.index() / 64] |= 1u64 << (e.index() % 64);
         }
         Self {
             lattice,
-            masks,
             logical_cut_mask,
             errors: BitVec::zeros(n_edges),
+            pre_noise: BitVec::zeros(n_edges),
+            syndrome: BitVec::zeros(n_anc),
             last_reported: BitVec::zeros(n_anc),
-            reported_scratch: BitVec::zeros(n_anc),
             rounds_measured: 0,
         }
     }
@@ -92,6 +96,7 @@ impl CodePatch {
     /// scratch buffers can be reused across Monte-Carlo shots.
     pub fn reset(&mut self) {
         self.errors.clear();
+        self.syndrome.clear();
         self.last_reported.clear();
         self.rounds_measured = 0;
     }
@@ -116,6 +121,7 @@ impl CodePatch {
     /// injection).
     pub fn inject_error(&mut self, e: Edge) {
         self.errors.toggle(e.index());
+        toggle_endpoints(&self.lattice, &mut self.syndrome, e);
     }
 
     /// Applies one round of data noise, delegating the whole pass to
@@ -123,7 +129,7 @@ impl CodePatch {
     /// qubit independently (the historical RNG stream, draw for draw);
     /// erasure and burst add their own pass.
     pub fn apply_data_noise<R: Rng + ?Sized>(&mut self, noise: &NoiseSpec, rng: &mut R) {
-        noise.apply_data_round(&mut self.errors, None, rng);
+        self.noise_pass(noise, None, rng);
     }
 
     /// [`Self::apply_data_noise`] with a per-data-qubit erasure flag
@@ -144,7 +150,28 @@ impl CodePatch {
             self.errors.len(),
             "erasure buffer width does not match data qubits"
         );
-        noise.apply_data_round(&mut self.errors, Some(erasures), rng);
+        self.noise_pass(noise, Some(erasures), rng);
+    }
+
+    /// Runs one [`NoiseSpec::apply_data_round`] and toggles the endpoints
+    /// of every qubit it flipped (the set bits of `errors ⊕ pre_noise`).
+    fn noise_pass<R: Rng + ?Sized>(
+        &mut self,
+        noise: &NoiseSpec,
+        erasures: Option<&mut BitVec>,
+        rng: &mut R,
+    ) {
+        self.pre_noise.copy_from(&self.errors);
+        noise.apply_data_round(&mut self.errors, erasures, rng);
+        let words = self.errors.words().iter().zip(self.pre_noise.words());
+        for (w, (&now, &before)) in words.enumerate() {
+            let mut flips = now ^ before;
+            while flips != 0 {
+                let e = Edge(w * 64 + flips.trailing_zeros() as usize);
+                toggle_endpoints(&self.lattice, &mut self.syndrome, e);
+                flips &= flips - 1;
+            }
+        }
     }
 
     /// The true (noiseless) syndrome of the current error state.
@@ -154,43 +181,26 @@ impl CodePatch {
         syn
     }
 
-    /// Writes the true syndrome into `out` without allocating.
-    ///
-    /// Bit-parallel: every ancilla's parity check runs as a short
-    /// XOR-fold of precomputed `(word, mask)` pairs over the packed
-    /// error vector ([`SupportMasks`]), and the result is assembled and
-    /// stored a whole `u64` word of ancillas at a time — no per-bit
-    /// bounds checks anywhere on the path. Proptest-verified
-    /// bit-identical to the edge-by-edge reference
+    /// Writes the true syndrome into `out` without allocating: a copy of
+    /// the syndrome the flip sites keep current. Proptest-verified
+    /// bit-identical to the recompute
     /// ([`Self::true_syndrome_reference_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `out` does not have one bit per ancilla.
     pub fn true_syndrome_into(&self, out: &mut BitVec) {
-        let n = self.lattice.num_ancillas();
-        assert_eq!(out.len(), n, "syndrome buffer width does not match lattice");
-        let err_words = self.errors.words();
-        for w_idx in 0..out.num_words() {
-            let base = w_idx * 64;
-            let bits_here = 64.min(n - base);
-            let mut word = 0u64;
-            for bit in 0..bits_here {
-                let mut acc = 0u64;
-                for &(wi, mask) in self.masks.entries_of(base + bit) {
-                    acc ^= err_words[wi as usize] & mask;
-                }
-                // Parity of a union of disjoint masked words survives the
-                // XOR-fold: |a ⊕ b| ≡ |a| + |b| (mod 2).
-                word |= ((acc.count_ones() & 1) as u64) << bit;
-            }
-            out.set_word(w_idx, word);
-        }
+        assert_eq!(
+            out.len(),
+            self.syndrome.len(),
+            "syndrome buffer width does not match lattice"
+        );
+        out.copy_from(&self.syndrome);
     }
 
-    /// The edge-by-edge syndrome extractor the bit-parallel path
-    /// replaced, retained as the differential-testing reference: walks
-    /// every ancilla's support and folds the error bits one at a time.
+    /// The syndrome recomputed from scratch, retained as the
+    /// differential-testing oracle for the kept one: walks every
+    /// ancilla's support and folds the error bits one at a time.
     ///
     /// # Panics
     ///
@@ -236,8 +246,8 @@ impl CodePatch {
         out: &mut DetectionRound,
     ) {
         let q = noise.measurement_error_rate();
-        let mut reported = std::mem::take(&mut self.reported_scratch);
-        self.true_syndrome_into(&mut reported);
+        let reported = out.events_mut();
+        self.true_syndrome_into(reported);
         if q > 0.0 {
             for idx in 0..reported.len() {
                 if rng.gen_bool(q) {
@@ -245,7 +255,7 @@ impl CodePatch {
                 }
             }
         }
-        self.latch_events_into(reported, out);
+        self.latch(out);
     }
 
     /// One full noisy QEC round: data noise, then noisy measurement.
@@ -309,31 +319,28 @@ impl CodePatch {
     ///
     /// Panics if `out` does not have one bit per ancilla.
     pub fn perfect_round_into(&mut self, out: &mut DetectionRound) {
-        let mut reported = std::mem::take(&mut self.reported_scratch);
-        self.true_syndrome_into(&mut reported);
-        self.latch_events_into(reported, out);
+        self.true_syndrome_into(out.events_mut());
+        self.latch(out);
     }
 
-    /// Emits `reported ⊕ last_reported` into `out`, rotates `reported`
-    /// into the latch and recycles the old latch as the staging buffer.
-    fn latch_events_into(&mut self, reported: BitVec, out: &mut DetectionRound) {
+    /// Turns the reported syndrome held in `out` into detection events
+    /// (`reported ⊕ last_reported`) and latches the report:
+    /// `last_reported ⊕ events` is `reported`.
+    fn latch(&mut self, out: &mut DetectionRound) {
         let events = out.events_mut();
-        events.copy_from(&reported);
         *events ^= &self.last_reported;
-        self.reported_scratch = std::mem::replace(&mut self.last_reported, reported);
+        self.last_reported ^= &*events;
         self.rounds_measured += 1;
     }
 
     /// Applies a decoder correction to one data qubit: flips the true error
-    /// bit *and* toggles the latch of every adjacent ancilla so the
-    /// correction does not register as a new detection event.
+    /// bit, its endpoints in the true syndrome *and* the latch of the same
+    /// ancillas, so the correction does not register as a new detection
+    /// event.
     pub fn apply_correction(&mut self, e: Edge) {
         self.errors.toggle(e.index());
-        let (p, q) = self.lattice.endpoints(e);
-        self.last_reported.toggle(self.lattice.ancilla_index(p));
-        if let Some(q) = q {
-            self.last_reported.toggle(self.lattice.ancilla_index(q));
-        }
+        toggle_endpoints(&self.lattice, &mut self.syndrome, e);
+        toggle_endpoints(&self.lattice, &mut self.last_reported, e);
     }
 
     /// Applies a chain of corrections (see [`Self::apply_correction`]).
@@ -360,7 +367,7 @@ impl CodePatch {
     /// `true` when the current error state commutes with every stabilizer
     /// (the patch is back in the code space).
     pub fn syndrome_is_trivial(&self) -> bool {
-        self.true_syndrome().is_zero()
+        self.syndrome.is_zero()
     }
 
     /// `true` when the residual error implements a logical X: odd parity on
@@ -371,6 +378,16 @@ impl CodePatch {
     /// is cut-invariant exactly then.
     pub fn has_logical_error(&self) -> bool {
         self.errors.popcount_masked(&self.logical_cut_mask) % 2 == 1
+    }
+}
+
+/// The flip rule: an X error on `e` toggles its one or two endpoint
+/// ancillas in the per-ancilla vector `bits`.
+fn toggle_endpoints(lattice: &Lattice, bits: &mut BitVec, e: Edge) {
+    let (p, q) = lattice.endpoints(e);
+    bits.toggle(lattice.ancilla_index(p));
+    if let Some(q) = q {
+        bits.toggle(lattice.ancilla_index(q));
     }
 }
 
@@ -570,40 +587,53 @@ mod tests {
             prop_assert_eq!(acc, p.true_syndrome());
         }
 
-        /// The bit-parallel mask-based syndrome extractor must be
-        /// bit-identical to the edge-by-edge reference on random
-        /// patches: random noise, random injected errors and random
-        /// corrections, across every distance with multi-word error
-        /// vectors included (d = 13 packs 313 error bits into 5 words).
+        /// The kept syndrome must equal the from-scratch recompute after
+        /// every step of a random interleaving of every flip site (noise
+        /// passes with and without flags, injected errors, corrections,
+        /// noisy and perfect rounds, resets), for every noise family and
+        /// across multi-word error vectors (d = 13 packs 313 error bits
+        /// into 5 words).
         #[test]
-        fn prop_mask_syndrome_matches_reference(
+        fn prop_kept_syndrome_matches_reference(
             seed in any::<u64>(),
             d in prop_oneof![Just(3usize), Just(5), Just(7), Just(9), Just(11), Just(13)],
+            family in 0usize..6,
             p in 0.0f64..0.3,
-            rounds in 1usize..5,
-            n_correct in 0usize..8,
+            x in 0.0f64..1.0,
+            steps in proptest::collection::vec(0u8..7, 1..24),
         ) {
+            // `x` shapes each family's second parameter.
+            let noise = match family {
+                0 => NoiseSpec::Phenomenological { p },
+                1 => NoiseSpec::Asymmetric { p, q: x * 0.3 },
+                2 => NoiseSpec::CodeCapacity { p },
+                3 => NoiseSpec::Biased { p, eta: x * 10.0 },
+                4 => NoiseSpec::Erasure { p: p / 3.0, e: x * 0.3 },
+                _ => NoiseSpec::Burst { p: p / 3.0, burst: x * 0.1, mean_len: 1.0 + 5.0 * x },
+            };
             let mut patch = CodePatch::new(Lattice::new(d).unwrap());
-            let noise = NoiseSpec::Asymmetric { p, q: 0.0 };
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let nq = patch.lattice().num_data_qubits();
             let n_anc = patch.lattice().num_ancillas();
-            let mut fast = BitVec::zeros(n_anc);
+            let mut kept = BitVec::zeros(n_anc);
             let mut reference = BitVec::zeros(n_anc);
-            for _ in 0..rounds {
-                patch.apply_data_noise(&noise, &mut rng);
-                patch.true_syndrome_into(&mut fast);
+            let mut erasures = BitVec::zeros(nq);
+            let mut round = DetectionRound::zeros(n_anc);
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    0 => patch.apply_data_noise(&noise, &mut rng),
+                    1 => patch.apply_data_noise_flagged(&noise, &mut erasures, &mut rng),
+                    2 => patch.inject_error(Edge(rand::Rng::gen_range(&mut rng, 0..nq))),
+                    3 => patch.apply_correction(Edge(rand::Rng::gen_range(&mut rng, 0..nq))),
+                    4 => patch.noisy_round_into(&noise, &mut rng, &mut round),
+                    5 => patch.perfect_round_into(&mut round),
+                    _ => patch.reset(),
+                }
+                patch.true_syndrome_into(&mut kept);
                 patch.true_syndrome_reference_into(&mut reference);
-                prop_assert_eq!(&fast, &reference, "post-noise syndromes diverged");
+                prop_assert_eq!(&kept, &reference, "step {} ({}) diverged", i, step);
+                prop_assert_eq!(patch.syndrome_is_trivial(), reference.is_zero());
             }
-            for _ in 0..n_correct {
-                let e = Edge(rand::Rng::gen_range(&mut rng, 0..nq));
-                patch.apply_correction(e);
-            }
-            patch.true_syndrome_into(&mut fast);
-            patch.true_syndrome_reference_into(&mut reference);
-            prop_assert_eq!(&fast, &reference, "post-correction syndromes diverged");
-            prop_assert_eq!(patch.true_syndrome(), fast);
         }
 
         /// `measure_into` (and the perfect/noisy wrappers) must be
