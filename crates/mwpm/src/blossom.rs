@@ -21,6 +21,24 @@
 //! allocates nothing. Incidence is a flat CSR array, a blossom's lists
 //! come from and go back to one pool of spare lists, and leaf walks write
 //! straight into the queue or one scratch buffer.
+//!
+//! The bookkeeping around the algorithm costs what the work costs, while
+//! every step, and so every tie-break, is the reference's:
+//!
+//! * A stage starts from a kept ascending list of the single vertices (a
+//!   matched vertex never becomes single again): labelling a trivial
+//!   single S is two stores, and the queue is one copy of the list.
+//!   Only the best edges and allowable edges the last stage set are
+//!   reset, not every slot.
+//! * A scan reads one incidence entry per edge (remote endpoint, its
+//!   vertex and the weight), never the edge list. Each best edge keeps
+//!   its slack, which stays exact until the next dual update (the only
+//!   place vertex duals move, and which refreshes it), so comparing a
+//!   candidate against it recomputes nothing; the scanned vertex's own
+//!   blossom keeps its best edge in a local until the scan ends.
+//! * The end-of-stage expansion, the delta-3/4 searches and the dual
+//!   update visit only the blossom numbers in use, in ascending order,
+//!   as a sweep over every slot would meet them.
 
 /// Sentinel for "no vertex / no endpoint / no edge".
 const NONE: i64 = -1;
@@ -59,8 +77,11 @@ pub(crate) struct BlossomMatcher {
     blossombase: Vec<i64>,
     /// Endpoints connecting consecutive sub-blossoms.
     blossomendps: Vec<Vec<usize>>,
-    /// Least-slack edge candidates.
-    bestedge: Vec<i64>,
+    /// Least-slack edge candidates, with their slacks.
+    bestedge: Vec<BestEdge>,
+    /// The slots whose best edge this stage set (some more than once);
+    /// every other slot's is `BestEdge::NONE`.
+    besttouched: Vec<usize>,
     /// `blossombestedges[b]` is meaningful only while `hasbestedges[b]`.
     blossombestedges: Vec<Vec<usize>>,
     hasbestedges: Vec<bool>,
@@ -71,30 +92,62 @@ pub(crate) struct BlossomMatcher {
     /// number ever held (which crept up over a long-lived decoder).
     spare_lists: Vec<Vec<usize>>,
     unusedblossoms: Vec<usize>,
+    /// The blossom numbers in use (top-level or nested), ascending: the
+    /// loops over blossoms visit these instead of every slot.
+    live: Vec<usize>,
+    /// The single vertices, ascending. A matched vertex never becomes
+    /// single again, so each stage starts from this list.
+    singles: Vec<usize>,
     /// Dual variables (×2): `0..nvertex` = vertex `u`, rest = blossom `z`.
     dualvar: Vec<i64>,
     allowedge: Vec<bool>,
+    /// The edges this stage made allowable.
+    allowed: Vec<usize>,
     queue: Vec<usize>,
     /// Breadcrumbed blossoms of one `scan_blossom` call.
     scanpath: Vec<usize>,
     /// Leaves of one blossom, for walks that cannot write to the queue.
     leaves: Vec<usize>,
-    /// `add_blossom`'s least-slack edge per neighbouring S-blossom; all
-    /// `NONE` between calls.
-    bestedgeto: Vec<i64>,
+    /// `add_blossom`'s least-slack edge per neighbouring S-blossom, and
+    /// its slack; all `NONE` between calls.
+    bestedgeto: Vec<(i64, i64)>,
     /// The entries of `bestedgeto` one `add_blossom` call set.
     bestedgeto_set: Vec<usize>,
     /// Stages the last call ran.
     stages: usize,
 }
 
-/// One edge as seen from one of its vertices: the remote endpoint `p`
-/// and its vertex `endpoint(p)`, stored together so that scanning a
-/// vertex reads its incidence list front to back.
+/// One edge as seen from one of its vertices: the remote endpoint `p`,
+/// its vertex `endpoint(p)` and the edge's weight, stored together so
+/// that scanning a vertex reads its incidence list front to back and
+/// never the edge list.
 #[derive(Debug, Clone, Copy, Default)]
 struct Incidence {
     p: usize,
     w: usize,
+    wt: i64,
+}
+
+/// A least-slack edge candidate and its slack under the current vertex
+/// duals. Vertex duals move only in the dual update, which refreshes
+/// every kept slack, so a comparison against a candidate never
+/// recomputes its slack.
+#[derive(Debug, Clone, Copy)]
+struct BestEdge {
+    slack: i64,
+    edge: usize,
+}
+
+impl BestEdge {
+    /// No candidate: its slack loses every comparison with a real one.
+    const NONE: Self = Self {
+        slack: i64::MAX,
+        edge: usize::MAX,
+    };
+
+    fn is_some(self) -> bool {
+        self.slack != i64::MAX
+    }
 }
 
 /// Computes a maximum-weight matching on a general graph.
@@ -244,12 +297,12 @@ impl BlossomMatcher {
         self.neighbend.reserve_exact(2 * self.edges.len());
         self.neighbend
             .resize(2 * self.edges.len(), Incidence::default());
-        for (k, &(i, j, _)) in self.edges.iter().enumerate() {
+        for (k, &(i, j, wt)) in self.edges.iter().enumerate() {
             let p = 2 * k + 1;
-            self.neighbend[self.neighstart[i]] = Incidence { p, w: j };
+            self.neighbend[self.neighstart[i]] = Incidence { p, w: j, wt };
             self.neighstart[i] += 1;
             let p = 2 * k;
-            self.neighbend[self.neighstart[j]] = Incidence { p, w: i };
+            self.neighbend[self.neighstart[j]] = Incidence { p, w: i, wt };
             self.neighstart[j] += 1;
         }
         for v in (1..=nvertex).rev() {
@@ -268,35 +321,43 @@ impl BlossomMatcher {
         self.inblossom.extend(0..nvertex);
         self.blossomparent.clear();
         self.blossomparent.resize(nb, NONE);
-        for lists in [
-            &mut self.blossomchilds,
-            &mut self.blossomendps,
-            &mut self.blossombestedges,
-        ] {
-            for list in lists.iter_mut() {
-                recycle(&mut self.spare_lists, std::mem::take(list));
+        // Only the blossoms the last call left alive hold lists.
+        for &b in &self.live {
+            for lists in [
+                &mut self.blossomchilds,
+                &mut self.blossomendps,
+                &mut self.blossombestedges,
+            ] {
+                recycle(&mut self.spare_lists, std::mem::take(&mut lists[b]));
             }
-            if lists.len() < nb {
-                lists.resize_with(nb, Vec::new);
-            }
+        }
+        self.live.clear();
+        if self.blossomchilds.len() < nb {
+            self.blossomchilds.resize_with(nb, Vec::new);
+            self.blossomendps.resize_with(nb, Vec::new);
+            self.blossombestedges.resize_with(nb, Vec::new);
         }
         self.blossombase.clear();
         self.blossombase.extend(0..nvertex as i64);
         self.blossombase.resize(nb, NONE);
         self.bestedge.clear();
-        self.bestedge.resize(nb, NONE);
+        self.bestedge.resize(nb, BestEdge::NONE);
+        self.besttouched.clear();
         self.hasbestedges.clear();
         self.hasbestedges.resize(nb, false);
         self.unusedblossoms.clear();
         self.unusedblossoms.extend(nvertex..nb);
+        self.singles.clear();
+        self.singles.extend(0..nvertex);
         self.dualvar.clear();
         self.dualvar.resize(nvertex, maxweight);
         self.dualvar.resize(nb, 0);
         self.allowedge.clear();
         self.allowedge.resize(self.edges.len(), false);
+        self.allowed.clear();
         self.queue.clear();
         self.bestedgeto.clear();
-        self.bestedgeto.resize(nb, NONE);
+        self.bestedgeto.resize(nb, (NONE, 0));
         self.bestedgeto_set.clear();
     }
 
@@ -339,8 +400,8 @@ impl BlossomMatcher {
         self.label[b] = t;
         self.labelend[w] = p;
         self.labelend[b] = p;
-        self.bestedge[w] = NONE;
-        self.bestedge[b] = NONE;
+        self.bestedge[w] = BestEdge::NONE;
+        self.bestedge[b] = BestEdge::NONE;
         if t == 1 {
             // b became an S-blossom; add its vertices to the queue.
             if b < self.nvertex {
@@ -412,6 +473,8 @@ impl BlossomMatcher {
         let mut bw = self.inblossom[w];
         // Create blossom.
         let b = self.unusedblossoms.pop().expect("blossom pool exhausted");
+        let at = self.live.partition_point(|&x| x < b);
+        self.live.insert(at, b);
         self.blossombase[b] = base as i64;
         self.blossomparent[b] = NONE;
         self.blossomparent[bb] = b as i64;
@@ -477,7 +540,9 @@ impl BlossomMatcher {
             if self.hasbestedges[bv] {
                 let list = std::mem::take(&mut self.blossombestedges[bv]);
                 for &k2 in &list {
-                    self.offer_bestedgeto(b, k2);
+                    let (i, j, _) = self.edges[k2];
+                    let j = if self.inblossom[j] == b { i } else { j };
+                    self.offer_bestedgeto(b, k2, j, self.slack(k2));
                 }
                 self.blossombestedges[bv] = list;
             } else {
@@ -485,7 +550,9 @@ impl BlossomMatcher {
                 for i in 0..self.leaves.len() {
                     let lv = self.leaves[i];
                     for q in self.neighstart[lv]..self.neighstart[lv + 1] {
-                        self.offer_bestedgeto(b, self.neighbend[q].p / 2);
+                        let Incidence { p, w, wt } = self.neighbend[q];
+                        let kslack = self.dualvar[lv] + self.dualvar[w] - 2 * wt;
+                        self.offer_bestedgeto(b, p / 2, w, kslack);
                     }
                 }
             }
@@ -495,41 +562,45 @@ impl BlossomMatcher {
                 std::mem::take(&mut self.blossombestedges[bv]),
             );
             self.hasbestedges[bv] = false;
-            self.bestedge[bv] = NONE;
+            self.bestedge[bv] = BestEdge::NONE;
         }
         self.blossomchilds[b] = childs;
-        // Collect the candidates in blossom order and reset the scratch.
+        // Collect the candidates in blossom order, select bestedge[b] and
+        // reset the scratch.
         self.bestedgeto_set.sort_unstable();
         let mut best = self.spare_list();
+        self.bestedge[b] = BestEdge::NONE;
         for &bj in &self.bestedgeto_set {
-            best.push(self.bestedgeto[bj] as usize);
-            self.bestedgeto[bj] = NONE;
+            let (k2, kslack) = self.bestedgeto[bj];
+            best.push(k2 as usize);
+            if kslack < self.bestedge[b].slack {
+                self.bestedge[b] = BestEdge {
+                    slack: kslack,
+                    edge: k2 as usize,
+                };
+            }
+            self.bestedgeto[bj] = (NONE, 0);
         }
         self.bestedgeto_set.clear();
-        // Select bestedge[b].
-        self.bestedge[b] = NONE;
-        for &k2 in &best {
-            if self.bestedge[b] == NONE || self.slack(k2) < self.slack(self.bestedge[b] as usize) {
-                self.bestedge[b] = k2 as i64;
-            }
+        if self.bestedge[b].is_some() {
+            self.besttouched.push(b);
         }
         self.blossombestedges[b] = best;
         self.hasbestedges[b] = true;
     }
 
-    /// Offers edge `k2`, incident to new blossom `b`, as the least-slack
-    /// edge from `b` to the S-blossom at its other end.
-    fn offer_bestedgeto(&mut self, b: usize, k2: usize) {
-        let (i, j, _) = self.edges[k2];
-        let j = if self.inblossom[j] == b { i } else { j };
+    /// Offers edge `k2`, of slack `kslack`, from new blossom `b` to its
+    /// end `j` as the least-slack edge from `b` to the S-blossom holding
+    /// `j`.
+    fn offer_bestedgeto(&mut self, b: usize, k2: usize, j: usize, kslack: i64) {
         let bj = self.inblossom[j];
         if bj != b && self.label[bj] == 1 {
-            let cur = self.bestedgeto[bj];
+            let (cur, curslack) = self.bestedgeto[bj];
             if cur == NONE {
                 self.bestedgeto_set.push(bj);
             }
-            if cur == NONE || self.slack(k2) < self.slack(cur as usize) {
-                self.bestedgeto[bj] = k2 as i64;
+            if cur == NONE || kslack < curslack {
+                self.bestedgeto[bj] = (k2 as i64, kslack);
             }
         }
     }
@@ -590,11 +661,11 @@ impl BlossomMatcher {
                 self.assign_label(t, 2, p as i64);
                 // Step to the next S-sub-blossom and note its forward
                 // endpoint.
-                self.allowedge[cyclic(&endps, j - endptrick) / 2] = true;
+                self.allow(cyclic(&endps, j - endptrick) / 2);
                 j += jstep;
                 p = cyclic(&endps, j - endptrick) ^ (endptrick as usize);
                 // Step to the next T-sub-blossom.
-                self.allowedge[p / 2] = true;
+                self.allow(p / 2);
                 j += jstep;
             }
             // Relabel the base T-sub-blossom WITHOUT stepping through to its
@@ -605,7 +676,7 @@ impl BlossomMatcher {
             self.label[bv] = 2;
             self.labelend[t] = p as i64;
             self.labelend[bv] = p as i64;
-            self.bestedge[bv] = NONE;
+            self.bestedge[bv] = BestEdge::NONE;
             // Continue along the blossom until we get back to entrychild.
             j += jstep;
             while cyclic(&childs, j) != entrychild {
@@ -652,7 +723,12 @@ impl BlossomMatcher {
         self.labelend[b] = NONE;
         self.blossombase[b] = NONE;
         self.hasbestedges[b] = false;
-        self.bestedge[b] = NONE;
+        self.bestedge[b] = BestEdge::NONE;
+        let at = self
+            .live
+            .binary_search(&b)
+            .expect("expanded blossom is live");
+        self.live.remove(at);
         self.unusedblossoms.push(b);
     }
 
@@ -755,101 +831,171 @@ impl BlossomMatcher {
         }
     }
 
+    /// Makes edge `k` allowable.
+    fn allow(&mut self, k: usize) {
+        if !self.allowedge[k] {
+            self.allowedge[k] = true;
+            self.allowed.push(k);
+        }
+    }
+
+    /// Stores `best` as the best edge of slot `b`.
+    fn keep_best(&mut self, b: usize, best: BestEdge) {
+        if best.is_some() && !self.bestedge[b].is_some() {
+            self.besttouched.push(b);
+        }
+        self.bestedge[b] = best;
+    }
+
+    /// Labels the single vertices S and queues them, in ascending order:
+    /// the start of a stage.
+    fn label_singles(&mut self) {
+        // Drop the vertices the last stage matched and label the rest;
+        // `assign_label(v, 1, NONE)` of a trivial blossom is two stores
+        // (the stage reset already cleared its best edge).
+        let mut kept = 0;
+        let mut in_blossoms = false;
+        for i in 0..self.singles.len() {
+            let v = self.singles[i];
+            if self.mate[v] != NONE {
+                continue;
+            }
+            self.singles[kept] = v;
+            kept += 1;
+            if self.inblossom[v] == v {
+                self.label[v] = 1;
+                self.labelend[v] = NONE;
+            } else {
+                in_blossoms = true;
+            }
+        }
+        self.singles.truncate(kept);
+        if !in_blossoms {
+            self.queue.extend_from_slice(&self.singles);
+            return;
+        }
+        // A single base of a blossom queues the blossom's leaves in its
+        // place.
+        for i in 0..self.singles.len() {
+            let v = self.singles[i];
+            if self.inblossom[v] == v {
+                self.queue.push(v);
+            } else {
+                self.assign_label(v, 1, NONE);
+            }
+        }
+    }
+
+    /// Scans the edges of S-vertex `v`; returns true if it found an
+    /// augmenting path (and augmented the matching through it).
+    fn scan(&mut self, v: usize) -> bool {
+        debug_assert_eq!(self.label[self.inblossom[v]], 1);
+        // Vertex duals only move in the dual update; `v`'s blossom, and
+        // so the best edge kept for it (held here until the scan ends),
+        // only when the scan adds a blossom.
+        let dual_v = self.dualvar[v];
+        let mut bv = self.inblossom[v];
+        let mut best_bv = self.bestedge[bv];
+        for pi in self.neighstart[v]..self.neighstart[v + 1] {
+            let Incidence { p, w, wt } = self.neighbend[pi];
+            let k = p / 2;
+            let bw = self.inblossom[w];
+            if bv == bw {
+                // This edge is internal to a blossom; ignore it.
+                continue;
+            }
+            let kslack = dual_v + self.dualvar[w] - 2 * wt;
+            let lw = self.label[bw];
+            // An edge of zero slack is allowable.
+            if self.allowedge[k] || kslack <= 0 {
+                self.allow(k);
+                if lw == 0 {
+                    // (C1) w is a free vertex; label w with T and label its
+                    // mate with S.
+                    self.assign_label(w, 2, (p ^ 1) as i64);
+                } else if lw == 1 {
+                    // (C2) w is an S-vertex; follow back-links to discover
+                    // either an augmenting path or a new blossom.
+                    let base = self.scan_blossom(v, w);
+                    if base >= 0 {
+                        // Found a new blossom.
+                        self.keep_best(bv, best_bv);
+                        self.add_blossom(base as usize, k);
+                        bv = self.inblossom[v];
+                        best_bv = self.bestedge[bv];
+                    } else {
+                        // Found an augmenting path.
+                        self.keep_best(bv, best_bv);
+                        self.augment_matching(k);
+                        return true;
+                    }
+                } else if self.label[w] == 0 {
+                    // w is inside a T-blossom, but w itself has not yet
+                    // been reached from outside the blossom; mark it as
+                    // reached (needed for relabeling during T-blossom
+                    // expansion).
+                    debug_assert_eq!(lw, 2);
+                    self.label[w] = 2;
+                    self.labelend[w] = (p ^ 1) as i64;
+                }
+            } else if lw == 1 {
+                // Track the least-slack non-allowable edge to a different
+                // S-blossom.
+                if kslack < best_bv.slack {
+                    best_bv = BestEdge {
+                        slack: kslack,
+                        edge: k,
+                    };
+                }
+            } else if self.label[w] == 0 {
+                // w is a free vertex (or unreached inside a T-blossom);
+                // track the least-slack edge that reaches it.
+                let cur = self.bestedge[w];
+                if kslack < cur.slack {
+                    if !cur.is_some() {
+                        self.besttouched.push(w);
+                    }
+                    self.bestedge[w] = BestEdge {
+                        slack: kslack,
+                        edge: k,
+                    };
+                }
+            }
+        }
+        self.keep_best(bv, best_bv);
+        false
+    }
+
     fn run(&mut self) {
         // Main loop: continue until no further improvement is possible.
         for _ in 0..self.nvertex {
             // Each iteration of this loop is a "stage".
             self.stages += 1;
-            self.label.iter_mut().for_each(|l| *l = 0);
-            self.bestedge.iter_mut().for_each(|e| *e = NONE);
-            self.hasbestedges.iter_mut().for_each(|h| *h = false);
-            self.allowedge.iter_mut().for_each(|a| *a = false);
+            self.label.fill(0);
+            // Reset only what the last stage set.
+            for &b in &self.besttouched {
+                self.bestedge[b] = BestEdge::NONE;
+            }
+            self.besttouched.clear();
+            for &k in &self.allowed {
+                self.allowedge[k] = false;
+            }
+            self.allowed.clear();
+            for &b in &self.live {
+                self.hasbestedges[b] = false;
+            }
             self.queue.clear();
             // Label single blossoms/vertices with S and put them in the
             // queue.
-            for v in 0..self.nvertex {
-                if self.mate[v] == NONE && self.label[self.inblossom[v]] == 0 {
-                    self.assign_label(v, 1, NONE);
-                }
-            }
+            self.label_singles();
             // Loop until we succeed in augmenting the matching.
             let mut augmented = false;
             loop {
                 // Continue labeling until all vertices reachable through an
                 // alternating path have got a label.
                 while let Some(v) = self.queue.pop() {
-                    if augmented {
-                        break;
-                    }
-                    debug_assert_eq!(self.label[self.inblossom[v]], 1);
-                    // Vertex duals only move in the dual update below.
-                    let dual_v = self.dualvar[v];
-                    // Scan its neighbours.
-                    for pi in self.neighstart[v]..self.neighstart[v + 1] {
-                        let Incidence { p, w } = self.neighbend[pi];
-                        let k = p / 2;
-                        if self.inblossom[v] == self.inblossom[w] {
-                            // This edge is internal to a blossom; ignore it.
-                            continue;
-                        }
-                        let mut kslack = 0;
-                        if !self.allowedge[k] {
-                            // The slack of edge k, whose ends are v and w.
-                            kslack = dual_v + self.dualvar[w] - 2 * self.edges[k].2;
-                            if kslack <= 0 {
-                                // Edge k has zero slack: it is allowable.
-                                self.allowedge[k] = true;
-                            }
-                        }
-                        if self.allowedge[k] {
-                            if self.label[self.inblossom[w]] == 0 {
-                                // (C1) w is a free vertex; label w with T
-                                // and label its mate with S.
-                                self.assign_label(w, 2, (p ^ 1) as i64);
-                            } else if self.label[self.inblossom[w]] == 1 {
-                                // (C2) w is an S-vertex; follow back-links
-                                // to discover either an augmenting path or
-                                // a new blossom.
-                                let base = self.scan_blossom(v, w);
-                                if base >= 0 {
-                                    // Found a new blossom.
-                                    self.add_blossom(base as usize, k);
-                                } else {
-                                    // Found an augmenting path.
-                                    self.augment_matching(k);
-                                    augmented = true;
-                                    break;
-                                }
-                            } else if self.label[w] == 0 {
-                                // w is inside a T-blossom, but w itself has
-                                // not yet been reached from outside the
-                                // blossom; mark it as reached (needed for
-                                // relabeling during T-blossom expansion).
-                                debug_assert_eq!(self.label[self.inblossom[w]], 2);
-                                self.label[w] = 2;
-                                self.labelend[w] = (p ^ 1) as i64;
-                            }
-                        } else if self.label[self.inblossom[w]] == 1 {
-                            // Track the least-slack non-allowable edge to a
-                            // different S-blossom.
-                            let b = self.inblossom[v];
-                            if self.bestedge[b] == NONE
-                                || kslack < self.slack(self.bestedge[b] as usize)
-                            {
-                                self.bestedge[b] = k as i64;
-                            }
-                        } else if self.label[w] == 0 {
-                            // w is a free vertex (or unreached inside a
-                            // T-blossom); track the least-slack edge that
-                            // reaches it.
-                            if self.bestedge[w] == NONE
-                                || kslack < self.slack(self.bestedge[w] as usize)
-                            {
-                                self.bestedge[w] = k as i64;
-                            }
-                        }
-                    }
-                    if augmented {
+                    if self.scan(v) {
+                        augmented = true;
                         break;
                     }
                 }
@@ -861,7 +1007,7 @@ impl BlossomMatcher {
                 // deltas are pre-multiplied by two.)
                 let mut deltatype = -1;
                 let mut delta = 0i64;
-                let mut deltaedge = NONE;
+                let mut deltaedge = 0;
                 let mut deltablossom = NONE;
                 // delta1: minimum vertex dual.
                 if !self.max_cardinality {
@@ -871,36 +1017,36 @@ impl BlossomMatcher {
                 // delta2: minimum slack on an edge between an S-vertex and a
                 // free vertex.
                 for v in 0..self.nvertex {
-                    if self.label[self.inblossom[v]] == 0 && self.bestedge[v] != NONE {
-                        let d = self.slack(self.bestedge[v] as usize);
+                    let best = self.bestedge[v];
+                    if self.label[self.inblossom[v]] == 0 && best.is_some() {
+                        let d = best.slack;
                         if deltatype == -1 || d < delta {
                             delta = d;
                             deltatype = 2;
-                            deltaedge = self.bestedge[v];
+                            deltaedge = best.edge;
                         }
                     }
                 }
                 // delta3: half the minimum slack between a pair of
-                // S-blossoms.
-                for b in 0..2 * self.nvertex {
-                    if self.blossomparent[b] == NONE
-                        && self.label[b] == 1
-                        && self.bestedge[b] != NONE
-                    {
-                        let kslack = self.slack(self.bestedge[b] as usize);
+                // S-blossoms: vertices first, then blossoms in ascending
+                // order, as a sweep over every slot would meet them.
+                let nvertex = self.nvertex;
+                for b in (0..nvertex).chain(self.live.iter().copied()) {
+                    let best = self.bestedge[b];
+                    if self.blossomparent[b] == NONE && self.label[b] == 1 && best.is_some() {
+                        let kslack = best.slack;
                         debug_assert_eq!(kslack % 2, 0, "integer duals stay even");
                         let d = kslack / 2;
                         if deltatype == -1 || d < delta {
                             delta = d;
                             deltatype = 3;
-                            deltaedge = self.bestedge[b];
+                            deltaedge = best.edge;
                         }
                     }
                 }
                 // delta4: minimum z of a top-level T-blossom.
-                for b in self.nvertex..2 * self.nvertex {
-                    if self.blossombase[b] >= 0
-                        && self.blossomparent[b] == NONE
+                for &b in &self.live {
+                    if self.blossomparent[b] == NONE
                         && self.label[b] == 2
                         && (deltatype == -1 || self.dualvar[b] < delta)
                     {
@@ -921,30 +1067,14 @@ impl BlossomMatcher {
                         .expect("vertices")
                         .max(0);
                 }
-                // Update dual variables.
-                for v in 0..self.nvertex {
-                    match self.label[self.inblossom[v]] {
-                        1 => self.dualvar[v] -= delta,
-                        2 => self.dualvar[v] += delta,
-                        _ => {}
-                    }
-                }
-                for b in self.nvertex..2 * self.nvertex {
-                    if self.blossombase[b] >= 0 && self.blossomparent[b] == NONE {
-                        match self.label[b] {
-                            1 => self.dualvar[b] += delta,
-                            2 => self.dualvar[b] -= delta,
-                            _ => {}
-                        }
-                    }
-                }
+                self.update_duals(delta);
                 // Take action at the point where the minimum delta occurred.
                 match deltatype {
                     1 => break, // Optimum reached.
                     2 => {
                         // Use the least-slack edge to continue the search.
-                        let k = deltaedge as usize;
-                        self.allowedge[k] = true;
+                        let k = deltaedge;
+                        self.allow(k);
                         let (mut i, j, _) = self.edges[k];
                         if self.label[self.inblossom[i]] == 0 {
                             i = j;
@@ -953,8 +1083,8 @@ impl BlossomMatcher {
                         self.queue.push(i);
                     }
                     3 => {
-                        let k = deltaedge as usize;
-                        self.allowedge[k] = true;
+                        let k = deltaedge;
+                        self.allow(k);
                         let (i, _, _) = self.edges[k];
                         debug_assert_eq!(self.label[self.inblossom[i]], 1);
                         self.queue.push(i);
@@ -969,15 +1099,43 @@ impl BlossomMatcher {
             if !augmented {
                 break;
             }
-            // End of a stage; expand all S-blossoms with zero dual.
-            for b in self.nvertex..2 * self.nvertex {
-                if self.blossomparent[b] == NONE
-                    && self.blossombase[b] >= 0
-                    && self.label[b] == 1
-                    && self.dualvar[b] == 0
-                {
+            // End of a stage; expand all S-blossoms with zero dual, in
+            // ascending order. An expansion frees blossom numbers and
+            // makes sub-blossoms top-level, so each step looks up the next
+            // live number above the last one visited.
+            let mut next = 0;
+            while let Some(&b) = self.live.get(next) {
+                if self.blossomparent[b] == NONE && self.label[b] == 1 && self.dualvar[b] == 0 {
                     self.expand_blossom(b, true);
                 }
+                next = self.live.partition_point(|&x| x <= b);
+            }
+        }
+    }
+
+    /// Moves the duals of every labelled top-level blossom (and its
+    /// vertices) by `delta`, then refreshes the kept best-edge slacks.
+    fn update_duals(&mut self, delta: i64) {
+        for v in 0..self.nvertex {
+            match self.label[self.inblossom[v]] {
+                1 => self.dualvar[v] -= delta,
+                2 => self.dualvar[v] += delta,
+                _ => {}
+            }
+        }
+        for &b in &self.live {
+            if self.blossomparent[b] == NONE {
+                match self.label[b] {
+                    1 => self.dualvar[b] += delta,
+                    2 => self.dualvar[b] -= delta,
+                    _ => {}
+                }
+            }
+        }
+        for &b in &self.besttouched {
+            let best = self.bestedge[b];
+            if best.is_some() {
+                self.bestedge[b].slack = self.slack(best.edge);
             }
         }
     }

@@ -137,14 +137,31 @@ pub struct MwpmDecoder {
 /// next.
 #[derive(Debug, Clone, Default)]
 struct GraphBuilder {
-    /// `(row, col, round)` of each event.
-    coords: Vec<[i64; 3]>,
-    /// One event's `(distance, event)` keys to every other event.
+    /// The row, column and round of each event (rounds counted from the
+    /// earliest event's), kept as three lists so that one event's
+    /// distances to all the others compute lane-parallel.
+    rows: Vec<i32>,
+    cols: Vec<i32>,
+    rounds: Vec<i32>,
+    /// The nearest boundary of each event, for its cross edge and for
+    /// projecting a cross-edge match.
+    boundary: Vec<Boundary>,
+    /// One event's distance to every event.
+    dists: Vec<u32>,
+    /// Per distance bucket, the set of events at that distance from one
+    /// event, as a bitset of `n.div_ceil(64)` words; all zero between
+    /// events.
+    buckets: Vec<u64>,
+    /// One event's nearest-neighbour list: `(distance, event)` keys.
     near: Vec<u64>,
     /// Per event: the largest key of its nearest-neighbour list
     /// (`u64::MAX` when the list holds every other event).
     cutoff: Vec<u64>,
 }
+
+/// Distances of at least this many share the graph builder's last
+/// bucket, which is sorted when a list reaches it.
+const FAR: usize = 256;
 
 impl MwpmDecoder {
     /// Creates a decoder with the default neighbor cap: each event
@@ -180,7 +197,8 @@ impl MwpmDecoder {
         &self.lattice
     }
 
-    /// Decodes a full syndrome history (batch decoding).
+    /// Decodes a full syndrome history (batch decoding): matches its
+    /// events ([`Self::match_history`]) and routes every match.
     ///
     /// # Errors
     ///
@@ -196,6 +214,45 @@ impl MwpmDecoder {
         &mut self,
         history: &SyndromeHistory,
     ) -> Result<MwpmOutcome, PerfectMatchingError> {
+        let outcome = self.match_history(history)?;
+        Ok(self.route_all(outcome))
+    }
+
+    /// Decodes an explicit list of detection events: matches them and
+    /// routes every match.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::decode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the events' rounds span `2^30` or more.
+    pub fn decode_events(
+        &mut self,
+        events: &[DetectionEvent],
+    ) -> Result<MwpmOutcome, PerfectMatchingError> {
+        let outcome = self.match_events(events)?;
+        Ok(self.route_all(outcome))
+    }
+
+    /// Matches the events of a full syndrome history without routing
+    /// them: the outcome's `corrections` are left empty. A caller that
+    /// keeps only some matches (a sliding window commits those anchored
+    /// in its stride) routes just those with
+    /// [`Self::append_match_corrections`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::decode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the history belongs to a different lattice size.
+    pub fn match_history(
+        &mut self,
+        history: &SyndromeHistory,
+    ) -> Result<MwpmOutcome, PerfectMatchingError> {
         assert_eq!(
             history.lattice().num_ancillas(),
             self.lattice.num_ancillas(),
@@ -208,17 +265,13 @@ impl MwpmDecoder {
                 events.push(DetectionEvent::new(self.lattice.ancilla_from_index(idx), t));
             }
         }
-        let outcome = self.decode_events(&events);
+        let outcome = self.match_events(&events);
         self.events = events;
         outcome
     }
 
-    /// Decodes an explicit list of detection events.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::decode`].
-    pub fn decode_events(
+    /// Matches `events` without routing them.
+    fn match_events(
         &mut self,
         events: &[DetectionEvent],
     ) -> Result<MwpmOutcome, PerfectMatchingError> {
@@ -244,22 +297,28 @@ impl MwpmDecoder {
         };
         for i in 0..n {
             let m = mate[i];
-            let selected = if m == n + i {
-                let (boundary, _) = self.lattice.nearest_boundary(events[i].ancilla);
-                Match::ToBoundary(events[i], boundary)
+            if m == n + i {
+                outcome
+                    .matches
+                    .push(Match::ToBoundary(events[i], self.graph.boundary[i]));
             } else if m < n && i < m {
-                Match::Pair(events[i], events[m])
+                outcome.matches.push(Match::Pair(events[i], events[m]));
             } else {
                 debug_assert!(
                     m < n || m == n + i,
                     "cross edges only connect an event to its own copy"
                 );
-                continue;
-            };
-            append_corrections(&self.lattice, &selected, &mut outcome.corrections);
-            outcome.matches.push(selected);
+            }
         }
         Ok(outcome)
+    }
+
+    /// Routes every match of `outcome` into its corrections.
+    fn route_all(&self, mut outcome: MwpmOutcome) -> MwpmOutcome {
+        for m in &outcome.matches {
+            self.append_match_corrections(m, &mut outcome.corrections);
+        }
+        outcome
     }
 
     /// The doubled matching graph [`Self::decode_events`] matches for
@@ -287,12 +346,17 @@ impl MwpmDecoder {
     }
     /// Appends the data-qubit corrections implied by a single match.
     ///
-    /// [`Self::decode_events`] routes every selected match through this
-    /// helper, so a sliding-window caller committing a subset of the
-    /// matches reproduces exactly the corrections the monolithic decode
-    /// would have emitted for them.
+    /// [`Self::decode`] routes every match through this helper, so a
+    /// sliding-window caller committing a subset of the matches of
+    /// [`Self::match_history`] reproduces exactly the corrections the
+    /// monolithic decode would have emitted for them.
     pub fn append_match_corrections(&self, m: &Match, out: &mut Vec<Edge>) {
-        append_corrections(&self.lattice, m, out);
+        match m {
+            Match::Pair(a, b) => out.extend(self.lattice.route(a.ancilla, b.ancilla)),
+            Match::ToBoundary(a, boundary) => {
+                out.extend(self.lattice.route_to_boundary(a.ancilla, *boundary));
+            }
+        }
     }
 }
 
@@ -300,11 +364,19 @@ impl GraphBuilder {
     /// Writes [`MwpmDecoder::matching_graph`] of `events` into the empty
     /// list `edges`.
     ///
-    /// With a cap, row `i` takes its `c` smallest keys with a selection
-    /// and sorts only those. Pair `(i, j)` with `j < i` was emitted at row
-    /// `j` iff `i` is in `j`'s list, which holds iff `(distance, i)` is at
-    /// most the largest key of that list; so one key per event replaces a
-    /// set of emitted pairs.
+    /// With a cap, row `i` takes its `c` smallest `(distance, j)` keys
+    /// by bucketing the other events on their (small integer) distance:
+    /// one pass in ascending `j` sets each event's bit in its distance's
+    /// bucket, and reading the buckets nearest first, each in ascending
+    /// `j`, until the list is full yields exactly ascending keys without
+    /// comparing any. Pair `(i, j)` with `j < i` was emitted at row `j`
+    /// iff `i` is in `j`'s list, which holds iff `(distance, i)` is at
+    /// most the largest key of that list; so one key per event replaces
+    /// a set of emitted pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the events' rounds span `2^30` or more.
     fn build(
         &mut self,
         lattice: &Lattice,
@@ -313,20 +385,38 @@ impl GraphBuilder {
         edges: &mut Vec<WeightedEdge>,
     ) {
         let Self {
-            coords,
+            rows,
+            cols,
+            rounds,
+            boundary,
+            dists,
+            buckets,
             near,
             cutoff,
         } = self;
         let n = events.len();
-        coords.clear();
-        coords.extend(
-            events
-                .iter()
-                .map(|e| [e.ancilla.row as i64, e.ancilla.col as i64, e.round as i64]),
-        );
-        let dist = |a: &[i64; 3], b: &[i64; 3]| {
-            (a[0] - b[0]).abs() + (a[1] - b[1]).abs() + (a[2] - b[2]).abs()
-        };
+        let first = events.iter().map(|e| e.round).min().unwrap_or(0);
+        let span = events.iter().map(|e| e.round - first).max().unwrap_or(0);
+        // Rows and columns are below the lattice size, so no distance
+        // overflows an `i32`.
+        assert!(span < 1 << 30, "event rounds span 2^30 or more");
+        rows.clear();
+        cols.clear();
+        rounds.clear();
+        for e in events {
+            rows.push(e.ancilla.row as i32);
+            cols.push(e.ancilla.col as i32);
+            rounds.push((e.round - first) as i32);
+        }
+        // Event `i`'s distance to every event.
+        let distances =
+            |i: usize, out: &mut Vec<u32>| {
+                let (r0, c0, t0) = (rows[i], cols[i], rounds[i]);
+                out.clear();
+                out.extend(rows.iter().zip(cols.iter()).zip(rounds.iter()).map(
+                    |((&r, &c), &t)| ((r - r0).abs() + (c - c0).abs() + (t - t0).abs()) as u32,
+                ));
+            };
         let mut push_pair = |i: usize, j: usize, w: i64| {
             edges.push((i, j, w));
             edges.push((n + i, n + j, w));
@@ -334,59 +424,86 @@ impl GraphBuilder {
         match neighbor_cap {
             None => {
                 for i in 0..n {
-                    for j in i + 1..n {
-                        push_pair(i, j, dist(&coords[i], &coords[j]));
+                    distances(i, dists);
+                    for (j, &w) in dists.iter().enumerate().skip(i + 1) {
+                        push_pair(i, j, i64::from(w));
                     }
                 }
             }
             Some(cap) => {
                 // Keys `(distance, j)` packed as `distance << 32 | j`
-                // compare like the pairs they encode (distances and event
-                // indices stay far below 2^32).
-                let key = |w: i64, j: usize| ((w as u64) << 32) | j as u64;
+                // compare like the pairs they encode (event indices stay
+                // far below 2^32).
+                let key = |w: u32, j: usize| (u64::from(w) << 32) | j as u64;
+                // No distance exceeds the sum of the sides of the events'
+                // bounding box; distances from `FAR` up share the last
+                // bucket.
+                let side = |v: &[i32]| {
+                    let (lo, hi) = v
+                        .iter()
+                        .fold((i32::MAX, i32::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+                    (i64::from(hi) - i64::from(lo)).max(0) as usize
+                };
+                let last = (side(rows) + side(cols) + side(rounds)).min(FAR);
+                let words = n.div_ceil(64);
+                let word = |w: u32, j: usize| (w as usize).min(last) * words + j / 64;
+                buckets.clear();
+                buckets.resize((last + 1) * words, 0);
                 cutoff.clear();
                 for i in 0..n {
-                    let at = &coords[i];
-                    near.clear();
-                    near.extend((0..i).map(|j| key(dist(at, &coords[j]), j)));
-                    near.extend((i + 1..n).map(|j| key(dist(at, &coords[j]), j)));
-                    let take = cap.min(near.len());
-                    let lists_all = take == near.len();
-                    if !lists_all {
-                        if take > 0 {
-                            near.select_nth_unstable(take - 1);
-                        }
-                        near.truncate(take);
+                    let take = cap.min(n - 1);
+                    distances(i, dists);
+                    for (j, &w) in dists.iter().enumerate() {
+                        buckets[word(w, j)] |= 1 << (j % 64);
                     }
-                    near.sort_unstable();
-                    cutoff.push(if lists_all {
+                    // Event i itself, at distance 0, is never listed.
+                    buckets[i / 64] &= !(1 << (i % 64));
+                    near.clear();
+                    let mut b = 0;
+                    while near.len() < take {
+                        let set = &buckets[b * words..(b + 1) * words];
+                        let from = near.len();
+                        'bucket: for (k, &bits) in set.iter().enumerate() {
+                            let mut bits = bits;
+                            while bits != 0 {
+                                if near.len() == take && b < FAR {
+                                    break 'bucket;
+                                }
+                                let j = 64 * k + bits.trailing_zeros() as usize;
+                                bits &= bits - 1;
+                                near.push(key(dists[j], j));
+                            }
+                        }
+                        if b == FAR {
+                            // The shared last bucket mixes distances.
+                            near[from..].sort_unstable();
+                            near.truncate(take);
+                        }
+                        b += 1;
+                    }
+                    for (j, &w) in dists.iter().enumerate() {
+                        buckets[word(w, j)] = 0;
+                    }
+                    cutoff.push(if take == n - 1 {
                         u64::MAX
                     } else {
                         near.last().copied().unwrap_or(0)
                     });
                     for &k in near.iter() {
-                        let (w, j) = ((k >> 32) as i64, (k & u64::from(u32::MAX)) as usize);
+                        let (w, j) = ((k >> 32) as u32, (k & u64::from(u32::MAX)) as usize);
                         let listed_by_j = j < i && key(w, i) <= cutoff[j];
                         if !listed_by_j {
-                            push_pair(i.min(j), i.max(j), w);
+                            push_pair(i.min(j), i.max(j), i64::from(w));
                         }
                     }
                 }
             }
         }
+        boundary.clear();
         for (i, ev) in events.iter().enumerate() {
-            let (_, dist) = lattice.nearest_boundary(ev.ancilla);
+            let (side, dist) = lattice.nearest_boundary(ev.ancilla);
+            boundary.push(side);
             edges.push((i, n + i, 2 * dist as i64));
-        }
-    }
-}
-
-/// Appends the data-qubit corrections of match `m` on `lattice`.
-fn append_corrections(lattice: &Lattice, m: &Match, out: &mut Vec<Edge>) {
-    match m {
-        Match::Pair(a, b) => out.extend(lattice.route(a.ancilla, b.ancilla)),
-        Match::ToBoundary(a, boundary) => {
-            out.extend(lattice.route_to_boundary(a.ancilla, *boundary));
         }
     }
 }
@@ -586,6 +703,30 @@ mod tests {
                 decoder.append_match_corrections(m, &mut rebuilt);
             }
             assert_eq!(rebuilt, outcome.corrections, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn match_history_selects_the_decode_matches_unrouted() {
+        let lat = Lattice::new(7).unwrap();
+        let noise = NoiseSpec::Phenomenological { p: 0.04 };
+        let mut decoder = MwpmDecoder::new(lat.clone());
+        for seed in 0..10u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut patch = CodePatch::new(lat.clone());
+            let mut hist = SyndromeHistory::new(lat.clone());
+            for _ in 0..7 {
+                hist.push(patch.noisy_round(&noise, &mut rng));
+            }
+            let matched = decoder.match_history(&hist).unwrap();
+            let decoded = decoder.decode(&hist).unwrap();
+            assert!(matched.corrections.is_empty(), "seed {seed}");
+            assert_eq!(matched.matches, decoded.matches, "seed {seed}");
+            assert_eq!(
+                (matched.graph_vertices, matched.graph_edges, matched.stages),
+                (decoded.graph_vertices, decoded.graph_edges, decoded.stages),
+                "seed {seed}"
+            );
         }
     }
 }

@@ -984,4 +984,111 @@ mod tests {
             );
         }
     }
+
+    /// `rounds` noisy rounds and no closing perfect round: the window a
+    /// streaming MWPM decoder matches mid-stream.
+    fn window_history(lattice: &Lattice, rounds: usize, p: f64, seed: u64) -> SyndromeHistory {
+        let noise = NoiseSpec::Phenomenological { p };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut patch = CodePatch::new(lattice.clone());
+        let mut history = SyndromeHistory::new(lattice.clone());
+        for _ in 0..rounds {
+            history.push(patch.noisy_round(&noise, &mut rng));
+        }
+        history
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Graphs of up to 160 vertices whose weights lie in 1..=3, so
+        /// that slacks tie everywhere and every strict tie-break and kept
+        /// best-edge slack is exercised, through one reused matcher fed
+        /// growing and then shrinking graphs. Release-only: the reference
+        /// is slow unoptimised.
+        #[test]
+        #[cfg_attr(debug_assertions, ignore = "release-only; run with --release")]
+        fn blossom_matches_the_reference_on_large_tied_graphs(
+            seed in any::<u64>(),
+            max_cardinality in any::<bool>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut matcher = BlossomMatcher::new();
+            for n in [20, 60, 110, 160, 130, 80, 30, 5] {
+                let n = rng.gen_range(n / 2..=n);
+                let density = rng.gen_range(0.02..0.5);
+                let edges: Vec<WeightedEdge> = random_graph(&mut rng, n, density, 3)
+                    .into_iter()
+                    .map(|(i, j, w)| (i, j, w.abs().max(1)))
+                    .collect();
+                let expected = max_weight_matching(n, &edges, max_cardinality);
+                matcher.max_weight_matching(n, max_cardinality, |out| out.extend_from_slice(&edges));
+                let got: Vec<Option<usize>> = (0..n).map(|v| matcher.mate(v)).collect();
+                prop_assert_eq!(got, expected, "n = {}", n);
+            }
+        }
+
+        /// The graphs of 3d-round windows without a closing perfect round
+        /// (the sliding-window shape) at d = 9 and 13: equal edge lists
+        /// and `mate` vectors through one reused decoder and matcher.
+        #[test]
+        #[cfg_attr(debug_assertions, ignore = "release-only; run with --release")]
+        fn decoder_matches_the_reference_on_open_windows(seed in any::<u64>()) {
+            for d in [9, 13] {
+                let lattice = Lattice::new(d).unwrap();
+                let mut decoder = MwpmDecoder::new(lattice.clone());
+                let mut matcher = PerfectMatcher::new();
+                for (k, p) in [0.005, 0.01].into_iter().enumerate() {
+                    let history = window_history(&lattice, 3 * d, p, seed ^ (k as u64) << 32);
+                    assert_decoder_matches(&mut decoder, &mut matcher, &history);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn capped_graph_lists_ties_in_event_order() {
+        // Events 1..=8 all lie at distance 2 from event 0, so a cap below
+        // 8 cuts inside the tie and keeps the lowest event indices; the
+        // far events (spread over more rounds than the builder's bucket
+        // range) share its last bucket. Caps reaching n - 1 list every
+        // other event.
+        let lattice = Lattice::new(9).unwrap();
+        let ev = |row: usize, col: usize, round: usize| {
+            DetectionEvent::new(qecool_surface_code::Ancilla::new(row, col), round)
+        };
+        let events = [
+            ev(4, 4, 1),
+            ev(4, 2, 1),
+            ev(2, 4, 1),
+            ev(4, 6, 1),
+            ev(6, 4, 1),
+            ev(4, 4, 3),
+            ev(4, 3, 0),
+            ev(3, 4, 2),
+            ev(5, 5, 1),
+            ev(0, 0, 900),
+            ev(8, 7, 400),
+            ev(1, 1, 600),
+            ev(4, 4, 300),
+        ];
+        let n = events.len();
+        for cap in (0..=n + 1).chain([16]) {
+            let mut decoder = MwpmDecoder::new(lattice.clone()).with_neighbor_cap(Some(cap));
+            assert_eq!(
+                decoder.matching_graph(&events),
+                doubled_graph(&lattice, &events, Some(cap)),
+                "cap {cap}"
+            );
+            // Every prefix, down to one event, as the same decoder's next
+            // graphs.
+            for len in (1..n).rev() {
+                assert_eq!(
+                    decoder.matching_graph(&events[..len]),
+                    doubled_graph(&lattice, &events[..len], Some(cap)),
+                    "cap {cap}, {len} events"
+                );
+            }
+        }
+    }
 }

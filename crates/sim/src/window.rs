@@ -185,7 +185,10 @@ impl WindowBackend for MwpmDecoder {
         stats: &mut DecodeStats,
         mut clear: impl FnMut(usize, usize),
     ) {
-        let outcome = self.decode(window).expect("doubled graph is matchable");
+        // Only the committed matches are routed.
+        let outcome = self
+            .match_history(window)
+            .expect("doubled graph is matchable");
         for m in &outcome.matches {
             if m.min_round() >= stride {
                 continue; // tentative: lives entirely in the overlap
