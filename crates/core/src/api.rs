@@ -106,7 +106,7 @@ impl DecodeOutput {
 ///
 /// Fixed-size however long the stream runs: the histogram is bounded by
 /// the deepest match a backend can make.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Decode cycles of the retired layers, aggregated (all zero for
     /// backends without a cycle model).
@@ -123,6 +123,25 @@ pub struct DecodeStats {
     /// overlap: `W − S` per committed window. 0 for whole-history decodes
     /// and for QECOOL, which decodes every round once.
     pub redecoded_rounds: u64,
+}
+
+impl Clone for DecodeStats {
+    fn clone(&self) -> Self {
+        Self {
+            vertical_hist: self.vertical_hist.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies field by field, so the histogram keeps its allocation (a
+    /// derived `Clone` would build a fresh one on every call).
+    fn clone_from(&mut self, source: &Self) {
+        self.layer_cycles = source.layer_cycles;
+        self.vertical_hist.clone_from(&source.vertical_hist);
+        self.matches = source.matches;
+        self.timeouts = source.timeouts;
+        self.redecoded_rounds = source.redecoded_rounds;
+    }
 }
 
 impl DecodeStats {
@@ -405,11 +424,6 @@ impl SimulatedSource {
     pub fn patch(&self) -> &CodePatch {
         &self.patch
     }
-
-    /// Mutable access to the patch (fault injection, closing rounds).
-    pub fn patch_mut(&mut self) -> &mut CodePatch {
-        &mut self.patch
-    }
 }
 
 impl SyndromeSource for SimulatedSource {
@@ -666,6 +680,26 @@ mod tests {
         };
         decoder.stats_into(&mut stats);
         assert_eq!(stats.redecoded_rounds, 0);
+    }
+
+    #[test]
+    fn stats_into_keeps_the_callers_histogram() {
+        let lattice = Lattice::new(5).unwrap();
+        let mut patch = CodePatch::new(lattice.clone());
+        patch.inject_error(lattice.horizontal_edge(1, 1));
+        patch.inject_error(lattice.horizontal_edge(3, 2));
+        let mut decoder = QecoolDecoder::new(lattice, QecoolConfig::batch(2));
+        decoder.ingest(&patch.perfect_round()).unwrap();
+        decoder.ingest(&patch.perfect_round()).unwrap();
+        decoder.finish(&mut DecodeOutput::default());
+
+        let mut stats = DecodeStats::default();
+        decoder.stats_into(&mut stats);
+        assert!(!stats.vertical_hist.is_empty(), "{stats:?}");
+        let hist = stats.vertical_hist.as_ptr();
+        decoder.stats_into(&mut stats);
+        assert_eq!(stats.vertical_hist.as_ptr(), hist, "histogram reallocated");
+        assert_eq!(stats, stats.clone());
     }
 
     #[test]

@@ -745,7 +745,7 @@ mod tests {
         let (out, stats) = batch_decode(&mut patch, 1);
         // One spatial match at distance 3, dt = 0: the sink `a` (first in
         // raster order) wins `b`'s spike and retraces its route.
-        assert_eq!(out.corrections, lattice.route(b, a));
+        assert_eq!(out.corrections, lattice.route(b, a).collect::<Vec<_>>());
         assert_eq!(stats.matches, 1);
         assert_eq!(stats.vertical_hist, vec![1]);
         // Both sinks time out at radii 1 and 2 before radius 3 pairs them.

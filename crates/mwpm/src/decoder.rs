@@ -218,24 +218,6 @@ impl MwpmDecoder {
         Ok(self.route_all(outcome))
     }
 
-    /// Decodes an explicit list of detection events: matches them and
-    /// routes every match.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::decode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the events' rounds span `2^30` or more.
-    pub fn decode_events(
-        &mut self,
-        events: &[DetectionEvent],
-    ) -> Result<MwpmOutcome, PerfectMatchingError> {
-        let outcome = self.match_events(events)?;
-        Ok(self.route_all(outcome))
-    }
-
     /// Matches the events of a full syndrome history without routing
     /// them: the outcome's `corrections` are left empty. A caller that
     /// keeps only some matches (a sliding window commits those anchored
@@ -321,7 +303,7 @@ impl MwpmDecoder {
         outcome
     }
 
-    /// The doubled matching graph [`Self::decode_events`] matches for
+    /// The doubled matching graph [`Self::match_history`] matches for
     /// `events`. Exposed so that the blossom kernel can be timed on the
     /// decoder's own graphs.
     ///

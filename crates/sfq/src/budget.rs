@@ -70,11 +70,6 @@ impl CycleBudget {
     pub fn cycles_per_round(&self) -> u64 {
         cycles_per_measurement(self.frequency_hz, self.measurement_interval_s)
     }
-
-    /// Wall-clock duration of `cycles` decode cycles, in seconds.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.frequency_hz
-    }
 }
 
 /// Number of log₂ buckets a [`CycleHistogram`] tracks — enough for the
@@ -235,18 +230,6 @@ pub const AQEC_3D_MODULE_FACTOR: f64 = 7.0;
 /// AQEC per-unit power from Table V, in watts (13.44 µW).
 pub const AQEC_UNIT_POWER_W: f64 = 13.44e-6;
 
-/// How many logical qubits fit in `budget_w` when each needs
-/// `units_per_lq` units of `unit_power_w` each.
-///
-/// # Panics
-///
-/// Panics when the per-qubit power is non-positive.
-pub fn protectable_logical_qubits(budget_w: f64, unit_power_w: f64, units_per_lq: usize) -> usize {
-    let per_lq = unit_power_w * units_per_lq as f64;
-    assert!(per_lq > 0.0, "per-logical-qubit power must be positive");
-    (budget_w / per_lq).floor() as usize
-}
-
 /// One decoder column of Table V.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecoderBudget {
@@ -310,13 +293,6 @@ mod tests {
         assert_eq!(CycleBudget::at_clock(500e6).cycles_per_round(), 500);
         assert_eq!(CycleBudget::at_clock(1.0e9).cycles_per_round(), 1000);
         assert_eq!(CycleBudget::at_clock(2.0e9).cycles_per_round(), 2000);
-    }
-
-    #[test]
-    fn cycle_budget_converts_back_to_wall_clock() {
-        let b = CycleBudget::at_clock(2.0e9);
-        let t = b.cycles_to_seconds(b.cycles_per_round());
-        assert!((t - 1.0e-6).abs() < 1e-12, "one round should span 1 µs");
     }
 
     #[test]
@@ -473,17 +449,5 @@ mod tests {
         let fast = DecoderBudget::qecool(9, 2.0e9).protectable_qubits();
         let slow = DecoderBudget::qecool(9, 1.0e9).protectable_qubits();
         assert!(slow >= 2 * fast - 1, "slow {slow} vs fast {fast}");
-    }
-
-    #[test]
-    fn protectable_helper_floor_behaviour() {
-        assert_eq!(protectable_logical_qubits(1.0, 0.1, 2), 5);
-        assert_eq!(protectable_logical_qubits(1.0, 0.3, 1), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_zero_power() {
-        protectable_logical_qubits(1.0, 0.0, 3);
     }
 }

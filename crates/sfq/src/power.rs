@@ -8,8 +8,6 @@
 //!   (Mukhanov \[14\]): `P = I_bias × f × Φ0 × 2`. At 2 GHz the Unit burns
 //!   2.78 µW — the headline number of the paper's abstract.
 
-use crate::cells::RSFQ_SUPPLY_MV;
-
 /// The magnetic flux quantum Φ₀ in webers (2.068 × 10⁻¹⁵ Wb).
 pub const FLUX_QUANTUM_WB: f64 = 2.068e-15;
 
@@ -34,11 +32,6 @@ pub fn rsfq_static_power_w(bias_ma: f64, supply_mv: f64) -> f64 {
         "negative electrical value"
     );
     (bias_ma * 1e-3) * (supply_mv * 1e-3)
-}
-
-/// Static RSFQ power at the paper's designed 2.5 mV supply.
-pub fn rsfq_static_power_at_design_supply_w(bias_ma: f64) -> f64 {
-    rsfq_static_power_w(bias_ma, RSFQ_SUPPLY_MV)
 }
 
 /// Dynamic ERSFQ power in watts: `P = I_bias × f × Φ0 × 2` (§V-C).
@@ -88,10 +81,11 @@ pub const MEASUREMENT_INTERVAL_S: f64 = 1.0e-6;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::RSFQ_SUPPLY_MV;
 
     #[test]
     fn rsfq_unit_power_is_840_uw() {
-        let p = rsfq_static_power_at_design_supply_w(336.0);
+        let p = rsfq_static_power_w(336.0, RSFQ_SUPPLY_MV);
         assert!((p - 840e-6).abs() < 1e-12, "{} W", p);
     }
 

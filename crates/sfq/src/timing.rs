@@ -13,7 +13,6 @@
 //! "maximum delay of 215 ps".
 
 use crate::cells::CellKind;
-use std::collections::HashMap;
 
 /// A directed acyclic timing graph with per-node delays in picoseconds.
 ///
@@ -195,18 +194,6 @@ pub fn max_clock_ghz(critical_path_ps: f64) -> f64 {
     1000.0 / critical_path_ps
 }
 
-/// Published per-module latencies (ps) keyed by module name, for
-/// cross-checking against [`unit_timing_graph`].
-pub fn published_module_latencies() -> HashMap<&'static str, f64> {
-    HashMap::from([
-        ("State machine", 98.7),
-        ("Prioritization", 28.0),
-        ("Base pointer (7-bit)", 147.0),
-        ("Spike out", 61.1),
-        ("Syndrome out", 10.4),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,13 +257,5 @@ mod tests {
         g.add_edge(a, b);
         g.add_edge(b, a);
         g.critical_path_ps();
-    }
-
-    #[test]
-    fn published_latencies_agree_with_graph_nodes() {
-        let lat = published_module_latencies();
-        assert_eq!(lat["Base pointer (7-bit)"], 147.0);
-        assert_eq!(lat["Spike out"], 61.1);
-        assert_eq!(lat.len(), 5);
     }
 }

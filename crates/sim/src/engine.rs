@@ -17,9 +17,6 @@
 //! * each pool stripe owns a reusable [`TrialScratch`] (decoders, patch,
 //!   syndrome buffers) and one recycled [`TrialOutcome`], kept between
 //!   batches, so the hot loop does no per-shot construction;
-//! * scalar counters stream into the engine's [`EngineTally`] of atomic
-//!   counters the moment a shard retires — live observability with no
-//!   mutex on the aggregate;
 //! * per-shard partial [`McResult`]s are merged **in shard order** after
 //!   the batch retires, which keeps the histogram and cycle aggregates
 //!   independent of thread scheduling.
@@ -41,12 +38,9 @@
 //! let cfg = TrialConfig::standard(3, 0.01, DecoderKind::BatchQecool);
 //! let result = engine.run(&cfg, 40, 7);
 //! assert_eq!(result.shots, 40);
-//! assert_eq!(engine.tally().shots(), 40);
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -95,48 +89,6 @@ impl McJob {
     }
 }
 
-/// Live atomic counters streamed while campaigns run: totals over the
-/// engine's lifetime, readable from any thread without stopping work.
-#[derive(Debug, Default)]
-pub struct EngineTally {
-    shots: AtomicU64,
-    failures: AtomicU64,
-    overflows: AtomicU64,
-    matches: AtomicU64,
-}
-
-impl EngineTally {
-    /// Trials retired so far.
-    pub fn shots(&self) -> u64 {
-        self.shots.load(Ordering::Relaxed)
-    }
-
-    /// Logical failures (including overflows) so far.
-    pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
-    }
-
-    /// Register-overflow failures so far.
-    pub fn overflows(&self) -> u64 {
-        self.overflows.load(Ordering::Relaxed)
-    }
-
-    /// Matches resolved so far.
-    pub fn matches(&self) -> u64 {
-        self.matches.load(Ordering::Relaxed)
-    }
-
-    fn absorb(&self, partial: &McResult) {
-        self.shots
-            .fetch_add(partial.shots as u64, Ordering::Relaxed);
-        self.failures
-            .fetch_add(partial.failures as u64, Ordering::Relaxed);
-        self.overflows
-            .fetch_add(partial.overflows as u64, Ordering::Relaxed);
-        self.matches.fetch_add(partial.matches, Ordering::Relaxed);
-    }
-}
-
 /// One shard of one job on the global work queue.
 struct Shard {
     job: usize,
@@ -165,7 +117,6 @@ struct Shards {
     /// its lock is never contended; it only turns that exclusive use
     /// into `&mut`.
     workers: Vec<Mutex<Worker>>,
-    tally: Arc<EngineTally>,
 }
 
 impl Batch for Shards {
@@ -183,7 +134,6 @@ impl Batch for Shards {
             run_trial_into(&job.trial, seed, &mut worker.scratch, &mut worker.outcome);
             partial.absorb(&worker.outcome);
         }
-        self.tally.absorb(&partial);
         *shard.partial.lock() = partial;
     }
 }
@@ -193,7 +143,6 @@ impl Batch for Shards {
 pub struct DecodeEngine {
     /// Worker threads; `0` uses all available parallelism.
     threads: usize,
-    tally: Arc<EngineTally>,
     /// Held for a whole batch, so batches on one engine run one at a
     /// time.
     pool: Mutex<WorkerPool<Shards>>,
@@ -203,7 +152,6 @@ impl fmt::Debug for DecodeEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DecodeEngine")
             .field("threads", &self.threads)
-            .field("tally", &self.tally)
             .finish_non_exhaustive()
     }
 }
@@ -223,23 +171,15 @@ impl DecodeEngine {
     /// An engine pinned to `threads` workers (`0` = all cores). Spawns no
     /// thread.
     pub fn with_threads(threads: usize) -> Self {
-        let tally = Arc::<EngineTally>::default();
         let shards = Shards {
             jobs: Vec::new(),
             shards: Vec::new(),
             workers: Vec::new(),
-            tally: Arc::clone(&tally),
         };
         Self {
             threads,
-            tally,
             pool: Mutex::new(WorkerPool::new(shards, None)),
         }
-    }
-
-    /// Live lifetime counters (streamed as shards retire).
-    pub fn tally(&self) -> &EngineTally {
-        &self.tally
     }
 
     /// Runs one campaign; equivalent to a single-job [`Self::run_batch`].
@@ -369,17 +309,6 @@ mod tests {
         let alone = DecodeEngine::new().run(&high, 90, 2);
         assert_eq!(alone.failures, results[1].failures);
         assert_eq!(alone.layer_cycles, results[1].layer_cycles);
-    }
-
-    #[test]
-    fn tally_streams_lifetime_totals() {
-        let engine = DecodeEngine::with_threads(2);
-        let cfg = TrialConfig::standard(3, 0.1, DecoderKind::BatchQecool);
-        let a = engine.run(&cfg, 50, 0);
-        let b = engine.run(&cfg, 30, 50);
-        assert_eq!(engine.tally().shots(), 80);
-        assert_eq!(engine.tally().failures(), (a.failures + b.failures) as u64);
-        assert_eq!(engine.tally().matches(), a.matches + b.matches);
     }
 
     #[test]

@@ -38,9 +38,7 @@
 //! * [`threshold`] — accuracy-threshold (`p_th`) estimation from curve
 //!   crossings, the quantity Figs. 4(a) and 7 report;
 //! * [`experiments`] — the `(d × p)` grids the benchmark binaries
-//!   build: [`CampaignJob::grid`] job lists over [`log_grid`] rate axes;
-//! * [`dual_sector`] — both-sector (X *and* Z) logical-qubit trials,
-//!   exploiting the paper's mirror-symmetry argument (§IV footnote 3).
+//!   build: [`CampaignJob::grid`] job lists over [`log_grid`] rate axes.
 //!
 //! # Example
 //!
@@ -76,7 +74,6 @@
 #![deny(unsafe_code)]
 
 pub mod campaign;
-pub mod dual_sector;
 pub mod engine;
 pub mod experiments;
 pub mod montecarlo;
@@ -92,8 +89,7 @@ pub use campaign::{
     derive_seed, CampaignConfig, CampaignError, CampaignJob, CampaignReport, CampaignRunner,
     CampaignStatus, JobStatus, RunOutcome, StopRule,
 };
-pub use dual_sector::{dual_sector_error_rate, run_dual_sector_trial, DualSectorOutcome};
-pub use engine::{DecodeEngine, EngineTally, McJob};
+pub use engine::{DecodeEngine, McJob};
 pub use experiments::log_grid;
 pub use montecarlo::McResult;
 pub use service::{

@@ -420,21 +420,6 @@ impl LatencyStats {
         self.lag_histogram.percentile(0.99)
     }
 
-    /// The p99 commit lag converted to decode cycles via the per-round
-    /// budget — the "how late against the paper's deadline" view.
-    pub fn commit_lag_p99_cycles(&self) -> u64 {
-        self.commit_lag_p99_rounds() * self.budget_cycles
-    }
-
-    /// Mean commit lag in rounds (0 when nothing has committed).
-    pub fn mean_lag_rounds(&self) -> f64 {
-        if self.committed_rounds == 0 {
-            0.0
-        } else {
-            self.total_lag_rounds as f64 / self.committed_rounds as f64
-        }
-    }
-
     /// Conservative p99 of the per-round decode cost: the inclusive
     /// upper bound of the histogram bucket the p99 round lands in,
     /// capped at the observed maximum.
@@ -1601,7 +1586,6 @@ mod tests {
         assert_eq!(lat.histogram.percentile(0.99), 14);
         assert_eq!(lat.p99_cycles(), 14);
         assert_eq!(lat.commit_lag_p99_rounds(), 14);
-        assert_eq!(lat.commit_lag_p99_cycles(), 14 * lat.budget_cycles);
     }
 
     /// A backend whose decode step always panics — stands in for any

@@ -33,15 +33,6 @@ impl RateEstimate {
         }
     }
 
-    /// Binomial standard error of the point estimate.
-    pub fn std_err(&self) -> f64 {
-        if self.shots == 0 {
-            return 0.0;
-        }
-        let p = self.rate();
-        (p * (1.0 - p) / self.shots as f64).sqrt()
-    }
-
     /// Wilson score interval at ~95% confidence (`z = 1.96`).
     ///
     /// Well-behaved even when `hits` is 0 or equals `shots`, unlike the
@@ -226,7 +217,6 @@ mod tests {
     fn rate_basics() {
         let r = RateEstimate::new(5, 100);
         assert_eq!(r.rate(), 0.05);
-        assert!(r.std_err() > 0.0);
         assert!(r.to_string().contains("5/100"));
     }
 
@@ -234,7 +224,6 @@ mod tests {
     fn empty_estimate() {
         let r = RateEstimate::new(0, 0);
         assert_eq!(r.rate(), 0.0);
-        assert_eq!(r.std_err(), 0.0);
         assert_eq!(r.wilson_interval(), (0.0, 1.0));
     }
 

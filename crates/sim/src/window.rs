@@ -104,8 +104,16 @@ pub trait WindowBackend {
     );
 
     /// Decodes `tail` whole, appending every correction to `out` and
-    /// counting every match into `stats`.
-    fn decode_tail(&mut self, tail: &SyndromeHistory, out: &mut Vec<Edge>, stats: &mut DecodeStats);
+    /// counting every match into `stats`. By default, a window commit
+    /// whose stride anchors every round.
+    fn decode_tail(
+        &mut self,
+        tail: &SyndromeHistory,
+        out: &mut Vec<Edge>,
+        stats: &mut DecodeStats,
+    ) {
+        self.commit_window(tail, tail.num_rounds(), out, stats, |_, _| {});
+    }
 }
 
 /// Sliding-window streaming union-find decoder.
@@ -160,6 +168,9 @@ impl WindowBackend for UnionFindDecoder {
         }
     }
 
+    // The whole-history decode XOR-reduces the components' corrections
+    // into one list, which differs in order (and in count, where two
+    // components flip one edge) from a window commit's concatenation.
     fn decode_tail(
         &mut self,
         tail: &SyndromeHistory,
@@ -200,19 +211,6 @@ impl WindowBackend for MwpmDecoder {
                     clear(self.lattice().ancilla_index(ev.ancilla), ev.round);
                 }
             }
-        }
-    }
-
-    fn decode_tail(
-        &mut self,
-        tail: &SyndromeHistory,
-        out: &mut Vec<Edge>,
-        stats: &mut DecodeStats,
-    ) {
-        let outcome = self.decode(tail).expect("doubled graph is matchable");
-        out.extend_from_slice(&outcome.corrections);
-        for m in &outcome.matches {
-            stats.record_match(m.vertical_extent());
         }
     }
 }
@@ -259,11 +257,6 @@ impl<B: WindowBackend> Windowed<B> {
             committed_through: None,
             stats: DecodeStats::default(),
         }
-    }
-
-    /// The window geometry in use.
-    pub fn window_config(&self) -> WindowConfig {
-        self.config
     }
 
     /// Rebuilds the scratch history from the first `rounds` buffered
@@ -408,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn window_config_validates_and_defaults() {
+    fn window_geometry_validates_and_defaults() {
         let c = WindowConfig::default_for(5);
         assert_eq!(c, WindowConfig::new(15, 5));
         assert!(std::panic::catch_unwind(|| WindowConfig::new(4, 4)).is_err());
@@ -540,50 +533,49 @@ mod tests {
 
     #[test]
     fn whole_stream_window_is_the_monolithic_decode() {
-        let d = 5;
-        let lattice = Lattice::new(d).unwrap();
         let mut out = DecodeOutput::default();
         let mut stats = DecodeStats::default();
-        for seed in 0..6u64 {
-            let (_, rounds) = stream(d, 0.03, 8, 40 + seed);
-            let mut history = SyndromeHistory::new(lattice.clone());
-            for r in &rounds {
-                history.push_copy(r);
-            }
-            // Longer than the stream: the window never fills.
-            let config = WindowConfig::new(rounds.len() as u64 + 1, rounds.len() as u64);
-
-            let mono = MwpmDecoder::new(lattice.clone()).decode(&history).unwrap();
-            let mut mwpm = StreamingMwpm::with_config(lattice.clone(), config);
-            assert_eq!(mwpm.ingest_batch(&rounds), rounds.len());
-            mwpm.decode_step(None, &mut out);
-            assert!(out.corrections.is_empty(), "the window never fills");
-            mwpm.finish(&mut out);
-            assert_eq!(out.corrections, mono.corrections, "seed {seed}");
-            mwpm.stats_into(&mut stats);
-            let mut hist = Vec::new();
-            for m in &mono.matches {
-                let dt = m.vertical_extent();
-                if hist.len() <= dt {
-                    hist.resize(dt + 1, 0);
+        for (d, p, len) in [(5, 0.03, 8), (9, 0.01, 27), (9, 0.03, 27)] {
+            let lattice = Lattice::new(d).unwrap();
+            for seed in 0..6u64 {
+                let (_, rounds) = stream(d, p, len, 40 + seed);
+                let mut history = SyndromeHistory::new(lattice.clone());
+                for r in &rounds {
+                    history.push_copy(r);
                 }
-                hist[dt] += 1;
-            }
-            assert_eq!(stats.matches, mono.matches.len(), "seed {seed}");
-            assert_eq!(stats.vertical_hist, hist, "seed {seed}");
-            assert_eq!(stats.layer_cycles.count, 0);
+                // Longer than the stream: the window never fills.
+                let config = WindowConfig::new(rounds.len() as u64 + 1, rounds.len() as u64);
+                let at = format!("d {d} p {p} seed {seed}");
 
-            let mono = UnionFindDecoder::new(lattice.clone()).decode(&history);
-            let mut uf = StreamingUf::with_config(lattice.clone(), config);
-            assert_eq!(uf.ingest_batch(&rounds), rounds.len());
-            uf.finish(&mut out);
-            assert_eq!(out.corrections, mono.corrections, "seed {seed}");
-            uf.stats_into(&mut stats);
-            let expected = DecodeStats {
-                matches: mono.corrections.len(),
-                ..DecodeStats::default()
-            };
-            assert_eq!(stats, expected, "seed {seed}");
+                // MWPM's tail is a window commit with every round
+                // anchored: the same corrections in the same order, and
+                // the same statistics, as routing every match of `decode`.
+                let mono = MwpmDecoder::new(lattice.clone()).decode(&history).unwrap();
+                let mut mwpm = StreamingMwpm::with_config(lattice.clone(), config);
+                assert_eq!(mwpm.ingest_batch(&rounds), rounds.len());
+                mwpm.decode_step(None, &mut out);
+                assert!(out.corrections.is_empty(), "the window never fills");
+                mwpm.finish(&mut out);
+                assert_eq!(out.corrections, mono.corrections, "{at}");
+                mwpm.stats_into(&mut stats);
+                let mut expected = DecodeStats::default();
+                for m in &mono.matches {
+                    expected.record_match(m.vertical_extent());
+                }
+                assert_eq!(stats, expected, "{at}");
+
+                let mono = UnionFindDecoder::new(lattice.clone()).decode(&history);
+                let mut uf = StreamingUf::with_config(lattice.clone(), config);
+                assert_eq!(uf.ingest_batch(&rounds), rounds.len());
+                uf.finish(&mut out);
+                assert_eq!(out.corrections, mono.corrections, "{at}");
+                uf.stats_into(&mut stats);
+                let expected = DecodeStats {
+                    matches: mono.corrections.len(),
+                    ..DecodeStats::default()
+                };
+                assert_eq!(stats, expected, "{at}");
+            }
         }
     }
 

@@ -116,15 +116,6 @@ impl BitVec {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// Parity (XOR) of the bits selected by `indices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn parity_of<I: IntoIterator<Item = usize>>(&self, indices: I) -> bool {
-        indices.into_iter().fold(false, |acc, i| acc ^ self.get(i))
-    }
-
     /// The packed `u64` words backing the vector, little-endian within
     /// each word (bit `i` lives at `words()[i / 64]`, position `i % 64`).
     /// Bits at positions `>= self.len()` are always zero.
@@ -309,16 +300,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
         BitVec::zeros(10).get(10);
-    }
-
-    #[test]
-    fn parity_of_selected() {
-        let mut bits = BitVec::zeros(8);
-        bits.set(1, true);
-        bits.set(3, true);
-        assert!(!bits.parity_of([1, 3]));
-        assert!(bits.parity_of([1, 2]));
-        assert!(!bits.parity_of([]));
     }
 
     #[test]

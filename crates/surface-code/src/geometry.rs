@@ -381,31 +381,27 @@ impl Lattice {
     /// procedure: north/south in the initiator's column until the sink's
     /// row, then east/west along the sink's row), so the syndrome signal
     /// retraces it when applying corrections.
-    pub fn route(&self, from: Ancilla, to: Ancilla) -> Vec<Edge> {
-        let mut edges = Vec::with_capacity(self.grid_distance(from, to));
+    pub fn route(&self, from: Ancilla, to: Ancilla) -> impl Iterator<Item = Edge> + '_ {
         let (r0, r1) = (from.row.min(to.row), from.row.max(to.row));
-        for r in r0..r1 {
-            edges.push(self.vertical_edge(r, from.col));
-        }
         let (c0, c1) = (from.col.min(to.col), from.col.max(to.col));
-        for c in c0..c1 {
+        (r0..r1)
+            .map(move |r| self.vertical_edge(r, from.col))
             // Crossing from column c to c+1 in the sink's row.
-            edges.push(self.horizontal_edge(to.row, c + 1));
-        }
-        edges
+            .chain((c0..c1).map(move |c| self.horizontal_edge(to.row, c + 1)))
     }
 
     /// Data-qubit edges from ancilla `a` straight to the given boundary
     /// along `a`'s own row.
-    pub fn route_to_boundary(&self, a: Ancilla, boundary: Boundary) -> Vec<Edge> {
-        match boundary {
-            Boundary::West => (0..=a.col)
-                .map(|pos| self.horizontal_edge(a.row, pos))
-                .collect(),
-            Boundary::East => (a.col + 1..self.d)
-                .map(|pos| self.horizontal_edge(a.row, pos))
-                .collect(),
-        }
+    pub fn route_to_boundary(
+        &self,
+        a: Ancilla,
+        boundary: Boundary,
+    ) -> impl Iterator<Item = Edge> + '_ {
+        let positions = match boundary {
+            Boundary::West => 0..a.col + 1,
+            Boundary::East => a.col + 1..self.d,
+        };
+        positions.map(move |pos| self.horizontal_edge(a.row, pos))
     }
 
     /// Edges of the west-boundary cut used for the logical-parity check:
@@ -544,8 +540,8 @@ mod tests {
         let lat = Lattice::new(9).unwrap();
         let a = Ancilla::new(1, 2);
         let b = Ancilla::new(6, 7);
-        assert_eq!(lat.route(a, b).len(), lat.grid_distance(a, b));
-        assert_eq!(lat.route(a, a).len(), 0);
+        assert_eq!(lat.route(a, b).count(), lat.grid_distance(a, b));
+        assert_eq!(lat.route(a, a).count(), 0);
     }
 
     #[test]
@@ -598,7 +594,7 @@ mod tests {
         for a in lat.ancillas() {
             for b in [Boundary::West, Boundary::East] {
                 assert_eq!(
-                    lat.route_to_boundary(a, b).len(),
+                    lat.route_to_boundary(a, b).count(),
                     lat.boundary_distance(a, b)
                 );
             }
@@ -653,7 +649,7 @@ mod tests {
             let n = lat.num_ancillas() as u64;
             let a = lat.ancilla_from_index((seed % n) as usize);
             let b = lat.ancilla_from_index(((seed / n) % n) as usize);
-            prop_assert_eq!(lat.route(a, b).len(), lat.route(b, a).len());
+            prop_assert_eq!(lat.route(a, b).count(), lat.route(b, a).count());
         }
 
         #[test]

@@ -1,6 +1,6 @@
 //! Accumulated multi-round syndrome history (the 3-D lattice of Fig. 1(c)).
 
-use crate::geometry::{Ancilla, Lattice};
+use crate::geometry::Lattice;
 use crate::syndrome::{DetectionEvent, DetectionRound};
 
 /// An ordered stack of detection rounds — the 3-D (space × time) syndrome
@@ -147,15 +147,6 @@ impl SyndromeHistory {
         }
         out
     }
-
-    /// Events of a single ancilla across time (ascending rounds).
-    pub fn events_of(&self, a: Ancilla) -> Vec<usize> {
-        let idx = self.lattice.ancilla_index(a);
-        self.iter()
-            .enumerate()
-            .filter_map(|(t, r)| r.fired(idx).then_some(t))
-            .collect()
-    }
 }
 
 impl<'a> IntoIterator for &'a SyndromeHistory {
@@ -193,17 +184,6 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert_eq!(events[0], DetectionEvent::new(lat.ancilla_from_index(0), 0));
         assert_eq!(events[2], DetectionEvent::new(lat.ancilla_from_index(3), 1));
-    }
-
-    #[test]
-    fn events_of_single_ancilla() {
-        let lat = Lattice::new(3).unwrap();
-        let a = lat.ancilla_from_index(3);
-        let mut h = SyndromeHistory::new(lat.clone());
-        h.push(round_with(&lat, &[3]));
-        h.push(round_with(&lat, &[]));
-        h.push(round_with(&lat, &[3]));
-        assert_eq!(h.events_of(a), vec![0, 2]);
     }
 
     #[test]

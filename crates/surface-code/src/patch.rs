@@ -22,7 +22,7 @@
 use rand::Rng;
 
 use crate::bitvec::BitVec;
-use crate::geometry::{Ancilla, Boundary, Edge, Lattice};
+use crate::geometry::{Edge, Lattice};
 use crate::noise::NoiseSpec;
 use crate::syndrome::DetectionRound;
 
@@ -174,14 +174,8 @@ impl CodePatch {
         }
     }
 
-    /// The true (noiseless) syndrome of the current error state.
-    pub fn true_syndrome(&self) -> BitVec {
-        let mut syn = BitVec::zeros(self.lattice.num_ancillas());
-        self.true_syndrome_into(&mut syn);
-        syn
-    }
-
-    /// Writes the true syndrome into `out` without allocating: a copy of
+    /// Writes the true (noiseless) syndrome of the current error state
+    /// into `out` without allocating: a copy of
     /// the syndrome the flip sites keep current. Proptest-verified
     /// bit-identical to the recompute
     /// ([`Self::true_syndrome_reference_into`]).
@@ -350,20 +344,6 @@ impl CodePatch {
         }
     }
 
-    /// Applies the correction chain for a matched pair of ancillas along the
-    /// spike route (vertical then horizontal; see
-    /// [`Lattice::route`]).
-    pub fn correct_pair(&mut self, a: Ancilla, b: Ancilla) {
-        let path = self.lattice.route(a, b);
-        self.apply_corrections(path);
-    }
-
-    /// Applies the correction chain from an ancilla straight to a boundary.
-    pub fn correct_to_boundary(&mut self, a: Ancilla, boundary: Boundary) {
-        let path = self.lattice.route_to_boundary(a, boundary);
-        self.apply_corrections(path);
-    }
-
     /// `true` when the current error state commutes with every stabilizer
     /// (the patch is back in the code space).
     pub fn syndrome_is_trivial(&self) -> bool {
@@ -394,12 +374,19 @@ fn toggle_endpoints(lattice: &Lattice, bits: &mut BitVec, e: Edge) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::{Ancilla, Boundary};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn patch(d: usize) -> CodePatch {
         CodePatch::new(Lattice::new(d).unwrap())
+    }
+
+    fn syndrome_of(p: &CodePatch) -> BitVec {
+        let mut syn = BitVec::zeros(p.lattice().num_ancillas());
+        p.true_syndrome_into(&mut syn);
+        syn
     }
 
     #[test]
@@ -416,7 +403,7 @@ mod tests {
         let mut p = patch(5);
         let e = p.lattice().horizontal_edge(2, 2);
         p.inject_error(e);
-        let syn = p.true_syndrome();
+        let syn = syndrome_of(&p);
         assert_eq!(syn.count_ones(), 2);
         let (a, b) = p.lattice().endpoints(e);
         assert!(syn.get(p.lattice().ancilla_index(a)));
@@ -427,7 +414,7 @@ mod tests {
     fn single_boundary_error_fires_one_ancilla() {
         let mut p = patch(5);
         p.inject_error(p.lattice().horizontal_edge(1, 0));
-        assert_eq!(p.true_syndrome().count_ones(), 1);
+        assert_eq!(syndrome_of(&p).count_ones(), 1);
     }
 
     #[test]
@@ -456,17 +443,17 @@ mod tests {
 
     #[test]
     fn uncorrected_then_corrected_chain_roundtrip() {
-        let mut p = patch(7);
+        let lattice = Lattice::new(7).unwrap();
+        let mut p = CodePatch::new(lattice.clone());
         let a = Ancilla::new(1, 1);
         let b = Ancilla::new(4, 3);
         // Inject an error chain along the canonical route.
-        let path = p.lattice().route(a, b);
-        for &e in &path {
+        for e in lattice.route(a, b) {
             p.inject_error(e);
         }
         let events = p.perfect_round();
         assert_eq!(events.num_events(), 2);
-        p.correct_pair(a, b);
+        p.apply_corrections(lattice.route(a, b));
         assert!(p.syndrome_is_trivial());
         assert_eq!(p.error_weight(), 0);
         assert!(!p.has_logical_error());
@@ -484,10 +471,11 @@ mod tests {
 
     #[test]
     fn boundary_correction_clears_edge_event() {
-        let mut p = patch(5);
-        p.inject_error(p.lattice().horizontal_edge(3, 0));
+        let lattice = Lattice::new(5).unwrap();
+        let mut p = CodePatch::new(lattice.clone());
+        p.inject_error(lattice.horizontal_edge(3, 0));
         let _ = p.perfect_round();
-        p.correct_to_boundary(Ancilla::new(3, 0), Boundary::West);
+        p.apply_corrections(lattice.route_to_boundary(Ancilla::new(3, 0), Boundary::West));
         assert!(p.syndrome_is_trivial());
         assert!(!p.has_logical_error());
         assert!(p.perfect_round().is_quiet());
@@ -497,9 +485,10 @@ mod tests {
     fn wrong_side_boundary_correction_causes_logical_error() {
         // Correcting a west-boundary error by pushing the chain out east
         // crosses the whole lattice: trivial syndrome, logical error.
-        let mut p = patch(5);
-        p.inject_error(p.lattice().horizontal_edge(3, 0));
-        p.correct_to_boundary(Ancilla::new(3, 0), Boundary::East);
+        let lattice = Lattice::new(5).unwrap();
+        let mut p = CodePatch::new(lattice.clone());
+        p.inject_error(lattice.horizontal_edge(3, 0));
+        p.apply_corrections(lattice.route_to_boundary(Ancilla::new(3, 0), Boundary::East));
         assert!(p.syndrome_is_trivial());
         assert!(p.has_logical_error());
     }
@@ -584,7 +573,7 @@ mod tests {
             // One extra perfect round closes the telescope onto the true
             // syndrome.
             acc ^= p.perfect_round().events();
-            prop_assert_eq!(acc, p.true_syndrome());
+            prop_assert_eq!(acc, syndrome_of(&p));
         }
 
         /// The kept syndrome must equal the from-scratch recompute after
@@ -668,7 +657,7 @@ mod tests {
                 rand::RngCore::next_u64(&mut reuse_rng)
             );
             // ...and so did the full patch state.
-            prop_assert_eq!(alloc_patch.true_syndrome(), reuse_patch.true_syndrome());
+            prop_assert_eq!(syndrome_of(&alloc_patch), syndrome_of(&reuse_patch));
             prop_assert_eq!(alloc_patch.error_weight(), reuse_patch.error_weight());
             prop_assert_eq!(alloc_patch.rounds_measured(), reuse_patch.rounds_measured());
             prop_assert_eq!(

@@ -189,12 +189,6 @@ impl ClusterSets {
         let r = self.find(x);
         self.nodes[r].odd
     }
-
-    /// Boundary contact of `x`'s cluster.
-    pub fn touches_boundary(&mut self, x: usize) -> bool {
-        let r = self.find(x);
-        self.nodes[r].boundary
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +229,6 @@ mod tests {
         s.set_defect(0);
         s.union(0, 3);
         assert!(s.parity(0), "parity stays odd");
-        assert!(s.touches_boundary(0));
         assert!(!s.is_active(0), "boundary clusters stop growing");
     }
 
@@ -278,8 +271,10 @@ mod tests {
         for i in 0..8 {
             assert_eq!(s.find(i), i, "element {i} is a singleton again");
             assert!(!s.parity(i));
-            assert_eq!(s.touches_boundary(i), i >= 5);
             assert_eq!(s.members(i).collect::<Vec<_>>(), vec![i]);
+            // A lone defect grows unless it sits on the boundary.
+            s.set_defect(i);
+            assert_eq!(s.is_active(i), i < 5);
         }
         s.reset(3, 3);
         s.set_defect(2);

@@ -12,13 +12,14 @@
 //! cargo run --release --example decoder_faceoff
 //! ```
 
-use qecool_repro::sim::{DecodeEngine, DecoderKind, TrialConfig};
+use qecool_repro::sim::{DecodeEngine, DecoderKind, McResult, TrialConfig};
 use std::time::Instant;
 
 fn main() {
     const SHOTS: usize = 300;
     const D: usize = 9;
     let engine = DecodeEngine::new();
+    let mut total = McResult::default();
     println!("d = {D}, {SHOTS} shots per point, identical noise per seed\n");
     println!(
         "{:>7}  {:>20}  {:>20}  {:>20}  {:>14}",
@@ -35,8 +36,10 @@ fn main() {
         for (i, decoder) in kinds.into_iter().enumerate() {
             let cfg = TrialConfig::standard(D, p, decoder);
             let t0 = Instant::now();
-            fail[i] = engine.run(&cfg, SHOTS, 0).failures;
+            let result = engine.run(&cfg, SHOTS, 0);
             elapsed[i] = t0.elapsed();
+            fail[i] = result.failures;
+            total.merge(result);
         }
         println!(
             "{:>7}  {:>12} {:>7.1?}  {:>12} {:>7.1?}  {:>12} {:>7.1?}  {:>13.1}x",
@@ -51,9 +54,8 @@ fn main() {
         );
     }
     println!(
-        "\n{} trials retired through the engine ({} logical failures streamed to the tally).",
-        engine.tally().shots(),
-        engine.tally().failures()
+        "\n{} trials retired through the engine ({} logical failures in total).",
+        total.shots, total.failures
     );
     println!(
         "MWPM holds the higher threshold (paper: 2.9% vs 1.5%) but QECOOL's spike race \
