@@ -7,14 +7,16 @@
 //!   (Fig. 7 / Table III inner loop);
 //! * `mwpm/d` — one MWPM decode (16-nearest-neighbour graph) of the same
 //!   window (Fig. 4(a) baseline);
-//! * `union_find_window/9` — one sliding-window union-find decode: a
+//! * `union_find_window/9` — one sliding-window union-find commit: a
 //!   27-round d = 9 window, committing the components anchored in its
-//!   first 9 rounds (the `replay_uf_d9` decode layer), cycling through
-//!   fixed seeded windows.
+//!   first 9 rounds through `WindowBackend::commit_window`, the code the
+//!   `replay_uf_d9` decode layer runs, cycling through fixed seeded
+//!   windows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qecool::{DecodeOutput, Decoder, QecoolConfig, QecoolDecoder};
+use qecool::{DecodeOutput, DecodeStats, Decoder, QecoolConfig, QecoolDecoder};
 use qecool_mwpm::MwpmDecoder;
+use qecool_sim::window::WindowBackend;
 use qecool_surface_code::{CodePatch, Lattice, NoiseSpec, SyndromeHistory};
 use qecool_uf::UnionFindDecoder;
 use rand::SeedableRng;
@@ -135,12 +137,18 @@ fn bench_union_find_window(c: &mut Criterion) {
             window
         })
         .collect();
-    let decoder = UnionFindDecoder::new(lattice);
+    let mut decoder = UnionFindDecoder::new(lattice);
     let mut next = windows.iter().cycle();
+    let mut out = Vec::new();
+    let mut stats = DecodeStats::default();
     group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, &d| {
         b.iter(|| {
             let window = next.next().expect("cycle never ends");
-            black_box(decoder.decode_components(window, d).components.len())
+            out.clear();
+            decoder.commit_window(window, d, &mut out, &mut stats, |a, t| {
+                black_box((a, t));
+            });
+            black_box(out.len())
         })
     });
     group.finish();

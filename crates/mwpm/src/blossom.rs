@@ -189,6 +189,13 @@ pub fn max_weight_matching(
     (0..num_vertices).map(|v| m.mate(v)).collect()
 }
 
+/// The capacity a new blossom list starts with. The pool hands its lists
+/// out in no particular order, so a list that starts small keeps meeting
+/// a blossom larger than it holds and grows again; at 16 entries a
+/// blossom's lists hold its children, their endpoints and its best
+/// edges without growing in all but the busiest windows.
+const NEW_LIST_CAPACITY: usize = 16;
+
 /// Returns a blossom's list to the spare pool, cleared; a list that never
 /// allocated is just dropped.
 fn recycle(spare: &mut Vec<Vec<usize>>, mut list: Vec<usize>) {
@@ -381,9 +388,11 @@ impl BlossomMatcher {
     }
 
     /// A cleared list for a forming blossom, from the spare pool when it
-    /// has one.
+    /// has one. A new list starts at [`NEW_LIST_CAPACITY`] entries.
     fn spare_list(&mut self) -> Vec<usize> {
-        self.spare_lists.pop().unwrap_or_default()
+        self.spare_lists
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(NEW_LIST_CAPACITY))
     }
 
     /// Refills `self.leaves` with the vertices of blossom `b`.

@@ -64,6 +64,23 @@ impl Match {
         };
         std::iter::once(first).chain(second)
     }
+
+    /// Appends the data-qubit corrections this match implies on
+    /// `lattice`: the route between its two events, or from its event to
+    /// its boundary.
+    ///
+    /// [`MwpmDecoder::decode`] routes every match through this, so a
+    /// sliding-window caller committing a subset of the matches of
+    /// [`MwpmDecoder::match_history`] reproduces exactly the corrections
+    /// the monolithic decode would have emitted for them.
+    pub fn append_corrections(&self, lattice: &Lattice, out: &mut Vec<Edge>) {
+        match self {
+            Match::Pair(a, b) => out.extend(lattice.route(a.ancilla, b.ancilla)),
+            Match::ToBoundary(a, boundary) => {
+                out.extend(lattice.route_to_boundary(a.ancilla, *boundary));
+            }
+        }
+    }
 }
 
 /// Result of decoding one syndrome history.
@@ -99,8 +116,8 @@ impl MwpmOutcome {
 /// always the exact optimum; [`MwpmDecoder::exact`] matches on the
 /// complete event graph instead.
 ///
-/// The decoder keeps its graph and matcher buffers between decodes, so
-/// decoding takes `&mut self`.
+/// The decoder keeps its graph and matcher buffers, and the list of its
+/// last matching, between decodes, so decoding takes `&mut self`.
 ///
 /// # Example
 ///
@@ -131,6 +148,9 @@ pub struct MwpmDecoder {
     events: Vec<DetectionEvent>,
     graph: GraphBuilder,
     matcher: PerfectMatcher,
+    /// The last [`Self::match_history`] outcome, its lists kept for the
+    /// next one.
+    matched: MwpmOutcome,
 }
 
 /// The matching-graph builder's buffers, reused from one decode to the
@@ -176,6 +196,7 @@ impl MwpmDecoder {
             events: Vec::new(),
             graph: GraphBuilder::default(),
             matcher: PerfectMatcher::new(),
+            matched: MwpmOutcome::default(),
         }
     }
 
@@ -198,7 +219,8 @@ impl MwpmDecoder {
     }
 
     /// Decodes a full syndrome history (batch decoding): matches its
-    /// events ([`Self::match_history`]) and routes every match.
+    /// events ([`Self::match_history`]) and routes every match into an
+    /// outcome of its own.
     ///
     /// # Errors
     ///
@@ -214,15 +236,19 @@ impl MwpmDecoder {
         &mut self,
         history: &SyndromeHistory,
     ) -> Result<MwpmOutcome, PerfectMatchingError> {
-        let outcome = self.match_history(history)?;
-        Ok(self.route_all(outcome))
+        let mut outcome = self.match_history(history)?.clone();
+        for m in &outcome.matches {
+            m.append_corrections(&self.lattice, &mut outcome.corrections);
+        }
+        Ok(outcome)
     }
 
     /// Matches the events of a full syndrome history without routing
-    /// them: the outcome's `corrections` are left empty. A caller that
-    /// keeps only some matches (a sliding window commits those anchored
-    /// in its stride) routes just those with
-    /// [`Self::append_match_corrections`].
+    /// them: the outcome's `corrections` are left empty. The outcome is
+    /// kept in the decoder and reused by the next match, so a warmed
+    /// decoder matches without allocating. A caller that keeps only some
+    /// matches (a sliding window commits those anchored in its stride)
+    /// routes just those with [`Match::append_corrections`].
     ///
     /// # Errors
     ///
@@ -234,7 +260,7 @@ impl MwpmDecoder {
     pub fn match_history(
         &mut self,
         history: &SyndromeHistory,
-    ) -> Result<MwpmOutcome, PerfectMatchingError> {
+    ) -> Result<&MwpmOutcome, PerfectMatchingError> {
         assert_eq!(
             history.lattice().num_ancillas(),
             self.lattice.num_ancillas(),
@@ -247,19 +273,26 @@ impl MwpmDecoder {
                 events.push(DetectionEvent::new(self.lattice.ancilla_from_index(idx), t));
             }
         }
-        let outcome = self.match_events(&events);
+        let mut matched = std::mem::take(&mut self.matched);
+        let result = self.match_events(&events, &mut matched);
         self.events = events;
-        outcome
+        self.matched = matched;
+        result.map(|()| &self.matched)
     }
 
-    /// Matches `events` without routing them.
+    /// Matches `events` into `outcome` without routing them.
     fn match_events(
         &mut self,
         events: &[DetectionEvent],
-    ) -> Result<MwpmOutcome, PerfectMatchingError> {
+        outcome: &mut MwpmOutcome,
+    ) -> Result<(), PerfectMatchingError> {
+        outcome.matches.clear();
+        outcome.graph_vertices = 0;
+        outcome.graph_edges = 0;
+        outcome.stages = 0;
         let n = events.len();
         if n == 0 {
-            return Ok(MwpmOutcome::default());
+            return Ok(());
         }
         // The graph is built straight into the matcher's edge list.
         let (lattice, cap, graph) = (&self.lattice, self.neighbor_cap, &mut self.graph);
@@ -271,12 +304,9 @@ impl MwpmDecoder {
         let mate = self.matcher.mate();
 
         // Project the copy-1 solution.
-        let mut outcome = MwpmOutcome {
-            graph_vertices: 2 * n,
-            graph_edges,
-            stages: self.matcher.stages(),
-            ..MwpmOutcome::default()
-        };
+        outcome.graph_vertices = 2 * n;
+        outcome.graph_edges = graph_edges;
+        outcome.stages = self.matcher.stages();
         for i in 0..n {
             let m = mate[i];
             if m == n + i {
@@ -292,15 +322,7 @@ impl MwpmDecoder {
                 );
             }
         }
-        Ok(outcome)
-    }
-
-    /// Routes every match of `outcome` into its corrections.
-    fn route_all(&self, mut outcome: MwpmOutcome) -> MwpmOutcome {
-        for m in &outcome.matches {
-            self.append_match_corrections(m, &mut outcome.corrections);
-        }
-        outcome
+        Ok(())
     }
 
     /// The doubled matching graph [`Self::match_history`] matches for
@@ -325,20 +347,6 @@ impl MwpmDecoder {
     #[cfg(test)]
     pub(crate) fn neighbor_cap(&self) -> Option<usize> {
         self.neighbor_cap
-    }
-    /// Appends the data-qubit corrections implied by a single match.
-    ///
-    /// [`Self::decode`] routes every match through this helper, so a
-    /// sliding-window caller committing a subset of the matches of
-    /// [`Self::match_history`] reproduces exactly the corrections the
-    /// monolithic decode would have emitted for them.
-    pub fn append_match_corrections(&self, m: &Match, out: &mut Vec<Edge>) {
-        match m {
-            Match::Pair(a, b) => out.extend(self.lattice.route(a.ancilla, b.ancilla)),
-            Match::ToBoundary(a, boundary) => {
-                out.extend(self.lattice.route_to_boundary(a.ancilla, *boundary));
-            }
-        }
     }
 }
 
@@ -682,7 +690,7 @@ mod tests {
             let outcome = decoder.decode(&hist).unwrap();
             let mut rebuilt = Vec::new();
             for m in &outcome.matches {
-                decoder.append_match_corrections(m, &mut rebuilt);
+                m.append_corrections(&lat, &mut rebuilt);
             }
             assert_eq!(rebuilt, outcome.corrections, "seed {seed}");
         }
@@ -700,7 +708,7 @@ mod tests {
             for _ in 0..7 {
                 hist.push(patch.noisy_round(&noise, &mut rng));
             }
-            let matched = decoder.match_history(&hist).unwrap();
+            let matched = decoder.match_history(&hist).unwrap().clone();
             let decoded = decoder.decode(&hist).unwrap();
             assert!(matched.corrections.is_empty(), "seed {seed}");
             assert_eq!(matched.matches, decoded.matches, "seed {seed}");

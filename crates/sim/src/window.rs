@@ -153,19 +153,19 @@ impl WindowBackend for UnionFindDecoder {
     ) {
         // Only the components anchored in the stride are peeled; the
         // tentative ones in the overlap are grown but never walked.
-        for comp in &self.decode_components(window, stride).components {
+        self.for_each_component(window, stride, |corrections, defects| {
             debug_assert!(
-                comp.min_round() < stride,
+                defects.iter().any(|&(_, t)| t < stride),
                 "a tentative component was peeled"
             );
-            out.extend_from_slice(&comp.corrections);
-            stats.matches += comp.corrections.len();
-            for &(ancilla, t) in &comp.defects {
+            out.extend_from_slice(corrections);
+            stats.matches += corrections.len();
+            for &(ancilla, t) in defects {
                 if t >= stride {
                     clear(ancilla, t);
                 }
             }
-        }
+        });
     }
 
     // The whole-history decode XOR-reduces the components' corrections
@@ -177,9 +177,9 @@ impl WindowBackend for UnionFindDecoder {
         out: &mut Vec<Edge>,
         stats: &mut DecodeStats,
     ) {
-        let outcome = self.decode(tail);
-        out.extend_from_slice(&outcome.corrections);
-        stats.matches += outcome.corrections.len();
+        let start = out.len();
+        self.decode_into(tail, out);
+        stats.matches += out.len() - start;
     }
 }
 
@@ -197,6 +197,7 @@ impl WindowBackend for MwpmDecoder {
         mut clear: impl FnMut(usize, usize),
     ) {
         // Only the committed matches are routed.
+        let lattice = window.lattice();
         let outcome = self
             .match_history(window)
             .expect("doubled graph is matchable");
@@ -204,11 +205,11 @@ impl WindowBackend for MwpmDecoder {
             if m.min_round() >= stride {
                 continue; // tentative: lives entirely in the overlap
             }
-            self.append_match_corrections(m, out);
+            m.append_corrections(lattice, out);
             stats.record_match(m.vertical_extent());
             for ev in m.events() {
                 if ev.round >= stride {
-                    clear(self.lattice().ancilla_index(ev.ancilla), ev.round);
+                    clear(lattice.ancilla_index(ev.ancilla), ev.round);
                 }
             }
         }

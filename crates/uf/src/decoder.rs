@@ -33,13 +33,18 @@
 //! * **Growth.** Each step lists the distinct active roots as the roots
 //!   of the previous step's active roots that are still active (a union
 //!   of inactive clusters is inactive, so no active cluster is missed),
-//!   then visits only the incident edges of those clusters' members
-//!   (intrusive member lists spliced on union, and a per-step edge stamp
-//!   so an edge is examined once per step): O(active clusters + active
-//!   cluster size) per step. Every increment is computed from the
-//!   clusters as they stood at the start of the step and the unions are
-//!   applied after the scan, so the edges fused at each step are exactly
-//!   those a scan of the whole graph would fuse.
+//!   dropping a root already stamped with this step instead of sorting
+//!   the list. It then lists those clusters' members (intrusive member
+//!   lists spliced on union), stamping each with the step number, and
+//!   visits only their incident edges, with a per-step edge stamp so an
+//!   edge is examined once per step: O(active clusters + active cluster
+//!   size) per step. No union happens during the scan, so the far node
+//!   of an edge is in an active cluster exactly when it carries this
+//!   step's stamp, and the scan runs no `find`. Every increment is
+//!   computed from the clusters as they stood at the start of the step
+//!   and the unions are applied after the scan, so the edges fused at
+//!   each step are exactly those a scan of the whole graph would fuse;
+//!   the order of the root list reaches neither them nor any output.
 //!   [`UfComponentOutcome::edges_scanned`] counts the edges examined.
 //! * **Peeling.** Unions happen on erasure edges only, so the clusters
 //!   that hold defects are exactly the erasure's components. Each tree is
@@ -48,13 +53,17 @@
 //!   all boundary nodes, then all nodes, would find them. A node's
 //!   erasure edges are its incident edges with full support, in the
 //!   ascending edge order of [`DecodingGraph::incident`]. Each
-//!   component's flipped qubits are collected in a list and XOR-reduced
-//!   by sorting, so corrections stay sorted by qubit. Peeling touches
-//!   only the erasure's nodes, and only the components a caller asks
-//!   for: [`UnionFindDecoder::decode_components`] roots, walks and
-//!   collects just the components anchored before its bound, so a
-//!   sliding window pays nothing for the tentative components of its
-//!   overlap.
+//!   component's flipped qubits are XOR-reduced in place by sorting, so
+//!   corrections stay sorted by qubit. Peeling touches only the
+//!   erasure's nodes, and only the components a caller asks for: it
+//!   roots, walks and hands over just the components anchored before
+//!   its bound, so a sliding window pays nothing for the tentative
+//!   components of its overlap. It allocates nothing either: each
+//!   component goes to a visitor ([`UnionFindDecoder::for_each_component`])
+//!   as two slices of the thread's scratch, which a sliding window
+//!   commits from directly. [`UnionFindDecoder::decode_components`]
+//!   collects them into lists, and [`UnionFindDecoder::decode_into`]
+//!   XOR-reduces them in place in the caller's list.
 //!
 //! Union-by-size with path compression keeps the cluster operations
 //! near-constant amortised (inverse Ackermann).
@@ -136,6 +145,20 @@ pub struct UfComponentOutcome {
     pub edges_scanned: usize,
 }
 
+/// Growth's work counters for one decode, as
+/// [`UnionFindDecoder::for_each_component`] returns them; the outcome
+/// types carry the same three numbers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UfGrowth {
+    /// Growth iterations until all clusters neutralized.
+    pub steps: usize,
+    /// Number of fully-grown (erasure) edges handed to the peeler.
+    pub erasure_edges: usize,
+    /// Decoding-graph edges the growth phase examined; see
+    /// [`UfComponentOutcome::edges_scanned`].
+    pub edges_scanned: usize,
+}
+
 /// Union-find decoder over a [`SyndromeHistory`] (batch decoding).
 ///
 /// # Example
@@ -193,18 +216,31 @@ impl UnionFindDecoder {
     /// Panics if the history is empty or belongs to a different lattice
     /// size.
     pub fn decode(&self, history: &SyndromeHistory) -> UfOutcome {
-        let parts = self.decode_components(history, history.num_rounds());
-        let mut flips: Vec<usize> = parts
-            .components
-            .iter()
-            .flat_map(|c| c.corrections.iter().map(|e| e.index()))
-            .collect();
+        let mut corrections = Vec::new();
+        let growth = self.decode_into(history, &mut corrections);
         UfOutcome {
-            corrections: xor_reduce(&mut flips),
-            growth_steps: parts.growth_steps,
-            erasure_edges: parts.erasure_edges,
-            edges_scanned: parts.edges_scanned,
+            corrections,
+            growth_steps: growth.steps,
+            erasure_edges: growth.erasure_edges,
+            edges_scanned: growth.edges_scanned,
         }
+    }
+
+    /// [`Self::decode`] into a caller's list: appends the corrections,
+    /// XOR-reduced per qubit and ascending, to `out` and returns the
+    /// work counters. The reduction runs in place on what it appended,
+    /// so a reused `out` costs no allocation.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::decode`].
+    pub fn decode_into(&self, history: &SyndromeHistory, out: &mut Vec<Edge>) -> UfGrowth {
+        let start = out.len();
+        let growth = self.for_each_component(history, history.num_rounds(), |corrections, _| {
+            out.extend_from_slice(corrections);
+        });
+        xor_reduce(out, start);
+        growth
     }
 
     /// Decodes a full syndrome history and peels the erasure components
@@ -212,15 +248,13 @@ impl UnionFindDecoder {
     /// defect round is below it.
     ///
     /// Each returned component holds the detection events it explains
-    /// and the corrections it contributes. Components are disjoint, so a
-    /// sliding-window caller commits the components anchored in its
-    /// stride (emitting their corrections and clearing their defect
-    /// events from the buffered rounds) and never pays to peel the
-    /// tentative rest. Growth always runs over the whole history, since a
-    /// tentative cluster can still merge with an anchored one, so the
-    /// work counters describe the whole history whatever the bound.
-    /// With `anchored_before ≥ history.num_rounds()` every component is
-    /// peeled; with 0, none is.
+    /// and the corrections it contributes; they are collected from
+    /// [`Self::for_each_component`], which a caller that does not keep
+    /// them uses directly. Growth always runs over the whole history,
+    /// since a tentative cluster can still merge with an anchored one,
+    /// so the work counters describe the whole history whatever the
+    /// bound. With `anchored_before ≥ history.num_rounds()` every
+    /// component is peeled; with 0, none is.
     ///
     /// # Panics
     ///
@@ -231,6 +265,42 @@ impl UnionFindDecoder {
         history: &SyndromeHistory,
         anchored_before: usize,
     ) -> UfComponentOutcome {
+        let mut components = Vec::new();
+        let growth = self.for_each_component(history, anchored_before, |corrections, defects| {
+            components.push(UfComponent {
+                corrections: corrections.to_vec(),
+                defects: defects.to_vec(),
+            });
+        });
+        UfComponentOutcome {
+            components,
+            growth_steps: growth.steps,
+            erasure_edges: growth.erasure_edges,
+            edges_scanned: growth.edges_scanned,
+        }
+    }
+
+    /// Decodes a full syndrome history and passes each erasure component
+    /// anchored before round `anchored_before` to `visit`, in the order
+    /// and with the contents of [`Self::decode_components`]: its
+    /// corrections (XOR-reduced, ascending) and its detection events
+    /// `(ancilla_index, round)` in BFS discovery order. Both slices live
+    /// in the thread's decode scratch, so a warmed decode allocates
+    /// nothing. A sliding window commits the components anchored in its
+    /// stride this way (emitting their corrections and clearing their
+    /// defect events from the buffered rounds) and never pays to peel
+    /// the tentative rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the history is empty or belongs to a different lattice
+    /// size.
+    pub fn for_each_component(
+        &self,
+        history: &SyndromeHistory,
+        anchored_before: usize,
+        visit: impl FnMut(&[Edge], &[(usize, usize)]),
+    ) -> UfGrowth {
         assert_eq!(
             history.lattice().num_ancillas(),
             self.lattice.num_ancillas(),
@@ -239,28 +309,34 @@ impl UnionFindDecoder {
         let graph = DecodingGraph::new(&self.lattice, history.num_rounds());
         let mut scratch = SCRATCH.take();
         // Detection events in ascending node order, from set bits only.
-        scratch.defects.clear();
-        scratch.defects.extend(
-            history
-                .iter()
-                .enumerate()
-                .flat_map(|(t, round)| round.events().iter_ones().map(move |a| graph.cell(a, t))),
-        );
-        let outcome = if scratch.defects.is_empty() {
-            UfComponentOutcome::default()
+        let defects = &mut scratch.defects;
+        defects.clear();
+        for (t, round) in history.iter().enumerate() {
+            let first = graph.cell(0, t);
+            for (i, &word) in round.events().words().iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    defects.push(first + 64 * i + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        let growth = if scratch.defects.is_empty() {
+            UfGrowth::default()
         } else {
-            scratch.decode(&graph, self.incidence.on(&graph), anchored_before)
+            scratch.decode(&graph, self.incidence.on(&graph), anchored_before, visit)
         };
         SCRATCH.set(scratch);
-        outcome
+        growth
     }
 }
 
 /// A thread's decode scratch. The node- and edge-sized arrays keep the
 /// largest window's size, and a decode resets only what it touched:
 /// the cluster sets start a new epoch, an edge's support counts only
-/// when its stamp is a step of the current decode, and the peel clears
-/// the nodes it flagged.
+/// when its stamp is a step of the current decode, a node is active
+/// only while its stamp is the current step, and the peel clears the
+/// nodes it flagged.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Detection events in ascending node order.
@@ -272,12 +348,16 @@ struct Scratch {
     /// The growth step that last examined each edge, numbered on across
     /// decodes.
     stamp: Vec<u32>,
+    /// The growth step that last listed each node as a member of an
+    /// active cluster: a node is in an active cluster exactly while this
+    /// is the current step.
+    active_at: Vec<u32>,
     /// The last step number handed out.
     step: u32,
     /// Step numbers up to this one belong to earlier decodes: an edge
     /// stamped no later has no support in this one.
     stale_through: u32,
-    /// Active roots of the current growth step.
+    /// Active roots of the current growth step; the peel's tree roots.
     roots: Vec<usize>,
     /// Members of the active clusters of the current growth step.
     members: Vec<usize>,
@@ -291,25 +371,23 @@ struct Scratch {
     parent: Vec<(u32, u32)>,
     /// BFS order of the component being peeled.
     order: Vec<usize>,
-    /// Qubits the component being peeled flips.
-    flips: Vec<usize>,
-}
-
-/// Growth's work counters.
-struct Growth {
-    erasure_edges: usize,
-    steps: usize,
-    edges_scanned: usize,
+    /// Corrections of the component being peeled.
+    corrections: Vec<Edge>,
+    /// Detection events `(ancilla_index, round)` of the component being
+    /// peeled.
+    events: Vec<(usize, usize)>,
 }
 
 impl Scratch {
-    /// Grows and peels `self.defects` (non-empty) on `graph`.
+    /// Grows `self.defects` (non-empty) on `graph` and peels the
+    /// components anchored before round `anchored_before` into `visit`.
     fn decode(
         &mut self,
         graph: &DecodingGraph,
         incidence: Incidence<'_>,
         anchored_before: usize,
-    ) -> UfComponentOutcome {
+        visit: impl FnMut(&[Edge], &[(usize, usize)]),
+    ) -> UfGrowth {
         let (n, edges) = (graph.num_nodes(), graph.num_edges());
         self.sets.reset(n, graph.first_boundary_node());
         if self.support.len() < edges {
@@ -320,11 +398,13 @@ impl Scratch {
             self.carry.resize(n, false);
             self.visited.resize(n, false);
             self.parent.resize(n, (0, 0));
+            self.active_at.resize(n, 0);
         }
         // Every growth step adds support to some edge, and an edge takes
         // at most two, so this decode's step numbers cannot wrap.
         if u64::from(self.step) + 2 * edges as u64 > u64::from(u32::MAX) {
             self.stamp.fill(0);
+            self.active_at.fill(0);
             self.step = 0;
         }
         self.stale_through = self.step;
@@ -336,22 +416,18 @@ impl Scratch {
         // prefix of the ascending defect list.
         let bound = anchored_before.min(graph.rounds()) * graph.num_ancillas();
         let anchored = self.defects.partition_point(|&v| v < bound);
-        let components = self.peel(graph, incidence, anchored);
-        UfComponentOutcome {
-            components,
-            growth_steps: growth.steps,
-            erasure_edges: growth.erasure_edges,
-            edges_scanned: growth.edges_scanned,
-        }
+        self.peel(graph, incidence, anchored, visit);
+        growth
     }
 
     /// Phase 1: grows the active clusters until every cluster is neutral.
-    fn grow(&mut self, graph: &DecodingGraph, incidence: Incidence<'_>) -> Growth {
+    fn grow(&mut self, graph: &DecodingGraph, incidence: Incidence<'_>) -> UfGrowth {
         let Self {
             defects,
             sets,
             support,
             stamp,
+            active_at,
             step,
             stale_through,
             roots,
@@ -366,27 +442,36 @@ impl Scratch {
         let mut steps = 0;
         let mut edges_scanned = 0;
         loop {
+            let this_step = *step + 1;
             // The active roots, from last step's: a union of inactive
             // clusters (even, or touching the boundary) is inactive, so every
-            // cluster active now contains one that was active before.
+            // cluster active now contains one that was active before. A root
+            // already stamped this step is listed already. Their order
+            // reaches no output: the edges scanned and fused in a step, and
+            // so the clusters after it, do not depend on it.
             roots.retain_mut(|r| {
                 *r = sets.find(*r);
-                sets.is_active(*r)
+                if active_at[*r] == this_step || !sets.is_active(*r) {
+                    return false;
+                }
+                active_at[*r] = this_step;
+                true
             });
             if roots.is_empty() {
                 break;
             }
-            roots.sort_unstable();
-            roots.dedup();
             steps += 1;
-            *step += 1;
-            let this_step = *step;
+            *step = this_step;
             members.clear();
             for &root in roots.iter() {
-                members.extend(sets.members(root));
+                for x in sets.members(root) {
+                    active_at[x] = this_step;
+                    members.push(x);
+                }
             }
             // No union happens during the scan, so every increment sees the
-            // clusters as they stood at the start of the step.
+            // clusters as they stood at the start of the step, and a node
+            // is in an active cluster exactly when it was stamped above.
             fused.clear();
             for &x in members.iter() {
                 incidence.for_each(x, |e, w| {
@@ -403,7 +488,7 @@ impl Scratch {
                         return;
                     }
                     // `x` belongs to an active cluster.
-                    let grown = (grown + 1 + u8::from(sets.is_active(w))).min(2);
+                    let grown = (grown + 1 + u8::from(active_at[w] == this_step)).min(2);
                     support[e] = grown;
                     if grown == 2 {
                         fused.push((x, w));
@@ -419,26 +504,39 @@ impl Scratch {
                 sets.union(u, v);
             }
         }
-        Growth {
-            erasure_edges,
+        UfGrowth {
             steps,
+            erasure_edges,
             edges_scanned,
         }
     }
 
-    /// Whether edge `e` is fully grown in the current decode.
-    fn is_erasure(&self, e: usize) -> bool {
-        self.stamp[e] > self.stale_through && self.support[e] == 2
-    }
-
     /// Phase 2: peels a spanning forest of the erasure components that
-    /// hold one of the first `anchored` defects.
+    /// hold one of the first `anchored` defects, passing each to `visit`.
     fn peel(
         &mut self,
         graph: &DecodingGraph,
         incidence: Incidence<'_>,
         anchored: usize,
-    ) -> Vec<UfComponent> {
+        mut visit: impl FnMut(&[Edge], &[(usize, usize)]),
+    ) {
+        let Self {
+            defects,
+            sets,
+            support,
+            stamp,
+            stale_through,
+            roots,
+            carry,
+            visited,
+            parent,
+            order,
+            corrections,
+            events,
+            ..
+        } = self;
+        let stale_through = *stale_through;
+        let is_erasure = |e: usize| stamp[e] > stale_through && support[e] == 2;
         let na = graph.num_ancillas();
         // Unions happen on erasure edges only, so the clusters holding
         // defects are exactly the erasure's components. Each tree is rooted
@@ -447,109 +545,111 @@ impl Scratch {
         // Only the anchored defects' clusters are peeled; the components are
         // disjoint, so their order and corrections are those of a full peel.
         let root_key = |v: usize| (!graph.is_boundary(v), v);
-        let mut clusters: Vec<usize> = (0..anchored)
-            .map(|i| self.sets.find(self.defects[i]))
-            .collect();
-        clusters.sort_unstable();
-        clusters.dedup();
-        let mut roots: Vec<usize> = clusters
-            .iter()
-            .map(|&c| {
-                self.sets
-                    .members(c)
-                    .min_by_key(|&v| root_key(v))
-                    .expect("a cluster has members")
-            })
-            .collect();
+        roots.clear();
+        roots.extend(defects[..anchored].iter().map(|&v| sets.find(v)));
+        roots.sort_unstable();
+        roots.dedup();
+        let in_peeled_clusters = if cfg!(debug_assertions) {
+            defects
+                .iter()
+                .filter(|&&v| roots.binary_search(&sets.find(v)).is_ok())
+                .count()
+        } else {
+            0
+        };
+        for r in roots.iter_mut() {
+            *r = sets
+                .members(*r)
+                .min_by_key(|&v| root_key(v))
+                .expect("a cluster has members");
+        }
         roots.sort_unstable_by_key(|&v| root_key(v));
 
         // The defects carry themselves until peeling moves them.
-        for &v in &self.defects {
-            self.carry[v] = true;
+        for &v in defects.iter() {
+            carry[v] = true;
         }
-        let mut components: Vec<UfComponent> = Vec::with_capacity(roots.len());
-        let mut order = std::mem::take(&mut self.order);
-        let mut flips = std::mem::take(&mut self.flips);
-        for root in roots {
+        let mut peeled_defects = 0;
+        for &root in roots.iter() {
             // BFS spanning tree of this erasure component, visiting each
             // node's erasure edges in ascending edge index.
             order.clear();
             order.push(root);
-            self.visited[root] = true;
+            visited[root] = true;
             let mut head = 0;
             while head < order.len() {
                 let v = order[head];
                 head += 1;
                 incidence.for_each(v, |e, w| {
-                    if self.is_erasure(e) && !self.visited[w] {
-                        self.visited[w] = true;
-                        self.parent[w] = (v as u32, e as u32);
+                    if is_erasure(e) && !visited[w] {
+                        visited[w] = true;
+                        parent[w] = (v as u32, e as u32);
                         order.push(w);
                     }
                 });
             }
             // The detection events this component explains, in BFS
             // discovery order (boundary stubs never carry defects).
-            let comp_defects: Vec<(usize, usize)> = order
-                .iter()
-                .filter(|&&v| self.carry[v])
-                .map(|&v| (v % na, v / na))
-                .collect();
+            events.clear();
+            events.extend(
+                order
+                    .iter()
+                    .filter(|&&v| carry[v])
+                    .map(|&v| (v % na, v / na)),
+            );
+            peeled_defects += events.len();
             // Peel leaf-first (reverse BFS order).
-            flips.clear();
+            corrections.clear();
             for &v in order.iter().skip(1).rev() {
-                if self.carry[v] {
-                    let (p, e) = self.parent[v];
-                    self.carry[v] = false;
-                    self.carry[p as usize] ^= true;
+                if carry[v] {
+                    let (p, e) = parent[v];
+                    carry[v] = false;
+                    carry[p as usize] ^= true;
                     if let GraphEdgeKind::Data(q) = graph.edge(e as usize).kind {
-                        flips.push(q.index());
+                        corrections.push(q);
                     }
                 }
             }
             // Defects drained into this component's root must end on a
             // boundary (or cancel) — otherwise the cluster was not neutral.
             assert!(
-                !self.carry[root] || graph.is_boundary(root),
+                !carry[root] || graph.is_boundary(root),
                 "peeling left a defect on a non-boundary root"
             );
-            for &v in &order {
-                self.visited[v] = false;
-                self.carry[v] = false;
+            for &v in order.iter() {
+                visited[v] = false;
+                carry[v] = false;
             }
-            components.push(UfComponent {
-                corrections: xor_reduce(&mut flips),
-                defects: comp_defects,
-            });
+            xor_reduce(corrections, 0);
+            visit(corrections, events);
         }
         // The defects of the tentative components still carry.
-        for &v in &self.defects {
-            self.carry[v] = false;
+        for &v in defects.iter() {
+            carry[v] = false;
         }
-        self.order = order;
-        self.flips = flips;
         debug_assert_eq!(
-            components.iter().map(|c| c.defects.len()).sum::<usize>(),
-            (0..self.defects.len())
-                .filter(|&i| {
-                    let root = self.sets.find(self.defects[i]);
-                    clusters.binary_search(&root).is_ok()
-                })
-                .count(),
+            peeled_defects, in_peeled_clusters,
             "a cluster's defects were not all in its erasure component"
         );
-        components
     }
 }
 
-/// The qubits flipped an odd number of times, ascending.
-fn xor_reduce(qubits: &mut [usize]) -> Vec<Edge> {
-    qubits.sort_unstable();
-    qubits
-        .chunk_by(|a, b| a == b)
-        .filter(|run| run.len() % 2 == 1)
-        .map(|run| Edge(run[0]))
-        .collect()
+/// Keeps the edges of `edges[start..]` that occur an odd number of
+/// times, once each and ascending, in place.
+fn xor_reduce(edges: &mut Vec<Edge>, start: usize) {
+    edges[start..].sort_unstable();
+    let mut kept = start;
+    let mut i = start;
+    while i < edges.len() {
+        let e = edges[i];
+        let run = edges[i..].iter().take_while(|&&f| f == e).count();
+        if run % 2 == 1 {
+            edges[kept] = e;
+            kept += 1;
+        }
+        i += run;
+    }
+    edges.truncate(kept);
 }
 
 #[cfg(test)]
@@ -690,6 +790,69 @@ mod tests {
                     prop_assert!(part.components.is_empty());
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn visitor_components_and_whole_decode_agree(
+            d in prop_oneof![Just(3usize), Just(5), Just(9)],
+            rounds_seed in any::<u64>(),
+            p in 0.0f64..0.05,
+            family in 0usize..4,
+            close in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let lat = Lattice::new(d).unwrap();
+            let rounds = 1 + (rounds_seed % (3 * d as u64)) as usize;
+            let h = sampled_history(&lat, rounds, p, family, close, seed);
+            let decoder = UnionFindDecoder::new(lat.clone());
+            let whole = decoder.decode(&h);
+            let work = (whole.growth_steps, whole.erasure_edges, whole.edges_scanned);
+            for anchored_before in 0..=rounds {
+                // The visitor sees the collected components, one for one
+                // and in order, and every path reports the same work.
+                let collected = decoder.decode_components(&h, anchored_before);
+                let mut visited = Vec::new();
+                let growth = decoder.for_each_component(&h, anchored_before, |corrections, defects| {
+                    visited.push(UfComponent {
+                        corrections: corrections.to_vec(),
+                        defects: defects.to_vec(),
+                    });
+                });
+                prop_assert_eq!(&visited, &collected.components);
+                prop_assert_eq!(
+                    (growth.steps, growth.erasure_edges, growth.edges_scanned),
+                    work
+                );
+                prop_assert_eq!(
+                    (collected.growth_steps, collected.erasure_edges, collected.edges_scanned),
+                    work
+                );
+            }
+            // The whole decode is the XOR of every component.
+            let mut parity = vec![false; lat.num_data_qubits()];
+            for comp in &decoder.decode_components(&h, rounds).components {
+                for e in &comp.corrections {
+                    parity[e.index()] ^= true;
+                }
+            }
+            let composed: Vec<Edge> = (0..parity.len())
+                .filter(|&q| parity[q])
+                .map(Edge)
+                .collect();
+            prop_assert_eq!(&composed, &whole.corrections);
+            // `decode_into` appends exactly that after what the list holds.
+            let mut out = vec![Edge(usize::MAX)];
+            let growth = decoder.decode_into(&h, &mut out);
+            prop_assert_eq!(out[0], Edge(usize::MAX));
+            prop_assert_eq!(&out[1..], &whole.corrections[..]);
+            prop_assert_eq!(
+                (growth.steps, growth.erasure_edges, growth.edges_scanned),
+                work
+            );
         }
     }
 

@@ -25,9 +25,13 @@
 //! commits), and a defect-free window returns before touching anything
 //! graph-sized. Nothing is O(graph) per decode: the scratch arrays are
 //! kept per thread and reset only where the decode touched them, and
-//! there is no graph to build. The decoder is pinned bit for bit (components, defect order,
-//! corrections, growth steps, erasure size) to the original
-//! whole-graph-scan implementation, which its tests keep as a reference.
+//! there is no graph to build. Once the scratch has grown, a window
+//! commit allocates nothing either: each component reaches the caller
+//! through a visitor over the scratch
+//! ([`UnionFindDecoder::for_each_component`]). The decoder is pinned
+//! bit for bit (components, defect order, corrections, growth steps,
+//! erasure size) to the original whole-graph-scan implementation, which
+//! its tests keep as a reference.
 //!
 //! # Example
 //!
@@ -58,5 +62,5 @@ pub mod graph;
 #[cfg(test)]
 mod reference;
 
-pub use decoder::{UfComponent, UfComponentOutcome, UfOutcome, UnionFindDecoder};
+pub use decoder::{UfComponent, UfComponentOutcome, UfGrowth, UfOutcome, UnionFindDecoder};
 pub use graph::{DecodingGraph, GraphEdge, GraphEdgeKind};
